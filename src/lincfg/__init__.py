@@ -14,7 +14,7 @@ from .analytic import (CommonPCPair, CommonPCRejection, b_coefficient,
                        h_factor)
 from .cpca import (SignedSpectrum, contrastive_components, posterior_cpcs,
                    variance_along)
-from .denoiser import (ShrinkageSpectrum, denoise, posterior_cov, score,
+from .denoiser import (denoise, mean_shift, posterior_cov, score, shrink,
                        shrinkage, shrunk_covariance)
 from .errors import (DataError, DivergenceError, FormatError, QuadratureError,
                      ShapeError)

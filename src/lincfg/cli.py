@@ -22,8 +22,8 @@ import numpy as np
 
 from . import analytic, cpca, denoiser, gmm, metrics, sampler, synthetic, verify
 from .errors import DataError, DivergenceError, FormatError, QuadratureError, ShapeError
-from .export import (encode_pnm, heatmap_svg, histogram_csv, histogram_svg,
-                     matrix_csv, parse_shape, vector_to_image)
+from .export import (heatmap_svg, histogram_csv, histogram_svg, matrix_csv,
+                     parse_shape, write_image)
 from .fileio import atomic_write_bytes, atomic_write_text
 from .metrics import project_histogram
 from .stats import (DataMatrix, data_matrix_to_bytes, estimate_gaussian_stats,
@@ -74,6 +74,19 @@ def _parse_bool(text: str, key: str) -> bool:
     raise FormatError(f"config key {key!r}: expected a boolean, got {text!r}")
 
 
+def _float_pair(text: str) -> tuple[float, float]:
+    lo, hi = (float(p) for p in text.split(":"))
+    return lo, hi
+
+
+def _parse_value(text: str, key: str, kind=float):
+    """kind(text), where a malformed value is a format error naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"malformed {key!r} value {text!r}") from None
+
+
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read a flat key=value config, or the 'config' block of a run manifest."""
     if not path.exists():
@@ -88,6 +101,9 @@ def parse_config_file(path: Path) -> dict[str, str]:
         config = manifest.get("config")
         if not isinstance(config, dict):
             raise FormatError(f"{path}: manifest has no 'config' object")
+        unknown = sorted(str(k) for k in config if str(k) not in CONFIG_DEFAULTS)
+        if unknown:
+            raise FormatError(f"{path}: unknown config keys {unknown}")
         return {str(k): str(v) for k, v in config.items()}
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -107,10 +123,11 @@ def parse_config_file(path: Path) -> dict[str, str]:
 def _parse_interval(text: str) -> tuple[float, float] | None:
     if not text or text.lower() == "none":
         return None
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise FormatError(f"interval must be 'lo:hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _parse_value(text, "interval", _float_pair)
+
+
+def _fixed_range(text: str | None) -> tuple[float, float] | None:
+    return _parse_value(text, "fixed_range", _float_pair) if text else None
 
 
 def _parse_components(text: str) -> set[str]:
@@ -141,13 +158,13 @@ def _build_guidance(config: dict[str, str]) -> sampler.GuidanceConfig:
     comps = _parse_components(config["components"])
     freeze = config["freeze_cpc_at"]
     return sampler.GuidanceConfig(
-        gamma=float(config["gamma"]),
+        gamma=_parse_value(config["gamma"], "gamma"),
         enable_cond=_parse_bool(config["cond"], "cond"),
         enable_pos_cpc="pos_cpc" in comps,
         enable_neg_cpc="neg_cpc" in comps,
         enable_mean_shift="mean_shift" in comps,
         active_interval=_parse_interval(config["interval"]),
-        freeze_cpc_at=float(freeze) if freeze else None,
+        freeze_cpc_at=_parse_value(freeze, "freeze_cpc_at") if freeze else None,
     )
 
 
@@ -185,18 +202,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _run_sampling(config: dict[str, str]) -> tuple[sampler.SampleBatch, dict]:
     schedule = sampler.make_schedule(
-        float(config["sigma_max"]), float(config["sigma_min"]),
-        int(config["steps"]), float(config["rho"]))
+        _parse_value(config["sigma_max"], "sigma_max"),
+        _parse_value(config["sigma_min"], "sigma_min"),
+        _parse_value(config["steps"], "steps", int),
+        _parse_value(config["rho"], "rho"))
     cfg = _build_guidance(config)
-    m = int(config["m"])
-    seed = int(config["seed"])
+    m = _parse_value(config["m"], "m", int)
+    seed = _parse_value(config["seed"], "seed", int)
     heun = _parse_bool(config["heun"], "heun")
 
     mixture_path = config["mixture"]
     if mixture_path:
         model = gmm.load_mixture(_require_file(mixture_path, "mixture manifest"))
         init = _build_init(config, None, None, schedule)
-        batch = gmm.sample_batch(model, int(config["target"]), m, seed,
+        target = _parse_value(config["target"], "target", int)
+        batch = gmm.sample_batch(model, target, m, seed,
                                  schedule, cfg, init, heun=heun)
         meta = {"mode": "mixture", "k": model.k, "d": model.d}
         return batch, meta
@@ -218,13 +238,14 @@ def _run_sampling(config: dict[str, str]) -> tuple[sampler.SampleBatch, dict]:
 def _build_init(config: dict[str, str], cond, uncond,
                 schedule: sampler.NoiseSchedule) -> sampler.InitSpec | None:
     mode = config["init"].strip().lower()
-    std = float(config["init_sigma"]) if config["init_sigma"] else None
+    std = _parse_value(config["init_sigma"], "init_sigma") if config["init_sigma"] else None
     if mode == "zero":
         return sampler.InitSpec(std=std) if std is not None else None
     if mode == "mean_shifted":
         if cond is None or uncond is None:
             raise FormatError("mean_shifted init requires cond/uncond stats")
-        return metrics.mean_shifted_init(cond, uncond, float(config["init_gamma"]),
+        return metrics.mean_shifted_init(cond, uncond,
+                                         _parse_value(config["init_gamma"], "init_gamma"),
                                          std if std is not None else schedule.sigma_max)
     raise FormatError(f"unknown init mode {config['init']!r}")
 
@@ -232,6 +253,11 @@ def _build_init(config: dict[str, str], cond, uncond,
 def cmd_sample(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key, None) for key in CONFIG_DEFAULTS}
     config = resolve_config(Path(args.config) if args.config else None, overrides)
+    # image settings are parsed before the run so malformed ones fail fast
+    shape = (_parse_value(config["ppm_shape"], "ppm_shape", parse_shape)
+             if config["ppm_shape"] else None)
+    ppm_count = _parse_value(config["ppm_count"], "ppm_count", int)
+    fixed = _fixed_range(config["fixed_range"])
     outdir = Path(config["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -243,19 +269,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     atomic_write_bytes(samples_path, data_matrix_to_bytes(DataMatrix(batch.samples)))
     outputs = {"samples": samples_path.name}
 
-    if config["ppm_shape"]:
-        shape = parse_shape(config["ppm_shape"])
-        count = int(config["ppm_count"]) or batch.m
-        count = min(count, batch.m)
-        rng_text = config["fixed_range"]
-        fixed = None
-        if rng_text:
-            lo, hi = rng_text.split(":")
-            fixed = (float(lo), float(hi))
+    if shape is not None:
+        count = min(ppm_count or batch.m, batch.m)
+        ext = "ppm" if shape[2] == 3 else "pgm"
         for k in range(count):
-            img = vector_to_image(batch.samples[k], shape, fixed)
-            name = f"sample_{k:05d}." + ("ppm" if shape[2] == 3 else "pgm")
-            atomic_write_bytes(outdir / name, encode_pnm(img))
+            write_image(outdir / f"sample_{k:05d}.{ext}", batch.samples[k], shape, fixed)
         outputs["images"] = count
 
     manifest = {
@@ -300,13 +318,6 @@ def _load_pair(args) -> tuple:
     return cond, uncond
 
 
-def _fixed_range(text: str | None) -> tuple[float, float] | None:
-    if not text:
-        return None
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
-
-
 def cmd_export_cpcs(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
     if args.sigma is not None:
@@ -323,12 +334,10 @@ def cmd_export_cpcs(args: argparse.Namespace) -> int:
     n_pos = min(args.count, pos_vecs.shape[1])
     n_neg = min(args.count, neg_vecs.shape[1])
     for i in range(n_pos):
-        atomic_write_bytes(outdir / f"pos_cpc_{i:02d}.{ext}",
-                           encode_pnm(vector_to_image(pos_vecs[:, i], shape, fixed)))
+        write_image(outdir / f"pos_cpc_{i:02d}.{ext}", pos_vecs[:, i], shape, fixed)
     for i in range(n_neg):
         # most negative first
-        atomic_write_bytes(outdir / f"neg_cpc_{i:02d}.{ext}",
-                           encode_pnm(vector_to_image(neg_vecs[:, n_neg - 1 - i], shape, fixed)))
+        write_image(outdir / f"neg_cpc_{i:02d}.{ext}", neg_vecs[:, n_neg - 1 - i], shape, fixed)
     rows = [f"{i},{float(v)!r}" for i, v in enumerate(spec.eigvals)]
     atomic_write_text(outdir / "cpc_eigenvalues.csv",
                       "index,eigenvalue\n" + "\n".join(rows) + "\n")
@@ -338,16 +347,15 @@ def cmd_export_cpcs(args: argparse.Namespace) -> int:
 
 def cmd_export_mean_shift(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
-    w = cond.mean - uncond.mean
     if args.sigma is not None:
-        f = denoiser.shrinkage(uncond, args.sigma).factors
-        w = w - ((w @ uncond.eigvecs) * f) @ uncond.eigvecs.T
+        w = denoiser.mean_shift(cond, uncond, args.sigma)
+    else:
+        w = cond.mean - uncond.mean
     shape = parse_shape(args.shape)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ext = "ppm" if shape[2] == 3 else "pgm"
-    atomic_write_bytes(outdir / f"mean_shift.{ext}",
-                       encode_pnm(vector_to_image(w, shape, _fixed_range(args.fixed_range))))
+    write_image(outdir / f"mean_shift.{ext}", w, shape, _fixed_range(args.fixed_range))
     print(f"export mean_shift_dir -> {outdir / ('mean_shift.' + ext)}")
     return EXIT_OK
 

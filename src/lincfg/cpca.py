@@ -16,7 +16,7 @@ from .denoiser import shrunk_covariance
 from .errors import ShapeError
 from .stats import GaussianStats, fix_eigvec_signs
 
-_ZERO_TOL_SCALE = 1e-10
+_ZERO_TOL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,7 @@ class SignedSpectrum:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     n_pos: int
-
-    @property
-    def n_neg(self) -> int:
-        tol = _ZERO_TOL_SCALE * max(1.0, abs(float(self.eigvals[0]))) if self.eigvals.size else 0.0
-        return int(np.sum(self.eigvals < -tol))
+    n_neg: int
 
     @property
     def positive(self) -> tuple[np.ndarray, np.ndarray]:
@@ -40,10 +36,8 @@ class SignedSpectrum:
     @property
     def negative(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigvals, eigvecs) of the negative part, still descending order."""
-        n = self.n_neg
-        if n == 0:
-            return self.eigvals[:0], self.eigvecs[:, :0]
-        return self.eigvals[-n:], self.eigvecs[:, -n:]
+        k = self.eigvals.size - self.n_neg
+        return self.eigvals[k:], self.eigvecs[:, k:]
 
 
 def contrastive_components(A: np.ndarray, B: np.ndarray, *,
@@ -68,8 +62,12 @@ def contrastive_components(A: np.ndarray, B: np.ndarray, *,
     lam, V = np.linalg.eigh(diff)
     lam = lam[::-1].copy()
     V = fix_eigvec_signs(V[:, ::-1])
-    tol = _ZERO_TOL_SCALE * max(1.0, abs(float(lam[0])))
-    return SignedSpectrum(eigvals=lam, eigvecs=V, n_pos=int(np.sum(lam > tol)))
+    # eigh's round-off is about d * eps * max|lambda|; the floor keeps the
+    # cut at 1e-10 for shrinkage-unit spectra, whose |lambda| <= 1
+    tol = max(_ZERO_TOL_FLOOR,
+              lam.size * np.finfo(np.float64).eps * float(np.max(np.abs(lam))))
+    return SignedSpectrum(eigvals=lam, eigvecs=V, n_pos=int(np.sum(lam > tol)),
+                          n_neg=int(np.sum(lam < -tol)))
 
 
 def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,

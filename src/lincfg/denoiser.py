@@ -3,7 +3,9 @@
 All operations work in the eigenbasis of the covariance: apply U^T, scale by
 the per-direction shrinkage factor lam/(lam + sigma^2), apply U. The dense
 inverse (Sigma + sigma^2 I)^-1 is never formed here; it exists only as a test
-oracle.
+oracle. The sampler, the mixture extension and the CLI exports build the
+guided drift from ``shrink``, ``score`` and ``mean_shift`` rather than
+re-deriving the eigenbasis algebra.
 
 Vector arguments accept shape (d,) or a batch (m, d); the result matches the
 input shape.
@@ -11,37 +13,18 @@ input shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .stats import GaussianStats
 
 
-@dataclass(frozen=True)
-class ShrinkageSpectrum:
+def shrinkage(stats: GaussianStats, sigma: float) -> np.ndarray:
     """Per-eigendirection attenuation factors lam_i/(lam_i + sigma^2)."""
-
-    sigma: float
-    factors: np.ndarray
-
-
-def shrinkage(stats: GaussianStats, sigma: float, *,
-              limit_zero_noise: bool = False) -> ShrinkageSpectrum:
-    """Shrinkage factors at noise level sigma.
-
-    With ``limit_zero_noise`` the sigma -> 0 limit is returned instead
-    (factor 1 on the column space, 0 on the null space); this is the only way
-    to reach sigma = 0, which the plain API excludes.
-    """
-    if limit_zero_noise:
-        factors = (stats.eigvals > 0.0).astype(np.float64)
-        return ShrinkageSpectrum(sigma=0.0, factors=factors)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lam = stats.eigvals
-    return ShrinkageSpectrum(sigma=float(sigma), factors=lam / (lam + sigma * sigma))
+    return lam / (lam + sigma * sigma)
 
 
 def _check_dim(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
@@ -51,17 +34,42 @@ def _check_dim(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _project(stats: GaussianStats, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """U diag(factors) U^T v in the eigenbasis of stats."""
+    return ((v @ stats.eigvecs) * factors) @ stats.eigvecs.T
+
+
+def shrink(stats: GaussianStats, v: np.ndarray, sigma: float) -> np.ndarray:
+    """U diag(f) U^T v: v attenuated by the shrinkage factors at sigma."""
+    return _project(stats, _check_dim(stats, v), shrinkage(stats, sigma))
+
+
 def denoise(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     """Posterior mean mu + U diag(f) U^T (x - mu) of the clean signal."""
     x = _check_dim(stats, x)
-    f = shrinkage(stats, sigma).factors
-    y = (x - stats.mean) @ stats.eigvecs
-    return stats.mean + (y * f) @ stats.eigvecs.T
+    return stats.mean + shrink(stats, x - stats.mean, sigma)
 
 
 def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Score of the noise-mollified Gaussian: (denoise(x) - x) / sigma^2."""
-    return (denoise(stats, x, sigma) - np.asarray(x, dtype=np.float64)) / (sigma * sigma)
+    """Score of the noise-mollified Gaussian, (denoise(x) - x) / sigma^2,
+    evaluated as (sigma^-2) U diag(f - 1) U^T (x - mu)."""
+    x = _check_dim(stats, x)
+    f = shrinkage(stats, sigma)
+    return (1.0 / (sigma * sigma)) * _project(stats, x - stats.mean, f - 1.0)
+
+
+def mean_shift(cond: GaussianStats, uncond: GaussianStats, sigma: float) -> np.ndarray:
+    """Mean-shift direction (I - S~_uc)(mu_c - mu_uc), where S~_uc = shrink(uncond, ., sigma)."""
+    if cond.d != uncond.d:
+        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
+    w = cond.mean - uncond.mean
+    return w - shrink(uncond, w, sigma)
+
+
+def shrunk_covariance(stats: GaussianStats, sigma: float) -> np.ndarray:
+    """U diag(f) U^T, the posterior covariance in shrinkage units (no sigma^2)."""
+    U = stats.eigvecs
+    return (U * shrinkage(stats, sigma)) @ U.T
 
 
 def posterior_cov(stats: GaussianStats, sigma: float) -> np.ndarray:
@@ -69,13 +77,4 @@ def posterior_cov(stats: GaussianStats, sigma: float) -> np.ndarray:
 
     Equals sigma^2 times the (constant) Jacobian of ``denoise``.
     """
-    f = shrinkage(stats, sigma).factors
-    U = stats.eigvecs
-    return (sigma * sigma) * ((U * f) @ U.T)
-
-
-def shrunk_covariance(stats: GaussianStats, sigma: float) -> np.ndarray:
-    """U diag(f) U^T, the posterior covariance in shrinkage units (no sigma^2)."""
-    f = shrinkage(stats, sigma).factors
-    U = stats.eigvecs
-    return (U * f) @ U.T
+    return (sigma * sigma) * shrunk_covariance(stats, sigma)

@@ -1,18 +1,17 @@
 """Figure and image emitters: binary PPM/PGM, hand-rolled SVG bar charts and
-heatmaps, CSV tables. Files are written atomically (temp + rename)."""
+heatmaps, CSV tables. Images are written atomically through ``fileio``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ShapeError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes
 from .metrics import ProjectionHistogram
 
 __all__ = [
-    "atomic_write_bytes", "atomic_write_text", "parse_shape",
-    "vector_to_image", "encode_pnm", "write_image", "histogram_csv",
-    "matrix_csv", "histogram_svg", "heatmap_svg",
+    "parse_shape", "vector_to_image", "encode_pnm", "write_image",
+    "histogram_csv", "matrix_csv", "histogram_svg", "heatmap_svg",
 ]
 
 

@@ -119,20 +119,23 @@ def posterior_weights(model: MixtureModel, x: np.ndarray,
     return PosteriorWeights(w=w, log_w=log_w)
 
 
-def mixture_score(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Score of the noise-mollified mixture:
-    sum_i w_i(x) (Sigma_i + sigma^2 I)^-1 (mu_i - x)."""
+def _weighted_sum(model: MixtureModel, x: np.ndarray, sigma: float,
+                  component_fn) -> np.ndarray:
+    """sum_i w_i(x) component_fn(component_i, x, sigma)."""
     x = _check_state(model, x, sigma)
     single = x.ndim == 1
     X = x[None, :] if single else x
     w = _weights(model, X, sigma)
-    s2 = sigma * sigma
     out = np.zeros_like(X)
     for i, comp in enumerate(model.components):
-        y = (comp.mean - X) @ comp.eigvecs
-        solved = (y / (comp.eigvals + s2)) @ comp.eigvecs.T
-        out += w[:, i:i + 1] * solved
+        out += w[:, i:i + 1] * component_fn(comp, X, sigma)
     return out[0] if single else out
+
+
+def mixture_score(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
+    """Score of the noise-mollified mixture:
+    sum_i w_i(x) (Sigma_i + sigma^2 I)^-1 (mu_i - x)."""
+    return _weighted_sum(model, x, sigma, denoiser.score)
 
 
 def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -141,17 +144,7 @@ def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndar
 
     Satisfies D = x + sigma^2 * mixture_score(x) identically.
     """
-    x = _check_state(model, x, sigma)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    w = _weights(model, X, sigma)
-    s2 = sigma * sigma
-    out = np.zeros_like(X)
-    for i, comp in enumerate(model.components):
-        f = comp.eigvals / (comp.eigvals + s2)
-        y = (X - comp.mean) @ comp.eigvecs
-        out += w[:, i:i + 1] * (comp.mean + (y * f) @ comp.eigvecs.T)
-    return out[0] if single else out
+    return _weighted_sum(model, x, sigma, denoiser.denoise)
 
 
 @dataclass(frozen=True)
@@ -183,21 +176,16 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     single = x.ndim == 1
     X = x[None, :] if single else x
     w = _weights(model, X, sigma)
-    s2 = sigma * sigma
-    coef = gamma / s2
+    coef = gamma / (sigma * sigma)
     tgt = model.components[target]
 
     z = X - tgt.mean
-    f_t = tgt.eigvals / (tgt.eigvals + s2)
-    cpc = ((z @ tgt.eigvecs) * f_t) @ tgt.eigvecs.T
+    cpc = denoiser.shrink(tgt, z, sigma)
     mean_like = np.zeros_like(X)
     for i, comp in enumerate(model.components):
-        f = comp.eigvals / (comp.eigvals + s2)
-        cpc -= w[:, i:i + 1] * (((z @ comp.eigvecs) * f) @ comp.eigvecs.T)
+        cpc -= w[:, i:i + 1] * denoiser.shrink(comp, z, sigma)
         if i != target:
-            dm = tgt.mean - comp.mean
-            shifted = dm - ((dm @ comp.eigvecs) * f) @ comp.eigvecs.T
-            mean_like += w[:, i:i + 1] * shifted
+            mean_like += w[:, i:i + 1] * denoiser.mean_shift(tgt, comp, sigma)
     g_cpc = coef * cpc
     g_mean = coef * mean_like
     if single:

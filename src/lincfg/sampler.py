@@ -177,7 +177,8 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     g_mean : (gamma/sigma^2) (I - Sigma~_uc)(mu_c - mu_uc), x-independent shift
 
     Disabled terms come back as zeros, as do all guidance terms outside the
-    active interval; f_c is never interval-gated.
+    active interval; f_c is never interval-gated. Zero terms and g_mean are
+    read-only broadcast views of shape x.shape.
     """
     _check_pair(cond, uncond)
     if not sigma > 0.0:
@@ -186,24 +187,12 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     if x.shape[-1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != stats dimension {cond.d}")
 
-    inv_s2 = 1.0 / (sigma * sigma)
-    zeros = np.zeros_like(x)
-    z = x - cond.mean
-
-    if cfg.enable_cond:
-        fac_c = denoiser.shrinkage(cond, sigma).factors
-        y = z @ cond.eigvecs
-        f_c = inv_s2 * ((y * (fac_c - 1.0)) @ cond.eigvecs.T)
-    else:
-        f_c = zeros.copy()
-
-    active = cfg.guidance_active(sigma) and cfg.gamma > 0.0
-    g_pos = zeros.copy()
-    g_neg = zeros.copy()
-    g_mean = zeros.copy()
-    if active:
-        coef = cfg.gamma * inv_s2
+    f_c = denoiser.score(cond, x, sigma) if cfg.enable_cond else None
+    g_pos = g_neg = g_mean = None
+    if cfg.guidance_active(sigma) and cfg.gamma > 0.0:
+        coef = cfg.gamma * (1.0 / (sigma * sigma))
         if cfg.enable_pos_cpc or cfg.enable_neg_cpc:
+            z = x - cond.mean
             cpc = _cpc
             if cpc is None:
                 sigma_cpc = cfg.freeze_cpc_at if cfg.freeze_cpc_at is not None else sigma
@@ -215,12 +204,10 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
                 ln, vn = cpc.negative
                 g_neg = coef * (((z @ vn) * ln) @ vn.T)
         if cfg.enable_mean_shift:
-            w = cond.mean - uncond.mean
-            fac_uc = denoiser.shrinkage(uncond, sigma).factors
-            shift = w - ((w @ uncond.eigvecs) * fac_uc) @ uncond.eigvecs.T
-            g_mean = np.broadcast_to(coef * shift, x.shape).copy()
+            g_mean = np.broadcast_to(coef * denoiser.mean_shift(cond, uncond, sigma), x.shape)
 
-    return GuidanceTerms(f_c=f_c, g_pos=g_pos, g_neg=g_neg, g_mean=g_mean)
+    zero = np.broadcast_to(0.0, x.shape)
+    return GuidanceTerms(*(zero if t is None else t for t in (f_c, g_pos, g_neg, g_mean)))
 
 
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,

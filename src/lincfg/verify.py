@@ -316,7 +316,7 @@ def check_equal_covariance_case() -> CheckResult:
     terms = sampler.guidance_terms(base, other, x, sigma,
                                    sampler.GuidanceConfig(gamma=gamma))
     worst = float(max(np.max(np.abs(terms.g_pos)), np.max(np.abs(terms.g_neg))))
-    f = denoiser.shrinkage(other, sigma).factors
+    f = denoiser.shrinkage(other, sigma)
     w = base.mean - other.mean
     expect = gamma / sigma**2 * (w - ((w @ other.eigvecs) * f) @ other.eigvecs.T)
     worst = max(worst, float(np.max(np.abs(terms.g_mean - expect))))

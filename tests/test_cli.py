@@ -150,7 +150,26 @@ class TestSample:
     def test_unknown_config_key_exit_3(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("nonsense=1\n")
-        assert main(["sample", "--config", str(config)]) == 3
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"config": {"gamma": "1", "bogus_key": "1"}}))
+        for path in (config, manifest):
+            assert main(["sample", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "abc"), ("--steps", "2.5"), ("--m", "ten"), ("--seed", "1e3"),
+        ("--sigma-max", "big"), ("--rho", "seven"), ("--init-sigma", "wide"),
+        ("--interval", "a:b"), ("--interval", "1:2:3"), ("--freeze-cpc-at", "one"),
+        ("--fixed-range", "0"), ("--ppm-count", "2.0"), ("--ppm-shape", "axb"),
+    ])
+    def test_malformed_value_exit_3(self, tmp_path, toy_files, capsys, flag, value):
+        cond_path, uncond_path = toy_files
+        out = tmp_path / "o"
+        code = main(["sample", "--cond-stats", str(cond_path),
+                     "--uncond-stats", str(uncond_path), "--steps", "4", "--m", "2",
+                     "--outdir", str(out), flag, value])
+        assert code == 3
+        assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
+        assert not (out / "samples.bin").exists()
 
     def test_divergence_exit_4(self, tmp_path, toy_files, capsys):
         cond_path, uncond_path = toy_files
@@ -230,6 +249,23 @@ class TestExport:
         # mu_c - mu_uc = (4,4): constant vector renders mid gray
         raw = (out / "mean_shift.pgm").read_bytes()
         assert raw.endswith(bytes([128, 128]))
+
+    def test_export_mean_shift_dir_at_sigma(self, tmp_path):
+        from lincfg.export import write_image
+        from lincfg.synthetic import random_stats_pair
+        cond, uncond = random_stats_pair(12, np.random.default_rng(83))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        sigma, gamma = 1.7, 3.0
+        out = tmp_path / "exp"
+        assert main(["export", "mean_shift_dir", "--cond", str(tmp_path / "c.stats"),
+                     "--uncond", str(tmp_path / "u.stats"), "--sigma", str(sigma),
+                     "--shape", "3x4x1", "--outdir", str(out)]) == 0
+        cfg = sampler.GuidanceConfig(gamma=gamma, enable_cond=False,
+                                     enable_pos_cpc=False, enable_neg_cpc=False)
+        t = sampler.guidance_terms(cond, uncond, np.zeros(12), sigma, cfg)
+        write_image(tmp_path / "expect.pgm", t.g_mean * sigma**2 / gamma, (3, 4, 1))
+        assert (out / "mean_shift.pgm").read_bytes() == (tmp_path / "expect.pgm").read_bytes()
 
     def test_export_histograms(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files

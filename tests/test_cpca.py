@@ -86,6 +86,18 @@ def test_positive_negative_partition():
     assert pos_vecs.shape[1] + neg_vecs.shape[1] == 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_tolerance_scales_with_largest_magnitude(seed):
+    # a dominant negative part leaves round-off of ~1e-8 on the zero
+    # eigenvalues; it must not count as CPCs while the 1e-3 one still does
+    lam = np.concatenate([[1e-3], np.zeros(10), np.full(39, -1e8)])
+    q = random_orthonormal(lam.size, np.random.default_rng(seed))
+    diff = (q * lam) @ q.T
+    spec = cpca.contrastive_components(0.5 * (diff + diff.T), np.zeros_like(diff))
+    assert (spec.n_pos, spec.n_neg) == (1, 39)
+    assert spec.positive[1].shape[1] == 1 and spec.negative[1].shape[1] == 39
+
+
 def test_posterior_cpcs_equal_stats_zero():
     cond = toy_conditional_stats()
     spec = cpca.posterior_cpcs(cond, cond, 2.0)

@@ -15,31 +15,23 @@ def dense_denoise(stats, x, sigma):
 
 def test_shrinkage_values():
     stats = toy_conditional_stats()
-    spec = denoiser.shrinkage(stats, 80.0)
-    np.testing.assert_allclose(spec.factors, [10.0 / 6410.0, 3.0 / 6403.0], rtol=1e-15)
+    f = denoiser.shrinkage(stats, 80.0)
+    np.testing.assert_allclose(f, [10.0 / 6410.0, 3.0 / 6403.0], rtol=1e-15)
 
 
 def test_shrinkage_zero_eigenvalue_component():
     from lincfg.stats import GaussianStats
     stats = GaussianStats(mean=np.zeros(2), eigvecs=np.eye(2),
                           eigvals=np.array([4.0, 0.0]))
-    spec = denoiser.shrinkage(stats, 1.0)
-    assert spec.factors[1] == 0.0
-    assert 0.0 <= spec.factors[0] < 1.0
+    f = denoiser.shrinkage(stats, 1.0)
+    assert f[1] == 0.0
+    assert 0.0 <= f[0] < 1.0
 
 
 def test_shrinkage_small_sigma_limit():
     stats = toy_conditional_stats()
-    spec = denoiser.shrinkage(stats, 1e-9)
-    np.testing.assert_allclose(spec.factors, 1.0, atol=1e-15)
-
-
-def test_shrinkage_limit_zero_noise_flag():
-    from lincfg.stats import GaussianStats
-    stats = GaussianStats(mean=np.zeros(2), eigvecs=np.eye(2),
-                          eigvals=np.array([4.0, 0.0]))
-    spec = denoiser.shrinkage(stats, 0.0, limit_zero_noise=True)
-    np.testing.assert_array_equal(spec.factors, [1.0, 0.0])
+    f = denoiser.shrinkage(stats, 1e-9)
+    np.testing.assert_allclose(f, 1.0, atol=1e-15)
 
 
 def test_shrinkage_rejects_nonpositive_sigma():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lincfg import export, metrics
+from lincfg import export, fileio, metrics
 from lincfg.errors import ShapeError
 
 
@@ -89,8 +89,8 @@ def test_svg_emitters_produce_svg():
 
 def test_atomic_write(tmp_path):
     target = tmp_path / "file.bin"
-    export.atomic_write_bytes(target, b"hello")
+    fileio.atomic_write_bytes(target, b"hello")
     assert target.read_bytes() == b"hello"
-    export.atomic_write_bytes(target, b"replaced")
+    fileio.atomic_write_bytes(target, b"replaced")
     assert target.read_bytes() == b"replaced"
     assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]

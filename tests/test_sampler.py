@@ -86,7 +86,7 @@ class TestGuidanceTerms:
         np.testing.assert_array_equal(t.g_pos, 0.0)
         np.testing.assert_array_equal(t.g_neg, 0.0)
         w = cond.mean - uncond.mean
-        f = denoiser.shrinkage(uncond, sigma).factors
+        f = denoiser.shrinkage(uncond, sigma)
         expect = gamma / sigma**2 * (w - ((w @ uncond.eigvecs) * f) @ uncond.eigvecs.T)
         np.testing.assert_allclose(t.g_mean, expect, atol=1e-13)
 
