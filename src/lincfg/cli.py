@@ -38,40 +38,14 @@ EXIT_SHAPE = 5
 
 GUIDANCE_COMPONENT_NAMES = ("pos_cpc", "neg_cpc", "mean_shift")
 
-CONFIG_DEFAULTS: dict[str, str] = {
-    "cond_stats": "",
-    "uncond_stats": "",
-    "mixture": "",
-    "target": "0",
-    "sigma_max": str(sampler.DEFAULT_SIGMA_MAX),
-    "sigma_min": str(sampler.DEFAULT_SIGMA_MIN),
-    "steps": str(sampler.DEFAULT_STEPS),
-    "rho": str(sampler.DEFAULT_RHO),
-    "gamma": str(sampler.DEFAULT_GAMMA),
-    "components": "all",
-    "cond": "true",
-    "interval": "none",
-    "freeze_cpc_at": "",
-    "heun": "false",
-    "m": "64",
-    "seed": "0",
-    "init": "zero",
-    "init_gamma": "0",
-    "init_sigma": "",
-    "outdir": "out",
-    "ppm_shape": "",
-    "ppm_count": "0",
-    "fixed_range": "",
-}
 
-
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise FormatError(f"config key {key!r}: expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -79,55 +53,16 @@ def _float_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_value(text: str, key: str, kind=float):
-    """kind(text), where a malformed value is a format error naming the key."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise FormatError(f"malformed {key!r} value {text!r}") from None
+def _optional(parse):
+    """parse, except that an empty value means None."""
+    return lambda text: parse(text) if text else None
 
 
-def parse_config_file(path: Path) -> dict[str, str]:
-    """Read a flat key=value config, or the 'config' block of a run manifest."""
-    if not path.exists():
-        raise FileNotFoundError(path)
-    text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            manifest = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON manifest: {exc}") from exc
-        config = manifest.get("config")
-        if not isinstance(config, dict):
-            raise FormatError(f"{path}: manifest has no 'config' object")
-        unknown = sorted(str(k) for k in config if str(k) not in CONFIG_DEFAULTS)
-        if unknown:
-            raise FormatError(f"{path}: unknown config keys {unknown}")
-        return {str(k): str(v) for k, v in config.items()}
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise FormatError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _parse_interval(text: str) -> tuple[float, float] | None:
-    if not text or text.lower() == "none":
-        return None
-    return _parse_value(text, "interval", _float_pair)
-
-
-def _fixed_range(text: str | None) -> tuple[float, float] | None:
-    return _parse_value(text, "fixed_range", _float_pair) if text else None
+def _parse_init(text: str) -> str:
+    mode = text.strip().lower()
+    if mode not in ("zero", "mean_shifted"):
+        raise ValueError(mode)
+    return mode
 
 
 def _parse_components(text: str) -> set[str]:
@@ -144,28 +79,109 @@ def _parse_components(text: str) -> set[str]:
     return parts
 
 
+# The sample-config schema: key -> (default text, parser of the text).
+CONFIG_KEYS: dict[str, tuple] = {
+    "cond_stats": ("", str),
+    "uncond_stats": ("", str),
+    "mixture": ("", str),
+    "target": ("0", int),
+    "sigma_max": (str(sampler.DEFAULT_SIGMA_MAX), float),
+    "sigma_min": (str(sampler.DEFAULT_SIGMA_MIN), float),
+    "steps": (str(sampler.DEFAULT_STEPS), int),
+    "rho": (str(sampler.DEFAULT_RHO), float),
+    "gamma": (str(sampler.DEFAULT_GAMMA), float),
+    "components": ("all", _parse_components),
+    "cond": ("true", _parse_bool),
+    "interval": ("none", lambda text: None if text.lower() in ("", "none")
+                 else _float_pair(text)),
+    "freeze_cpc_at": ("", _optional(float)),
+    "heun": ("false", _parse_bool),
+    "m": ("64", int),
+    "seed": ("0", int),
+    "init": ("zero", _parse_init),
+    "init_gamma": ("0", float),
+    "init_sigma": ("", _optional(float)),
+    "outdir": ("out", Path),
+    "ppm_shape": ("", _optional(parse_shape)),
+    "ppm_count": ("0", int),
+    "fixed_range": ("", _optional(_float_pair)),
+}
+
+# Keys that apply to one sampling mode only; setting them in the other is an error.
+GAUSSIAN_ONLY_KEYS = ("cond_stats", "uncond_stats", "components", "freeze_cpc_at",
+                      "init", "init_gamma")
+MIXTURE_ONLY_KEYS = ("target",)
+
+
+def _parse(key: str, text: str):
+    """The typed value of one config key; a malformed value is a format error."""
+    try:
+        return CONFIG_KEYS[key][1](text)
+    except ValueError:
+        raise FormatError(f"malformed {key!r} value {text!r}") from None
+
+
+def _fixed_range(text: str | None) -> tuple[float, float] | None:
+    return _parse("fixed_range", text or "")
+
+
+def parse_config(resolved: dict[str, str]) -> dict:
+    """Typed values of a resolved config, with keys foreign to its mode rejected.
+
+    A key counts as set when its value differs from its default's, so a run
+    manifest, which lists every key, re-runs in either mode.
+    """
+    config = {key: _parse(key, resolved[key]) for key in CONFIG_KEYS}
+    mixture = bool(config["mixture"])
+    foreign = GAUSSIAN_ONLY_KEYS if mixture else MIXTURE_ONLY_KEYS
+    for key in foreign:
+        if config[key] != _parse(key, CONFIG_KEYS[key][0]):
+            raise FormatError(f"config key {key!r} does not apply to "
+                              f"{'mixture' if mixture else 'Gaussian'} runs")
+    return config
+
+
+def parse_config_file(path: Path) -> dict[str, str]:
+    """Read a flat key=value config, or the 'config' block of a run manifest."""
+    if not path.exists():
+        raise FileNotFoundError(path)
+    text = path.read_text()
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON manifest: {exc}") from exc
+        config = manifest.get("config")
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: manifest has no 'config' object")
+        unknown = sorted(str(k) for k in config if str(k) not in CONFIG_KEYS)
+        if unknown:
+            raise FormatError(f"{path}: unknown config keys {unknown}")
+        return {str(k): str(v) for k, v in config.items()}
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise FormatError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
 def resolve_config(path: Path | None, overrides: dict[str, str]) -> dict[str, str]:
-    config = dict(CONFIG_DEFAULTS)
+    config = {key: default for key, (default, _) in CONFIG_KEYS.items()}
     if path is not None:
         config.update(parse_config_file(path))
     for key, value in overrides.items():
         if value is not None:
             config[key] = str(value)
     return config
-
-
-def _build_guidance(config: dict[str, str]) -> sampler.GuidanceConfig:
-    comps = _parse_components(config["components"])
-    freeze = config["freeze_cpc_at"]
-    return sampler.GuidanceConfig(
-        gamma=_parse_value(config["gamma"], "gamma"),
-        enable_cond=_parse_bool(config["cond"], "cond"),
-        enable_pos_cpc="pos_cpc" in comps,
-        enable_neg_cpc="neg_cpc" in comps,
-        enable_mean_shift="mean_shift" in comps,
-        active_interval=_parse_interval(config["interval"]),
-        freeze_cpc_at=_parse_value(freeze, "freeze_cpc_at") if freeze else None,
-    )
 
 
 def _require_file(path_text: str, what: str) -> Path:
@@ -200,23 +216,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_sampling(config: dict[str, str]) -> tuple[sampler.SampleBatch, dict]:
-    schedule = sampler.make_schedule(
-        _parse_value(config["sigma_max"], "sigma_max"),
-        _parse_value(config["sigma_min"], "sigma_min"),
-        _parse_value(config["steps"], "steps", int),
-        _parse_value(config["rho"], "rho"))
-    cfg = _build_guidance(config)
-    m = _parse_value(config["m"], "m", int)
-    seed = _parse_value(config["seed"], "seed", int)
-    heun = _parse_bool(config["heun"], "heun")
+def _run_sampling(config: dict) -> tuple[sampler.SampleBatch, dict]:
+    schedule = sampler.make_schedule(config["sigma_max"], config["sigma_min"],
+                                     config["steps"], config["rho"])
+    comps = config["components"]
+    cfg = sampler.GuidanceConfig(
+        gamma=config["gamma"],
+        enable_cond=config["cond"],
+        enable_pos_cpc="pos_cpc" in comps,
+        enable_neg_cpc="neg_cpc" in comps,
+        enable_mean_shift="mean_shift" in comps,
+        active_interval=config["interval"],
+        freeze_cpc_at=config["freeze_cpc_at"],
+    )
+    init = sampler.InitSpec(std=config["init_sigma"])
+    m, seed, heun = config["m"], config["seed"], config["heun"]
 
-    mixture_path = config["mixture"]
-    if mixture_path:
-        model = gmm.load_mixture(_require_file(mixture_path, "mixture manifest"))
-        init = _build_init(config, None, None, schedule)
-        target = _parse_value(config["target"], "target", int)
-        batch = gmm.sample_batch(model, target, m, seed,
+    if config["mixture"]:
+        model = gmm.load_mixture(_require_file(config["mixture"], "mixture manifest"))
+        batch = gmm.sample_batch(model, config["target"], m, seed,
                                  schedule, cfg, init, heun=heun)
         meta = {"mode": "mixture", "k": model.k, "d": model.d}
         return batch, meta
@@ -228,37 +246,20 @@ def _run_sampling(config: dict[str, str]) -> tuple[sampler.SampleBatch, dict]:
         uncond = cond  # unused when guidance is off
     else:
         raise FileNotFoundError("uncond_stats required when gamma > 0")
-    init = _build_init(config, cond, uncond, schedule)
+    if config["init"] == "mean_shifted":
+        std = init.std if init.std is not None else schedule.sigma_max
+        init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], std)
     batch = sampler.sample_batch(cond, uncond, m, seed, schedule, cfg, init,
                                  heun=heun)
     meta = {"mode": "gaussian", "d": cond.d}
     return batch, meta
 
 
-def _build_init(config: dict[str, str], cond, uncond,
-                schedule: sampler.NoiseSchedule) -> sampler.InitSpec | None:
-    mode = config["init"].strip().lower()
-    std = _parse_value(config["init_sigma"], "init_sigma") if config["init_sigma"] else None
-    if mode == "zero":
-        return sampler.InitSpec(std=std) if std is not None else None
-    if mode == "mean_shifted":
-        if cond is None or uncond is None:
-            raise FormatError("mean_shifted init requires cond/uncond stats")
-        return metrics.mean_shifted_init(cond, uncond,
-                                         _parse_value(config["init_gamma"], "init_gamma"),
-                                         std if std is not None else schedule.sigma_max)
-    raise FormatError(f"unknown init mode {config['init']!r}")
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key, None) for key in CONFIG_DEFAULTS}
-    config = resolve_config(Path(args.config) if args.config else None, overrides)
-    # image settings are parsed before the run so malformed ones fail fast
-    shape = (_parse_value(config["ppm_shape"], "ppm_shape", parse_shape)
-             if config["ppm_shape"] else None)
-    ppm_count = _parse_value(config["ppm_count"], "ppm_count", int)
-    fixed = _fixed_range(config["fixed_range"])
-    outdir = Path(config["outdir"])
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    resolved = resolve_config(Path(args.config) if args.config else None, overrides)
+    config = parse_config(resolved)  # fails fast, before any file is touched
+    outdir = config["outdir"]
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -269,17 +270,19 @@ def cmd_sample(args: argparse.Namespace) -> int:
     atomic_write_bytes(samples_path, data_matrix_to_bytes(DataMatrix(batch.samples)))
     outputs = {"samples": samples_path.name}
 
+    shape = config["ppm_shape"]
     if shape is not None:
-        count = min(ppm_count or batch.m, batch.m)
+        count = min(config["ppm_count"] or batch.m, batch.m)
         ext = "ppm" if shape[2] == 3 else "pgm"
         for k in range(count):
-            write_image(outdir / f"sample_{k:05d}.{ext}", batch.samples[k], shape, fixed)
+            write_image(outdir / f"sample_{k:05d}.{ext}", batch.samples[k], shape,
+                        config["fixed_range"])
         outputs["images"] = count
 
     manifest = {
         "tool": "lincfg",
-        "config": config,
-        "seed": int(config["seed"]),
+        "config": resolved,
+        "seed": config["seed"],
         "meta": meta,
         "timings": {"sample_seconds": elapsed},
         "outputs": outputs,
@@ -485,10 +488,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
     atomic_write_bytes(outdir / "gmm_cfg.bin",
                        data_matrix_to_bytes(DataMatrix(m_guided.samples)))
     sigma_eval = schedule.sigma_min
-    w_naive = np.mean([gmm.posterior_weights(model, x, sigma_eval).w[0]
-                       for x in m_naive.samples[:200]])
-    w_guided = np.mean([gmm.posterior_weights(model, x, sigma_eval).w[0]
-                        for x in m_guided.samples[:200]])
+    w_naive = np.mean(gmm.posterior_weights(model, m_naive.samples[:200], sigma_eval).w[:, 0])
+    w_guided = np.mean(gmm.posterior_weights(model, m_guided.samples[:200], sigma_eval).w[:, 0])
     print(f"mixture: mean target-cluster weight {w_naive:.3f} (naive) -> "
           f"{w_guided:.3f} (gamma={args.gamma})")
     summary["mixture"] = {"target_weight_naive": float(w_naive),
@@ -520,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="run a guided sampling experiment")
     p_sample.add_argument("--config", default=None,
                           help="key=value config file or run manifest JSON")
-    for key in CONFIG_DEFAULTS:
+    for key in CONFIG_KEYS:
         p_sample.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     p_sample.set_defaults(func=cmd_sample)
 

@@ -96,24 +96,17 @@ def _log_weights(model: MixtureModel, X: np.ndarray, sigma: float) -> np.ndarray
     return shifted - norm
 
 
-def _weights(model: MixtureModel, X: np.ndarray, sigma: float) -> np.ndarray:
-    log_w = _log_weights(model, X, sigma)
-    w = np.exp(log_w)
-    w[log_w < _LOG_UNDERFLOW] = 0.0
-    return w
-
-
 def posterior_weights(model: MixtureModel, x: np.ndarray,
                       sigma: float) -> PosteriorWeights:
     """Posterior probability that x belongs to each cluster at noise sigma.
 
-    Weights relatively below exp(-745) of the maximum are set to exactly 0;
-    the log weights stay informative for diagnostics.
+    x is one state (d,) or a batch (m, d); the weights have shape (K,) or
+    (m, K). Weights relatively below exp(-745) of the maximum are set to
+    exactly 0; the log weights stay informative for diagnostics.
     """
     x = _check_state(model, x, sigma)
-    if x.ndim != 1:
-        raise ShapeError("posterior_weights expects a single state vector")
-    log_w = _log_weights(model, x[None, :], sigma)[0]
+    log_w = _log_weights(model, x.reshape(-1, model.d), sigma)
+    log_w = log_w.reshape(*x.shape[:-1], model.k)
     w = np.exp(log_w)
     w[log_w < _LOG_UNDERFLOW] = 0.0
     return PosteriorWeights(w=w, log_w=log_w)
@@ -125,7 +118,7 @@ def _weighted_sum(model: MixtureModel, x: np.ndarray, sigma: float,
     x = _check_state(model, x, sigma)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    w = _weights(model, X, sigma)
+    w = posterior_weights(model, X, sigma).w
     out = np.zeros_like(X)
     for i, comp in enumerate(model.components):
         out += w[:, i:i + 1] * component_fn(comp, X, sigma)
@@ -175,7 +168,7 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     x = _check_state(model, x, sigma)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    w = _weights(model, X, sigma)
+    w = posterior_weights(model, X, sigma).w
     coef = gamma / (sigma * sigma)
     tgt = model.components[target]
 
@@ -193,33 +186,27 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     return GmmGuidanceTerms(g_cpc_like=g_cpc, g_mean_like=g_mean)
 
 
-def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
-              schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig, *,
-              heun: bool = False, return_trajectory: bool = False):
-    """Guided mixture sampling toward one component.
-
-    Reuses the generic reverse-ODE driver by injecting the target component's
-    linear score as the conditional score and the mixture score as the
-    unconditional one; the per-term CPC toggles do not apply here.
-    """
-    if not 0 <= target < model.k:
-        raise IndexError(f"target index {target} out of range for K={model.k}")
-    tgt = model.components[target]
-    return sampler.integrate_with_scores(
-        lambda x, s: denoiser.score(tgt, x, s),
-        lambda x, s: mixture_score(model, x, s),
-        x_T, schedule, cfg, heun=heun, return_trajectory=return_trajectory)
-
-
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
                  schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig,
                  init: sampler.InitSpec | None = None, *,
                  heun: bool = False) -> sampler.SampleBatch:
-    """Counter-seeded batch of guided mixture samples (see sampler.sample_batch)."""
+    """Counter-seeded batch of guided mixture samples toward one component.
+
+    Reuses the generic reverse-ODE driver by injecting the target component's
+    linear score as the conditional score and the mixture score as the
+    unconditional one; the per-term CPC toggles do not apply here. Seeding
+    follows sampler.sample_batch.
+    """
+    if not 0 <= target < model.k:
+        raise IndexError(f"target index {target} out of range for K={model.k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    tgt = model.components[target]
     x_T, seeds = sampler.draw_initial_states(model.d, m, seed, schedule, init)
-    final = integrate(model, target, x_T, schedule, cfg, heun=heun)
+    final = sampler.integrate_with_scores(
+        lambda x, s: denoiser.score(tgt, x, s),
+        lambda x, s: mixture_score(model, x, s),
+        x_T, schedule, cfg, heun=heun)
     return sampler.SampleBatch(seeds=seeds, samples=final)
 
 

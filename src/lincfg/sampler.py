@@ -11,7 +11,7 @@ per-step CPC decomposition across all rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class NoiseSchedule:
     """Strictly decreasing noise levels sigma_max -> sigma_min."""
 
     sigmas: np.ndarray
-    rho: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.sigmas, dtype=np.float64).reshape(-1)
@@ -78,7 +77,7 @@ def make_schedule(sigma_max: float = DEFAULT_SIGMA_MAX,
     sig = (sigma_max**inv + i * (sigma_min**inv - sigma_max**inv)) ** rho
     sig[0] = sigma_max
     sig[-1] = sigma_min
-    return NoiseSchedule(sigmas=sig, rho=rho)
+    return NoiseSchedule(sigmas=sig)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class SampleBatch:
 
     seeds: np.ndarray
     samples: np.ndarray
-    trajectory: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -211,7 +209,7 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
 
 
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
-           heun: bool = False, return_trajectory: bool = False):
+           heun: bool = False) -> np.ndarray:
     """Step the reverse ODE along the schedule for one (m, d) state block.
 
     ``drift(x, sigma)`` returns the total score-like term; the ODE slope is
@@ -225,9 +223,6 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
         raise ShapeError("initial state contains non-finite entries")
 
     sig = schedule.sigmas
-    traj = np.empty((len(sig), *x.shape)) if return_trajectory else None
-    if traj is not None:
-        traj[0] = x
     for i in range(len(sig) - 1):
         s0, s1 = float(sig[i]), float(sig[i + 1])
         h = s1 - s0
@@ -245,24 +240,16 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
                 f"trajectory diverged at step {i} (sigma {s0:g} -> {s1:g})"
                 + (f", sample {sample}" if not single else ""),
                 step=i, sample=None if single else sample)
-        if traj is not None:
-            traj[i + 1] = x
-
-    if single:
-        x = x[0]
-        traj = traj[:, 0, :] if traj is not None else None
-    if return_trajectory:
-        return x, traj
-    return x
+    return x[0] if single else x
 
 
 def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
               schedule: NoiseSchedule, cfg: GuidanceConfig, *,
-              heun: bool = False, return_trajectory: bool = False):
+              heun: bool = False) -> np.ndarray:
     """Integrate the guided reverse ODE from x_T down the schedule.
 
-    Returns the final state, or (final, trajectory) when requested. The CPC
-    split is recomputed at each step's sigma unless cfg.freeze_cpc_at pins it.
+    Returns the final state. The CPC split is recomputed at each step's
+    sigma unless cfg.freeze_cpc_at pins it.
     """
     _check_pair(cond, uncond)
     frozen = None
@@ -272,13 +259,12 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     def drift(x, sigma):
         return guidance_terms(cond, uncond, x, sigma, cfg, _cpc=frozen).total()
 
-    return _drive(drift, x_T, schedule, heun=heun,
-                  return_trajectory=return_trajectory)
+    return _drive(drift, x_T, schedule, heun=heun)
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
                           schedule: NoiseSchedule, cfg: GuidanceConfig, *,
-                          heun: bool = False, return_trajectory: bool = False):
+                          heun: bool = False) -> np.ndarray:
     """Reverse-ODE integration with injected score callables.
 
     ``cond_score(x, sigma)`` / ``uncond_score(x, sigma)`` stand in for the
@@ -294,8 +280,7 @@ def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
             out = out + cfg.gamma * (sc - uncond_score(x, sigma))
         return out
 
-    return _drive(drift, x_T, schedule, heun=heun,
-                  return_trajectory=return_trajectory)
+    return _drive(drift, x_T, schedule, heun=heun)
 
 
 def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
@@ -343,8 +328,7 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
 
 def sample_batch(cond: GaussianStats, uncond: GaussianStats, m: int, seed: int,
                  schedule: NoiseSchedule, cfg: GuidanceConfig,
-                 init: InitSpec | None = None, *, heun: bool = False,
-                 return_trajectory: bool = False) -> SampleBatch:
+                 init: InitSpec | None = None, *, heun: bool = False) -> SampleBatch:
     """Integrate m independent samples; deterministic for a fixed seed.
 
     Results are ordered by sample index regardless of how the batch is
@@ -353,9 +337,5 @@ def sample_batch(cond: GaussianStats, uncond: GaussianStats, m: int, seed: int,
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     x_T, seeds = draw_initial_states(cond.d, m, seed, schedule, init)
-    out = integrate(cond, uncond, x_T, schedule, cfg, heun=heun,
-                    return_trajectory=return_trajectory)
-    if return_trajectory:
-        final, traj = out
-        return SampleBatch(seeds=seeds, samples=final, trajectory=traj)
-    return SampleBatch(seeds=seeds, samples=out)
+    final = integrate(cond, uncond, x_T, schedule, cfg, heun=heun)
+    return SampleBatch(seeds=seeds, samples=final)

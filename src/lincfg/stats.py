@@ -7,6 +7,7 @@ throughout the package; nothing downstream ever inverts a dense matrix.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -181,6 +182,19 @@ def _read_exact(fh: io.BufferedReader, count: int, offset: int, what: str) -> by
     return buf
 
 
+def _read_payload(fh: io.BufferedReader, offset: int, count: int, shape: str) -> np.ndarray:
+    """The ``count`` float64 values that follow the header at ``offset``.
+
+    The file size is checked against them first, so a header that declares
+    more (or less) than the file holds fails before any payload is read.
+    """
+    declared, actual = 8 * count, os.fstat(fh.fileno()).st_size - offset
+    if actual != declared:
+        raise FormatError(f"header declares {shape}: expected {declared} payload bytes "
+                          f"at offset {offset}, file has {actual}")
+    return np.frombuffer(_read_exact(fh, declared, offset, "payload"), dtype="<f8")
+
+
 def stats_to_bytes(stats: GaussianStats) -> bytes:
     payload = bytearray()
     payload += struct.pack("<5sBI", STATS_MAGIC, STATS_VERSION, stats.d)
@@ -204,17 +218,9 @@ def load_stats(path) -> GaussianStats:
             raise FormatError(f"unsupported stats version {version} at offset 5")
         if d < 1:
             raise FormatError(f"invalid dimension {d} at offset 6")
-        off = 10
-        mean = np.frombuffer(_read_exact(fh, 8 * d, off, "mean"), dtype="<f8")
-        off += 8 * d
-        lam = np.frombuffer(_read_exact(fh, 8 * d, off, "eigvals"), dtype="<f8")
-        off += 8 * d
-        U = np.frombuffer(_read_exact(fh, 8 * d * d, off, "eigvecs"),
-                          dtype="<f8").reshape(d, d)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"trailing bytes after payload at offset {off + 8 * d * d}")
-    return GaussianStats(mean=mean, eigvecs=U, eigvals=lam)
+        payload = _read_payload(fh, 10, 2 * d + d * d, f"d={d}")
+    return GaussianStats(mean=payload[:d], eigvals=payload[d:2 * d],
+                         eigvecs=payload[2 * d:].reshape(d, d))
 
 
 def data_matrix_to_bytes(data: DataMatrix) -> bytes:
@@ -234,10 +240,7 @@ def load_data_matrix(path) -> DataMatrix:
         n, d = struct.unpack("<II", _read_exact(fh, 8, 5, "header"))
         if n < 1 or d < 1:
             raise FormatError(f"invalid shape ({n},{d}) at offset 5")
-        values = np.frombuffer(_read_exact(fh, 8 * n * d, 13, "values"),
-                               dtype="<f8").reshape(n, d)
-        if fh.read(1):
-            raise FormatError(f"trailing bytes after payload at offset {13 + 8 * n * d}")
+        values = _read_payload(fh, 13, n * d, f"n={n} d={d}").reshape(n, d)
     return DataMatrix(values)
 
 

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from lincfg import sampler
+from lincfg import gmm, sampler, verify
 from lincfg.cli import main
 from lincfg.stats import (DataMatrix, load_data_matrix, load_stats,
                           save_data_matrix, save_stats)
-from lincfg.synthetic import toy_conditional_stats, toy_unconditional_stats
+from lincfg.synthetic import (demo_mixture, toy_conditional_stats,
+                              toy_unconditional_stats)
 
 
 @pytest.fixture
@@ -19,6 +20,17 @@ def toy_files(tmp_path):
     save_stats(toy_conditional_stats(), cond)
     save_stats(toy_unconditional_stats(), uncond)
     return cond, uncond
+
+
+@pytest.fixture
+def mixture_file(tmp_path):
+    model = demo_mixture()
+    for i, comp in enumerate(model.components):
+        save_stats(comp, tmp_path / f"comp{i}.stats")
+    manifest = tmp_path / "mixture.txt"
+    manifest.write_text("".join(
+        f"comp{i}.stats {float(w)!r}\n" for i, w in enumerate(model.weights)))
+    return model, manifest
 
 
 class TestFit:
@@ -180,23 +192,40 @@ class TestSample:
         err = capsys.readouterr().err
         assert "divergence" in err and "step" in err
 
-    def test_mixture_mode(self, tmp_path):
-        from lincfg.synthetic import demo_mixture
-        model = demo_mixture()
-        for i, comp in enumerate(model.components):
-            save_stats(comp, tmp_path / f"comp{i}.stats")
-        manifest = tmp_path / "mixture.txt"
-        manifest.write_text("".join(
-            f"comp{i}.stats {float(w)!r}\n" for i, w in enumerate(model.weights)))
+    def test_mixture_mode(self, tmp_path, mixture_file):
+        model, manifest = mixture_file
         out = tmp_path / "o"
         assert main(["sample", "--mixture", str(manifest), "--target", "1",
                      "--gamma", "1", "--steps", "15", "--m", "5",
                      "--seed", "9", "--outdir", str(out)]) == 0
         got = load_data_matrix(out / "samples.bin").values
-        from lincfg import gmm
         batch = gmm.sample_batch(model, 1, 5, 9, sampler.make_schedule(n_steps=15),
                                  sampler.GuidanceConfig(gamma=1.0))
         np.testing.assert_array_equal(got, batch.samples)
+
+        # the manifest lists every key, the Gaussian-only ones at their defaults
+        rerun = tmp_path / "rerun"
+        assert main(["sample", "--config", str(out / "run_manifest.json"),
+                     "--outdir", str(rerun)]) == 0
+        assert (rerun / "samples.bin").read_bytes() == (out / "samples.bin").read_bytes()
+
+    @pytest.mark.parametrize("mixture,flag,value", [
+        (True, "--cond-stats", "cond.stats"), (True, "--uncond-stats", "uncond.stats"),
+        (True, "--components", "mean_shift"), (True, "--freeze-cpc-at", "5"),
+        (True, "--init", "mean_shifted"), (True, "--init-gamma", "2"),
+        (False, "--target", "1"),
+    ])
+    def test_key_foreign_to_mode_exit_3(self, tmp_path, toy_files, mixture_file,
+                                        capsys, mixture, flag, value):
+        cond_path, uncond_path = toy_files
+        source = (["--mixture", str(mixture_file[1])] if mixture else
+                  ["--cond-stats", str(cond_path), "--uncond-stats", str(uncond_path)])
+        out = tmp_path / "o"
+        code = main(["sample", *source, "--steps", "4", "--m", "2",
+                     "--outdir", str(out), flag, value])
+        assert code == 3
+        assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
+        assert not (out / "samples.bin").exists()
 
     def test_ppm_output(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -217,6 +246,11 @@ class TestVerifyCommand:
 
     def test_gmm_suite_passes(self, capsys):
         assert main(["verify", "gmm"]) == 0
+
+    @pytest.mark.parametrize("suite", sorted(set(verify.SUITES) - {"decomposition", "gmm"}))
+    def test_suite_passes(self, capsys, suite):
+        assert main(["verify", suite]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestExport:

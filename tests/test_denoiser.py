@@ -155,26 +155,3 @@ def test_posterior_cov_eigenvalue_bound():
         expect = np.sort(sigma**2 * stats.eigvals / (stats.eigvals + sigma**2))
         np.testing.assert_allclose(vals, expect, atol=1e-12)
         assert np.all(vals <= np.minimum(np.sort(stats.eigvals), sigma**2) + 1e-12)
-
-
-def finite_difference_jacobian(fn, x, step=1e-4):
-    d = x.size
-    J = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        J[:, j] = (fn(x + e) - fn(x - e)) / (2 * step)
-    return J
-
-
-def test_posterior_cov_is_sigma2_jacobian():
-    rng = np.random.default_rng(16)
-    worst = 0.0
-    for _ in range(20):
-        stats = random_stats(int(rng.integers(2, 7)), rng)
-        sigma = float(rng.uniform(0.1, 10.0))
-        x = rng.standard_normal(stats.d) * 2.0
-        J = finite_difference_jacobian(lambda v: denoiser.denoise(stats, v, sigma), x)
-        worst = max(worst, float(np.max(np.abs(sigma**2 * J
-                                               - denoiser.posterior_cov(stats, sigma)))))
-    assert worst < 1e-5

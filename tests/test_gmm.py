@@ -65,12 +65,15 @@ class TestPosteriorWeights:
 
     def test_weights_sum_to_one_extremes(self):
         model = random_mixture(2, 3, np.random.default_rng(3))
-        for scale in (1.0, 1e2, 1e4):
-            for sigma in (1e-3, 1.0, 100.0):
-                x = np.full(2, scale)
+        X = np.array([[1.0, 1.0], [1e2, 1e2], [1e4, 1e4], [-0.7, 0.4]])
+        for sigma in (1e-3, 1.0, 100.0):
+            batch = gmm.posterior_weights(model, X, sigma)
+            assert batch.w.shape == batch.log_w.shape == (4, 3)
+            for x, w in zip(X, batch.w):
                 pw = gmm.posterior_weights(model, x, sigma)
                 assert abs(float(pw.w.sum()) - 1.0) < 1e-10
                 assert np.all(np.isfinite(pw.w))
+                np.testing.assert_allclose(w, pw.w, rtol=0.0, atol=1e-13)
 
     def test_sigma_domain(self):
         with pytest.raises(ValueError):
@@ -160,21 +163,6 @@ class TestGuidance:
         model = gmm.MixtureModel(components=comps, weights=np.full(3, 1 / 3))
         t = gmm.gmm_cfg_guidance(model, 1, rng.standard_normal(3), 0.8, 1.5)
         np.testing.assert_allclose(t.g_cpc_like, 0.0, atol=1e-13)
-
-    def test_sum_identity(self):
-        rng = np.random.default_rng(10)
-        worst = 0.0
-        for _ in range(20):
-            model = random_mixture(2, 3, rng)
-            x = rng.standard_normal(2) * 4.0
-            sigma = float(rng.uniform(0.1, 8.0))
-            gamma = float(rng.uniform(0.0, 4.0))
-            target = int(rng.integers(0, 3))
-            t = gmm.gmm_cfg_guidance(model, target, x, sigma, gamma)
-            ref = gamma * (denoiser.denoise(model.components[target], x, sigma)
-                           - gmm.mixture_denoise(model, x, sigma)) / sigma**2
-            worst = max(worst, float(np.max(np.abs(t.total() - ref))))
-        assert worst < 1e-10
 
     def test_target_index_range(self):
         model = two_component_1d()

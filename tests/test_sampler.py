@@ -90,22 +90,6 @@ class TestGuidanceTerms:
         expect = gamma / sigma**2 * (w - ((w @ uncond.eigvecs) * f) @ uncond.eigvecs.T)
         np.testing.assert_allclose(t.g_mean, expect, atol=1e-13)
 
-    def test_decomposition_identity_random(self):
-        rng = np.random.default_rng(32)
-        worst = 0.0
-        for _ in range(100):
-            cond, uncond = random_stats_pair(8, rng)
-            sigma = float(rng.uniform(0.05, 10.0))
-            gamma = float(rng.uniform(0.0, 4.0))
-            x = rng.standard_normal(8) * 2.0
-            t = sampler.guidance_terms(cond, uncond, x, sigma,
-                                       sampler.GuidanceConfig(gamma=gamma))
-            sc = denoiser.score(cond, x, sigma)
-            su = denoiser.score(uncond, x, sigma)
-            ref = sc + gamma * (sc - su)
-            worst = max(worst, float(np.max(np.abs(t.total() - ref))))
-        assert worst < 1e-10
-
     def test_interval_gates_guidance_but_not_score(self):
         rng = np.random.default_rng(33)
         cond, uncond = random_stats_pair(3, rng)
@@ -174,11 +158,9 @@ class TestIntegrate:
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
         sched = sampler.make_schedule(n_steps=20)
-        final, traj = sampler.integrate(cond, uncond, cond.mean, sched,
-                                        sampler.GuidanceConfig(gamma=0.0),
-                                        return_trajectory=True)
+        final = sampler.integrate(cond, uncond, cond.mean, sched,
+                                  sampler.GuidanceConfig(gamma=0.0))
         np.testing.assert_array_equal(final, cond.mean)
-        assert np.all(traj == cond.mean)
 
     def test_matches_closed_form_at_n400(self):
         cond = toy_conditional_stats()
@@ -219,16 +201,6 @@ class TestIntegrate:
                          for x in x_T])
         # batched matmul and per-row matvec may round differently
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
-
-    def test_trajectory_shape(self):
-        cond = toy_conditional_stats()
-        uncond = toy_unconditional_stats()
-        sched = sampler.make_schedule(n_steps=8)
-        final, traj = sampler.integrate(cond, uncond, np.zeros(2), sched,
-                                        sampler.GuidanceConfig(gamma=1.0),
-                                        return_trajectory=True)
-        assert traj.shape == (9, 2)
-        np.testing.assert_array_equal(traj[-1], final)
 
     def test_divergence_guard_reports_step_and_sample(self):
         sched = sampler.make_schedule(10.0, 1.0, 4, 1.0)

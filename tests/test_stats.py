@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,13 @@ class TestStatsFileFormat:
             load_stats(path)
 
 
+    def test_oversized_header_fails_before_reading(self, tmp_path):
+        path = tmp_path / "huge.stats"
+        path.write_bytes(b"LCFG1" + struct.pack("<BI", 1, 4096) + bytes(64))
+        with pytest.raises(FormatError, match="134283264.*offset 10.*64"):
+            load_stats(path)
+
+
 class TestDataFiles:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -188,6 +197,19 @@ class TestDataFiles:
         path = tmp_path / "d.bin"
         path.write_bytes(b"NOPE!" + bytes(16))
         with pytest.raises(FormatError, match="magic"):
+            load_data_matrix(path)
+
+    def test_binary_oversized_header_fails_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"LCFD1" + struct.pack("<II", 4096, 4096) + bytes(64))
+        with pytest.raises(FormatError, match="134217728.*offset 13.*64"):
+            load_data_matrix(path)
+
+    def test_binary_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "d.bin"
+        save_data_matrix(DataMatrix(np.ones((2, 3))), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="offset 13"):
             load_data_matrix(path)
 
     def test_csv_reader(self, tmp_path):
