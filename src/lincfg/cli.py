@@ -216,11 +216,27 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_sampling(config: dict) -> tuple[sampler.SampleBatch, dict]:
-    schedule = sampler.make_schedule(config["sigma_max"], config["sigma_min"],
-                                     config["steps"], config["rho"])
+def _checked(keys: tuple[str, ...], build):
+    """build(), with its ValueError turned into a format error naming the keys."""
+    try:
+        return build()
+    except ValueError as exc:
+        names = ", ".join(map(repr, keys))
+        raise FormatError(f"out-of-range value among {names}: {exc}") from None
+
+
+def _build_run(config: dict) -> tuple[sampler.NoiseSchedule, sampler.GuidanceConfig,
+                                      sampler.InitSpec]:
+    """Schedule, guidance and init spec of a parsed config. An out-of-range value
+    is a format error naming its key, raised before any file is touched."""
+    for key, low in (("m", 1), ("init_sigma", 0.0), ("init_gamma", 0.0)):
+        if config[key] is not None and config[key] < low:
+            raise FormatError(f"out-of-range {key!r} value {config[key]!r}: need >= {low}")
+    schedule = _checked(("sigma_max", "sigma_min", "steps", "rho"),
+                        lambda: sampler.make_schedule(config["sigma_max"], config["sigma_min"],
+                                                      config["steps"], config["rho"]))
     comps = config["components"]
-    cfg = sampler.GuidanceConfig(
+    cfg = _checked(("gamma", "interval", "freeze_cpc_at"), lambda: sampler.GuidanceConfig(
         gamma=config["gamma"],
         enable_cond=config["cond"],
         enable_pos_cpc="pos_cpc" in comps,
@@ -228,8 +244,13 @@ def _run_sampling(config: dict) -> tuple[sampler.SampleBatch, dict]:
         enable_mean_shift="mean_shift" in comps,
         active_interval=config["interval"],
         freeze_cpc_at=config["freeze_cpc_at"],
-    )
-    init = sampler.InitSpec(std=config["init_sigma"])
+    ))
+    return schedule, cfg, sampler.InitSpec(std=config["init_sigma"])
+
+
+def _run_sampling(config: dict, schedule: sampler.NoiseSchedule,
+                  cfg: sampler.GuidanceConfig,
+                  init: sampler.InitSpec) -> tuple[sampler.SampleBatch, dict]:
     m, seed, heun = config["m"], config["seed"], config["heun"]
 
     if config["mixture"]:
@@ -259,11 +280,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     resolved = resolve_config(Path(args.config) if args.config else None, overrides)
     config = parse_config(resolved)  # fails fast, before any file is touched
+    run = _build_run(config)
     outdir = config["outdir"]
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    batch, meta = _run_sampling(config)
+    batch, meta = _run_sampling(config, *run)
     elapsed = time.perf_counter() - t0
 
     samples_path = outdir / "samples.bin"

@@ -206,7 +206,7 @@ def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
     final = sampler.integrate_with_scores(
         lambda x, s: denoiser.score(tgt, x, s),
         lambda x, s: mixture_score(model, x, s),
-        x_T, schedule, cfg, heun=heun)
+        x_T, schedule, cfg, heun=heun, scale=sampler.data_scale(*model.components))
     return sampler.SampleBatch(seeds=seeds, samples=final)
 
 

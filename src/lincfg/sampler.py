@@ -5,8 +5,10 @@ grid directly: x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (-sigma_i) * drift,
 where drift is the conditional score plus the enabled guidance terms. An
 optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
 
-States accept shape (d,) or a batch (m, d); batched integration shares the
-per-step CPC decomposition across all rows.
+Full CFG (every guidance term on, no frozen CPC basis) integrates the
+paper's drift (1 + gamma) s_c - gamma s_uc directly; the CPC split of
+``guidance_terms`` runs only for partial-component and frozen-basis
+ablations. States accept shape (d,) or a batch (m, d).
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class GuidanceConfig:
 
     ``active_interval`` gates the guidance terms (never the conditional
     score) to sigma in [lo, hi]; None means always active. ``freeze_cpc_at``
-    reuses the CPC decomposition computed at that sigma for all steps instead
-    of re-decomposing per step, an approximation that trades accuracy for
-    speed, reasonable because the CPCs drift slowly over a wide sigma range.
+    is an ablation: it reuses the CPC decomposition computed at that sigma
+    for all steps instead of the exact per-step split, which shows how much
+    the CPCs' drift over the sigma range matters to the samples.
     """
 
     gamma: float = DEFAULT_GAMMA
@@ -106,8 +108,13 @@ class GuidanceConfig:
             lo, hi = self.active_interval
             if not (0.0 < lo <= hi):
                 raise ValueError(f"need 0 < sigma_lo <= sigma_hi, got [{lo}, {hi}]")
+        if self.freeze_cpc_at is not None and not self.freeze_cpc_at > 0.0:
+            raise ValueError(f"freeze_cpc_at must be positive, got {self.freeze_cpc_at}")
 
     def guidance_active(self, sigma: float) -> bool:
+        """Whether the guidance terms are on at sigma: gamma > 0, inside the interval."""
+        if not self.gamma > 0.0:
+            return False
         if self.active_interval is None:
             return True
         lo, hi = self.active_interval
@@ -187,7 +194,7 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
 
     f_c = denoiser.score(cond, x, sigma) if cfg.enable_cond else None
     g_pos = g_neg = g_mean = None
-    if cfg.guidance_active(sigma) and cfg.gamma > 0.0:
+    if cfg.guidance_active(sigma):
         coef = cfg.gamma * (1.0 / (sigma * sigma))
         if cfg.enable_pos_cpc or cfg.enable_neg_cpc:
             z = x - cond.mean
@@ -208,12 +215,19 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     return GuidanceTerms(*(zero if t is None else t for t in (f_c, g_pos, g_neg, g_mean)))
 
 
+def data_scale(*stats: GaussianStats) -> float:
+    """Largest max|mu| + sqrt(lam_max) over the given stats: the size of a data state."""
+    return max(float(np.max(np.abs(s.mean))) + float(np.sqrt(s.eigvals[0])) for s in stats)
+
+
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
-           heun: bool = False) -> np.ndarray:
+           heun: bool = False, scale: float = 0.0) -> np.ndarray:
     """Step the reverse ODE along the schedule for one (m, d) state block.
 
     ``drift(x, sigma)`` returns the total score-like term; the ODE slope is
-    then -sigma * drift.
+    then -sigma * drift. A state entry beyond DIVERGENCE_GUARD times the
+    trajectory scale max(1, sigma_max, max|x_T|, scale), or a non-finite
+    one, raises DivergenceError; ``scale`` is the data scale of the run.
     """
     x = np.array(x_T, dtype=np.float64)
     single = x.ndim == 1
@@ -221,6 +235,7 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
         x = x[None, :]
     if not np.all(np.isfinite(x)):
         raise ShapeError("initial state contains non-finite entries")
+    limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, float(np.max(np.abs(x))), scale)
 
     sig = schedule.sigmas
     for i in range(len(sig) - 1):
@@ -232,10 +247,8 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             k1 = (-s1) * drift(x_next, s1)
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
-        bad = ~np.isfinite(x)
-        if bad.any() or np.max(np.abs(x)) > DIVERGENCE_GUARD:
-            rows = np.where(bad.any(axis=-1) | (np.abs(x) > DIVERGENCE_GUARD).any(axis=-1))[0]
-            sample = int(rows[0]) if rows.size else None
+        if not np.max(np.abs(x)) <= limit:  # also trips on NaN and inf
+            sample = int(np.flatnonzero(~(np.abs(x) <= limit).all(axis=-1))[0])
             raise DivergenceError(
                 f"trajectory diverged at step {i} (sigma {s0:g} -> {s1:g})"
                 + (f", sample {sample}" if not single else ""),
@@ -248,10 +261,17 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
               heun: bool = False) -> np.ndarray:
     """Integrate the guided reverse ODE from x_T down the schedule.
 
-    Returns the final state. The CPC split is recomputed at each step's
-    sigma unless cfg.freeze_cpc_at pins it.
+    Returns the final state. Full CFG integrates (1 + gamma) s_c - gamma s_uc
+    with two score evaluations per drift; ablations (some term off, or
+    cfg.freeze_cpc_at set) integrate the CPC split of ``guidance_terms``.
     """
     _check_pair(cond, uncond)
+    scale = data_scale(cond, uncond)
+    if (cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.enable_mean_shift
+            and cfg.freeze_cpc_at is None):
+        return integrate_with_scores(lambda x, s: denoiser.score(cond, x, s),
+                                     lambda x, s: denoiser.score(uncond, x, s),
+                                     x_T, schedule, cfg, heun=heun, scale=scale)
     frozen = None
     if cfg.freeze_cpc_at is not None and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
         frozen = posterior_cpcs(cond, uncond, cfg.freeze_cpc_at)
@@ -259,28 +279,30 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     def drift(x, sigma):
         return guidance_terms(cond, uncond, x, sigma, cfg, _cpc=frozen).total()
 
-    return _drive(drift, x_T, schedule, heun=heun)
+    return _drive(drift, x_T, schedule, heun=heun, scale=scale)
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
                           schedule: NoiseSchedule, cfg: GuidanceConfig, *,
-                          heun: bool = False) -> np.ndarray:
+                          heun: bool = False, scale: float = 0.0) -> np.ndarray:
     """Reverse-ODE integration with injected score callables.
 
     ``cond_score(x, sigma)`` / ``uncond_score(x, sigma)`` stand in for the
     linear conditional/unconditional scores; the guidance is the plain CFG
-    difference gamma * (cond - uncond), gated by cfg.active_interval. This is
-    the entry point the Gaussian-mixture extension uses.
+    difference gamma * (cond - uncond), gated by cfg.guidance_active. This is
+    the full-CFG path of ``integrate`` and the entry point the
+    Gaussian-mixture extension uses; ``scale`` is the data scale the
+    divergence guard is relative to (see ``_drive``).
     """
 
     def drift(x, sigma):
         sc = cond_score(x, sigma)
         out = sc if cfg.enable_cond else np.zeros_like(sc)
-        if cfg.gamma > 0.0 and cfg.guidance_active(sigma):
+        if cfg.guidance_active(sigma):
             out = out + cfg.gamma * (sc - uncond_score(x, sigma))
         return out
 
-    return _drive(drift, x_T, schedule, heun=heun)
+    return _drive(drift, x_T, schedule, heun=heun, scale=scale)
 
 
 def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,

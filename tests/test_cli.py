@@ -183,6 +183,21 @@ class TestSample:
         assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
         assert not (out / "samples.bin").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "-1"), ("--interval", "5:0.3"), ("--steps", "0"), ("--m", "0"),
+        ("--sigma-min", "100"), ("--rho", "0.5"), ("--init-sigma", "-1"),
+        ("--init-gamma", "-1"), ("--freeze-cpc-at", "0"),
+    ])
+    def test_out_of_range_value_exit_3(self, tmp_path, toy_files, capsys, flag, value):
+        cond_path, uncond_path = toy_files
+        out = tmp_path / "o"
+        code = main(["sample", "--cond-stats", str(cond_path),
+                     "--uncond-stats", str(uncond_path), "--steps", "4", "--m", "2",
+                     "--outdir", str(out), flag, value])
+        assert code == 3
+        assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exit_4(self, tmp_path, toy_files, capsys):
         cond_path, uncond_path = toy_files
         code = main(["sample", "--cond-stats", str(cond_path),

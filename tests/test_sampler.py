@@ -3,10 +3,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lincfg import denoiser, sampler
+from lincfg import analytic, denoiser, gmm, sampler
 from lincfg.errors import DivergenceError, ShapeError
-from lincfg.synthetic import (random_stats_pair, toy_conditional_stats,
-                              toy_unconditional_stats)
+from lincfg.stats import GaussianStats
+from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_common_pair,
+                              toy_conditional_stats, toy_unconditional_stats)
+from lincfg.verify import trajectory_rel_error
+
+G = sampler.GuidanceConfig
+FULL_CFGS = {
+    "full": G(gamma=2.0),
+    "interval": G(gamma=2.0, active_interval=(0.5, 10.0)),
+    "no_cond": G(gamma=3.0, enable_cond=False),
+}
+ABLATION_CFGS = {
+    "pos": G(gamma=2.0, enable_neg_cpc=False, enable_mean_shift=False),
+    "neg": G(gamma=2.0, enable_pos_cpc=False, enable_mean_shift=False),
+    "mean_shift": G(gamma=2.0, enable_pos_cpc=False, enable_neg_cpc=False),
+    "pos_neg": G(gamma=2.0, enable_mean_shift=False),
+    "none": G(gamma=2.0, enable_pos_cpc=False, enable_neg_cpc=False,
+              enable_mean_shift=False),
+    "frozen": G(gamma=2.0, freeze_cpc_at=5.0),
+    "frozen_pos_interval": G(gamma=2.0, enable_neg_cpc=False, freeze_cpc_at=5.0,
+                             active_interval=(0.5, 10.0)),
+}
+
+
+def _split_drift(cond, uncond, cfg):
+    """The drift as the sum of its decomposed terms."""
+    return lambda x, s: sampler.guidance_terms(cond, uncond, x, s, cfg).total()
+
+
+def _dense_cfg_drift(cond, uncond, cfg):
+    """(1 + gamma) s_c - gamma s_uc from dense solves against Sigma + sigma^2 I."""
+    covs = [(stats.mean, stats.covariance()) for stats in (cond, uncond)]
+
+    def drift(x, sigma):
+        s_c, s_uc = (np.linalg.solve(cov + sigma**2 * np.eye(len(cov)), (mean - x).T).T
+                     for mean, cov in covs)
+        out = s_c if cfg.enable_cond else np.zeros_like(s_c)
+        lo, hi = cfg.active_interval or (0.0, np.inf)
+        if lo <= sigma <= hi:
+            out = out + cfg.gamma * (s_c - s_uc)
+        return out
+
+    return drift
 
 
 class TestSchedule:
@@ -62,6 +103,15 @@ class TestGuidanceConfig:
         cfg = sampler.GuidanceConfig(active_interval=(4.0, 80.0))
         assert cfg.guidance_active(4.0) and cfg.guidance_active(80.0)
         assert not cfg.guidance_active(3.999) and not cfg.guidance_active(80.001)
+
+    def test_gamma_zero_is_never_active(self):
+        for interval in (None, (0.5, 2.0)):
+            cfg = sampler.GuidanceConfig(gamma=0.0, active_interval=interval)
+            assert not cfg.guidance_active(1.0)
+
+    def test_rejects_nonpositive_freeze_sigma(self):
+        with pytest.raises(ValueError):
+            sampler.GuidanceConfig(freeze_cpc_at=0.0)
 
 
 class TestGuidanceTerms:
@@ -212,6 +262,47 @@ class TestIntegrate:
         assert exc.value.step == 0
         assert exc.value.sample == 0
 
+    def test_divergence_guard_trips_on_nan_and_scales_with_start(self):
+        sched = sampler.make_schedule(10.0, 1.0, 4, 1.0)
+        quiet = lambda x, s: np.zeros_like(x)
+        nan_row = lambda x, s: np.where(np.arange(len(x))[:, None] == 1, np.nan, 0.0)
+        with pytest.raises(DivergenceError) as exc:
+            sampler.integrate_with_scores(nan_row, quiet, np.ones((3, 2)), sched,
+                                          sampler.GuidanceConfig(gamma=0.0))
+        assert (exc.value.step, exc.value.sample) == (0, 1)
+        # a start far beyond the absolute guard is not itself a divergence
+        x_T = np.full((2, 2), 5e9)
+        np.testing.assert_array_equal(
+            sampler.integrate_with_scores(quiet, quiet, x_T, sched,
+                                          sampler.GuidanceConfig(gamma=0.0)), x_T)
+
+    @pytest.mark.parametrize("cfg", [G(gamma=0.0), G(gamma=2.0),
+                                     ABLATION_CFGS["pos"]], ids=["gamma0", "full", "pos"])
+    def test_far_offset_gaussian_run_finishes(self, cfg):
+        offset = np.array([2e6, 0.0])
+        cond = toy_conditional_stats(mu=offset + 4.0)
+        base = toy_unconditional_stats()
+        uncond = GaussianStats(mean=offset, eigvecs=base.eigvecs, eigvals=base.eigvals)
+        sched = sampler.make_schedule(n_steps=12)
+        batch = sampler.sample_batch(cond, uncond, 8, 0, sched, cfg)
+        # the flow is translation-equivariant: same run with the data at the origin
+        ref = sampler.sample_batch(toy_conditional_stats(mu=(4.0, 4.0)), base, 8, 0, sched,
+                                   cfg, init=sampler.InitSpec(shift=-offset))
+        np.testing.assert_allclose(batch.samples - offset, ref.samples, rtol=0, atol=2e-3)
+
+    def test_far_offset_mixture_run_finishes(self):
+        model = demo_mixture()
+        offset = np.array([0.0, 2e6])
+        shifted = gmm.MixtureModel(
+            components=tuple(GaussianStats(mean=c.mean + offset, eigvecs=c.eigvecs,
+                                           eigvals=c.eigvals) for c in model.components),
+            weights=model.weights)
+        sched = sampler.make_schedule(n_steps=12)
+        batch = gmm.sample_batch(shifted, 0, 8, 0, sched, G(gamma=1.0))
+        ref = gmm.sample_batch(model, 0, 8, 0, sched, G(gamma=1.0),
+                               init=sampler.InitSpec(shift=-offset))
+        np.testing.assert_allclose(batch.samples - offset, ref.samples, rtol=0, atol=2e-3)
+
     def test_rejects_nonfinite_start(self):
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
@@ -219,6 +310,77 @@ class TestIntegrate:
         with pytest.raises(ShapeError):
             sampler.integrate(cond, uncond, np.array([np.nan, 0.0]), sched,
                               sampler.GuidanceConfig())
+
+
+class TestFullCfgPath:
+    """Full CFG integrates (1 + gamma) s_c - gamma s_uc; ablations the CPC split."""
+
+    @staticmethod
+    def _run(d, cfg, heun):
+        cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T, _ = sampler.draw_initial_states(d, 16, d, sched)
+        got = sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun)
+        return cond, uncond, sched, x_T, got
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(FULL_CFGS))
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_matches_dense_solve_drift(self, d, name, heun):
+        cfg = FULL_CFGS[name]
+        cond, uncond, sched, x_T, got = self._run(d, cfg, heun)
+        ref = sampler._drive(_dense_cfg_drift(cond, uncond, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(FULL_CFGS))
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_matches_split_drift(self, d, name, heun):
+        cfg = FULL_CFGS[name]
+        cond, uncond, sched, x_T, got = self._run(d, cfg, heun)
+        ref = sampler._drive(_split_drift(cond, uncond, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-9
+
+    def test_full_cfg_makes_no_cpc_decomposition(self, monkeypatch):
+        calls = []
+        real = sampler.posterior_cpcs
+        monkeypatch.setattr(sampler, "posterior_cpcs",
+                            lambda *a: calls.append(a) or real(*a))
+        for cfg in [G(gamma=0.0), *FULL_CFGS.values()]:
+            for heun in (False, True):
+                self._run(8, cfg, heun)
+        assert calls == []
+        self._run(8, ABLATION_CFGS["pos"], False)
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(ABLATION_CFGS))
+    def test_ablation_bit_identical_to_split_drift(self, name, heun):
+        cfg = ABLATION_CFGS[name]
+        cond, uncond, sched, x_T, got = self._run(8, cfg, heun)
+        ref = sampler._drive(_split_drift(cond, uncond, cfg), x_T, sched, heun=heun)
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestHeunRate:
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
+    def test_second_order(self, gamma, seed):
+        """Each halving of the step over N = 25..400 cuts Heun's error about 4x."""
+        cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        x_T = np.random.default_rng(seed).standard_normal((32, 2)) * 80.0
+        if gamma == 0.0:
+            ref = sampler.closed_form_unguided(cond, x_T, 80.0, 0.002)
+        else:
+            ref = analytic.closed_form_cfg(toy_common_pair(), x_T, 0.002, 80.0, gamma)
+        errs = [trajectory_rel_error(
+                    sampler.integrate(cond, uncond, x_T,
+                                      sampler.make_schedule(80.0, 0.002, n, 7.0),
+                                      G(gamma=gamma), heun=True), ref, x_T).max()
+                for n in (25, 50, 100, 200, 400)]
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((3.0 <= ratios) & (ratios <= 5.0)), ratios
 
 
 class TestSampleBatch:
