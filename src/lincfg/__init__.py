@@ -24,9 +24,8 @@ from .gmm import (GmmGuidanceTerms, MixtureModel, PosteriorWeights,
 from .metrics import (ProjectionHistogram, class_similarity_matrix,
                       gaussian_frechet, mean_shifted_init, project_histogram)
 from .sampler import (GuidanceConfig, GuidanceTerms, InitSpec, NoiseSchedule,
-                      SampleBatch, closed_form_unguided, guidance_terms,
-                      integrate, integrate_with_scores, make_schedule,
-                      sample_batch)
+                      closed_form_unguided, guidance_terms, integrate,
+                      integrate_with_scores, make_schedule, sample_batch)
 from .stats import (DataMatrix, GaussianStats, estimate_gaussian_stats,
                     load_data_csv, load_data_matrix, load_stats, pool_stats,
                     save_data_matrix, save_stats, spectral_from_covariance)

@@ -16,18 +16,19 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, cpca, denoiser, gmm, metrics, sampler, synthetic, verify
 from .errors import DataError, DivergenceError, FormatError, QuadratureError, ShapeError
-from .export import (heatmap_svg, histogram_csv, histogram_svg, matrix_csv,
-                     parse_shape, write_image)
-from .fileio import atomic_write_bytes, atomic_write_text
+from .export import (check_image_shape, heatmap_svg, histogram_csv, histogram_svg,
+                     matrix_csv, parse_shape, write_image)
+from .fileio import atomic_write_text
 from .metrics import project_histogram
-from .stats import (DataMatrix, data_matrix_to_bytes, estimate_gaussian_stats,
-                    load_data_any, load_data_matrix, load_stats, save_stats)
+from .stats import (DataMatrix, estimate_gaussian_stats, load_data_any,
+                    load_data_matrix, load_stats, save_data_matrix, save_stats)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -248,57 +249,61 @@ def _build_run(config: dict) -> tuple[sampler.NoiseSchedule, sampler.GuidanceCon
     return schedule, cfg, sampler.InitSpec(std=config["init_sigma"])
 
 
-def _run_sampling(config: dict, schedule: sampler.NoiseSchedule,
-                  cfg: sampler.GuidanceConfig,
-                  init: sampler.InitSpec) -> tuple[sampler.SampleBatch, dict]:
+def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
+                 cfg: sampler.GuidanceConfig, init: sampler.InitSpec) -> tuple:
+    """Read the stats pair or the mixture of a parsed config and check the
+    config against it. Returns (draw, meta): draw() samples the run. Writes
+    nothing."""
     m, seed, heun = config["m"], config["seed"], config["heun"]
-
     if config["mixture"]:
         model = gmm.load_mixture(_require_file(config["mixture"], "mixture manifest"))
-        batch = gmm.sample_batch(model, config["target"], m, seed,
-                                 schedule, cfg, init, heun=heun)
+        target = config["target"]
+        if not 0 <= target < model.k:
+            raise FormatError(f"out-of-range 'target' value {target}: "
+                              f"the mixture has K={model.k} components")
         meta = {"mode": "mixture", "k": model.k, "d": model.d}
-        return batch, meta
-
-    cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))
-    if config["uncond_stats"]:
-        uncond = load_stats(_require_file(config["uncond_stats"], "uncond_stats"))
-    elif cfg.gamma == 0.0:
-        uncond = cond  # unused when guidance is off
+        draw = partial(gmm.sample_batch, model, target, m, seed, schedule, cfg, init,
+                       heun=heun)
     else:
-        raise FileNotFoundError("uncond_stats required when gamma > 0")
-    if config["init"] == "mean_shifted":
-        std = init.std if init.std is not None else schedule.sigma_max
-        init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], std)
-    batch = sampler.sample_batch(cond, uncond, m, seed, schedule, cfg, init,
-                                 heun=heun)
-    meta = {"mode": "gaussian", "d": cond.d}
-    return batch, meta
+        cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))
+        if config["uncond_stats"]:
+            uncond = load_stats(_require_file(config["uncond_stats"], "uncond_stats"))
+        elif cfg.gamma == 0.0:
+            uncond = cond  # unused when guidance is off
+        else:
+            raise FileNotFoundError("uncond_stats required when gamma > 0")
+        if config["init"] == "mean_shifted":
+            init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], init.std)
+        meta = {"mode": "gaussian", "d": cond.d}
+        draw = partial(sampler.sample_batch, cond, uncond, m, seed, schedule, cfg, init,
+                       heun=heun)
+    if config["ppm_shape"] is not None:
+        check_image_shape(config["ppm_shape"], meta["d"])
+    return draw, meta
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    """Parse and build the run, read and check its inputs, then make outdir,
+    sample and write; a bad config or input fails before outdir exists."""
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     resolved = resolve_config(Path(args.config) if args.config else None, overrides)
-    config = parse_config(resolved)  # fails fast, before any file is touched
-    run = _build_run(config)
+    config = parse_config(resolved)
+    draw, meta = _load_inputs(config, *_build_run(config))
     outdir = config["outdir"]
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    batch, meta = _run_sampling(config, *run)
+    samples = draw()
     elapsed = time.perf_counter() - t0
 
     samples_path = outdir / "samples.bin"
-    atomic_write_bytes(samples_path, data_matrix_to_bytes(DataMatrix(batch.samples)))
+    save_data_matrix(DataMatrix(samples), samples_path)
     outputs = {"samples": samples_path.name}
-
     shape = config["ppm_shape"]
     if shape is not None:
-        count = min(config["ppm_count"] or batch.m, batch.m)
-        ext = "ppm" if shape[2] == 3 else "pgm"
+        count = min(config["ppm_count"] or len(samples), len(samples))
         for k in range(count):
-            write_image(outdir / f"sample_{k:05d}.{ext}", batch.samples[k], shape,
-                        config["fixed_range"])
+            write_image(outdir / f"sample_{k:05d}", samples[k], shape, config["fixed_range"])
         outputs["images"] = count
 
     manifest = {
@@ -310,7 +315,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "outputs": outputs,
     }
     atomic_write_text(outdir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
-    print(f"sample: wrote {batch.m} x {batch.d} samples to {samples_path}")
+    print(f"sample: wrote {samples.shape[0]} x {samples.shape[1]} samples to {samples_path}")
     print(f"manifest: {outdir / 'run_manifest.json'}")
     return EXIT_OK
 
@@ -343,26 +348,36 @@ def _load_pair(args) -> tuple:
     return cond, uncond
 
 
+def _cpc_spectrum(args, cond, uncond) -> cpca.SignedSpectrum:
+    """Posterior CPCs at --sigma, or the raw covariance contrast without it."""
+    if args.sigma is not None:
+        return cpca.posterior_cpcs(cond, uncond, args.sigma)
+    return cpca.contrastive_components(cond.covariance(), uncond.covariance())
+
+
+def _mean_shift(args, cond, uncond) -> np.ndarray:
+    """The mean-shift direction gated at --sigma, or mu_c - mu_uc without it."""
+    if args.sigma is not None:
+        return denoiser.mean_shift(cond, uncond, args.sigma)
+    return cond.mean - uncond.mean
+
+
 def cmd_export_cpcs(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
-    if args.sigma is not None:
-        spec = cpca.posterior_cpcs(cond, uncond, args.sigma)
-    else:
-        spec = cpca.contrastive_components(cond.covariance(), uncond.covariance())
+    spec = _cpc_spectrum(args, cond, uncond)
     shape = parse_shape(args.shape)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fixed = _fixed_range(args.fixed_range)
-    ext = "ppm" if shape[2] == 3 else "pgm"
     pos_vals, pos_vecs = spec.positive
     neg_vals, neg_vecs = spec.negative
     n_pos = min(args.count, pos_vecs.shape[1])
     n_neg = min(args.count, neg_vecs.shape[1])
     for i in range(n_pos):
-        write_image(outdir / f"pos_cpc_{i:02d}.{ext}", pos_vecs[:, i], shape, fixed)
+        write_image(outdir / f"pos_cpc_{i:02d}", pos_vecs[:, i], shape, fixed)
     for i in range(n_neg):
         # most negative first
-        write_image(outdir / f"neg_cpc_{i:02d}.{ext}", neg_vecs[:, n_neg - 1 - i], shape, fixed)
+        write_image(outdir / f"neg_cpc_{i:02d}", neg_vecs[:, n_neg - 1 - i], shape, fixed)
     rows = [f"{i},{float(v)!r}" for i, v in enumerate(spec.eigvals)]
     atomic_write_text(outdir / "cpc_eigenvalues.csv",
                       "index,eigenvalue\n" + "\n".join(rows) + "\n")
@@ -372,16 +387,12 @@ def cmd_export_cpcs(args: argparse.Namespace) -> int:
 
 def cmd_export_mean_shift(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
-    if args.sigma is not None:
-        w = denoiser.mean_shift(cond, uncond, args.sigma)
-    else:
-        w = cond.mean - uncond.mean
     shape = parse_shape(args.shape)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ext = "ppm" if shape[2] == 3 else "pgm"
-    write_image(outdir / f"mean_shift.{ext}", w, shape, _fixed_range(args.fixed_range))
-    print(f"export mean_shift_dir -> {outdir / ('mean_shift.' + ext)}")
+    path = write_image(outdir / "mean_shift", _mean_shift(args, cond, uncond), shape,
+                       _fixed_range(args.fixed_range))
+    print(f"export mean_shift_dir -> {path}")
     return EXIT_OK
 
 
@@ -389,7 +400,7 @@ def _resolve_direction(args, cond, uncond) -> tuple[np.ndarray, bool]:
     """Return (unit direction, magnitude_default) for histogram export."""
     spec_name = args.direction
     if spec_name == "mean_shift":
-        w = cond.mean - uncond.mean
+        w = _mean_shift(args, cond, uncond)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             raise DataError("mean-shift direction is zero")
@@ -398,10 +409,7 @@ def _resolve_direction(args, cond, uncond) -> tuple[np.ndarray, bool]:
     index = int(index_text) if index_text else 0
     if kind == "eigvec":
         return cond.eigvecs[:, index].copy(), False
-    if args.sigma is not None:
-        spec = cpca.posterior_cpcs(cond, uncond, args.sigma)
-    else:
-        spec = cpca.contrastive_components(cond.covariance(), uncond.covariance())
+    spec = _cpc_spectrum(args, cond, uncond)
     if kind == "pos_cpc":
         vals, vecs = spec.positive
     elif kind == "neg_cpc":
@@ -479,16 +487,14 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                  sampler.GuidanceConfig(gamma=0.0))
     guided = sampler.sample_batch(cond, uncond, args.m, args.seed, schedule,
                                   sampler.GuidanceConfig(gamma=args.gamma))
-    atomic_write_bytes(outdir / "toy_naive.bin",
-                       data_matrix_to_bytes(DataMatrix(naive.samples)))
-    atomic_write_bytes(outdir / "toy_cfg.bin",
-                       data_matrix_to_bytes(DataMatrix(guided.samples)))
+    save_data_matrix(DataMatrix(naive), outdir / "toy_naive.bin")
+    save_data_matrix(DataMatrix(guided), outdir / "toy_cfg.bin")
     v_pos = pair.eigvecs[:, 0]
     v_neg = pair.eigvecs[:, 1]
     ratios = {}
     for name, v in (("pos_cpc", v_pos), ("neg_cpc", v_neg)):
-        var_n = float(np.var((naive.samples - cond.mean) @ v))
-        var_g = float(np.var((guided.samples - cond.mean) @ v))
+        var_n = float(np.var((naive - cond.mean) @ v))
+        var_g = float(np.var((guided - cond.mean) @ v))
         ratios[name] = var_g / var_n
     pred_pos = analytic.h_factor(10.0, 3.0, schedule.sigma_min, schedule.sigma_max) ** args.gamma
     pred_neg = analytic.h_factor(3.0, 10.0, schedule.sigma_min, schedule.sigma_max) ** args.gamma
@@ -505,13 +511,11 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                sampler.GuidanceConfig(gamma=0.0))
     m_guided = gmm.sample_batch(model, 0, args.m, args.seed + 1, schedule,
                                 sampler.GuidanceConfig(gamma=args.gamma))
-    atomic_write_bytes(outdir / "gmm_naive.bin",
-                       data_matrix_to_bytes(DataMatrix(m_naive.samples)))
-    atomic_write_bytes(outdir / "gmm_cfg.bin",
-                       data_matrix_to_bytes(DataMatrix(m_guided.samples)))
+    save_data_matrix(DataMatrix(m_naive), outdir / "gmm_naive.bin")
+    save_data_matrix(DataMatrix(m_guided), outdir / "gmm_cfg.bin")
     sigma_eval = schedule.sigma_min
-    w_naive = np.mean(gmm.posterior_weights(model, m_naive.samples[:200], sigma_eval).w[:, 0])
-    w_guided = np.mean(gmm.posterior_weights(model, m_guided.samples[:200], sigma_eval).w[:, 0])
+    w_naive = np.mean(gmm.posterior_weights(model, m_naive[:200], sigma_eval).w[:, 0])
+    w_guided = np.mean(gmm.posterior_weights(model, m_guided[:200], sigma_eval).w[:, 0])
     print(f"mixture: mean target-cluster weight {w_naive:.3f} (naive) -> "
           f"{w_guided:.3f} (gamma={args.gamma})")
     summary["mixture"] = {"target_weight_naive": float(w_naive),
@@ -581,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe_hist.add_argument("--uncond", required=True)
     pe_hist.add_argument("--direction", required=True,
                          help="mean_shift | eigvec:I | pos_cpc:I | neg_cpc:I")
-    pe_hist.add_argument("--sigma", type=float, default=None)
+    pe_hist.add_argument("--sigma", type=float, default=None,
+                         help="posterior CPCs and gated mean shift at this noise level")
     pe_hist.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS)
     mag = pe_hist.add_mutually_exclusive_group()
     mag.add_argument("--magnitude", dest="magnitude", action="store_true", default=None)

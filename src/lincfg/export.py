@@ -3,6 +3,8 @@ heatmaps, CSV tables. Images are written atomically through ``fileio``."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import ShapeError
@@ -10,7 +12,7 @@ from .fileio import atomic_write_bytes
 from .metrics import ProjectionHistogram
 
 __all__ = [
-    "parse_shape", "vector_to_image", "encode_pnm", "write_image",
+    "parse_shape", "check_image_shape", "vector_to_image", "encode_pnm", "write_image",
     "histogram_csv", "matrix_csv", "histogram_svg", "heatmap_svg",
 ]
 
@@ -36,6 +38,13 @@ def parse_shape(spec: str) -> tuple[int, int, int]:
     return h, w, c
 
 
+def check_image_shape(shape: tuple[int, int, int], d: int) -> None:
+    """Raise ShapeError unless an HxWxC image holds exactly d values."""
+    h, w, c = shape
+    if h * w * c != d:
+        raise ShapeError(f"cannot reshape d={d} into {h}x{w}x{c}")
+
+
 def vector_to_image(vec: np.ndarray, shape: tuple[int, int, int],
                     fixed_range: tuple[float, float] | None = None) -> np.ndarray:
     """Reshape a flat vector to (H, W, C) uint8.
@@ -44,10 +53,8 @@ def vector_to_image(vec: np.ndarray, shape: tuple[int, int, int],
     mid gray. ``fixed_range`` clamps into the given interval instead, for
     pixel data known to live there (e.g. [-1, 1]).
     """
-    h, w, c = shape
     vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if h * w * c != vec.size:
-        raise ShapeError(f"cannot reshape d={vec.size} into {h}x{w}x{c}")
+    check_image_shape(shape, vec.size)
     if fixed_range is not None:
         lo, hi = fixed_range
         if not hi > lo:
@@ -57,7 +64,7 @@ def vector_to_image(vec: np.ndarray, shape: tuple[int, int, int],
         lo, hi = float(vec.min()), float(vec.max())
         scaled = np.full_like(vec, 0.5) if hi == lo else (vec - lo) / (hi - lo)
     img = np.round(scaled * 255.0).astype(np.uint8)
-    return img.reshape(h, w, c)
+    return img.reshape(shape)
 
 
 def encode_pnm(img: np.ndarray) -> bytes:
@@ -75,8 +82,12 @@ def encode_pnm(img: np.ndarray) -> bytes:
 
 
 def write_image(path, vec: np.ndarray, shape: tuple[int, int, int],
-                fixed_range: tuple[float, float] | None = None) -> None:
+                fixed_range: tuple[float, float] | None = None) -> Path:
+    """Write vec as an image at path with the suffix its channel count calls
+    for, .ppm for C=3 and .pgm for C=1; return the path written."""
+    path = Path(path).with_suffix(".ppm" if shape[2] == 3 else ".pgm")
     atomic_write_bytes(path, encode_pnm(vector_to_image(vec, shape, fixed_range)))
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -189,25 +189,22 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
                  schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig,
                  init: sampler.InitSpec | None = None, *,
-                 heun: bool = False) -> sampler.SampleBatch:
-    """Counter-seeded batch of guided mixture samples toward one component.
+                 heun: bool = False) -> np.ndarray:
+    """Final states (m, d) of guided mixture samples toward one component.
 
     Reuses the generic reverse-ODE driver by injecting the target component's
     linear score as the conditional score and the mixture score as the
     unconditional one; the per-term CPC toggles do not apply here. Seeding
-    follows sampler.sample_batch.
+    follows sampler.draw_initial_states.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     tgt = model.components[target]
-    x_T, seeds = sampler.draw_initial_states(model.d, m, seed, schedule, init)
-    final = sampler.integrate_with_scores(
+    x_T = sampler.draw_initial_states(model.d, m, seed, schedule, init)
+    return sampler.integrate_with_scores(
         lambda x, s: denoiser.score(tgt, x, s),
         lambda x, s: mixture_score(model, x, s),
         x_T, schedule, cfg, heun=heun, scale=sampler.data_scale(*model.components))
-    return sampler.SampleBatch(seeds=seeds, samples=final)
 
 
 def load_mixture(path) -> MixtureModel:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .sampler import InitSpec, SampleBatch
+from .sampler import InitSpec
 from .stats import GaussianStats
 
 QUANTILE_LEVELS = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -34,16 +34,15 @@ class ProjectionHistogram:
     quantiles: np.ndarray  # levels QUANTILE_LEVELS, linear interpolation
 
 
-def project_histogram(samples, direction: np.ndarray, center: np.ndarray,
+def project_histogram(samples: np.ndarray, direction: np.ndarray, center: np.ndarray,
                       n_bins: int = DEFAULT_BINS, *,
                       magnitude: bool = False) -> ProjectionHistogram:
-    """Histogram of direction^T (sample - center) over a batch.
+    """Histogram of direction^T (sample - center) over the rows of an (m, d) array.
 
     ``magnitude`` switches to |direction^T (sample - center)|, the convention
     used for CPC directions. Bins are equal width over [min, max].
     """
-    x = samples.samples if isinstance(samples, SampleBatch) else np.asarray(samples)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DataError(f"need a nonempty (m, d) sample array, got shape {x.shape}")
     direction = np.asarray(direction, dtype=np.float64).reshape(-1)
@@ -104,15 +103,14 @@ def class_similarity_matrix(stats_list: list[GaussianStats]) -> np.ndarray:
 
 
 def mean_shifted_init(cond: GaussianStats, uncond: GaussianStats,
-                      gamma: float, sigma_T: float) -> InitSpec:
+                      gamma: float, sigma_T: float | None = None) -> InitSpec:
     """Initialization x_T ~ N(gamma (mu_c - mu_uc), sigma_T^2 I).
 
-    gamma = 0 recovers the standard zero-mean start.
+    gamma = 0 recovers the standard zero-mean start. sigma_T follows the
+    InitSpec.std rule of sampler.draw_initial_states (None: sigma_max).
     """
     if cond.d != uncond.d:
         raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if not sigma_T > 0.0:
-        raise ValueError(f"sigma_T must be positive, got {sigma_T}")
-    return InitSpec(shift=gamma * (cond.mean - uncond.mean), std=float(sigma_T))
+    return InitSpec(shift=gamma * (cond.mean - uncond.mean), std=sigma_T)

@@ -134,26 +134,6 @@ class InitSpec:
 
 
 @dataclass(frozen=True)
-class SampleBatch:
-    """Final states of m independent reverse-ODE integrations.
-
-    ``seeds[k] = (base_seed, k)`` is the counter pair that seeded sample k's
-    RNG stream, so any single sample can be regenerated in isolation.
-    """
-
-    seeds: np.ndarray
-    samples: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
 class GuidanceTerms:
     """The four drift components at one state and noise level."""
 
@@ -326,38 +306,33 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
 
 
 def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
-                        init: InitSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample counter-seeded draws x_T[k] ~ N(shift, std^2 I).
+                        init: InitSpec | None = None) -> np.ndarray:
+    """Initial states x_T[k] ~ N(shift, std^2 I), shape (m, d), m >= 1.
 
-    Returns (x_T, seeds) where seeds[k] = (seed, k). Sample k's noise depends
-    only on (seed, k), never on m or on other samples.
+    Sample k draws its noise from np.random.default_rng([seed, k]), so it
+    depends only on (seed, k), never on m or on other samples. This is where
+    the std rule is applied: ``init.std=None`` means the schedule's sigma_max,
+    and std must be >= 0 (std 0 starts every sample at the shift).
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     spec = init or InitSpec()
     std = spec.std if spec.std is not None else schedule.sigma_max
-    if std < 0:
+    if not std >= 0:
         raise ValueError(f"init std must be >= 0, got {std}")
     shift = np.zeros(d) if spec.shift is None else np.asarray(spec.shift, dtype=np.float64)
     if shift.shape != (d,):
         raise ShapeError(f"init shift must have length {d}, got {shift.shape}")
     x = np.empty((m, d))
-    seeds = np.empty((m, 2), dtype=np.int64)
     for k in range(m):
-        rng = np.random.default_rng([seed, k])
-        x[k] = shift + std * rng.standard_normal(d)
-        seeds[k] = (seed, k)
-    return x, seeds
+        x[k] = shift + std * np.random.default_rng([seed, k]).standard_normal(d)
+    return x
 
 
 def sample_batch(cond: GaussianStats, uncond: GaussianStats, m: int, seed: int,
                  schedule: NoiseSchedule, cfg: GuidanceConfig,
-                 init: InitSpec | None = None, *, heun: bool = False) -> SampleBatch:
-    """Integrate m independent samples; deterministic for a fixed seed.
-
-    Results are ordered by sample index regardless of how the batch is
-    evaluated internally.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    x_T, seeds = draw_initial_states(cond.d, m, seed, schedule, init)
-    final = integrate(cond, uncond, x_T, schedule, cfg, heun=heun)
-    return SampleBatch(seeds=seeds, samples=final)
+                 init: InitSpec | None = None, *, heun: bool = False) -> np.ndarray:
+    """Final states (m, d) of m independent samples, row k seeded by (seed, k)
+    as in ``draw_initial_states``; deterministic for a fixed seed."""
+    x_T = draw_initial_states(cond.d, m, seed, schedule, init)
+    return integrate(cond, uncond, x_T, schedule, cfg, heun=heun)

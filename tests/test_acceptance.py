@@ -74,14 +74,14 @@ def test_c4_2d_cfg_directionality():
     v_pos, v_neg = pair.eigvecs[:, 0], pair.eigvecs[:, 1]
     h_pos = analytic.h_factor(10.0, 3.0, 0.002, 80.0)
     h_neg = analytic.h_factor(3.0, 10.0, 0.002, 80.0)
-    r_pos = (np.var((guided.samples - cond.mean) @ v_pos)
-             / np.var((naive.samples - cond.mean) @ v_pos))
-    r_neg = (np.var((guided.samples - cond.mean) @ v_neg)
-             / np.var((naive.samples - cond.mean) @ v_neg))
+    r_pos = (np.var((guided - cond.mean) @ v_pos)
+             / np.var((naive - cond.mean) @ v_pos))
+    r_neg = (np.var((guided - cond.mean) @ v_neg)
+             / np.var((naive - cond.mean) @ v_neg))
 
     w = pair.mu_c - pair.mu_uc
     w = w / np.linalg.norm(w)
-    shift = float(np.mean(guided.samples @ w) - np.mean(naive.samples @ w))
+    shift = float(np.mean(guided @ w) - np.mean(naive @ w))
     cf1 = analytic.closed_form_cfg(pair, np.zeros(2), 0.002, 80.0, 1.0)
     cf0 = analytic.closed_form_cfg(pair, np.zeros(2), 0.002, 80.0, 0.0)
     shift_pred = float((cf1 - cf0) @ w)
@@ -190,7 +190,7 @@ def test_c10_class_similarity_orderings():
         for gamma, bucket in ((0.0, stats_g0), (4.0, stats_g4)):
             batch = sampler.sample_batch(cls, pooled, m, seed + 10 * i, sched,
                                          sampler.GuidanceConfig(gamma=gamma))
-            bucket.append(estimate_gaussian_stats(DataMatrix(batch.samples)))
+            bucket.append(estimate_gaussian_stats(DataMatrix(batch)))
     m_train = metrics.class_similarity_matrix(classes)
     m_g0 = metrics.class_similarity_matrix(stats_g0)
     m_g4 = metrics.class_similarity_matrix(stats_g4)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lincfg import gmm, sampler, verify
+from lincfg import denoiser, gmm, sampler, verify
 from lincfg.cli import main
 from lincfg.stats import (DataMatrix, load_data_matrix, load_stats,
                           save_data_matrix, save_stats)
@@ -111,7 +111,7 @@ class TestSample:
         batch = sampler.sample_batch(
             toy_conditional_stats(), toy_unconditional_stats(), 8, 5,
             sampler.make_schedule(n_steps=12), sampler.GuidanceConfig(gamma=0.0))
-        np.testing.assert_array_equal(got, batch.samples)
+        np.testing.assert_array_equal(got, batch)
 
     def test_gamma_zero_needs_no_uncond(self, tmp_path, toy_files):
         cond_path, _ = toy_files
@@ -132,7 +132,7 @@ class TestSample:
         batch = sampler.sample_batch(
             toy_conditional_stats(), toy_unconditional_stats(), 6, 2,
             sampler.make_schedule(n_steps=12), cfg)
-        np.testing.assert_array_equal(got, batch.samples)
+        np.testing.assert_array_equal(got, batch)
 
     def test_interval_flag(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -146,7 +146,7 @@ class TestSample:
         batch = sampler.sample_batch(
             toy_conditional_stats(), toy_unconditional_stats(), 4, 3,
             sampler.make_schedule(n_steps=12), cfg)
-        np.testing.assert_array_equal(got, batch.samples)
+        np.testing.assert_array_equal(got, batch)
 
     def test_mean_shifted_init(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -158,6 +158,21 @@ class TestSample:
                      "--outdir", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["init"] == "mean_shifted"
+
+    def test_mean_shifted_init_with_zero_sigma_starts_at_the_shift(self, tmp_path, toy_files):
+        cond_path, uncond_path = toy_files
+        out = tmp_path / "o"
+        assert main(["sample", "--cond-stats", str(cond_path),
+                     "--uncond-stats", str(uncond_path), "--gamma", "1",
+                     "--init", "mean_shifted", "--init-gamma", "3",
+                     "--init-sigma", "0", "--steps", "8", "--m", "3",
+                     "--outdir", str(out)]) == 0
+        cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        expect = sampler.integrate(cond, uncond, 3.0 * (cond.mean - uncond.mean),
+                                   sampler.make_schedule(n_steps=8),
+                                   sampler.GuidanceConfig(gamma=1.0))
+        for row in load_data_matrix(out / "samples.bin").values:
+            np.testing.assert_array_equal(row, expect)
 
     def test_unknown_config_key_exit_3(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -216,7 +231,7 @@ class TestSample:
         got = load_data_matrix(out / "samples.bin").values
         batch = gmm.sample_batch(model, 1, 5, 9, sampler.make_schedule(n_steps=15),
                                  sampler.GuidanceConfig(gamma=1.0))
-        np.testing.assert_array_equal(got, batch.samples)
+        np.testing.assert_array_equal(got, batch)
 
         # the manifest lists every key, the Gaussian-only ones at their defaults
         rerun = tmp_path / "rerun"
@@ -241,6 +256,29 @@ class TestSample:
         assert code == 3
         assert repr(flag[2:].replace("-", "_")) in capsys.readouterr().err
         assert not (out / "samples.bin").exists()
+
+    @pytest.mark.parametrize("mixture,extra,code,message", [
+        (False, ["--ppm-shape", "3x3x1"], 5, "3x3x1"),
+        (True, ["--ppm-shape", "3x3x1"], 5, "3x3x1"),
+        (True, ["--target", "3"], 3, "'target'"),
+        (True, ["--target", "5"], 3, "'target'"),
+        (True, ["--target", "-1"], 3, "'target'"),
+        (False, ["--cond-stats", "missing"], 2, "no such input"),
+        (False, ["--uncond-stats", "missing"], 2, "no such input"),
+        (True, ["--mixture", "missing"], 2, "no such input"),
+    ])
+    def test_bad_input_fails_before_outdir(self, tmp_path, toy_files, mixture_file, capsys,
+                                           mixture, extra, code, message):
+        cond_path, uncond_path = toy_files
+        source = (["--mixture", str(mixture_file[1])] if mixture else
+                  ["--cond-stats", str(cond_path), "--uncond-stats", str(uncond_path)])
+        extra = [str(tmp_path / v) if v == "missing" else v for v in extra]
+        out = tmp_path / "o"
+        assert main(["sample", *source, "--steps", "4", "--m", "2",
+                     "--outdir", str(out), *extra]) == code
+        assert message in capsys.readouterr().err
+        assert not (out / "samples.bin").exists()
+        assert not out.exists()
 
     def test_ppm_output(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -327,6 +365,32 @@ class TestExport:
                      "--direction", "mean_shift", "--outdir", str(out)]) == 0
         assert (out / "hist_mean_shift.csv").exists()
         assert (out / "hist_mean_shift.svg").read_text().startswith("<svg")
+
+    def test_export_histograms_mean_shift_at_sigma(self, tmp_path):
+        from lincfg.export import histogram_csv
+        from lincfg.metrics import project_histogram
+        from lincfg.synthetic import random_stats_pair
+        # a random pair: mu_c - mu_uc is no eigenvector of Sigma_uc, so the
+        # gate at sigma turns the direction
+        cond, uncond = random_stats_pair(6, np.random.default_rng(84))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        data = np.random.default_rng(85).standard_normal((50, 6))
+        save_data_matrix(DataMatrix(data), tmp_path / "s.bin")
+        csv = {}
+        for sigma in (None, 0.8):
+            out = tmp_path / f"h{sigma}"
+            extra = [] if sigma is None else ["--sigma", str(sigma)]
+            assert main(["export", "histograms", "--samples", str(tmp_path / "s.bin"),
+                         "--cond", str(tmp_path / "c.stats"),
+                         "--uncond", str(tmp_path / "u.stats"),
+                         "--direction", "mean_shift", "--outdir", str(out), *extra]) == 0
+            csv[sigma] = (out / "hist_mean_shift.csv").read_text()
+            w = (cond.mean - uncond.mean if sigma is None
+                 else denoiser.mean_shift(cond, uncond, sigma))
+            expect = project_histogram(data, w / np.linalg.norm(w), cond.mean)
+            assert csv[sigma] == histogram_csv(expect)
+        assert csv[None] != csv[0.8]
 
     def test_export_similarity_and_top_level_alias(self, tmp_path, toy_files, capsys):
         cond_path, uncond_path = toy_files

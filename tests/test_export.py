@@ -94,3 +94,12 @@ def test_atomic_write(tmp_path):
     fileio.atomic_write_bytes(target, b"replaced")
     assert target.read_bytes() == b"replaced"
     assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
+
+
+def test_write_image_picks_suffix_from_channels(tmp_path):
+    vec = np.arange(6.0)
+    assert export.write_image(tmp_path / "a", vec, (1, 2, 3)) == tmp_path / "a.ppm"
+    assert export.write_image(tmp_path / "b.ppm", vec, (2, 3, 1)) == tmp_path / "b.pgm"
+    assert (tmp_path / "a.ppm").read_bytes().startswith(b"P6\n2 1\n255\n")
+    assert (tmp_path / "b.pgm").read_bytes().startswith(b"P5\n3 2\n255\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "b.pgm"]

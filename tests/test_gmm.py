@@ -185,7 +185,7 @@ class TestMixtureSampling:
         for gamma in (0.0, 1.0, 2.0):
             batch = gmm.sample_batch(model, 0, 200, 3, sched,
                                      sampler.GuidanceConfig(gamma=gamma))
-            projections.append(float(np.mean(batch.samples @ u)))
+            projections.append(float(np.mean(batch @ u)))
         assert projections[0] < projections[1] < projections[2]
 
     def test_deterministic(self):
@@ -194,7 +194,7 @@ class TestMixtureSampling:
         cfg = sampler.GuidanceConfig(gamma=1.0)
         a = gmm.sample_batch(model, 1, 8, 11, sched, cfg)
         b = gmm.sample_batch(model, 1, 8, 11, sched, cfg)
-        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_k1_matches_gaussian_sampler(self):
         rng = np.random.default_rng(12)
@@ -204,7 +204,7 @@ class TestMixtureSampling:
         cfg = sampler.GuidanceConfig(gamma=1.5)
         a = gmm.sample_batch(model, 0, 6, 13, sched, cfg)
         b = sampler.sample_batch(comp, comp, 6, 13, sched, cfg)
-        np.testing.assert_allclose(a.samples, b.samples, atol=1e-10)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestManifest:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lincfg import metrics
+from lincfg import metrics, sampler
 from lincfg.errors import DataError
 from lincfg.stats import GaussianStats
 from lincfg.synthetic import (random_stats, toy_conditional_stats,
@@ -57,13 +57,6 @@ class TestProjectHistogram:
         with pytest.raises(DataError):
             metrics.project_histogram(np.empty((0, 2)), np.array([1.0, 0.0]),
                                       np.zeros(2))
-
-    def test_accepts_sample_batch(self):
-        from lincfg.sampler import SampleBatch
-        batch = SampleBatch(seeds=np.zeros((4, 2), dtype=np.int64),
-                            samples=np.ones((4, 2)))
-        hist = metrics.project_histogram(batch, np.array([1.0, 0.0]), np.zeros(2))
-        assert hist.counts.sum() == 4
 
 
 class TestGaussianFrechet:
@@ -150,6 +143,8 @@ class TestMeanShiftedInit:
         with pytest.raises(ValueError):
             metrics.mean_shifted_init(toy_conditional_stats(),
                                       toy_unconditional_stats(), -1.0, 31.9)
+        # the start-noise std is checked where it is drawn
+        spec = metrics.mean_shifted_init(toy_conditional_stats(),
+                                         toy_unconditional_stats(), 1.0, -1.0)
         with pytest.raises(ValueError):
-            metrics.mean_shifted_init(toy_conditional_stats(),
-                                      toy_unconditional_stats(), 1.0, 0.0)
+            sampler.draw_initial_states(2, 1, 0, sampler.make_schedule(), spec)

@@ -288,7 +288,7 @@ class TestIntegrate:
         # the flow is translation-equivariant: same run with the data at the origin
         ref = sampler.sample_batch(toy_conditional_stats(mu=(4.0, 4.0)), base, 8, 0, sched,
                                    cfg, init=sampler.InitSpec(shift=-offset))
-        np.testing.assert_allclose(batch.samples - offset, ref.samples, rtol=0, atol=2e-3)
+        np.testing.assert_allclose(batch - offset, ref, rtol=0, atol=2e-3)
 
     def test_far_offset_mixture_run_finishes(self):
         model = demo_mixture()
@@ -301,7 +301,7 @@ class TestIntegrate:
         batch = gmm.sample_batch(shifted, 0, 8, 0, sched, G(gamma=1.0))
         ref = gmm.sample_batch(model, 0, 8, 0, sched, G(gamma=1.0),
                                init=sampler.InitSpec(shift=-offset))
-        np.testing.assert_allclose(batch.samples - offset, ref.samples, rtol=0, atol=2e-3)
+        np.testing.assert_allclose(batch - offset, ref, rtol=0, atol=2e-3)
 
     def test_rejects_nonfinite_start(self):
         cond = toy_conditional_stats()
@@ -319,7 +319,7 @@ class TestFullCfgPath:
     def _run(d, cfg, heun):
         cond, uncond = random_stats_pair(d, np.random.default_rng(d))
         sched = sampler.make_schedule(n_steps=12)
-        x_T, _ = sampler.draw_initial_states(d, 16, d, sched)
+        x_T = sampler.draw_initial_states(d, 16, d, sched)
         got = sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun)
         return cond, uncond, sched, x_T, got
 
@@ -391,22 +391,20 @@ class TestSampleBatch:
         cfg = sampler.GuidanceConfig(gamma=1.0)
         a = sampler.sample_batch(cond, uncond, 16, 99, sched, cfg)
         b = sampler.sample_batch(cond, uncond, 16, 99, sched, cfg)
-        assert a.samples.tobytes() == b.samples.tobytes()
-        np.testing.assert_array_equal(a.seeds, b.seeds)
+        assert a.tobytes() == b.tobytes()
 
     def test_counter_seeding_independent_of_batch_size(self):
         sched = sampler.make_schedule(n_steps=10)
         # the draw for sample k depends only on (seed, k), never on m
-        small, seeds_small = sampler.draw_initial_states(2, 3, 7, sched)
-        large, seeds_large = sampler.draw_initial_states(2, 8, 7, sched)
+        small = sampler.draw_initial_states(2, 3, 7, sched)
+        large = sampler.draw_initial_states(2, 8, 7, sched)
         np.testing.assert_array_equal(small, large[:3])
-        np.testing.assert_array_equal(seeds_small, seeds_large[:3])
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
         cfg = sampler.GuidanceConfig(gamma=0.0)
         a = sampler.sample_batch(cond, uncond, 3, 7, sched, cfg)
         b = sampler.sample_batch(cond, uncond, 8, 7, sched, cfg)
-        np.testing.assert_allclose(a.samples, b.samples[:3], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a, b[:3], rtol=1e-12, atol=1e-12)
 
     def test_batch_of_one_reproduces_integrate(self):
         cond = toy_conditional_stats()
@@ -417,7 +415,7 @@ class TestSampleBatch:
         rng = np.random.default_rng([5, 0])
         x_T = sched.sigma_max * rng.standard_normal(2)
         np.testing.assert_array_equal(
-            batch.samples[0], sampler.integrate(cond, uncond, x_T, sched, cfg))
+            batch[0], sampler.integrate(cond, uncond, x_T, sched, cfg))
 
     def test_init_spec_shift_and_std(self):
         cond = toy_conditional_stats()
@@ -428,8 +426,21 @@ class TestSampleBatch:
         batch = sampler.sample_batch(cond, uncond, 4, 0, sched, cfg,
                                      init=sampler.InitSpec(shift=shift, std=0.0))
         expect = sampler.integrate(cond, uncond, shift, sched, cfg)
-        for row in batch.samples:
+        for row in batch:
             np.testing.assert_array_equal(row, expect)
+
+    def test_init_std_rule(self):
+        sched = sampler.make_schedule(n_steps=6)
+        shift = np.array([3.0, -1.0])
+        default = sampler.draw_initial_states(2, 4, 2, sched, sampler.InitSpec(shift=shift))
+        explicit = sampler.draw_initial_states(2, 4, 2, sched,
+                                               sampler.InitSpec(shift=shift, std=sched.sigma_max))
+        np.testing.assert_array_equal(default, explicit)
+        zero = sampler.draw_initial_states(2, 4, 2, sched, sampler.InitSpec(shift=shift, std=0))
+        np.testing.assert_array_equal(zero, np.tile(shift, (4, 1)))
+        for std in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="std"):
+                sampler.draw_initial_states(2, 4, 2, sched, sampler.InitSpec(std=std))
 
     def test_disjoint_interval_equals_unguided(self):
         cond = toy_conditional_stats()
@@ -439,10 +450,12 @@ class TestSampleBatch:
         naive = sampler.GuidanceConfig(gamma=0.0)
         a = sampler.sample_batch(cond, uncond, 6, 1, sched, guided)
         b = sampler.sample_batch(cond, uncond, 6, 1, sched, naive)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
+        sched = sampler.make_schedule(n_steps=2)
+        with pytest.raises(ValueError, match="m must be"):
             sampler.sample_batch(toy_conditional_stats(), toy_unconditional_stats(),
-                                 0, 0, sampler.make_schedule(n_steps=2),
-                                 sampler.GuidanceConfig())
+                                 0, 0, sched, sampler.GuidanceConfig())
+        with pytest.raises(ValueError, match="m must be"):
+            gmm.sample_batch(demo_mixture(), 0, 0, 0, sched, sampler.GuidanceConfig())
