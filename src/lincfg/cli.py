@@ -7,13 +7,14 @@ reproducible: pass the manifest back as --config to regenerate bit-identical
 sample files.
 
 Exit codes: 0 ok, 1 verification/other failure, 2 missing input,
-3 format error, 4 numerical divergence, 5 shape error.
+3 format or usage error, 4 numerical divergence, 5 shape error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -49,14 +50,29 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def _float_pair(text: str) -> tuple[float, float]:
-    lo, hi = (float(p) for p in text.split(":"))
+def _number(kind: type, low: float | None = None, strict: bool = False):
+    """Parser of one int or finite float, at least low (above low if strict). It
+    and the parsers built on it type every flag and config value."""
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError("need a finite number")
+        if low is not None and not (value > low if strict else value >= low):
+            raise ValueError(f"need {'>' if strict else '>='} {low}")
+        return value
+    return parse
+
+
+def _float_pair(text: str, increasing: bool = False) -> tuple[float, float]:
+    lo, hi = map(_number(float), text.split(":"))
+    if increasing and not hi > lo:
+        raise ValueError("need lo < hi")
     return lo, hi
 
 
 def _optional(parse):
-    """parse, except that an empty value means None."""
-    return lambda text: parse(text) if text else None
+    """parse, except that an empty value or 'none' means None."""
+    return lambda text: None if text.lower() in ("", "none") else parse(text)
 
 
 def _parse_init(text: str) -> str:
@@ -85,27 +101,26 @@ CONFIG_KEYS: dict[str, tuple] = {
     "cond_stats": ("", str),
     "uncond_stats": ("", str),
     "mixture": ("", str),
-    "target": ("0", int),
-    "sigma_max": (str(sampler.DEFAULT_SIGMA_MAX), float),
-    "sigma_min": (str(sampler.DEFAULT_SIGMA_MIN), float),
-    "steps": (str(sampler.DEFAULT_STEPS), int),
-    "rho": (str(sampler.DEFAULT_RHO), float),
-    "gamma": (str(sampler.DEFAULT_GAMMA), float),
+    "target": ("0", _number(int, 0)),
+    "sigma_max": (str(sampler.DEFAULT_SIGMA_MAX), _number(float, 0.0, strict=True)),
+    "sigma_min": (str(sampler.DEFAULT_SIGMA_MIN), _number(float, 0.0, strict=True)),
+    "steps": (str(sampler.DEFAULT_STEPS), _number(int, 1)),
+    "rho": (str(sampler.DEFAULT_RHO), _number(float, 1.0)),
+    "gamma": (str(sampler.DEFAULT_GAMMA), _number(float, 0.0)),
     "components": ("all", _parse_components),
     "cond": ("true", _parse_bool),
-    "interval": ("none", lambda text: None if text.lower() in ("", "none")
-                 else _float_pair(text)),
-    "freeze_cpc_at": ("", _optional(float)),
+    "interval": ("none", _optional(_float_pair)),
+    "freeze_cpc_at": ("", _optional(_number(float, 0.0, strict=True))),
     "heun": ("false", _parse_bool),
-    "m": ("64", int),
-    "seed": ("0", int),
+    "m": ("64", _number(int, 1)),
+    "seed": ("0", _number(int, 0)),
     "init": ("zero", _parse_init),
-    "init_gamma": ("0", float),
-    "init_sigma": ("", _optional(float)),
+    "init_gamma": ("0", _number(float, 0.0)),
+    "init_sigma": ("", _optional(_number(float, 0.0))),
     "outdir": ("out", Path),
     "ppm_shape": ("", _optional(parse_shape)),
-    "ppm_count": ("0", int),
-    "fixed_range": ("", _optional(_float_pair)),
+    "ppm_count": ("0", _number(int, 0)),
+    "fixed_range": ("", _optional(partial(_float_pair, increasing=True))),
 }
 
 # Keys that apply to one sampling mode only; setting them in the other is an error.
@@ -115,15 +130,11 @@ MIXTURE_ONLY_KEYS = ("target",)
 
 
 def _parse(key: str, text: str):
-    """The typed value of one config key; a malformed value is a format error."""
+    """The typed value of one config key; a value its parser rejects is a format error."""
     try:
         return CONFIG_KEYS[key][1](text)
-    except ValueError:
-        raise FormatError(f"malformed {key!r} value {text!r}") from None
-
-
-def _fixed_range(text: str | None) -> tuple[float, float] | None:
-    return _parse("fixed_range", text or "")
+    except ValueError as exc:
+        raise FormatError(f"invalid {key!r} value {text!r}: {exc}") from None
 
 
 def parse_config(resolved: dict[str, str]) -> dict:
@@ -144,8 +155,6 @@ def parse_config(resolved: dict[str, str]) -> dict:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read a flat key=value config, or the 'config' block of a run manifest."""
-    if not path.exists():
-        raise FileNotFoundError(path)
     text = path.read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -175,10 +184,10 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return out
 
 
-def resolve_config(path: Path | None, overrides: dict[str, str]) -> dict[str, str]:
+def resolve_config(path: str | None, overrides: dict[str, str]) -> dict[str, str]:
     config = {key: default for key, (default, _) in CONFIG_KEYS.items()}
-    if path is not None:
-        config.update(parse_config_file(path))
+    if path:
+        config.update(parse_config_file(_require_file(path, "config")))
     for key, value in overrides.items():
         if value is not None:
             config[key] = str(value)
@@ -189,7 +198,7 @@ def _require_file(path_text: str, what: str) -> Path:
     if not path_text:
         raise FileNotFoundError(f"{what} not configured")
     path = Path(path_text)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(path)
     return path
 
@@ -200,10 +209,7 @@ def _require_file(path_text: str, what: str) -> Path:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise FileNotFoundError(data_path)
-    data = load_data_any(data_path)
+    data = load_data_any(_require_file(args.data, "data file"))
     stats = estimate_gaussian_stats(data, label=args.label)
     save_stats(stats, args.out)
     top = stats.eigvals[:10]
@@ -228,16 +234,13 @@ def _checked(keys: tuple[str, ...], build):
 
 def _build_run(config: dict) -> tuple[sampler.NoiseSchedule, sampler.GuidanceConfig,
                                       sampler.InitSpec]:
-    """Schedule, guidance and init spec of a parsed config. An out-of-range value
-    is a format error naming its key, raised before any file is touched."""
-    for key, low in (("m", 1), ("init_sigma", 0.0), ("init_gamma", 0.0)):
-        if config[key] is not None and config[key] < low:
-            raise FormatError(f"out-of-range {key!r} value {config[key]!r}: need >= {low}")
-    schedule = _checked(("sigma_max", "sigma_min", "steps", "rho"),
+    """Schedule, guidance and init spec of a parsed config. Values that conflict
+    with each other are a format error naming their keys."""
+    schedule = _checked(("sigma_max", "sigma_min"),
                         lambda: sampler.make_schedule(config["sigma_max"], config["sigma_min"],
                                                       config["steps"], config["rho"]))
     comps = config["components"]
-    cfg = _checked(("gamma", "interval", "freeze_cpc_at"), lambda: sampler.GuidanceConfig(
+    cfg = _checked(("interval",), lambda: sampler.GuidanceConfig(
         gamma=config["gamma"],
         enable_cond=config["cond"],
         enable_pos_cpc="pos_cpc" in comps,
@@ -283,14 +286,12 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    """Parse and build the run, read and check its inputs, then make outdir,
-    sample and write; a bad config or input fails before outdir exists."""
+    """Parse and build the run, read and check its inputs, then sample and write."""
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    resolved = resolve_config(Path(args.config) if args.config else None, overrides)
+    resolved = resolve_config(args.config, overrides)
     config = parse_config(resolved)
     draw, meta = _load_inputs(config, *_build_run(config))
     outdir = config["outdir"]
-    outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     samples = draw()
@@ -348,11 +349,12 @@ def _load_pair(args) -> tuple:
     return cond, uncond
 
 
-def _cpc_spectrum(args, cond, uncond) -> cpca.SignedSpectrum:
-    """Posterior CPCs at --sigma, or the raw covariance contrast without it."""
-    if args.sigma is not None:
-        return cpca.posterior_cpcs(cond, uncond, args.sigma)
-    return cpca.contrastive_components(cond.covariance(), uncond.covariance())
+def _cpcs(args, cond, uncond) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Eigenvalues, and positive and negative CPCs as columns, strongest first: of
+    the posterior contrast at --sigma, or of the raw covariance contrast without it."""
+    spec = (cpca.posterior_cpcs(cond, uncond, args.sigma) if args.sigma is not None
+            else cpca.contrastive_components(cond.covariance(), uncond.covariance()))
+    return spec.eigvals, {"pos_cpc": spec.positive[1], "neg_cpc": spec.negative[1][:, ::-1]}
 
 
 def _mean_shift(args, cond, uncond) -> np.ndarray:
@@ -364,63 +366,48 @@ def _mean_shift(args, cond, uncond) -> np.ndarray:
 
 def cmd_export_cpcs(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
-    spec = _cpc_spectrum(args, cond, uncond)
-    shape = parse_shape(args.shape)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    fixed = _fixed_range(args.fixed_range)
-    pos_vals, pos_vecs = spec.positive
-    neg_vals, neg_vecs = spec.negative
-    n_pos = min(args.count, pos_vecs.shape[1])
-    n_neg = min(args.count, neg_vecs.shape[1])
-    for i in range(n_pos):
-        write_image(outdir / f"pos_cpc_{i:02d}", pos_vecs[:, i], shape, fixed)
-    for i in range(n_neg):
-        # most negative first
-        write_image(outdir / f"neg_cpc_{i:02d}", neg_vecs[:, n_neg - 1 - i], shape, fixed)
-    rows = [f"{i},{float(v)!r}" for i, v in enumerate(spec.eigvals)]
-    atomic_write_text(outdir / "cpc_eigenvalues.csv",
+    eigvals, columns = _cpcs(args, cond, uncond)
+    counts = []
+    for kind, vecs in columns.items():
+        counts.append(min(args.count, vecs.shape[1]))
+        for i in range(counts[-1]):
+            write_image(args.outdir / f"{kind}_{i:02d}", vecs[:, i], args.shape, args.fixed_range)
+    rows = [f"{i},{float(v)!r}" for i, v in enumerate(eigvals)]
+    atomic_write_text(args.outdir / "cpc_eigenvalues.csv",
                       "index,eigenvalue\n" + "\n".join(rows) + "\n")
-    print(f"export cpcs: {n_pos} positive, {n_neg} negative -> {outdir}")
+    print(f"export cpcs: {counts[0]} positive, {counts[1]} negative -> {args.outdir}")
     return EXIT_OK
 
 
 def cmd_export_mean_shift(args: argparse.Namespace) -> int:
     cond, uncond = _load_pair(args)
-    shape = parse_shape(args.shape)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = write_image(outdir / "mean_shift", _mean_shift(args, cond, uncond), shape,
-                       _fixed_range(args.fixed_range))
+    path = write_image(args.outdir / "mean_shift", _mean_shift(args, cond, uncond),
+                       args.shape, args.fixed_range)
     print(f"export mean_shift_dir -> {path}")
     return EXIT_OK
 
 
+def _parse_direction(text: str) -> tuple[str, str, int]:
+    """(text, KIND, I) of 'mean_shift' or of KIND[:I], KIND in eigvec, pos_cpc, neg_cpc."""
+    kind, colon, index = text.partition(":")
+    if kind not in ("eigvec", "pos_cpc", "neg_cpc") and text != "mean_shift":
+        raise ValueError("use mean_shift, eigvec:I, pos_cpc:I or neg_cpc:I")
+    return text, kind, _number(int, 0)(index) if colon else 0
+
+
 def _resolve_direction(args, cond, uncond) -> tuple[np.ndarray, bool]:
     """Return (unit direction, magnitude_default) for histogram export."""
-    spec_name = args.direction
-    if spec_name == "mean_shift":
+    _, kind, index = args.direction
+    if kind == "mean_shift":
         w = _mean_shift(args, cond, uncond)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             raise DataError("mean-shift direction is zero")
         return w / norm, False
-    kind, _, index_text = spec_name.partition(":")
-    index = int(index_text) if index_text else 0
-    if kind == "eigvec":
-        return cond.eigvecs[:, index].copy(), False
-    spec = _cpc_spectrum(args, cond, uncond)
-    if kind == "pos_cpc":
-        vals, vecs = spec.positive
-    elif kind == "neg_cpc":
-        vals, vecs = spec.negative
-        vecs = vecs[:, ::-1]  # most negative first
-    else:
-        raise FormatError(f"unknown direction {spec_name!r}; use mean_shift, "
-                          "eigvec:I, pos_cpc:I or neg_cpc:I")
+    vecs = cond.eigvecs if kind == "eigvec" else _cpcs(args, cond, uncond)[1][kind]
     if index >= vecs.shape[1]:
         raise ShapeError(f"{kind} index {index} out of range ({vecs.shape[1]} available)")
-    return vecs[:, index].copy(), True
+    return vecs[:, index].copy(), kind != "eigvec"
 
 
 def cmd_export_histograms(args: argparse.Namespace) -> int:
@@ -430,18 +417,17 @@ def cmd_export_histograms(args: argparse.Namespace) -> int:
     magnitude = args.magnitude if args.magnitude is not None else mag_default
     hist = project_histogram(data.values, direction, cond.mean,
                              n_bins=args.bins, magnitude=magnitude)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    name = args.direction.replace(":", "_")
-    atomic_write_text(outdir / f"hist_{name}.csv", histogram_csv(hist))
-    atomic_write_text(outdir / f"hist_{name}.svg",
-                      histogram_svg(hist, title=f"projection onto {args.direction}"))
-    print(f"export histograms: mean={hist.mean:.6g} std={hist.std:.6g} -> {outdir}")
+    text = args.direction[0]
+    name = text.replace(":", "_")
+    atomic_write_text(args.outdir / f"hist_{name}.csv", histogram_csv(hist))
+    atomic_write_text(args.outdir / f"hist_{name}.svg",
+                      histogram_svg(hist, title=f"projection onto {text}"))
+    print(f"export histograms: mean={hist.mean:.6g} std={hist.std:.6g} -> {args.outdir}")
     return EXIT_OK
 
 
-def _similarity_outputs(paths: list[str], out_csv: str | None,
-                        out_svg: str | None) -> int:
+def _similarity_outputs(paths: list[str], out_csv: Path | None,
+                        out_svg: Path | None) -> int:
     stats_list = [load_stats(_require_file(p, "stats file")) for p in paths]
     labels = [s.label or Path(p).stem for s, p in zip(stats_list, paths)]
     matrix = metrics.class_similarity_matrix(stats_list)
@@ -458,10 +444,8 @@ def _similarity_outputs(paths: list[str], out_csv: str | None,
 
 
 def cmd_export_similarity(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _similarity_outputs(args.stats, str(outdir / "similarity.csv"),
-                               str(outdir / "similarity.svg"))
+    return _similarity_outputs(args.stats, args.outdir / "similarity.csv",
+                               args.outdir / "similarity.svg")
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
@@ -474,8 +458,6 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_gmm_demo(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     schedule = sampler.make_schedule(n_steps=args.steps)
     summary: dict = {"seed": args.seed}
 
@@ -487,8 +469,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                  sampler.GuidanceConfig(gamma=0.0))
     guided = sampler.sample_batch(cond, uncond, args.m, args.seed, schedule,
                                   sampler.GuidanceConfig(gamma=args.gamma))
-    save_data_matrix(DataMatrix(naive), outdir / "toy_naive.bin")
-    save_data_matrix(DataMatrix(guided), outdir / "toy_cfg.bin")
+    save_data_matrix(DataMatrix(naive), args.out / "toy_naive.bin")
+    save_data_matrix(DataMatrix(guided), args.out / "toy_cfg.bin")
     v_pos = pair.eigvecs[:, 0]
     v_neg = pair.eigvecs[:, 1]
     ratios = {}
@@ -511,8 +493,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                sampler.GuidanceConfig(gamma=0.0))
     m_guided = gmm.sample_batch(model, 0, args.m, args.seed + 1, schedule,
                                 sampler.GuidanceConfig(gamma=args.gamma))
-    save_data_matrix(DataMatrix(m_naive), outdir / "gmm_naive.bin")
-    save_data_matrix(DataMatrix(m_guided), outdir / "gmm_cfg.bin")
+    save_data_matrix(DataMatrix(m_naive), args.out / "gmm_naive.bin")
+    save_data_matrix(DataMatrix(m_guided), args.out / "gmm_cfg.bin")
     sigma_eval = schedule.sigma_min
     w_naive = np.mean(gmm.posterior_weights(model, m_naive[:200], sigma_eval).w[:, 0])
     w_guided = np.mean(gmm.posterior_weights(model, m_guided[:200], sigma_eval).w[:, 0])
@@ -522,8 +504,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                           "target_weight_guided": float(w_guided),
                           "gamma": args.gamma}
 
-    atomic_write_text(outdir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(f"gmm-demo: outputs in {outdir}")
+    atomic_write_text(args.out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    print(f"gmm-demo: outputs in {args.out}")
     return EXIT_OK
 
 
@@ -532,8 +514,25 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are format errors (exit 3)."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
+def _flag(parse):
+    """parse as an argparse type: its rejection, with the reason, is a usage error."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+    return typed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lincfg",
         description="Linear-Gaussian diffusion sampling and guidance analysis lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -558,67 +557,64 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="render vectors/stats as images or figures")
     export_sub = p_export.add_subparsers(dest="what", required=True)
 
-    pe_cpcs = export_sub.add_parser("cpcs", help="CPC images and eigenvalue table")
-    pe_cpcs.add_argument("--cond", required=True)
-    pe_cpcs.add_argument("--uncond", required=True)
-    pe_cpcs.add_argument("--sigma", type=float, default=None,
-                         help="posterior CPCs at this noise level (default: raw contrast)")
-    pe_cpcs.add_argument("--count", type=int, default=4)
-    pe_cpcs.add_argument("--shape", required=True, help="HxWxC with C in {1,3}")
-    pe_cpcs.add_argument("--fixed-range", default=None, help="lo:hi intensity clamp")
-    pe_cpcs.add_argument("--outdir", default="out")
+    pair = _Parser(add_help=False)
+    pair.add_argument("--cond", required=True)
+    pair.add_argument("--uncond", required=True)
+    pair.add_argument("--sigma", type=_flag(_number(float, 0.0, strict=True)),
+                      help="posterior CPCs and gated mean shift at this noise level "
+                           "(default: raw covariance contrast and mu_c - mu_uc)")
+    pair.add_argument("--outdir", type=Path, default="out")
+    image = _Parser(add_help=False)
+    image.add_argument("--shape", type=_flag(parse_shape), required=True,
+                       help="HxWxC with C in {1,3}")
+    image.add_argument("--fixed-range", type=_flag(partial(_float_pair, increasing=True)),
+                       help="lo:hi intensity clamp")
+
+    pe_cpcs = export_sub.add_parser("cpcs", parents=[pair, image],
+                                    help="CPC images and eigenvalue table")
+    pe_cpcs.add_argument("--count", type=_flag(_number(int, 0)), default=4)
     pe_cpcs.set_defaults(func=cmd_export_cpcs)
 
-    pe_ms = export_sub.add_parser("mean_shift_dir", help="mean-shift direction image")
-    pe_ms.add_argument("--cond", required=True)
-    pe_ms.add_argument("--uncond", required=True)
-    pe_ms.add_argument("--sigma", type=float, default=None,
-                       help="apply the (I - shrunk covariance) gate at this sigma")
-    pe_ms.add_argument("--shape", required=True)
-    pe_ms.add_argument("--fixed-range", default=None)
-    pe_ms.add_argument("--outdir", default="out")
+    pe_ms = export_sub.add_parser("mean_shift_dir", parents=[pair, image],
+                                  help="mean-shift direction image")
     pe_ms.set_defaults(func=cmd_export_mean_shift)
 
-    pe_hist = export_sub.add_parser("histograms", help="projection histogram CSV + SVG")
+    pe_hist = export_sub.add_parser("histograms", parents=[pair],
+                                    help="projection histogram CSV + SVG")
     pe_hist.add_argument("--samples", required=True, help="LCFD1 samples file")
-    pe_hist.add_argument("--cond", required=True)
-    pe_hist.add_argument("--uncond", required=True)
-    pe_hist.add_argument("--direction", required=True,
+    pe_hist.add_argument("--direction", type=_flag(_parse_direction), required=True,
                          help="mean_shift | eigvec:I | pos_cpc:I | neg_cpc:I")
-    pe_hist.add_argument("--sigma", type=float, default=None,
-                         help="posterior CPCs and gated mean shift at this noise level")
-    pe_hist.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS)
+    pe_hist.add_argument("--bins", type=_flag(_number(int, 1)), default=metrics.DEFAULT_BINS)
     mag = pe_hist.add_mutually_exclusive_group()
     mag.add_argument("--magnitude", dest="magnitude", action="store_true", default=None)
     mag.add_argument("--signed", dest="magnitude", action="store_false")
-    pe_hist.add_argument("--outdir", default="out")
     pe_hist.set_defaults(func=cmd_export_histograms)
 
     pe_sim = export_sub.add_parser("similarity", help="class-similarity CSV + SVG heatmap")
     pe_sim.add_argument("--stats", nargs="+", required=True)
-    pe_sim.add_argument("--outdir", default="out")
+    pe_sim.add_argument("--outdir", type=Path, default="out")
     pe_sim.set_defaults(func=cmd_export_similarity)
 
     p_sim = sub.add_parser("similarity", help="pairwise Gaussian Frechet distances")
     p_sim.add_argument("stats", nargs="+")
-    p_sim.add_argument("--out-csv", default=None)
-    p_sim.add_argument("--out-svg", default=None)
+    p_sim.add_argument("--out-csv", type=Path, default=None)
+    p_sim.add_argument("--out-svg", type=Path, default=None)
     p_sim.set_defaults(func=cmd_similarity)
 
     p_demo = sub.add_parser("gmm-demo", help="run the built-in synthetic demos")
-    p_demo.add_argument("--out", default="gmm_demo_out")
-    p_demo.add_argument("--gamma", type=float, default=1.0)
-    p_demo.add_argument("--m", type=int, default=1000)
-    p_demo.add_argument("--steps", type=int, default=200)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--out", type=Path, default="gmm_demo_out")
+    p_demo.add_argument("--gamma", type=_flag(_number(float, 0.0)), default=1.0)
+    p_demo.add_argument("--m", type=_flag(_number(int, 1)), default=1000)
+    p_demo.add_argument("--steps", type=_flag(_number(int, 1)), default=200)
+    p_demo.add_argument("--seed", type=_flag(_number(int, 0)), default=0)
     p_demo.set_defaults(func=cmd_gmm_demo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: no such input: {exc}", file=sys.stderr)

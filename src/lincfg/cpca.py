@@ -95,29 +95,3 @@ def variance_along(stats: GaussianStats, v: np.ndarray) -> float:
         raise ValueError(f"direction must be a unit vector, |v| = {nrm}")
     y = stats.eigvecs.T @ v
     return float(np.sum(stats.eigvals * y * y))
-
-
-def cpc_drift_angles(cond: GaussianStats, uncond: GaussianStats,
-                     sigmas: np.ndarray, k: int = 1) -> np.ndarray:
-    """Principal angles (radians) between the top-k CPC subspace at each sigma
-    and the sigma-free CPCs of Sigma_c - Sigma_uc.
-
-    Diagnostic only: how far the noise-dependent CPCs drift from the raw
-    covariance contrast carries no asserted bound.
-    """
-    base = contrastive_components(cond.covariance(), uncond.covariance())
-    _, vb = base.positive
-    k = min(k, vb.shape[1])
-    if k == 0:
-        return np.zeros(len(sigmas))
-    out = np.empty(len(sigmas))
-    for i, s in enumerate(np.asarray(sigmas, dtype=np.float64)):
-        spec = posterior_cpcs(cond, uncond, float(s))
-        _, vs = spec.positive
-        kk = min(k, vs.shape[1])
-        if kk == 0:
-            out[i] = np.pi / 2
-            continue
-        sv = np.linalg.svd(vb[:, :k].T @ vs[:, :kk], compute_uv=False)
-        out[i] = float(np.arccos(np.clip(sv.min(), -1.0, 1.0)))
-    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .fileio import atomic_write_bytes
 from .metrics import ProjectionHistogram
 
@@ -23,18 +23,17 @@ __all__ = [
 
 
 def parse_shape(spec: str) -> tuple[int, int, int]:
-    """Parse 'HxWxC' (or 'HxW' for grayscale) into a (H, W, C) tuple."""
+    """Parse 'HxWxC' (or 'HxW' for grayscale) into a (H, W, C) tuple; a malformed
+    spec is a FormatError."""
     parts = spec.lower().split("x")
     if len(parts) == 2:
         parts.append("1")
-    if len(parts) != 3:
-        raise ValueError(f"image shape must be HxWxC, got {spec!r}")
     try:
         h, w, c = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"image shape must be integers HxWxC, got {spec!r}") from exc
+    except ValueError:
+        raise FormatError(f"image shape must be integers HxWxC, got {spec!r}") from None
     if h < 1 or w < 1 or c not in (1, 3):
-        raise ValueError(f"invalid image shape {spec!r} (C must be 1 or 3)")
+        raise FormatError(f"invalid image shape {spec!r} (C must be 1 or 3)")
     return h, w, c
 
 

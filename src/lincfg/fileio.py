@@ -1,4 +1,4 @@
-"""Atomic file writes: temp file in the target directory + rename."""
+"""Atomic file writes: temp file in the target directory, made if missing, + rename."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import tempfile
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -60,6 +60,13 @@ class TestFit:
         assert code == 2
         assert "no such input" in capsys.readouterr().err
 
+    def test_creates_parent_directories_of_output(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0\n3.0,5.0\n-1.0,0.5\n")
+        out = tmp_path / "new" / "dir" / "out.stats"
+        assert main(["fit", str(data), str(out)]) == 0
+        assert load_stats(out).d == 2
+
     def test_malformed_header_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"LCFD1\x05\x00\x00\x00")  # truncated header
@@ -187,6 +194,8 @@ class TestSample:
         ("--sigma-max", "big"), ("--rho", "seven"), ("--init-sigma", "wide"),
         ("--interval", "a:b"), ("--interval", "1:2:3"), ("--freeze-cpc-at", "one"),
         ("--fixed-range", "0"), ("--ppm-count", "2.0"), ("--ppm-shape", "axb"),
+        ("--gamma", "nan"), ("--init-sigma", "nan"), ("--interval", "0.3:inf"),
+        ("--fixed-range", "nan:1"),
     ])
     def test_malformed_value_exit_3(self, tmp_path, toy_files, capsys, flag, value):
         cond_path, uncond_path = toy_files
@@ -221,6 +230,7 @@ class TestSample:
         assert code == 4
         err = capsys.readouterr().err
         assert "divergence" in err and "step" in err
+        assert not (tmp_path / "d").exists()
 
     def test_mixture_mode(self, tmp_path, mixture_file):
         model, manifest = mixture_file
@@ -326,6 +336,25 @@ class TestExport:
                      "--uncond", str(uncond_path), "--shape", "8x8x3",
                      "--outdir", str(tmp_path / "x")])
         assert code == 5
+        assert not (tmp_path / "x").exists()
+
+    def test_export_cpcs_negative_images_start_at_the_most_negative(self, tmp_path):
+        from lincfg import cpca
+        from lincfg.export import write_image
+        from lincfg.synthetic import random_stats_pair
+        cond, uncond = random_stats_pair(4, np.random.default_rng(3))
+        spec = cpca.contrastive_components(cond.covariance(), uncond.covariance())
+        assert spec.n_neg >= 2
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        write_image(tmp_path / "expect", spec.negative[1][:, -1], (2, 2, 1))
+        for count in (1, 9):
+            out = tmp_path / f"n{count}"
+            assert main(["export", "cpcs", "--cond", str(tmp_path / "c.stats"),
+                         "--uncond", str(tmp_path / "u.stats"), "--count", str(count),
+                         "--shape", "2x2", "--outdir", str(out)]) == 0
+            assert ((out / "neg_cpc_00.pgm").read_bytes()
+                    == (tmp_path / "expect.pgm").read_bytes())
 
     def test_export_mean_shift_dir(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -417,3 +446,60 @@ def test_gmm_demo(tmp_path, capsys):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "toy" in summary and "mixture" in summary
+
+
+# Every command fails the same way: a bad flag value or usage error exits 3, a
+# missing or non-file input exits 2, a shape mismatch exits 5, and none of them
+# leaves the output directory behind. {cond}, {uncond}, {samples}, {out} and
+# {tmp} are filled in with paths under tmp_path.
+_SAMPLE = ["sample", "--cond-stats", "{cond}", "--uncond-stats", "{uncond}",
+           "--steps", "4", "--m", "2", "--outdir", "{out}"]
+_PAIR = ["--cond", "{cond}", "--uncond", "{uncond}", "--outdir", "{out}"]
+_HIST = ["export", "histograms", "--samples", "{samples}", *_PAIR]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (_SAMPLE + ["--gamma", "nan"], 3, "'gamma'"),
+    (_SAMPLE + ["--init-sigma", "nan"], 3, "'init_sigma'"),
+    (_SAMPLE + ["--gamma", "inf"], 3, "'gamma'"),
+    (_SAMPLE + ["--seed", "-1"], 3, "'seed'"),
+    (_SAMPLE + ["--ppm-shape", "2x1x1", "--ppm-count", "-1"], 3, "'ppm_count'"),
+    (_SAMPLE + ["--cond-stats", "{tmp}"], 2, "no such input: {tmp}"),
+    (_SAMPLE + ["--config", "{tmp}"], 2, "no such input: {tmp}"),
+    (["fit", "{tmp}", "{out}/o.stats"], 2, "no such input: {tmp}"),
+    (["export", "cpcs", *_PAIR, "--shape", "8x8x3"], 5, "8x8x3"),
+    (["export", "cpcs", *_PAIR, "--shape", "1x2x2"], 3, "--shape"),
+    (["export", "cpcs", *_PAIR, "--shape", "1x2", "--sigma", "abc"], 3, "--sigma"),
+    (["export", "cpcs", *_PAIR, "--shape", "1x2", "--count", "-1"], 3, "--count"),
+    (["export", "cpcs", *_PAIR], 3, "--shape"),
+    (["export", "mean_shift_dir", *_PAIR, "--shape", "1x2", "--sigma", "0"], 3, "--sigma"),
+    (["export", "mean_shift_dir", *_PAIR, "--shape", "1x2", "--sigma", "inf"], 3, "--sigma"),
+    (["export", "mean_shift_dir", *_PAIR, "--shape", "1x2", "--fixed-range", "1:0"], 3,
+     "--fixed-range"),
+    (_HIST + ["--direction", "pos_cpc:-1"], 3, "--direction"),
+    (_HIST + ["--direction", "eigvec:-2"], 3, "--direction"),
+    (_HIST + ["--direction", "bogus:x"], 3, "--direction"),
+    (_HIST + ["--direction", "mean_shift:1"], 3, "--direction"),
+    (_HIST + ["--direction", "eigvec:9"], 5, "eigvec index 9"),
+    (_HIST + ["--direction", "pos_cpc:1"], 5, "pos_cpc index 1"),
+    (_HIST + ["--direction", "mean_shift", "--bins", "0"], 3, "--bins"),
+    (["export", "similarity", "--stats", "{cond}", "{tmp}/missing.stats", "--outdir", "{out}"],
+     2, "missing.stats"),
+    (["gmm-demo", "--out", "{out}", "--m", "0"], 3, "--m"),
+    (["gmm-demo", "--out", "{out}", "--steps", "0"], 3, "--steps"),
+    (["gmm-demo", "--out", "{out}", "--gamma", "-1"], 3, "--gamma"),
+    (["gmm-demo", "--out", "{out}", "--m", "abc"], 3, "--m"),
+    (["gmm-demo", "--out", "{out}", "--seed", "-1"], 3, "--seed"),
+    ([], 3, "command"),
+    (["verify", "bogus"], 3, "bogus"),
+])
+def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, argv, code,
+                                                 message):
+    cond_path, uncond_path = toy_files
+    save_data_matrix(DataMatrix(np.random.default_rng(86).standard_normal((20, 2))),
+                     tmp_path / "s.bin")
+    paths = {"cond": cond_path, "uncond": uncond_path, "samples": tmp_path / "s.bin",
+             "out": tmp_path / "o", "tmp": tmp_path}
+    assert main([a.format(**paths) for a in argv]) == code
+    assert message.format(**paths) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -143,11 +143,3 @@ def test_dimension_mismatch():
     other = GaussianStats(mean=np.zeros(3), eigvecs=np.eye(3), eigvals=np.ones(3))
     with pytest.raises(ShapeError):
         cpca.posterior_cpcs(toy_conditional_stats(), other, 1.0)
-
-
-def test_cpc_drift_angles_diagnostic():
-    cond = toy_conditional_stats()
-    uncond = toy_unconditional_stats()
-    angles = cpca.cpc_drift_angles(cond, uncond, np.array([0.1, 1.0, 10.0]))
-    # common-basis toy: the CPCs never move
-    np.testing.assert_allclose(angles, 0.0, atol=1e-6)

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from lincfg import export, fileio, metrics
-from lincfg.errors import ShapeError
+from lincfg.errors import FormatError, ShapeError
 
 
 def test_parse_shape():
     assert export.parse_shape("64x64x3") == (64, 64, 3)
     assert export.parse_shape("8x8") == (8, 8, 1)
-    with pytest.raises(ValueError):
-        export.parse_shape("8x8x2")
-    with pytest.raises(ValueError):
-        export.parse_shape("axb")
+    for spec in ("8x8x2", "axb", "1x2x3x4", "0x4"):
+        with pytest.raises(FormatError):
+            export.parse_shape(spec)
 
 
 def test_vector_to_image_affine_mapping():
