@@ -6,8 +6,9 @@ A run manifest (JSON) written next to the samples makes every sampling run
 reproducible: pass the manifest back as --config to regenerate bit-identical
 sample files.
 
-Exit codes: 0 ok, 1 verification/other failure, 2 missing input,
-3 format or usage error, 4 numerical divergence, 5 shape error.
+Exit codes: 0 ok, 1 verification/other failure (an output path that cannot
+be written included), 2 missing input, 3 format or usage error, 4 numerical
+divergence, 5 shape error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from functools import partial
@@ -515,7 +517,12 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are format errors (exit 3)."""
+    """An ArgumentParser whose usage errors are format errors (exit 3), and which
+    reads a token that starts with '-' and a digit ('-1:1', '-0.5') as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise FormatError(f"{self.prog}: {message}")
@@ -631,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     except ShapeError as exc:
         print(f"error: shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (DataError, QuadratureError, ValueError, IndexError) as exc:
+    except (DataError, QuadratureError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 

@@ -9,8 +9,11 @@ import tempfile
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:  # e.g. a parent of path is a regular file
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}", exc.filename) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

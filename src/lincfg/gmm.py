@@ -1,9 +1,9 @@
 """Gaussian-mixture extension: mixture scores, Tweedie denoisers, and the
 two-term CFG decomposition against a mixture background.
 
-Component solves run in each component's eigenbasis; posterior weights are
-computed from log-densities with max-subtraction so they stay finite for
-states far from every cluster.
+The weights, score, denoiser and guidance split all read one pass
+(``_posterior``) that projects the states onto each component's eigenbasis
+once; its log-sum-exp weights stay finite for states far from every cluster.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import FormatError, ShapeError
 from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,9 @@ class MixtureModel:
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if w.shape != (len(comps),):
             raise ShapeError(f"need {len(comps)} weights, got {w.shape}")
-        if np.any(w <= 0.0):
-            raise ValueError("mixture weights must be positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+        if not (np.all((w > 0.0) & (w < np.inf)) and abs(float(w.sum()) - 1.0) <= 1e-12):
+            raise ValueError("mixture weights must be finite and positive and sum to 1, "
+                             f"got {w.tolist()}")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "components", comps)
@@ -64,80 +62,63 @@ class PosteriorWeights:
     log_w: np.ndarray
 
 
-def _check_state(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
+def _posterior(model: MixtureModel, x: np.ndarray, sigma: float) -> tuple:
+    """(X, log_w, w, ys) of the state(s) x at noise sigma: the states as rows
+    (m, d), the normalized log posterior weights and the weights (m, K), and
+    y_i = (X - mu_i) U_i per component. The log densities drop their d/2 log 2pi
+    term, which cancels out of normalized weights."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != mixture dimension {model.d}")
-    return x
-
-
-def _log_densities(model: MixtureModel, X: np.ndarray, sigma: float) -> np.ndarray:
-    """log N(x; mu_i, Sigma_i + sigma^2 I) for each row of X, shape (m, K)."""
-    m = X.shape[0]
-    out = np.empty((m, model.k))
+    X = x.reshape(-1, model.d)
     s2 = sigma * sigma
-    for i, comp in enumerate(model.components):
+    ys = [(X - comp.mean) @ comp.eigvecs for comp in model.components]
+    logp = np.empty((len(X), model.k))
+    for i, (comp, y) in enumerate(zip(model.components, ys)):
         var = comp.eigvals + s2
-        y = (X - comp.mean) @ comp.eigvecs
-        out[:, i] = -0.5 * (np.sum(y * y / var, axis=1)
-                            + float(np.sum(np.log(var)))
-                            + model.d * _LOG_2PI)
-    return out
-
-
-def _log_weights(model: MixtureModel, X: np.ndarray, sigma: float) -> np.ndarray:
-    """Normalized log posterior weights, shape (m, K), via log-sum-exp."""
-    logp = _log_densities(model, X, sigma) + np.log(model.weights)
-    peak = logp.max(axis=1, keepdims=True)
-    shifted = logp - peak
-    norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return shifted - norm
+        logp[:, i] = -0.5 * ((y * y) @ (1.0 / var) + float(np.sum(np.log(var))))
+    logp += np.log(model.weights)
+    logp -= logp.max(axis=1, keepdims=True)
+    log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    w = np.exp(log_w)
+    w[log_w < _LOG_UNDERFLOW] = 0.0
+    return X, log_w, w, ys
 
 
 def posterior_weights(model: MixtureModel, x: np.ndarray,
                       sigma: float) -> PosteriorWeights:
-    """Posterior probability that x belongs to each cluster at noise sigma.
-
-    x is one state (d,) or a batch (m, d); the weights have shape (K,) or
-    (m, K). Weights relatively below exp(-745) of the maximum are set to
-    exactly 0; the log weights stay informative for diagnostics.
-    """
-    x = _check_state(model, x, sigma)
-    log_w = _log_weights(model, x.reshape(-1, model.d), sigma)
-    log_w = log_w.reshape(*x.shape[:-1], model.k)
-    w = np.exp(log_w)
-    w[log_w < _LOG_UNDERFLOW] = 0.0
-    return PosteriorWeights(w=w, log_w=log_w)
-
-
-def _weighted_sum(model: MixtureModel, x: np.ndarray, sigma: float,
-                  component_fn) -> np.ndarray:
-    """sum_i w_i(x) component_fn(component_i, x, sigma)."""
-    x = _check_state(model, x, sigma)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    w = posterior_weights(model, X, sigma).w
-    out = np.zeros_like(X)
-    for i, comp in enumerate(model.components):
-        out += w[:, i:i + 1] * component_fn(comp, X, sigma)
-    return out[0] if single else out
+    """Posterior probability that x, of shape (d,) or (m, d), belongs to each
+    cluster at noise sigma: shape (K,) or (m, K). Weights relatively below
+    exp(-745) of the maximum are exactly 0; the log weights stay informative."""
+    _, log_w, w, _ = _posterior(model, x, sigma)
+    shape = (*np.shape(x)[:-1], model.k)
+    return PosteriorWeights(w=w.reshape(shape), log_w=log_w.reshape(shape))
 
 
 def mixture_score(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Score of the noise-mollified mixture:
-    sum_i w_i(x) (Sigma_i + sigma^2 I)^-1 (mu_i - x)."""
-    return _weighted_sum(model, x, sigma, denoiser.score)
+    """Score of the noise-mollified mixture, sum_i w_i(x) (Sigma_i + sigma^2 I)^-1 (mu_i - x),
+    evaluated as -sum_i w_i (y_i / (lam_i + sigma^2)) U_i^T."""
+    X, _, w, ys = _posterior(model, x, sigma)
+    out = np.zeros_like(X)
+    for w_i, comp, y in zip(w.T, model.components, ys):
+        out -= w_i[:, None] * ((y / (comp.eigvals + sigma * sigma)) @ comp.eigvecs.T)
+    return out.reshape(np.shape(x))
 
 
 def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Tweedie denoiser of the mixture:
-    sum_i w_i(x) (mu_i + U_i L~_i U_i^T (x - mu_i)).
+    """Tweedie denoiser of the mixture, sum_i w_i(x) (mu_i + U_i L~_i U_i^T (x - mu_i)),
+    evaluated as sum_i w_i (mu_i + (y_i * f_i) U_i^T) with the shrinkage factors f_i.
 
-    Satisfies D = x + sigma^2 * mixture_score(x) identically.
+    Satisfies D = x + sigma^2 * mixture_score(x) identically, by another formula.
     """
-    return _weighted_sum(model, x, sigma, denoiser.denoise)
+    X, _, w, ys = _posterior(model, x, sigma)
+    out = np.zeros_like(X)
+    for w_i, comp, y in zip(w.T, model.components, ys):
+        out += w_i[:, None] * (comp.mean
+                               + (y * denoiser.shrinkage(comp, sigma)) @ comp.eigvecs.T)
+    return out.reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -163,12 +144,9 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    x = _check_state(model, x, sigma)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    w = posterior_weights(model, X, sigma).w
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    X, _, w, _ = _posterior(model, x, sigma)
     coef = gamma / (sigma * sigma)
     tgt = model.components[target]
 
@@ -179,11 +157,8 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
         cpc -= w[:, i:i + 1] * denoiser.shrink(comp, z, sigma)
         if i != target:
             mean_like += w[:, i:i + 1] * denoiser.mean_shift(tgt, comp, sigma)
-    g_cpc = coef * cpc
-    g_mean = coef * mean_like
-    if single:
-        g_cpc, g_mean = g_cpc[0], g_mean[0]
-    return GmmGuidanceTerms(g_cpc_like=g_cpc, g_mean_like=g_mean)
+    return GmmGuidanceTerms(g_cpc_like=(coef * cpc).reshape(np.shape(x)),
+                            g_mean_like=(coef * mean_like).reshape(np.shape(x)))
 
 
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
@@ -234,4 +209,9 @@ def load_mixture(path) -> MixtureModel:
         weights.append(weight)
     if not comps:
         raise FormatError(f"{path}: manifest lists no components")
-    return MixtureModel(components=tuple(comps), weights=np.array(weights))
+    try:
+        return MixtureModel(components=tuple(comps), weights=np.array(weights))
+    except ShapeError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

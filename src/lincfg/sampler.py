@@ -102,8 +102,8 @@ class GuidanceConfig:
     freeze_cpc_at: float | None = None
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.active_interval is not None:
             lo, hi = self.active_interval
             if not (0.0 < lo <= hi):

@@ -456,6 +456,11 @@ _SAMPLE = ["sample", "--cond-stats", "{cond}", "--uncond-stats", "{uncond}",
            "--steps", "4", "--m", "2", "--outdir", "{out}"]
 _PAIR = ["--cond", "{cond}", "--uncond", "{uncond}", "--outdir", "{out}"]
 _HIST = ["export", "histograms", "--samples", "{samples}", *_PAIR]
+# Mixture manifests over cond.stats and uncond.stats, written as {tmp}/w_NAME.txt,
+# whose weights MixtureModel rejects.
+_BAD_WEIGHTS = {"nan": ("0.5", "nan"), "inf": ("inf", "0.5"), "zero": ("0", "1"),
+                "negative": ("-1", "2"), "sum": ("0.5", "0.4")}
+_MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -492,14 +497,54 @@ _HIST = ["export", "histograms", "--samples", "{samples}", *_PAIR]
     (["gmm-demo", "--out", "{out}", "--seed", "-1"], 3, "--seed"),
     ([], 3, "command"),
     (["verify", "bogus"], 3, "bogus"),
+    *((_MIX + [f"{{tmp}}/w_{name}.txt"], 3, f"{{tmp}}/w_{name}.txt") for name in _BAD_WEIGHTS),
 ])
 def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, argv, code,
                                                  message):
     cond_path, uncond_path = toy_files
     save_data_matrix(DataMatrix(np.random.default_rng(86).standard_normal((20, 2))),
                      tmp_path / "s.bin")
+    for name, weights in _BAD_WEIGHTS.items():
+        (tmp_path / f"w_{name}.txt").write_text(
+            "".join(f"{p.name} {w}\n" for p, w in zip(toy_files, weights)))
     paths = {"cond": cond_path, "uncond": uncond_path, "samples": tmp_path / "s.bin",
              "out": tmp_path / "o", "tmp": tmp_path}
     assert main([a.format(**paths) for a in argv]) == code
     assert message.format(**paths) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["similarity", "{cond}", "{uncond}", "--out-csv", "{afile}/x.csv"], "{afile}/x.csv"),
+    (["sample", "--cond-stats", "{cond}", "--uncond-stats", "{uncond}", "--steps", "4",
+      "--m", "2", "--outdir", "{afile}/x"], "{afile}/x"),
+    (["fit", "{samples}", "{afile}/out.stats"], "{afile}/out.stats"),
+])
+def test_output_below_a_regular_file_exit_1(tmp_path, toy_files, capsys, argv, path):
+    cond_path, uncond_path = toy_files
+    save_data_matrix(DataMatrix(np.random.default_rng(87).standard_normal((20, 2))),
+                     tmp_path / "s.bin")
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    paths = {"cond": cond_path, "uncond": uncond_path, "samples": tmp_path / "s.bin",
+             "afile": afile}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert path.format(**paths) in err and "Traceback" not in err
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--cond-stats", "{cond}", "--uncond-stats", "{uncond}", "--steps", "4",
+     "--m", "3", "--ppm-shape", "1x2"],
+    ["export", "cpcs", "--cond", "{cond}", "--uncond", "{uncond}", "--shape", "1x2"],
+])
+def test_fixed_range_with_negative_bound_as_separate_token(tmp_path, toy_files, argv):
+    cond_path, uncond_path = toy_files
+    argv = [a.format(cond=cond_path, uncond=uncond_path) for a in argv]
+    images = []
+    for name, spelling in (("sep", ["--fixed-range", "-1:1"]), ("eq", ["--fixed-range=-1:1"])):
+        out = tmp_path / name
+        assert main(argv + spelling + ["--outdir", str(out)]) == 0
+        images.append({p.name: p.read_bytes() for p in sorted(out.glob("*.pgm"))})
+    assert images[0] and images[0] == images[1]

@@ -5,6 +5,14 @@ from lincfg import denoiser, gmm, sampler
 from lincfg.errors import FormatError
 from lincfg.stats import GaussianStats, save_stats
 from lincfg.synthetic import demo_mixture, random_mixture, random_stats
+from lincfg.verify import trajectory_rel_error
+
+G = sampler.GuidanceConfig
+MIXTURE_CFGS = {
+    "full": G(gamma=2.0),
+    "interval": G(gamma=2.0, active_interval=(0.5, 10.0)),
+    "no_cond": G(gamma=3.0, enable_cond=False),
+}
 
 
 def two_component_1d():
@@ -21,8 +29,9 @@ class TestMixtureModel:
 
     def test_weights_must_be_positive(self):
         comp = random_stats(2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="positive"):
-            gmm.MixtureModel(components=(comp, comp), weights=np.array([1.0, 0.0]))
+        for weights in ([1.0, 0.0], [0.5, np.nan], [np.inf, 0.5]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gmm.MixtureModel(components=(comp, comp), weights=np.array(weights))
 
     def test_dimensions_must_match(self):
         rng = np.random.default_rng(0)
@@ -164,6 +173,11 @@ class TestGuidance:
         t = gmm.gmm_cfg_guidance(model, 1, rng.standard_normal(3), 0.8, 1.5)
         np.testing.assert_allclose(t.g_cpc_like, 0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+    def test_gamma_domain(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            gmm.gmm_cfg_guidance(two_component_1d(), 0, np.array([0.0]), 1.0, gamma)
+
     def test_target_index_range(self):
         model = two_component_1d()
         with pytest.raises(IndexError):
@@ -207,6 +221,81 @@ class TestMixtureSampling:
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def _dense_parts(model, X, sigma):
+    """From dense solves against Sigma_i + sigma^2 I, per component: the score
+    (Sigma_i + sigma^2 I)^-1 (mu_i - X), the denoiser mu_i - Sigma_i times that
+    score, and the prior-weighted log density; and the log-sum-exp weights."""
+    scores, denoised, logp = [], [], []
+    for comp, prior in zip(model.components, model.weights):
+        a = comp.covariance() + sigma**2 * np.eye(model.d)
+        r = comp.mean - X
+        sol = np.linalg.solve(a, r.T).T
+        scores.append(sol)
+        denoised.append(comp.mean - sol @ comp.covariance())
+        logp.append(np.log(prior) - 0.5 * (np.sum(r * sol, axis=1)
+                                           + np.linalg.slogdet(a)[1]))
+    logp = np.stack(logp, axis=1)
+    w = np.exp(logp - logp.max(axis=1, keepdims=True))
+    return scores, denoised, logp, w / w.sum(axis=1, keepdims=True)
+
+
+def _dense_mixture_drift(model, target, cfg):
+    """(1 + gamma) s_c - gamma s_mix from dense solves, with cond and interval gating."""
+    def drift(x, sigma):
+        scores, _, _, w = _dense_parts(model, x, sigma)
+        s_c = scores[target]
+        out = s_c if cfg.enable_cond else np.zeros_like(s_c)
+        lo, hi = cfg.active_interval or (0.0, np.inf)
+        if lo <= sigma <= hi:
+            s_mix = sum(w[:, i:i + 1] * s for i, s in enumerate(scores))
+            out = out + cfg.gamma * (s_c - s_mix)
+        return out
+
+    return drift
+
+
+class TestDenseOracle:
+    """Mixture sampling and its per-state functions against dense solves."""
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_sample_batch_matches_dense_solve_drift(self, d, name, heun):
+        cfg = MIXTURE_CFGS[name]
+        model = random_mixture(d, 3, np.random.default_rng(d))
+        sched = sampler.make_schedule(n_steps=12)
+        got = gmm.sample_batch(model, 1, 16, d, sched, cfg, heun=heun)
+        x_T = sampler.draw_initial_states(d, 16, d, sched)
+        ref = sampler._drive(_dense_mixture_drift(model, 1, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 5.0, 80.0])
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_batched_functions_match_dense_solves(self, d, sigma):
+        """Each row's errors, in units of the conditioning of its weights.
+
+        The weights are a softmax of log densities of size L, which float64
+        knows to about eps L; that moves w_i by about w_i (1 - w_i) eps L. So a
+        row's weight errors are measured in units of
+        kappa = max(1, L max_i w_i (1 - w_i)), and its score and denoiser
+        errors in units of kappa max(1, max_i |part_i|).
+        """
+        rng = np.random.default_rng(100 + d)
+        model = random_mixture(d, 3, rng)
+        X = np.concatenate([rng.standard_normal((8, d)) * scale
+                            for scale in (1.0, 10.0, 1e2, 1e4)])
+        scores, denoised, logp, w = _dense_parts(model, X, sigma)
+        kappa = np.maximum(1.0, np.max(np.abs(logp), axis=1, keepdims=True)
+                           * np.max(w * (1.0 - w), axis=1, keepdims=True))
+        pw = gmm.posterior_weights(model, X, sigma)
+        assert np.max(np.abs(pw.w - w) / kappa) <= 1e-12
+        for got, parts in ((gmm.mixture_score(model, X, sigma), scores),
+                           (gmm.mixture_denoise(model, X, sigma), denoised)):
+            ref = sum(w[:, i:i + 1] * p for i, p in enumerate(parts))
+            size = np.max([np.max(np.abs(p), axis=1) for p in parts], axis=0)[:, None]
+            assert np.max(np.abs(got - ref) / (kappa * np.maximum(1.0, size))) <= 1e-12
+
+
 class TestManifest:
     def _write_components(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -233,9 +322,11 @@ class TestManifest:
     def test_bad_weight(self, tmp_path):
         paths = self._write_components(tmp_path)
         manifest = tmp_path / "bad.txt"
-        manifest.write_text(f"{paths[0]} notanumber\n")
-        with pytest.raises(FormatError, match="weight"):
-            gmm.load_mixture(manifest)
+        for weights in (["notanumber"], ["0.5", "nan"], ["inf", "0.5"], ["0", "1"],
+                        ["-1", "2"], ["0.5", "0.4"]):
+            manifest.write_text("".join(f"{p} {w}\n" for p, w in zip(paths, weights)))
+            with pytest.raises(FormatError, match=r"bad\.txt.*weight"):
+                gmm.load_mixture(manifest)
 
     def test_missing_column(self, tmp_path):
         manifest = tmp_path / "bad.txt"

@@ -90,8 +90,9 @@ class TestSchedule:
 
 class TestGuidanceConfig:
     def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            sampler.GuidanceConfig(gamma=-1.0)
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sampler.GuidanceConfig(gamma=gamma)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
