@@ -7,6 +7,8 @@ score, signed contrastive-PC terms, and a mean-shift term, each independently
 toggleable. Closed forms (unguided and common-PC guided) provide the oracles.
 """
 
+__version__ = "0.2.0"  # samples are bit-identical only within one version
+
 from . import _threads  # noqa: F401  (thread cap must precede numpy backends)
 
 from .analytic import (CommonPCPair, CommonPCRejection, b_coefficient,
@@ -29,5 +31,3 @@ from .sampler import (GuidanceConfig, GuidanceTerms, InitSpec, NoiseSchedule,
 from .stats import (DataMatrix, GaussianStats, estimate_gaussian_stats,
                     load_data_csv, load_data_matrix, load_stats, pool_stats,
                     save_data_matrix, save_stats, spectral_from_covariance)
-
-__version__ = "0.1.0"

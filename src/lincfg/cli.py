@@ -4,7 +4,7 @@ Commands: fit, sample, verify, export, similarity, gmm-demo. Experiment
 configuration is a flat key=value text file; CLI flags override file values.
 A run manifest (JSON) written next to the samples makes every sampling run
 reproducible: pass the manifest back as --config to regenerate bit-identical
-sample files.
+sample files with the same lincfg version, which the manifest records.
 
 Exit codes: 0 ok, 1 verification/other failure (an output path that cannot
 be written included), 2 missing input, 3 format or usage error, 4 numerical
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, cpca, denoiser, gmm, metrics, sampler, synthetic, verify
+from . import __version__, analytic, cpca, denoiser, gmm, metrics, sampler, synthetic, verify
 from .errors import DataError, DivergenceError, FormatError, QuadratureError, ShapeError
 from .export import (check_image_shape, heatmap_svg, histogram_csv, histogram_svg,
                      matrix_csv, parse_shape, write_image)
@@ -266,7 +266,7 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
         if not 0 <= target < model.k:
             raise FormatError(f"out-of-range 'target' value {target}: "
                               f"the mixture has K={model.k} components")
-        meta = {"mode": "mixture", "k": model.k, "d": model.d}
+        meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture"}
         draw = partial(gmm.sample_batch, model, target, m, seed, schedule, cfg, init,
                        heun=heun)
     else:
@@ -279,7 +279,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
             raise FileNotFoundError("uncond_stats required when gamma > 0")
         if config["init"] == "mean_shifted":
             init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], init.std)
-        meta = {"mode": "gaussian", "d": cond.d}
+        meta = {"mode": "gaussian", "d": cond.d,
+                "sampler": sampler.choose_path(cfg, schedule, m, cond.d, heun=heun)}
         draw = partial(sampler.sample_batch, cond, uncond, m, seed, schedule, cfg, init,
                        heun=heun)
     if config["ppm_shape"] is not None:
@@ -311,6 +312,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     manifest = {
         "tool": "lincfg",
+        "version": __version__,
         "config": resolved,
         "seed": config["seed"],
         "meta": meta,

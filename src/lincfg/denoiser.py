@@ -3,9 +3,11 @@
 All operations work in the eigenbasis of the covariance: apply U^T, scale by
 the per-direction shrinkage factor lam/(lam + sigma^2), apply U. The dense
 inverse (Sigma + sigma^2 I)^-1 is never formed here; it exists only as a test
-oracle. The sampler, the mixture extension and the CLI exports build the
+oracle. The CPC split, the mixture extension and the CLI exports build the
 guided drift from ``shrink``, ``score`` and ``mean_shift`` rather than
-re-deriving the eigenbasis algebra.
+re-deriving the eigenbasis algebra. Full-CFG sampling is the one exception:
+it writes both scores in the eigenbasis of cond once per run
+(``sampler._CondBasisFlow``), and its tests hold it to dense solves.
 
 Vector arguments accept shape (d,) or a batch (m, d); the result matches the
 input shape.
@@ -52,10 +54,12 @@ def denoise(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
 
 def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the noise-mollified Gaussian, (denoise(x) - x) / sigma^2,
-    evaluated as (sigma^-2) U diag(f - 1) U^T (x - mu)."""
+    evaluated as -U diag(1/(lam + sigma^2)) U^T (x - mu). The equal form
+    sigma^-2 U diag(f - 1) U^T (x - mu) cancels in f - 1 at small sigma."""
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     x = _check_dim(stats, x)
-    f = shrinkage(stats, sigma)
-    return (1.0 / (sigma * sigma)) * _project(stats, x - stats.mean, f - 1.0)
+    return _project(stats, stats.mean - x, 1.0 / (stats.eigvals + sigma * sigma))
 
 
 def mean_shift(cond: GaussianStats, uncond: GaussianStats, sigma: float) -> np.ndarray:

@@ -6,7 +6,11 @@ where drift is the conditional score plus the enabled guidance terms. An
 optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
 
 Full CFG (every guidance term on, no frozen CPC basis) integrates the
-paper's drift (1 + gamma) s_c - gamma s_uc directly; the CPC split of
+paper's drift (1 + gamma) s_c - gamma s_uc in the eigenbasis of cond, where
+the scores are linear and every step is affine. ``choose_path`` picks one
+of two appliers by a flop count: stepping (two GEMMs per guided drift
+evaluation, elementwise unguided steps) or compiling the run into one affine
+map x_0 = mu_c + (x_T - mu_c) P + q applied with one GEMM. The CPC split of
 ``guidance_terms`` runs only for partial-component and frozen-basis
 ablations. States accept shape (d,) or a batch (m, d).
 """
@@ -200,23 +204,44 @@ def data_scale(*stats: GaussianStats) -> float:
     return max(float(np.max(np.abs(s.mean))) + float(np.sqrt(s.eigvals[0])) for s in stats)
 
 
+def _start(x_T: np.ndarray, schedule: NoiseSchedule,
+           scale: float) -> tuple[np.ndarray, bool, float]:
+    """The start as an (m, d) block, whether it was one (d,) state, and the
+    divergence limit: DIVERGENCE_GUARD times the trajectory scale
+    max(1, sigma_max, max|x_T|, scale), where ``scale`` is the run's data scale."""
+    x = np.asarray(x_T, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.ndim != 2:
+        raise ShapeError(f"state must have shape (d,) or (m, d), got {np.shape(x_T)}")
+    if not np.all(np.isfinite(x)):
+        raise ShapeError("initial state contains non-finite entries")
+    limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, float(np.max(np.abs(x))), scale)
+    return x, single, limit
+
+
+def _diverged(schedule: NoiseSchedule, step: int, bad: np.ndarray,
+              single: bool) -> DivergenceError:
+    """The error for a step after which the rows flagged in ``bad`` are past the guard."""
+    s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
+    sample = int(np.flatnonzero(bad)[0])
+    return DivergenceError(
+        f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})"
+        + (f", sample {sample}" if not single else ""),
+        step=step, sample=None if single else sample)
+
+
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
            heun: bool = False, scale: float = 0.0) -> np.ndarray:
     """Step the reverse ODE along the schedule for one (m, d) state block.
 
     ``drift(x, sigma)`` returns the total score-like term; the ODE slope is
-    then -sigma * drift. A state entry beyond DIVERGENCE_GUARD times the
-    trajectory scale max(1, sigma_max, max|x_T|, scale), or a non-finite
-    one, raises DivergenceError; ``scale`` is the data scale of the run.
+    then -sigma * drift. A state entry beyond the limit of ``_start``, or a
+    non-finite one, raises DivergenceError; ``scale`` is the data scale of
+    the run.
     """
-    x = np.array(x_T, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if not np.all(np.isfinite(x)):
-        raise ShapeError("initial state contains non-finite entries")
-    limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, float(np.max(np.abs(x))), scale)
-
+    x, single, limit = _start(x_T, schedule, scale)
     sig = schedule.sigmas
     for i in range(len(sig) - 1):
         s0, s1 = float(sig[i]), float(sig[i + 1])
@@ -228,12 +253,198 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
         if not np.max(np.abs(x)) <= limit:  # also trips on NaN and inf
-            sample = int(np.flatnonzero(~(np.abs(x) <= limit).all(axis=-1))[0])
-            raise DivergenceError(
-                f"trajectory diverged at step {i} (sigma {s0:g} -> {s1:g})"
-                + (f", sample {sample}" if not single else ""),
-                step=i, sample=None if single else sample)
+            raise _diverged(schedule, i, ~(np.abs(x) <= limit).all(axis=-1), single)
     return x[0] if single else x
+
+
+def _is_full_cfg(cfg: GuidanceConfig) -> bool:
+    """Every guidance term on and no frozen CPC basis: the drift needs no CPC split."""
+    return (cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.enable_mean_shift
+            and cfg.freeze_cpc_at is None)
+
+
+def _guided_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> list[bool]:
+    """Per step, whether guidance is on at any of its drift evaluations (Heun: either end)."""
+    on = [cfg.guidance_active(float(s)) for s in schedule.sigmas]
+    return [on[i] or (heun and on[i + 1]) for i in range(schedule.n_steps)]
+
+
+def _compiles(m: int, d: int, n_guided: int, heun: bool) -> bool:
+    """Whether folding a full-CFG run into one affine map takes fewer flops
+    than stepping it, for m states in d dimensions with n_guided guided steps.
+
+    Stepping does two (m, d) x (d, d) GEMMs per guided drift evaluation (e of
+    them per step: 1 for Euler, 2 for Heun) and two for the change into and
+    out of the cond basis:
+
+        stepwise = 4 m d^2 (e n + 1).
+
+    Folding builds each guided step's (d, d) matrix from the symmetric
+    product R diag(beta) R^T (d^3 flops, a syrk) and multiplies it into P
+    (2 d^3). Heun adds the product of its two node matrices (2 d^3); its
+    second node's syrk is the next step's first. Moving P into x coordinates
+    costs 4 d^3, and applying it one GEMM:
+
+        compiled = d^3 (c n + 4) + 2 m d^2,   c = 3 (Euler) or 5 (Heun).
+
+    Elementwise and O(d^2) work is left out. For many guided steps the
+    crossover is m/d = c / 4e: 3/4 for Euler and 5/8 for Heun. A run with no
+    guided step always steps: each of its steps is an O(md) scaling, folding
+    would save at most one GEMM and only for m > 2d, and stepping keeps such
+    runs exact where they can be (the cond mean stays a fixed point).
+    """
+    if n_guided == 0:
+        return False
+    e, c = (2, 5) if heun else (1, 3)
+    return d**3 * (c * n_guided + 4) + 2 * m * d * d < 4 * m * d * d * (e * n_guided + 1)
+
+
+def choose_path(cfg: GuidanceConfig, schedule: NoiseSchedule, m: int, d: int, *,
+                heun: bool = False) -> str:
+    """How ``integrate`` runs m states in d dimensions: 'split' (the CPC
+    split, for ablations), or for full CFG 'compiled' or 'stepwise' by the
+    flop rule of ``_compiles``."""
+    if not _is_full_cfg(cfg):
+        return "split"
+    n_guided = sum(_guided_steps(cfg, schedule, heun))
+    return "compiled" if _compiles(m, d, n_guided, heun) else "stepwise"
+
+
+@dataclass(frozen=True)
+class _CondBasisFlow:
+    """The full-CFG drift of a run in the eigenbasis of cond, node by node.
+
+    With y = (x - mu_c) U_c the drift (c + g) s_c - g s_uc at a node sigma is
+
+        y * alpha + ((y R + delta) * beta) R^T,
+        alpha = -(c + g) / (lam_c + sigma^2),   beta = g / (lam_uc + sigma^2),
+
+    with R = U_c^T U_uc and delta = (mu_c - mu_uc) U_uc; c is 1 with the
+    conditional score on and 0 off, and g is gamma where guidance is on and 0
+    elsewhere. ``beta[j]`` is None at unguided nodes, where the drift is
+    diagonal. Step i goes from node i to node i + 1.
+    """
+
+    mean: np.ndarray
+    basis: np.ndarray
+    rot: np.ndarray
+    offset: np.ndarray
+    schedule: NoiseSchedule
+    alpha: tuple
+    beta: tuple
+    guided: tuple
+    heun: bool
+
+    def weights(self, i: int) -> tuple[float, float]:
+        """(u0, u1): step i's Euler update is y + u0 * drift(y, sigma_i);
+        Heun's corrector weighs the drift at sigma_{i+1} by u1."""
+        s0, s1 = float(self.schedule.sigmas[i]), float(self.schedule.sigmas[i + 1])
+        return (s0 - s1) * s0, (s0 - s1) * s1
+
+    def drift(self, y: np.ndarray, j: int) -> np.ndarray:
+        """The drift at node j of the (m, d) block y: two GEMMs when guided."""
+        out = y * self.alpha[j]
+        if self.beta[j] is not None:
+            out += ((y @ self.rot + self.offset) * self.beta[j]) @ self.rot.T
+        return out
+
+    def scaling(self, i: int) -> np.ndarray:
+        """Unguided step i as the per-coordinate factor it multiplies y by."""
+        u0, u1 = self.weights(i)
+        a0 = self.alpha[i]
+        if not self.heun:
+            return 1.0 + u0 * a0
+        a1 = self.alpha[i + 1]
+        return 1.0 + 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * a0 * a1
+
+    def node_matrix(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with drift(y, j) = y A + b."""
+        d = len(self.mean)
+        if self.beta[j] is None:
+            return np.diag(self.alpha[j]), np.zeros(d)
+        s = self.rot * np.sqrt(self.beta[j])
+        a = s @ s.T  # symmetric product: BLAS syrk
+        a.flat[::d + 1] += self.alpha[j]
+        return a, (self.offset * self.beta[j]) @ self.rot.T
+
+
+def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedule,
+              cfg: GuidanceConfig, heun: bool) -> _CondBasisFlow:
+    """The full-CFG flow of cfg for the pair along the schedule."""
+    c = 1.0 if cfg.enable_cond else 0.0
+    alpha, beta = [], []
+    for s in schedule.sigmas:
+        s = float(s)
+        g = cfg.gamma if cfg.guidance_active(s) else 0.0
+        alpha.append(-(c + g) / (cond.eigvals + s * s))
+        beta.append(g / (uncond.eigvals + s * s) if g > 0.0 else None)
+    return _CondBasisFlow(
+        mean=cond.mean, basis=cond.eigvecs, rot=cond.eigvecs.T @ uncond.eigvecs,
+        offset=(cond.mean - uncond.mean) @ uncond.eigvecs, schedule=schedule,
+        alpha=tuple(alpha), beta=tuple(beta),
+        guided=tuple(_guided_steps(cfg, schedule, heun)), heun=heun)
+
+
+def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float,
+              single: bool = False) -> np.ndarray:
+    """Step the (m, d) block x in the cond basis. After each step a sample
+    whose |x - mu_c|_2 = |y|_2 exceeds ``limit``, or is not finite, raises
+    DivergenceError naming the step and the sample."""
+    y = (x - flow.mean) @ flow.basis
+    for i in range(flow.schedule.n_steps):
+        u0, u1 = flow.weights(i)
+        if not flow.guided[i]:
+            y *= flow.scaling(i)
+        elif not flow.heun:
+            y += u0 * flow.drift(y, i)
+        else:
+            k0 = flow.drift(y, i)
+            k1 = flow.drift(y + u0 * k0, i + 1)
+            y += 0.5 * u0 * k0 + 0.5 * u1 * k1
+        norms = np.sqrt(np.einsum("ij,ij->i", y, y))
+        if not norms.max() <= limit:  # also trips on NaN and inf
+            raise _diverged(flow.schedule, i, ~(norms <= limit), single)
+    return flow.mean + y @ flow.basis.T
+
+
+def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float,
+              single: bool = False) -> np.ndarray:
+    """Fold the steps into y_N = y_0 P + q, then apply that map to the
+    (m, d) block x with one GEMM in x coordinates.
+
+    After each step i the bound max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every
+    sample's |x - mu_c|_2; if it exceeds ``limit`` or is not finite, the run
+    is stepped instead, which names the exact step and sample or returns the
+    stepped result when the bound was loose.
+    """
+    d = len(flow.mean)
+    z = x - flow.mean
+    radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
+    P, q = np.eye(d), np.zeros(d)
+    prev = None  # (node, A, b) of the last node matrix built
+    for i in range(flow.schedule.n_steps):
+        u0, u1 = flow.weights(i)
+        if not flow.guided[i]:
+            f = flow.scaling(i)
+            P *= f
+            q *= f
+        else:
+            a0, b0 = prev[1:] if prev and prev[0] == i else flow.node_matrix(i)
+            if flow.heun:
+                a1, b1 = flow.node_matrix(i + 1)
+                prev = (i + 1, a1, b1)
+                M = 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * (a0 @ a1)
+                k = 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * (b0 @ a1))
+            else:
+                M, k = u0 * a0, u0 * b0
+            M.flat[::d + 1] += 1.0
+            P = P @ M
+            q = q @ M + k
+        if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
+            return _stepwise(flow, x, limit, single)
+    out = z @ (flow.basis @ P @ flow.basis.T)
+    out += flow.mean + q @ flow.basis.T
+    return out
 
 
 def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
@@ -241,25 +452,41 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
               heun: bool = False) -> np.ndarray:
     """Integrate the guided reverse ODE from x_T down the schedule.
 
-    Returns the final state. Full CFG integrates (1 + gamma) s_c - gamma s_uc
-    with two score evaluations per drift; ablations (some term off, or
-    cfg.freeze_cpc_at set) integrate the CPC split of ``guidance_terms``.
+    Returns the final state. Full CFG runs the drift (1 + gamma) s_c -
+    gamma s_uc in the eigenbasis of cond (see ``_CondBasisFlow``), where
+    every step is affine, in one of two ways that ``choose_path`` picks by a
+    flop count of (m, d, guided steps, Heun):
+
+    - stepwise: two GEMMs per guided drift evaluation; unguided steps are
+      elementwise. After every step each sample's |x - mu_c|_2 is checked
+      against the divergence limit.
+    - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
+      P + q, about 3 d^3 flops per guided step (5 d^3 with Heun), applied
+      with one GEMM. A norm bound on each partial map guards it; when the
+      bound trips, the run is stepped to name the step and the sample.
+
+    Ablations (some term off, or cfg.freeze_cpc_at set) integrate the CPC
+    split of ``guidance_terms``. The divergence limit is DIVERGENCE_GUARD
+    times max(1, sigma_max, max|x_T|, data scale).
     """
     _check_pair(cond, uncond)
     scale = data_scale(cond, uncond)
-    if (cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.enable_mean_shift
-            and cfg.freeze_cpc_at is None):
-        return integrate_with_scores(lambda x, s: denoiser.score(cond, x, s),
-                                     lambda x, s: denoiser.score(uncond, x, s),
-                                     x_T, schedule, cfg, heun=heun, scale=scale)
-    frozen = None
-    if cfg.freeze_cpc_at is not None and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
-        frozen = posterior_cpcs(cond, uncond, cfg.freeze_cpc_at)
+    x, single, limit = _start(x_T, schedule, scale)
+    if x.shape[1] != cond.d:
+        raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
+    path = choose_path(cfg, schedule, len(x), cond.d, heun=heun)
+    if path == "split":
+        frozen = None
+        if cfg.freeze_cpc_at is not None and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
+            frozen = posterior_cpcs(cond, uncond, cfg.freeze_cpc_at)
 
-    def drift(x, sigma):
-        return guidance_terms(cond, uncond, x, sigma, cfg, _cpc=frozen).total()
+        def drift(x, sigma):
+            return guidance_terms(cond, uncond, x, sigma, cfg, _cpc=frozen).total()
 
-    return _drive(drift, x_T, schedule, heun=heun, scale=scale)
+        return _drive(drift, x_T, schedule, heun=heun, scale=scale)
+    run = _compiled if path == "compiled" else _stepwise
+    out = run(_cfg_flow(cond, uncond, schedule, cfg, heun), x, limit, single)
+    return out[0] if single else out
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
@@ -268,11 +495,12 @@ def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
     """Reverse-ODE integration with injected score callables.
 
     ``cond_score(x, sigma)`` / ``uncond_score(x, sigma)`` stand in for the
-    linear conditional/unconditional scores; the guidance is the plain CFG
+    conditional/unconditional scores; the guidance is the plain CFG
     difference gamma * (cond - uncond), gated by cfg.guidance_active. This is
-    the full-CFG path of ``integrate`` and the entry point the
-    Gaussian-mixture extension uses; ``scale`` is the data scale the
-    divergence guard is relative to (see ``_drive``).
+    the entry point the Gaussian-mixture extension uses, and with
+    ``denoiser.score`` it is the test oracle of ``integrate``'s full-CFG
+    path; ``scale`` is the data scale the divergence guard is relative to
+    (see ``_start``).
     """
 
     def drift(x, sigma):

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import lincfg
 from lincfg import denoiser, gmm, sampler, verify
 from lincfg.cli import main
 from lincfg.stats import (DataMatrix, load_data_matrix, load_stats,
                           save_data_matrix, save_stats)
-from lincfg.synthetic import (demo_mixture, toy_conditional_stats,
+from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_conditional_stats,
                               toy_unconditional_stats)
 
 
@@ -90,6 +91,8 @@ class TestSample:
         samples1 = (out1 / "samples.bin").read_bytes()
         manifest = json.loads((out1 / "run_manifest.json").read_text())
         assert manifest["seed"] == 123
+        assert manifest["version"] == lincfg.__version__
+        assert manifest["meta"]["sampler"] == "compiled"  # 16 states in d=2
 
         # re-run from the manifest into a fresh directory: bit-identical samples
         out2 = tmp_path / "run2"
@@ -175,11 +178,15 @@ class TestSample:
                      "--init-sigma", "0", "--steps", "8", "--m", "3",
                      "--outdir", str(out)]) == 0
         cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
-        expect = sampler.integrate(cond, uncond, 3.0 * (cond.mean - uncond.mean),
-                                   sampler.make_schedule(n_steps=8),
-                                   sampler.GuidanceConfig(gamma=1.0))
-        for row in load_data_matrix(out / "samples.bin").values:
-            np.testing.assert_array_equal(row, expect)
+        shift = 3.0 * (cond.mean - uncond.mean)
+        sched, cfg = sampler.make_schedule(n_steps=8), sampler.GuidanceConfig(gamma=1.0)
+        # a batch of 3 and a lone state may take different paths (choose_path)
+        expect = sampler.integrate(cond, uncond, np.tile(shift, (3, 1)), sched, cfg)
+        lone = sampler.integrate(cond, uncond, shift, sched, cfg)
+        samples = load_data_matrix(out / "samples.bin").values
+        assert samples.tobytes() == expect.tobytes()
+        for row in samples:
+            np.testing.assert_allclose(row, lone, rtol=1e-12, atol=1e-12)
 
     def test_unknown_config_key_exit_3(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -232,6 +239,18 @@ class TestSample:
         assert "divergence" in err and "step" in err
         assert not (tmp_path / "d").exists()
 
+    def test_compiled_run_divergence_exit_4(self, tmp_path):
+        cond, uncond = random_stats_pair(4, np.random.default_rng(7))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        argv = ["sample", "--cond-stats", str(tmp_path / "c.stats"),
+                "--uncond-stats", str(tmp_path / "u.stats"), "--steps", "4", "--m", "32"]
+        schedule = sampler.make_schedule(n_steps=4)
+        assert sampler.choose_path(sampler.GuidanceConfig(gamma=1e6), schedule, 32, 4) == "compiled"
+        assert main(argv + ["--gamma", "1e6", "--outdir", str(tmp_path / "d")]) == 4
+        assert not (tmp_path / "d" / "samples.bin").exists()
+        assert main(argv + ["--gamma", "1", "--outdir", str(tmp_path / "ok")]) == 0
+
     def test_mixture_mode(self, tmp_path, mixture_file):
         model, manifest = mixture_file
         out = tmp_path / "o"
@@ -242,6 +261,7 @@ class TestSample:
         batch = gmm.sample_batch(model, 1, 5, 9, sampler.make_schedule(n_steps=15),
                                  sampler.GuidanceConfig(gamma=1.0))
         np.testing.assert_array_equal(got, batch)
+        assert json.loads((out / "run_manifest.json").read_text())["meta"]["sampler"] == "mixture"
 
         # the manifest lists every key, the Gaussian-only ones at their defaults
         rerun = tmp_path / "rerun"

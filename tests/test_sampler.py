@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,10 @@ FULL_CFGS = {
     "full": G(gamma=2.0),
     "interval": G(gamma=2.0, active_interval=(0.5, 10.0)),
     "no_cond": G(gamma=3.0, enable_cond=False),
+    "gamma0": G(gamma=0.0),
+    "disjoint": G(gamma=2.0, active_interval=(200.0, 300.0)),
 }
+APPLIERS = ("_stepwise", "_compiled")
 ABLATION_CFGS = {
     "pos": G(gamma=2.0, enable_neg_cpc=False, enable_mean_shift=False),
     "neg": G(gamma=2.0, enable_pos_cpc=False, enable_mean_shift=False),
@@ -313,6 +318,98 @@ class TestIntegrate:
                               sampler.GuidanceConfig())
 
 
+def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
+    """Run full CFG through the named applier, whatever choose_path would pick."""
+    x, _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+    flow = sampler._cfg_flow(cond, uncond, sched, cfg, heun)
+    return getattr(sampler, applier)(flow, x, limit)
+
+
+class TestChoosePath:
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_bench_shapes(self, heun):
+        n20, n50 = sampler.make_schedule(n_steps=20), sampler.make_schedule(n_steps=50)
+        full = G(gamma=4.0)
+        # (m, d): wide-cfg steps, batch-cfg and the ablation sweep compile
+        assert sampler.choose_path(full, n20, 256, 768, heun=heun) == "stepwise"
+        assert sampler.choose_path(full, n20, 4096, 256, heun=heun) == "compiled"
+        for cfg in (full, G(gamma=4.0, active_interval=(0.3, 5.0)),
+                    G(gamma=4.0, enable_cond=False)):
+            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == "compiled"
+        for cfg in ABLATION_CFGS.values():
+            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == "split"
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_crossover_between_half_d_and_d(self, heun):
+        for d in (256, 768):
+            assert not sampler._compiles(d // 2, d, 20, heun)
+            assert sampler._compiles(d, d, 20, heun)
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_unguided_runs_always_step(self, heun):
+        sched = sampler.make_schedule(n_steps=20)
+        for cfg in (FULL_CFGS["gamma0"], FULL_CFGS["disjoint"]):
+            for m in (1, 16, 1024, 10**6):
+                assert sampler.choose_path(cfg, sched, m, 8, heun=heun) == "stepwise"
+
+
+class TestGaussianDivergence:
+    """Full CFG at gamma=1e6 leaves every trajectory scale within four steps."""
+
+    @staticmethod
+    def _blowup():
+        cond, uncond = random_stats_pair(4, np.random.default_rng(7))
+        # equal means: samples started at the mean stay there, the rest diverge
+        uncond = GaussianStats(mean=cond.mean, eigvecs=uncond.eigvecs, eigvals=uncond.eigvals)
+        sched = sampler.make_schedule(n_steps=4)
+        x_T = sampler.draw_initial_states(4, 32, 3, sched)
+        x_T[:5] = cond.mean
+        return cond, uncond, sched, x_T
+
+    def test_both_appliers_name_the_same_step_and_sample(self):
+        cond, uncond, sched, x_T = self._blowup()
+        cfg = G(gamma=1e6)
+        assert sampler.choose_path(cfg, sched, len(x_T), 4) == "compiled"
+        seen = []
+        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
+                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
+                      for a in APPLIERS)):
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            seen.append((exc.value.step, exc.value.sample))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][1] == 5  # the first sample not started at the mean
+
+    @pytest.mark.parametrize("applier", APPLIERS)
+    def test_start_far_beyond_the_absolute_guard_finishes(self, applier):
+        cond, uncond, sched, _ = self._blowup()
+        x_T = np.full((32, 4), 5e9)
+        cfg = G(gamma=2.0)
+        got = _apply(applier, cond, uncond, x_T, sched, cfg, False)
+        ref = sampler._drive(_dense_cfg_drift(cond, uncond, cfg), x_T, sched)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    def test_loose_bound_returns_the_stepped_run(self):
+        cond, uncond = random_stats_pair(8, np.random.default_rng(8))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(8, 16, 8, sched)
+        cfg = G(gamma=2.0)
+        flow = sampler._cfg_flow(cond, uncond, sched, cfg, False)
+        seen = []  # the states after steps 0..N-2, then the last one
+
+        def drift(x, sigma):
+            seen.append(x)
+            return _dense_cfg_drift(cond, uncond, cfg)(x, sigma)
+
+        seen.append(sampler._drive(drift, x_T, sched))
+        # just above the largest |x - mu_c| after any step: no sample passes it,
+        # but the norm bound on the partial maps does
+        limit = 1.001 * max(np.linalg.norm(x - cond.mean, axis=1).max() for x in seen[1:])
+        stepped = sampler._stepwise(flow, x_T, limit)
+        assert sampler._compiled(flow, x_T, limit).tobytes() == stepped.tobytes()
+        assert sampler._compiled(flow, x_T, 1e12).tobytes() != stepped.tobytes()
+
+
 class TestFullCfgPath:
     """Full CFG integrates (1 + gamma) s_c - gamma s_uc; ablations the CPC split."""
 
@@ -341,6 +438,21 @@ class TestFullCfgPath:
         cond, uncond, sched, x_T, got = self._run(d, cfg, heun)
         ref = sampler._drive(_split_drift(cond, uncond, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-9
+
+    @pytest.mark.parametrize("applier", APPLIERS)
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(FULL_CFGS))
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_each_applier_matches_dense_solve_drift(self, d, name, heun, applier, monkeypatch):
+        cfg = FULL_CFGS[name]
+        cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(d, 16, d, sched)
+        if applier == "_compiled":  # the fold must not fall back to stepping
+            monkeypatch.setattr(sampler, "_stepwise", None)
+        got = _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+        ref = sampler._drive(_dense_cfg_drift(cond, uncond, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
 
     def test_full_cfg_makes_no_cpc_decomposition(self, monkeypatch):
         calls = []
