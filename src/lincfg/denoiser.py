@@ -5,9 +5,10 @@ the per-direction shrinkage factor lam/(lam + sigma^2), apply U. The dense
 inverse (Sigma + sigma^2 I)^-1 is never formed here; it exists only as a test
 oracle. The CPC split, the mixture extension and the CLI exports build the
 guided drift from ``shrink``, ``score`` and ``mean_shift`` rather than
-re-deriving the eigenbasis algebra. Full-CFG sampling is the one exception:
-it writes both scores in the eigenbasis of cond once per run
-(``sampler._CondBasisFlow``), and its tests hold it to dense solves.
+re-deriving the eigenbasis algebra. Gaussian sampling is the one exception:
+every run, stepwise or compiled (never the CPC split), writes both scores in
+the eigenbasis of cond once per run (``sampler._CondBasisFlow``), and its
+tests hold it to dense solves.
 
 Vector arguments accept shape (d,) or a batch (m, d); the result matches the
 input shape.

@@ -140,21 +140,24 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     g_cpc_like  = (gamma/sigma^2) (S~_c - sum_i w_i S~_i)(x - mu_c)
     g_mean_like = (gamma/sigma^2) sum_{i != c} w_i (I - S~_i)(mu_c - mu_i)
 
-    whose sum equals gamma * (D_c - D_mixture) / sigma^2.
+    whose sum equals gamma * (D_c - D_mixture) / sigma^2. The covariance
+    term reads the pass's y_i: (x - mu_c) U_i = y_i + (mu_i - mu_c) U_i, so
+    it takes one GEMM per component besides the pass.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    X, _, w, _ = _posterior(model, x, sigma)
+    X, _, w, ys = _posterior(model, x, sigma)
     coef = gamma / (sigma * sigma)
     tgt = model.components[target]
 
-    z = X - tgt.mean
-    cpc = denoiser.shrink(tgt, z, sigma)
+    cpc = np.zeros_like(X)
     mean_like = np.zeros_like(X)
-    for i, comp in enumerate(model.components):
-        cpc -= w[:, i:i + 1] * denoiser.shrink(comp, z, sigma)
+    for i, (comp, y) in enumerate(zip(model.components, ys)):
+        z = y + (comp.mean - tgt.mean) @ comp.eigvecs
+        cpc += (float(i == target) - w[:, i:i + 1]) * (
+            (z * denoiser.shrinkage(comp, sigma)) @ comp.eigvecs.T)
         if i != target:
             mean_like += w[:, i:i + 1] * denoiser.mean_shift(tgt, comp, sigma)
     return GmmGuidanceTerms(g_cpc_like=(coef * cpc).reshape(np.shape(x)),

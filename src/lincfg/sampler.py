@@ -5,19 +5,22 @@ grid directly: x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (-sigma_i) * drift,
 where drift is the conditional score plus the enabled guidance terms. An
 optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
 
-Full CFG (every guidance term on, no frozen CPC basis) integrates the
-paper's drift (1 + gamma) s_c - gamma s_uc in the eigenbasis of cond, where
-the scores are linear and every step is affine. ``choose_path`` picks one
-of two appliers by a flop count: stepping (two GEMMs per guided drift
-evaluation, elementwise unguided steps) or compiling the run into one affine
-map x_0 = mu_c + (x_T - mu_c) P + q applied with one GEMM. The CPC split of
-``guidance_terms`` runs only for partial-component and frozen-basis
-ablations. States accept shape (d,) or a batch (m, d).
+Every Gaussian run, full CFG and every ablation alike, integrates its drift
+in the eigenbasis of cond, where the scores are linear and every step is
+affine. ``choose_path`` picks one of two appliers by a flop count, stepwise
+or compiled, never another path: stepping (one or two GEMMs per drift
+evaluation with a CPC term, elementwise steps without one) or compiling the
+run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with one
+GEMM. ``guidance_terms`` is the decomposition of that drift into the paper's
+terms, for diagnostics and as a test oracle; sampling does not call it.
+States accept shape (d,) or a batch (m, d).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -257,72 +260,89 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
     return x[0] if single else x
 
 
-def _is_full_cfg(cfg: GuidanceConfig) -> bool:
-    """Every guidance term on and no frozen CPC basis: the drift needs no CPC split."""
-    return (cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.enable_mean_shift
-            and cfg.freeze_cpc_at is None)
+def _factored(cfg: GuidanceConfig) -> bool:
+    """Both CPC signs on and no frozen basis: the CPC sum needs no split."""
+    return cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.freeze_cpc_at is None
 
 
-def _guided_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> list[bool]:
-    """Per step, whether guidance is on at any of its drift evaluations (Heun: either end)."""
-    on = [cfg.guidance_active(float(s)) for s in schedule.sigmas]
+def _coupled_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> list[bool]:
+    """Per step, whether a CPC term is on at any of its drift evaluations
+    (Heun: either end). Every other step scales and shifts y elementwise."""
+    cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
+    on = [cpc and cfg.guidance_active(float(s)) for s in schedule.sigmas]
     return [on[i] or (heun and on[i + 1]) for i in range(schedule.n_steps)]
 
 
-def _compiles(m: int, d: int, n_guided: int, heun: bool) -> bool:
-    """Whether folding a full-CFG run into one affine map takes fewer flops
-    than stepping it, for m states in d dimensions with n_guided guided steps.
+def _compiles(m: int, d: int, n_coupled: int, heun: bool, factored: bool) -> bool:
+    """Whether folding a Gaussian run into one affine map takes fewer flops
+    than stepping it, for m states in d dimensions with n_coupled steps
+    whose drift is not diagonal in the cond basis (see ``_CondBasisFlow``).
 
-    Stepping does two (m, d) x (d, d) GEMMs per guided drift evaluation (e of
+    Stepping does s (m, d) x (d, d) GEMMs per coupled drift evaluation (e of
     them per step: 1 for Euler, 2 for Heun) and two for the change into and
-    out of the cond basis:
+    out of the cond basis. The factored CPC sum takes s = 2; a CPC matrix K_j
+    (frozen basis or one sign) takes s = 1:
 
-        stepwise = 4 m d^2 (e n + 1).
+        stepwise = 2 m d^2 (s e n + 2).
 
-    Folding builds each guided step's (d, d) matrix from the symmetric
-    product R diag(beta) R^T (d^3 flops, a syrk) and multiplies it into P
-    (2 d^3). Heun adds the product of its two node matrices (2 d^3); its
-    second node's syrk is the next step's first. Moving P into x coordinates
-    costs 4 d^3, and applying it one GEMM:
+    Folding builds each coupled node's (d, d) matrix and multiplies it into
+    P (2 d^3). The factored sum's matrix is the symmetric product R
+    diag(beta) R^T (b = 1: d^3 flops, a syrk); K_j is built for either
+    applier, so it costs folding nothing extra (b = 0). Heun adds the product
+    of its two node matrices (2 d^3); its second node's matrix is the next
+    step's first. Moving P into x coordinates costs 4 d^3, and applying it
+    one GEMM:
 
-        compiled = d^3 (c n + 4) + 2 m d^2,   c = 3 (Euler) or 5 (Heun).
+        compiled = d^3 (c n + 4) + 2 m d^2,   c = b + 2 (Euler) or b + 4 (Heun).
 
-    Elementwise and O(d^2) work is left out. For many guided steps the
-    crossover is m/d = c / 4e: 3/4 for Euler and 5/8 for Heun. A run with no
-    guided step always steps: each of its steps is an O(md) scaling, folding
-    would save at most one GEMM and only for m > 2d, and stepping keeps such
-    runs exact where they can be (the cond mean stays a fixed point).
+    Elementwise and O(d^2) work is left out. For many coupled steps the
+    crossover is m/d = c / 2se: 3/4 for the factored sum with Euler and 5/8
+    with Heun, 1 for K_j with either. A run with no coupled step always
+    steps: each of its steps is an O(md) scale and shift, folding would save
+    at most one GEMM and only for m > 2d, and stepping keeps such runs exact
+    where they can be (the cond mean stays a fixed point of unguided runs).
     """
-    if n_guided == 0:
+    if n_coupled == 0:
         return False
-    e, c = (2, 5) if heun else (1, 3)
-    return d**3 * (c * n_guided + 4) + 2 * m * d * d < 4 * m * d * d * (e * n_guided + 1)
+    e = 2 if heun else 1
+    s, b = (2, 1) if factored else (1, 0)
+    c = b + 2 * e
+    return d**3 * (c * n_coupled + 4) + 2 * m * d * d < 2 * m * d * d * (s * e * n_coupled + 2)
 
 
 def choose_path(cfg: GuidanceConfig, schedule: NoiseSchedule, m: int, d: int, *,
                 heun: bool = False) -> str:
-    """How ``integrate`` runs m states in d dimensions: 'split' (the CPC
-    split, for ablations), or for full CFG 'compiled' or 'stepwise' by the
-    flop rule of ``_compiles``."""
-    if not _is_full_cfg(cfg):
-        return "split"
-    n_guided = sum(_guided_steps(cfg, schedule, heun))
-    return "compiled" if _compiles(m, d, n_guided, heun) else "stepwise"
+    """How ``integrate`` runs m states in d dimensions: 'compiled' or
+    'stepwise', by the flop rule of ``_compiles``."""
+    n_coupled = sum(_coupled_steps(cfg, schedule, heun))
+    return "compiled" if _compiles(m, d, n_coupled, heun, _factored(cfg)) else "stepwise"
 
 
 @dataclass(frozen=True)
 class _CondBasisFlow:
-    """The full-CFG drift of a run in the eigenbasis of cond, node by node.
+    """The drift of a Gaussian run in the eigenbasis of cond, node by node.
 
-    With y = (x - mu_c) U_c the drift (c + g) s_c - g s_uc at a node sigma is
+    With y = (x - mu_c) U_c, R = U_c^T U_uc and delta = (mu_c - mu_uc) U_uc,
+    the drift at a node sigma with coef = g / sigma^2 is
 
-        y * alpha + ((y R + delta) * beta) R^T,
-        alpha = -(c + g) / (lam_c + sigma^2),   beta = g / (lam_uc + sigma^2),
+        y * alpha + ((y R + offset) * beta) R^T + y K + b.
 
-    with R = U_c^T U_uc and delta = (mu_c - mu_uc) U_uc; c is 1 with the
-    conditional score on and 0 off, and g is gamma where guidance is on and 0
-    elsewhere. ``beta[j]`` is None at unguided nodes, where the drift is
-    diagonal. Step i goes from node i to node i + 1.
+    c is 1 with the conditional score on and 0 off, and g is gamma where
+    guidance is on and 0 elsewhere; alpha carries c s_c.
+
+    - Both CPC signs on, live basis: the CPC sum coef (S~_c - S~_uc) is
+      folded into alpha = -(c + g) / (lam_c + sigma^2) and beta = g / (lam_uc
+      + sigma^2), with offset = delta when the mean shift is on (then the
+      drift is (c + g) s_c - g s_uc) and 0 when it is off.
+    - Otherwise alpha = -c / (lam_c + sigma^2), and ``contrast`` gives the
+      CPC term's matrix K = coef C, where C is the cond-basis contrast of
+      ``_contrast`` at sigma (one ``posterior_cpcs`` per node with one sign
+      on) or at the frozen sigma (built once). The mean shift is the
+      constant b = coef (I - S~_uc)(mu_c - mu_uc) U_c = (delta * g / (lam_uc
+      + sigma^2)) R^T.
+
+    Unused parts are None. Step i goes from node i to node i + 1; a step
+    that is not ``coupled`` scales and shifts y elementwise.
     """
 
     mean: np.ndarray
@@ -332,7 +352,10 @@ class _CondBasisFlow:
     schedule: NoiseSchedule
     alpha: tuple
     beta: tuple
-    guided: tuple
+    shift: tuple
+    gain: tuple
+    cpc: Callable[[float], np.ndarray] | None
+    coupled: tuple
     heun: bool
 
     def weights(self, i: int) -> tuple[float, float]:
@@ -341,48 +364,105 @@ class _CondBasisFlow:
         s0, s1 = float(self.schedule.sigmas[i]), float(self.schedule.sigmas[i + 1])
         return (s0 - s1) * s0, (s0 - s1) * s1
 
+    def contrast(self, j: int) -> np.ndarray | None:
+        """K at node j, or None where no CPC matrix is on."""
+        if self.gain[j] is None:
+            return None
+        return self.gain[j] * self.cpc(float(self.schedule.sigmas[j]))
+
     def drift(self, y: np.ndarray, j: int) -> np.ndarray:
-        """The drift at node j of the (m, d) block y: two GEMMs when guided."""
+        """The drift at node j of the (m, d) block y: two GEMMs for the
+        factored CPC sum, one for K."""
         out = y * self.alpha[j]
         if self.beta[j] is not None:
             out += ((y @ self.rot + self.offset) * self.beta[j]) @ self.rot.T
+        k = self.contrast(j)
+        if k is not None:
+            out += y @ k
+        if self.shift[j] is not None:
+            out += self.shift[j]
         return out
 
-    def scaling(self, i: int) -> np.ndarray:
-        """Unguided step i as the per-coordinate factor it multiplies y by."""
+    def scaling(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(f, k): step i, not coupled, maps y to y * f + k (k None for 0)."""
         u0, u1 = self.weights(i)
-        a0 = self.alpha[i]
+        a0, b0 = self.alpha[i], self.shift[i]
         if not self.heun:
-            return 1.0 + u0 * a0
-        a1 = self.alpha[i + 1]
-        return 1.0 + 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * a0 * a1
+            return 1.0 + u0 * a0, None if b0 is None else u0 * b0
+        a1, b1 = self.alpha[i + 1], self.shift[i + 1]
+        f = 1.0 + 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * a0 * a1
+        if b0 is None and b1 is None:
+            return f, None
+        b0, b1 = (0.0 if b is None else b for b in (b0, b1))
+        return f, 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * (b0 * a1))
 
     def node_matrix(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with drift(y, j) = y A + b."""
         d = len(self.mean)
-        if self.beta[j] is None:
-            return np.diag(self.alpha[j]), np.zeros(d)
-        s = self.rot * np.sqrt(self.beta[j])
-        a = s @ s.T  # symmetric product: BLAS syrk
+        if self.beta[j] is not None:
+            s = self.rot * np.sqrt(self.beta[j])
+            a = s @ s.T  # symmetric product: BLAS syrk
+            b = (self.offset * self.beta[j]) @ self.rot.T
+        else:
+            k = self.contrast(j)
+            a = np.zeros((d, d)) if k is None else k
+            b = np.zeros(d) if self.shift[j] is None else self.shift[j]
         a.flat[::d + 1] += self.alpha[j]
-        return a, (self.offset * self.beta[j]) @ self.rot.T
+        return a, b
+
+
+def _contrast(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
+              pos: bool, neg: bool) -> np.ndarray:
+    """S~_c - S~_uc at sigma in the cond basis, cut to the CPC signs that are
+    on. Both signs need no eigendecomposition; one sign keeps the
+    ``posterior_cpcs`` split, rotated into the cond basis by W = U_c^T V, so
+    its zero cut stays the one ``cpca`` defines."""
+    if pos and neg:
+        s = rot * np.sqrt(denoiser.shrinkage(uncond, sigma))
+        k = -(s @ s.T)
+        k.flat[::cond.d + 1] += denoiser.shrinkage(cond, sigma)
+        return k
+    cpc = posterior_cpcs(cond, uncond, sigma)
+    lam, vec = cpc.positive if pos else cpc.negative
+    w = cond.eigvecs.T @ vec
+    return (w * lam) @ w.T
 
 
 def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedule,
               cfg: GuidanceConfig, heun: bool) -> _CondBasisFlow:
-    """The full-CFG flow of cfg for the pair along the schedule."""
+    """The flow of cfg for the pair along the schedule."""
     c = 1.0 if cfg.enable_cond else 0.0
-    alpha, beta = [], []
+    pos, neg = cfg.enable_pos_cpc, cfg.enable_neg_cpc
+    factored = _factored(cfg)
+    rot = cond.eigvecs.T @ uncond.eigvecs
+    delta = (cond.mean - uncond.mean) @ uncond.eigvecs
+    cpc = None
+    if (pos or neg) and not factored:
+        # Heun reads each node twice in a row, and a frozen basis is one
+        # sigma: remembering the last contrast makes one per node or one in all
+        decompose = lru_cache(maxsize=1)(partial(_contrast, cond, uncond, rot, pos=pos, neg=neg))
+        frozen = cfg.freeze_cpc_at
+        cpc = decompose if frozen is None else (lambda sigma: decompose(frozen))
+    alpha, beta, shift, gain = [], [], [], []
     for s in schedule.sigmas:
         s = float(s)
         g = cfg.gamma if cfg.guidance_active(s) else 0.0
-        alpha.append(-(c + g) / (cond.eigvals + s * s))
-        beta.append(g / (uncond.eigvals + s * s) if g > 0.0 else None)
+        b_uc = g / (uncond.eigvals + s * s) if g > 0.0 else None
+        if factored:
+            alpha.append(-(c + g) / (cond.eigvals + s * s))
+            beta.append(b_uc)
+            shift.append(None)
+        else:
+            alpha.append(-c / (cond.eigvals + s * s))
+            beta.append(None)
+            shift.append((delta * b_uc) @ rot.T
+                         if b_uc is not None and cfg.enable_mean_shift else None)
+        gain.append(g / (s * s) if cpc is not None and g > 0.0 else None)
     return _CondBasisFlow(
-        mean=cond.mean, basis=cond.eigvecs, rot=cond.eigvecs.T @ uncond.eigvecs,
-        offset=(cond.mean - uncond.mean) @ uncond.eigvecs, schedule=schedule,
-        alpha=tuple(alpha), beta=tuple(beta),
-        guided=tuple(_guided_steps(cfg, schedule, heun)), heun=heun)
+        mean=cond.mean, basis=cond.eigvecs, rot=rot,
+        offset=delta if cfg.enable_mean_shift else np.zeros(cond.d), schedule=schedule,
+        alpha=tuple(alpha), beta=tuple(beta), shift=tuple(shift), gain=tuple(gain), cpc=cpc,
+        coupled=tuple(_coupled_steps(cfg, schedule, heun)), heun=heun)
 
 
 def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float,
@@ -393,8 +473,11 @@ def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float,
     y = (x - flow.mean) @ flow.basis
     for i in range(flow.schedule.n_steps):
         u0, u1 = flow.weights(i)
-        if not flow.guided[i]:
-            y *= flow.scaling(i)
+        if not flow.coupled[i]:
+            f, k = flow.scaling(i)
+            y *= f
+            if k is not None:
+                y += k
         elif not flow.heun:
             y += u0 * flow.drift(y, i)
         else:
@@ -424,10 +507,12 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float,
     prev = None  # (node, A, b) of the last node matrix built
     for i in range(flow.schedule.n_steps):
         u0, u1 = flow.weights(i)
-        if not flow.guided[i]:
-            f = flow.scaling(i)
+        if not flow.coupled[i]:
+            f, k = flow.scaling(i)
             P *= f
             q *= f
+            if k is not None:
+                q += k
         else:
             a0, b0 = prev[1:] if prev and prev[0] == i else flow.node_matrix(i)
             if flow.heun:
@@ -452,38 +537,29 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
               heun: bool = False) -> np.ndarray:
     """Integrate the guided reverse ODE from x_T down the schedule.
 
-    Returns the final state. Full CFG runs the drift (1 + gamma) s_c -
-    gamma s_uc in the eigenbasis of cond (see ``_CondBasisFlow``), where
-    every step is affine, in one of two ways that ``choose_path`` picks by a
-    flop count of (m, d, guided steps, Heun):
+    Returns the final state. Every Gaussian run, full CFG and every ablation
+    alike, runs its drift in the eigenbasis of cond (see ``_CondBasisFlow``),
+    where every step is affine, in one of two ways that ``choose_path`` picks
+    by a flop count of (m, d, coupled steps, Heun, the CPC term's form):
 
-    - stepwise: two GEMMs per guided drift evaluation; unguided steps are
-      elementwise. After every step each sample's |x - mu_c|_2 is checked
-      against the divergence limit.
+    - stepwise: one or two GEMMs per coupled drift evaluation; other steps
+      are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
-      P + q, about 3 d^3 flops per guided step (5 d^3 with Heun), applied
-      with one GEMM. A norm bound on each partial map guards it; when the
-      bound trips, the run is stepped to name the step and the sample.
+      P + q, 2 to 3 d^3 flops per coupled step (4 to 5 d^3 with Heun),
+      applied with one GEMM. A norm bound on each partial map guards it;
+      when the bound trips, the run is stepped to name the step and the
+      sample.
 
-    Ablations (some term off, or cfg.freeze_cpc_at set) integrate the CPC
-    split of ``guidance_terms``. The divergence limit is DIVERGENCE_GUARD
-    times max(1, sigma_max, max|x_T|, data scale).
+    After every step each sample's |x - mu_c|_2 is held to the divergence
+    limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).
+    The CPC split of ``guidance_terms`` is the decomposition this drift
+    equals, not the code it runs.
     """
     _check_pair(cond, uncond)
-    scale = data_scale(cond, uncond)
-    x, single, limit = _start(x_T, schedule, scale)
+    x, single, limit = _start(x_T, schedule, data_scale(cond, uncond))
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
     path = choose_path(cfg, schedule, len(x), cond.d, heun=heun)
-    if path == "split":
-        frozen = None
-        if cfg.freeze_cpc_at is not None and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
-            frozen = posterior_cpcs(cond, uncond, cfg.freeze_cpc_at)
-
-        def drift(x, sigma):
-            return guidance_terms(cond, uncond, x, sigma, cfg, _cpc=frozen).total()
-
-        return _drive(drift, x_T, schedule, heun=heun, scale=scale)
     run = _compiled if path == "compiled" else _stepwise
     out = run(_cfg_flow(cond, uncond, schedule, cfg, heun), x, limit, single)
     return out[0] if single else out

@@ -180,7 +180,7 @@ class TestSample:
         cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
         shift = 3.0 * (cond.mean - uncond.mean)
         sched, cfg = sampler.make_schedule(n_steps=8), sampler.GuidanceConfig(gamma=1.0)
-        # a batch of 3 and a lone state may take different paths (choose_path)
+        # choose_path compiles a batch of 3 and steps a lone state
         expect = sampler.integrate(cond, uncond, np.tile(shift, (3, 1)), sched, cfg)
         lone = sampler.integrate(cond, uncond, shift, sched, cfg)
         samples = load_data_matrix(out / "samples.bin").values

@@ -173,6 +173,26 @@ class TestGuidance:
         t = gmm.gmm_cfg_guidance(model, 1, rng.standard_normal(3), 0.8, 1.5)
         np.testing.assert_allclose(t.g_cpc_like, 0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 5.0, 80.0])
+    def test_covariance_term_equals_per_component_shrinks(self, sigma):
+        """g_cpc_like from the pass's projections is (gamma/sigma^2) (S~_c -
+        sum_i w_i S~_i)(x - mu_c) with each S~ applied by denoiser.shrink."""
+        rng = np.random.default_rng(12)
+        model = random_mixture(8, 4, rng)
+        spread = np.where(np.arange(16) % 2, 30.0, 1.0)[:, None]  # near and far states
+        X = model.components[1].mean + spread * rng.standard_normal((16, 8))
+        for target in range(model.k):
+            tgt = model.components[target]
+            t = gmm.gmm_cfg_guidance(model, target, X, sigma, 2.0)
+            w = gmm.posterior_weights(model, X, sigma).w
+            z = X - tgt.mean
+            ref = denoiser.shrink(tgt, z, sigma)
+            for i, comp in enumerate(model.components):
+                ref -= w[:, i:i + 1] * denoiser.shrink(comp, z, sigma)
+            ref *= 2.0 / sigma**2
+            scale = 2.0 / sigma**2 * np.linalg.norm(z, axis=1, keepdims=True)
+            assert np.max(np.abs(t.g_cpc_like - ref) / scale) <= 1e-13
+
     @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
     def test_gamma_domain(self, gamma):
         with pytest.raises(ValueError, match="gamma"):

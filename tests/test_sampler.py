@@ -1,4 +1,6 @@
+import itertools
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ FULL_CFGS = {
     "disjoint": G(gamma=2.0, active_interval=(200.0, 300.0)),
 }
 APPLIERS = ("_stepwise", "_compiled")
+TERM_SUBSETS = list(itertools.product((False, True), repeat=4))  # cond, pos, neg, mean shift
 ABLATION_CFGS = {
     "pos": G(gamma=2.0, enable_neg_cpc=False, enable_mean_shift=False),
     "neg": G(gamma=2.0, enable_pos_cpc=False, enable_mean_shift=False),
@@ -50,6 +53,43 @@ def _dense_cfg_drift(cond, uncond, cfg):
         lo, hi = cfg.active_interval or (0.0, np.inf)
         if lo <= sigma <= hi:
             out = out + cfg.gamma * (s_c - s_uc)
+        return out
+
+    return drift
+
+
+def _dense_ablation_drift(cond, uncond, cfg, zero_tol=1e-10):
+    """The drift of any config from dense algebra: solves against Sigma +
+    sigma^2 I for the conditional score and the mean shift, and for the CPC
+    terms an eigh of the dense shrunk-covariance difference at sigma (or at
+    the frozen sigma), cut to the enabled signs at +-zero_tol."""
+    cov_c, cov_uc = cond.covariance(), uncond.covariance()
+    eye = np.eye(cond.d)
+
+    def shrunk(cov, sigma):
+        s = np.linalg.solve(cov + sigma**2 * eye, cov)
+        return 0.5 * (s + s.T)
+
+    def contrast(sigma):
+        lam, vec = np.linalg.eigh(shrunk(cov_c, sigma) - shrunk(cov_uc, sigma))
+        keep = ((cfg.enable_pos_cpc & (lam > zero_tol))
+                | (cfg.enable_neg_cpc & (lam < -zero_tol)))
+        return (vec[:, keep] * lam[keep]) @ vec[:, keep].T
+
+    frozen = contrast(cfg.freeze_cpc_at) if cfg.freeze_cpc_at is not None else None
+
+    def drift(x, sigma):
+        out = np.zeros_like(x)
+        if cfg.enable_cond:
+            out += np.linalg.solve(cov_c + sigma**2 * eye, (cond.mean - x).T).T
+        lo, hi = cfg.active_interval or (0.0, np.inf)
+        if lo <= sigma <= hi:
+            if cfg.enable_pos_cpc or cfg.enable_neg_cpc:
+                k = frozen if frozen is not None else contrast(sigma)
+                out += cfg.gamma / sigma**2 * ((x - cond.mean) @ k)
+            if cfg.enable_mean_shift:
+                out += cfg.gamma * np.linalg.solve(cov_uc + sigma**2 * eye,
+                                                   cond.mean - uncond.mean)
         return out
 
     return drift
@@ -319,7 +359,7 @@ class TestIntegrate:
 
 
 def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
-    """Run full CFG through the named applier, whatever choose_path would pick."""
+    """Run cfg through the named applier, whatever choose_path would pick."""
     x, _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
     flow = sampler._cfg_flow(cond, uncond, sched, cfg, heun)
     return getattr(sampler, applier)(flow, x, limit)
@@ -330,20 +370,26 @@ class TestChoosePath:
     def test_bench_shapes(self, heun):
         n20, n50 = sampler.make_schedule(n_steps=20), sampler.make_schedule(n_steps=50)
         full = G(gamma=4.0)
-        # (m, d): wide-cfg steps, batch-cfg and the ablation sweep compile
+        # (m, d): wide-cfg steps, batch-cfg and the ablation sweep compile,
+        # except the sweep's runs with no CPC term, whose steps are diagonal
         assert sampler.choose_path(full, n20, 256, 768, heun=heun) == "stepwise"
         assert sampler.choose_path(full, n20, 4096, 256, heun=heun) == "compiled"
         for cfg in (full, G(gamma=4.0, active_interval=(0.3, 5.0)),
                     G(gamma=4.0, enable_cond=False)):
             assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == "compiled"
-        for cfg in ABLATION_CFGS.values():
-            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == "split"
+        for name, cfg in ABLATION_CFGS.items():
+            diagonal = name in ("mean_shift", "none")
+            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == (
+                "stepwise" if diagonal else "compiled")
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_crossover_between_half_d_and_d(self, heun):
         for d in (256, 768):
-            assert not sampler._compiles(d // 2, d, 20, heun)
-            assert sampler._compiles(d, d, 20, heun)
+            assert not sampler._compiles(d // 2, d, 20, heun, True)
+            assert sampler._compiles(d, d, 20, heun, True)
+            # a CPC matrix K_j costs stepping one GEMM, not two: crossover at m = d
+            assert not sampler._compiles(d, d, 20, heun, False)
+            assert sampler._compiles(2 * d, d, 20, heun, False)
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_unguided_runs_always_step(self, heun):
@@ -380,6 +426,21 @@ class TestGaussianDivergence:
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][1] == 5  # the first sample not started at the mean
 
+    @pytest.mark.parametrize("cfg", [G(gamma=1e6, enable_neg_cpc=False, enable_mean_shift=False),
+                                     G(gamma=1e6, freeze_cpc_at=5.0)], ids=["pos", "frozen"])
+    def test_ablation_names_the_same_step_and_sample(self, cfg):
+        cond, uncond, sched, x_T = self._blowup()
+        assert sampler.choose_path(cfg, sched, len(x_T), 4) == "compiled"
+        seen = []
+        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
+                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
+                      for a in APPLIERS)):
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            seen.append((exc.value.step, exc.value.sample))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][1] == 5
+
     @pytest.mark.parametrize("applier", APPLIERS)
     def test_start_far_beyond_the_absolute_guard_finishes(self, applier):
         cond, uncond, sched, _ = self._blowup()
@@ -411,7 +472,7 @@ class TestGaussianDivergence:
 
 
 class TestFullCfgPath:
-    """Full CFG integrates (1 + gamma) s_c - gamma s_uc; ablations the CPC split."""
+    """Full CFG integrates (1 + gamma) s_c - gamma s_uc in the cond basis."""
 
     @staticmethod
     def _run(d, cfg, heun):
@@ -469,10 +530,73 @@ class TestFullCfgPath:
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("name", sorted(ABLATION_CFGS))
     def test_ablation_bit_identical_to_split_drift(self, name, heun):
+        """Ablations run the cond-basis flow too, so they match the split of
+        guidance_terms at the 1e-12 of the full-CFG paths, not bit for bit."""
         cfg = ABLATION_CFGS[name]
         cond, uncond, sched, x_T, got = self._run(8, cfg, heun)
         ref = sampler._drive(_split_drift(cond, uncond, cfg), x_T, sched, heun=heun)
-        assert got.tobytes() == ref.tobytes()
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+
+class TestEveryGaussianConfig:
+    """Every GuidanceConfig runs the cond-basis flow, never guidance_terms."""
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("terms", TERM_SUBSETS, ids=lambda t: "+".join(
+        name for name, on in zip(("cond", "pos", "neg", "shift"), t) if on) or "off")
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           d=st.sampled_from([2, 5, 16]),
+           freeze=st.none() | st.floats(min_value=0.05, max_value=50.0),
+           interval=st.none() | st.tuples(st.floats(min_value=0.01, max_value=5.0),
+                                          st.floats(min_value=1.0, max_value=100.0)),
+           gamma=st.just(0.0) | st.floats(min_value=0.1, max_value=5.0))
+    def test_each_applier_matches_split_and_dense_drifts(self, terms, heun, seed, d, freeze,
+                                                         interval, gamma):
+        cond_on, pos, neg, shift = terms
+        cfg = G(gamma=gamma, enable_cond=cond_on, enable_pos_cpc=pos, enable_neg_cpc=neg,
+                enable_mean_shift=shift, freeze_cpc_at=freeze,
+                active_interval=interval and (interval[0], interval[0] * interval[1]))
+        cond, uncond = random_stats_pair(d, np.random.default_rng(seed))
+        sched = sampler.make_schedule(n_steps=10)
+        x_T = sampler.draw_initial_states(d, 12, seed, sched)
+        refs = [sampler._drive(drift(cond, uncond, cfg), x_T, sched, heun=heun)
+                for drift in (_split_drift, _dense_ablation_drift)]
+        for applier in APPLIERS:
+            # the fold must not fall back to stepping
+            fallback = None if applier == "_compiled" else sampler._stepwise
+            with mock.patch.object(sampler, "_stepwise", fallback):
+                got = _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+            for ref in refs:
+                assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("applier", APPLIERS)
+    def test_decomposition_counts(self, applier, heun, monkeypatch):
+        """posterior_cpcs runs once per guided node for one live sign, once
+        for one frozen sign, and never with both signs or no CPC term."""
+        calls = []
+        real = sampler.posterior_cpcs
+        monkeypatch.setattr(sampler, "posterior_cpcs", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(sampler, "guidance_terms", None)
+        cond, uncond = random_stats_pair(8, np.random.default_rng(9))
+        n = 12
+        sched = sampler.make_schedule(n_steps=n)
+        x_T = sampler.draw_initial_states(8, 16, 9, sched)
+        cfgs = {**ABLATION_CFGS,
+                "pos_interval": G(gamma=2.0, enable_neg_cpc=False, active_interval=(0.5, 10.0))}
+        for cfg in cfgs.values():
+            sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun)
+        if applier == "_compiled":
+            monkeypatch.setattr(sampler, "_stepwise", None)
+        nodes = sched.sigmas[:n + heun]  # the nodes the steps evaluate the drift at
+        expect = {"pos": n + heun, "neg": n + heun,
+                  "pos_interval": int(np.sum((0.5 <= nodes) & (nodes <= 10.0))),
+                  "frozen_pos_interval": 1}
+        for name, cfg in cfgs.items():
+            calls.clear()
+            _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+            assert len(calls) == expect.get(name, 0), name
 
 
 class TestHeunRate:
