@@ -257,8 +257,8 @@ def _build_run(config: dict) -> tuple[sampler.NoiseSchedule, sampler.GuidanceCon
 def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
                  cfg: sampler.GuidanceConfig, init: sampler.InitSpec) -> tuple:
     """Read the stats pair or the mixture of a parsed config and check the
-    config against it. Returns (draw, meta): draw() samples the run. Writes
-    nothing."""
+    config against it. Returns (draw, run, meta): draw() draws x_T and run(x_T)
+    integrates the run from it. Writes nothing."""
     m, seed, heun = config["m"], config["seed"], config["heun"]
     if config["mixture"]:
         model = gmm.load_mixture(_require_file(config["mixture"], "mixture manifest"))
@@ -267,8 +267,7 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
             raise FormatError(f"out-of-range 'target' value {target}: "
                               f"the mixture has K={model.k} components")
         meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture"}
-        draw = partial(gmm.sample_batch, model, target, m, seed, schedule, cfg, init,
-                       heun=heun)
+        run = partial(gmm.integrate, model, target, schedule=schedule, cfg=cfg, heun=heun)
     else:
         cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))
         if config["uncond_stats"]:
@@ -281,11 +280,11 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
             init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], init.std)
         meta = {"mode": "gaussian", "d": cond.d,
                 "sampler": sampler.choose_path(cfg, schedule, m, cond.d, heun=heun)}
-        draw = partial(sampler.sample_batch, cond, uncond, m, seed, schedule, cfg, init,
-                       heun=heun)
+        run = partial(sampler.integrate, cond, uncond, schedule=schedule, cfg=cfg, heun=heun)
     if config["ppm_shape"] is not None:
         check_image_shape(config["ppm_shape"], meta["d"])
-    return draw, meta
+    draw = partial(sampler.draw_initial_states, meta["d"], m, seed, schedule, init)
+    return draw, run, meta
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -293,15 +292,19 @@ def cmd_sample(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     resolved = resolve_config(args.config, overrides)
     config = parse_config(resolved)
-    draw, meta = _load_inputs(config, *_build_run(config))
+    draw, run, meta = _load_inputs(config, *_build_run(config))
     outdir = config["outdir"]
 
     t0 = time.perf_counter()
-    samples = draw()
-    elapsed = time.perf_counter() - t0
-
+    x_T = draw()
+    t1 = time.perf_counter()
+    samples = run(x_T)
+    t2 = time.perf_counter()
     samples_path = outdir / "samples.bin"
     save_data_matrix(DataMatrix(samples), samples_path)
+    timings = {"draw_seconds": t1 - t0, "integrate_seconds": t2 - t1,
+               "write_seconds": time.perf_counter() - t2}
+    timings["sample_seconds"] = timings["draw_seconds"] + timings["integrate_seconds"]
     outputs = {"samples": samples_path.name}
     shape = config["ppm_shape"]
     if shape is not None:
@@ -316,7 +319,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "config": resolved,
         "seed": config["seed"],
         "meta": meta,
-        "timings": {"sample_seconds": elapsed},
+        "timings": timings,
         "outputs": outputs,
     }
     atomic_write_text(outdir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")

@@ -6,7 +6,7 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data: bytes | bytearray) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:

@@ -164,25 +164,32 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
                             g_mean_like=(coef * mean_like).reshape(np.shape(x)))
 
 
-def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
-                 schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig,
-                 init: sampler.InitSpec | None = None, *,
-                 heun: bool = False) -> np.ndarray:
-    """Final states (m, d) of guided mixture samples toward one component.
+def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
+              schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig, *,
+              heun: bool = False) -> np.ndarray:
+    """Final states of the guided mixture flow toward one component from x_T.
 
     Reuses the generic reverse-ODE driver by injecting the target component's
     linear score as the conditional score and the mixture score as the
-    unconditional one; the per-term CPC toggles do not apply here. Seeding
-    follows sampler.draw_initial_states.
+    unconditional one; the per-term CPC toggles do not apply here.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     tgt = model.components[target]
-    x_T = sampler.draw_initial_states(model.d, m, seed, schedule, init)
     return sampler.integrate_with_scores(
         lambda x, s: denoiser.score(tgt, x, s),
         lambda x, s: mixture_score(model, x, s),
         x_T, schedule, cfg, heun=heun, scale=sampler.data_scale(*model.components))
+
+
+def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
+                 schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig,
+                 init: sampler.InitSpec | None = None, *,
+                 heun: bool = False) -> np.ndarray:
+    """Final states (m, d) of guided mixture samples toward one component
+    (``integrate``); seeding follows sampler.draw_initial_states."""
+    x_T = sampler.draw_initial_states(model.d, m, seed, schedule, init)
+    return integrate(model, target, x_T, schedule, cfg, heun=heun)
 
 
 def load_mixture(path) -> MixtureModel:

@@ -18,6 +18,7 @@ States accept shape (d,) or a batch (m, d).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -609,14 +610,76 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
     return stats.mean + (y * coef) @ stats.eigvecs.T
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK_128 = (1 << 128) - 1
+
+
+def _hashed_seeds(seed: int, m: int) -> np.ndarray:
+    """SeedSequence([seed, k]).generate_state(4, np.uint64) for k < m, as (m, 4).
+
+    SeedSequence's hash constants evolve the same way whatever the entropy,
+    so one uint32 pass over the m entropy vectors hashes every row: the seed's
+    32-bit words are shared and only the last word, k, varies.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed > 0xFFFFFFFF:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    entropy = [np.full(m, w, np.uint32) for w in words] + [np.arange(m, dtype=np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> 16)
+
+    zeros = np.zeros(m, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):  # entropy beyond the pool of 4 words
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    state = np.empty((m, 8), np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8")  # little-endian word pairs, as numpy
+
+
 def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
                         init: InitSpec | None = None) -> np.ndarray:
     """Initial states x_T[k] ~ N(shift, std^2 I), shape (m, d), m >= 1.
 
-    Sample k draws its noise from np.random.default_rng([seed, k]), so it
-    depends only on (seed, k), never on m or on other samples. This is where
-    the std rule is applied: ``init.std=None`` means the schedule's sigma_max,
-    and std must be >= 0 (std 0 starts every sample at the shift).
+    Row k is ``shift + std * np.random.default_rng([seed, k]).standard_normal(d)``
+    bit for bit, so it depends only on (seed, k), never on m or on other
+    samples. The rule is met without building a generator per row: the m
+    SeedSequence([seed, k]) states are hashed in one vectorised pass
+    (``_hashed_seeds``, after numpy's ``bit_generator.pyx``), each is turned
+    into the 128-bit state ``pcg64_set_seed`` would give, one PCG64 is
+    reseeded with it and draws row k in place, and the block is scaled and
+    shifted once. NEP 19 keeps the SeedSequence and PCG64 streams stable
+    across numpy versions. This is where the std rule is applied:
+    ``init.std=None`` means the schedule's sigma_max, and std must be >= 0
+    (std 0 starts every sample at the shift).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -627,9 +690,18 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
     shift = np.zeros(d) if spec.shift is None else np.asarray(spec.shift, dtype=np.float64)
     if shift.shape != (d,):
         raise ShapeError(f"init shift must have length {d}, got {shift.shape}")
+    bit_gen = np.random.PCG64()
+    rng = np.random.Generator(bit_gen)
     x = np.empty((m, d))
-    for k in range(m):
-        x[k] = shift + std * np.random.default_rng([seed, k]).standard_normal(d)
+    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(_hashed_seeds(seed, m).tolist()):
+        # pcg64_set_seed: inc = 2i + 1; from state 0, step, add s, step again
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK_128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK_128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=x[k])
+    x *= std
+    x += shift
     return x
 
 

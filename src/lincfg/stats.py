@@ -223,9 +223,13 @@ def load_stats(path) -> GaussianStats:
                          eigvecs=payload[2 * d:].reshape(d, d))
 
 
-def data_matrix_to_bytes(data: DataMatrix) -> bytes:
-    return (struct.pack("<5sII", DATA_MAGIC, data.n, data.d)
-            + np.ascontiguousarray(data.values, dtype="<f8").tobytes())
+def data_matrix_to_bytes(data: DataMatrix) -> bytearray:
+    """The LCFD1 file image, built in one buffer: the values are copied once,
+    straight into little-endian float64 after the 13-byte header."""
+    out = bytearray(13 + 8 * data.values.size)
+    struct.pack_into("<5sII", out, 0, DATA_MAGIC, data.n, data.d)
+    np.frombuffer(out, "<f8", offset=13).reshape(data.values.shape)[...] = data.values
+    return out
 
 
 def save_data_matrix(data: DataMatrix, path) -> None:

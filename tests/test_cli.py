@@ -100,6 +100,19 @@ class TestSample:
                      "--outdir", str(out2)]) == 0
         assert (out2 / "samples.bin").read_bytes() == samples1
 
+    @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+    def test_manifest_phase_timings(self, tmp_path, toy_files, mixture_file, mode):
+        inputs = (["--mixture", str(mixture_file[1]), "--target", "1"] if mode == "mixture"
+                  else ["--cond-stats", str(toy_files[0]), "--uncond-stats", str(toy_files[1])])
+        out = tmp_path / "o"
+        assert main(["sample", *inputs, "--steps", "8", "--m", "6", "--gamma", "1",
+                     "--outdir", str(out)]) == 0
+        timings = json.loads((out / "run_manifest.json").read_text())["timings"]
+        assert set(timings) == {"sample_seconds", "draw_seconds", "integrate_seconds",
+                                "write_seconds"}
+        assert all(isinstance(v, float) and v > 0 for v in timings.values())
+        assert timings["sample_seconds"] == timings["draw_seconds"] + timings["integrate_seconds"]
+
     def test_flags_override_config(self, tmp_path, toy_files):
         cond, uncond = toy_files
         config = tmp_path / "exp.cfg"

@@ -696,3 +696,46 @@ class TestSampleBatch:
                                  0, 0, sched, sampler.GuidanceConfig())
         with pytest.raises(ValueError, match="m must be"):
             gmm.sample_batch(demo_mixture(), 0, 0, 0, sched, sampler.GuidanceConfig())
+
+
+def _rule_draw(d, m, seed, std, shift):
+    """The documented seeding rule, one generator per row."""
+    return np.stack([shift + std * np.random.default_rng([seed, k]).standard_normal(d)
+                     for k in range(m)])
+
+
+class TestSeedingRule:
+    """draw_initial_states reproduces default_rng([seed, k]) bit for bit."""
+
+    SCHED = sampler.make_schedule(sigma_max=80.0, n_steps=4)
+
+    @pytest.mark.parametrize("m", [1, 2, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+    def test_rows_match_default_rng(self, seed, m):
+        d = 3
+        shift = np.array([1.5, -2.0, 1e3])
+        for init, std, mu in ((None, 80.0, np.zeros(d)),
+                              (sampler.InitSpec(shift=shift, std=0.37), 0.37, shift),
+                              (sampler.InitSpec(shift=shift, std=0.0), 0.0, shift)):
+            x = sampler.draw_initial_states(d, m, seed, self.SCHED, init)
+            np.testing.assert_array_equal(x, _rule_draw(d, m, seed, std, mu))
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1), np.int32(2**31 - 1)])
+    def test_numpy_integer_seeds_behave_like_ints(self, seed):
+        x = sampler.draw_initial_states(4, 5, seed, self.SCHED)
+        np.testing.assert_array_equal(x, sampler.draw_initial_states(4, 5, int(seed), self.SCHED))
+        np.testing.assert_array_equal(x, _rule_draw(4, 5, seed, 80.0, np.zeros(4)))
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (np.int64(-3), ValueError),
+                                             (-2**70, ValueError), (1.5, TypeError)])
+    def test_rejects_seeds_default_rng_rejects(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0])
+        with pytest.raises(error):
+            sampler.draw_initial_states(2, 3, seed, self.SCHED)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**200 - 1), m=st.integers(1, 64), d=st.integers(1, 5))
+    def test_property_any_seed_and_batch(self, seed, m, d):
+        np.testing.assert_array_equal(sampler.draw_initial_states(d, m, seed, self.SCHED),
+                                      _rule_draw(d, m, seed, 80.0, np.zeros(d)))

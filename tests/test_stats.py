@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lincfg.errors import DataError, FormatError
-from lincfg.stats import (DataMatrix, GaussianStats, estimate_gaussian_stats,
-                          load_data_csv, load_data_matrix, load_stats,
+from lincfg.stats import (DATA_MAGIC, DataMatrix, GaussianStats, data_matrix_to_bytes,
+                          estimate_gaussian_stats, load_data_csv, load_data_matrix, load_stats,
                           pool_stats, save_data_matrix, save_stats,
                           spectral_from_covariance, stats_to_bytes)
 
@@ -192,6 +192,16 @@ class TestDataFiles:
         save_data_matrix(dm, path)
         back = load_data_matrix(path)
         assert back.values.tobytes() == dm.values.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
+    def test_file_image_equals_header_plus_payload(self, layout):
+        values = np.random.default_rng(7).standard_normal((9, 6))
+        values = {"c": values, "fortran": np.asfortranarray(values),
+                  "sliced": values[1::2, ::-2]}[layout]
+        dm = DataMatrix(values)
+        expect = (struct.pack("<5sII", DATA_MAGIC, dm.n, dm.d)
+                  + np.ascontiguousarray(dm.values, dtype="<f8").tobytes())
+        assert bytes(data_matrix_to_bytes(dm)) == expect
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
