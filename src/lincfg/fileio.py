@@ -6,7 +6,8 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path, data: bytes | bytearray) -> None:
+def atomic_write_bytes(path, *parts) -> None:
+    """Write the bytes-like ``parts``, in order, as the whole file at path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -16,7 +17,8 @@ def atomic_write_bytes(path, data: bytes | bytearray) -> None:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}", exc.filename) from None
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,14 +1,29 @@
-"""Gaussian-mixture extension: mixture scores, Tweedie denoisers, and the
-two-term CFG decomposition against a mixture background.
+"""Gaussian-mixture extension: mixture scores, Tweedie denoisers, the
+two-term CFG decomposition against a mixture background, and the guided
+mixture flow.
 
-The weights, score, denoiser and guidance split all read one pass
-(``_posterior``) that projects the states onto each component's eigenbasis
-once; its log-sum-exp weights stay finite for states far from every cluster.
+Everything reads one stacked pass. The component eigenbases sit side by side
+in U_all = [U_1 ... U_K], shape (d, Kd), built once per model. ``_posterior``
+takes every y_i = (X - mu_i) U_i, divided by sqrt(lam_i + sigma^2), with one
+GEMM: X - mu_c against U_all with those factors folded into its columns,
+minus the scaled offsets (mu_i - mu_c) U_i. It is centred on one component
+c, so c's own block has no offset; its log-sum-exp weights stay finite for
+states far from every cluster. Each result is then a per-row, per-block
+weighting of those blocks, taken back to x with one GEMM against U_all^T
+with each block's remaining factor folded into its rows (``_back_project``).
+That GEMM drops every block whose coefficient is 0 in all rows.
+
+In GEMM-units of (m, d) x (d, d), a guided drift evaluation of ``integrate``
+costs 2K: K to project and K to back-project. Once every row's weight is
+one-hot on the target (on well-separated clusters, from sigma ~ 0.05 down)
+only the target's block goes back: K + 1. Where guidance is off, the
+target's block alone is projected and taken back: 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +33,25 @@ from .errors import FormatError, ShapeError
 from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
+_TINY = np.finfo(np.float64).tiny  # below this a float64 is subnormal
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """The components side by side, blocks in component order.
+
+    basis: U_all = [U_1 ... U_K], shape (d, Kd); back: U_i^T per block,
+    (K, d, d), so rows of U_all^T; eigvals: lam_i as (K, d); log_prior:
+    (K,); offsets: per centre c, (mu_i - mu_c) U_i as (K, K, d), whose block
+    c is exactly 0; means: (K, d).
+    """
+
+    basis: np.ndarray
+    back: np.ndarray
+    eigvals: np.ndarray
+    log_prior: np.ndarray
+    offsets: np.ndarray
+    means: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,6 +87,18 @@ class MixtureModel:
     def d(self) -> int:
         return self.components[0].d
 
+    @cached_property
+    def _stack(self) -> _Stack:
+        """The stacked form of the components, built on first use."""
+        blocks = np.stack([c.eigvecs for c in self.components])  # (K, d, d): U_i
+        means = np.stack([c.mean for c in self.components])
+        diff = means[None, :, :] - means[:, None, :]  # [c, i] = mu_i - mu_c
+        return _Stack(basis=np.concatenate(blocks, axis=1),
+                      back=np.ascontiguousarray(blocks.transpose(0, 2, 1)),
+                      eigvals=np.stack([c.eigvals for c in self.components]),
+                      log_prior=np.log(self.weights),
+                      offsets=np.einsum("cid,ide->cie", diff, blocks), means=means)
+
 
 @dataclass(frozen=True)
 class PosteriorWeights:
@@ -62,29 +108,70 @@ class PosteriorWeights:
     log_w: np.ndarray
 
 
-def _posterior(model: MixtureModel, x: np.ndarray, sigma: float) -> tuple:
-    """(X, log_w, w, ys) of the state(s) x at noise sigma: the states as rows
-    (m, d), the normalized log posterior weights and the weights (m, K), and
-    y_i = (X - mu_i) U_i per component. The log densities drop their d/2 log 2pi
-    term, which cancels out of normalized weights."""
+def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, centre: int,
+               out: np.ndarray | None = None) -> tuple:
+    """(log_w, w, v, r) of the rows xc = X - mu_centre (m, d) at noise sigma.
+
+    log_w and w (m, K) are the normalized log posterior weights and the
+    weights; r = 1/sqrt(lam_i + sigma^2) as (K, d); and v (m, K, d), a view
+    of ``out`` (m, Kd) when given, holds v_i = y_i r_i with y_i = (X - mu_i)
+    U_i, taken in one GEMM against U_all with r folded into its columns,
+    minus the centre's offsets times r. The log densities drop their d/2 log
+    2pi term, which cancels out of normalized weights.
+    """
+    st = model._stack
+    var = st.eigvals + sigma * sigma
+    r = 1.0 / np.sqrt(var)
+    v = np.matmul(xc, st.basis * r.reshape(-1), out=out).reshape(len(xc), model.k, model.d)
+    v -= st.offsets[centre] * r
+    logp = np.einsum("mkd,mkd->mk", v, v)
+    logp += np.sum(np.log(var), axis=1)
+    logp *= -0.5
+    logp += st.log_prior
+    logp -= logp.max(axis=1, keepdims=True)
+    log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    w = np.exp(log_w)
+    w[log_w < _LOG_UNDERFLOW] = 0.0
+    return log_w, w, v, r
+
+
+def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> tuple:
+    """``_posterior`` of the state(s) x, of shape (d,) or (m, d), as rows
+    centred on component ``centre``, after checking sigma and the dimension."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != mixture dimension {model.d}")
-    X = x.reshape(-1, model.d)
-    s2 = sigma * sigma
-    ys = [(X - comp.mean) @ comp.eigvecs for comp in model.components]
-    logp = np.empty((len(X), model.k))
-    for i, (comp, y) in enumerate(zip(model.components, ys)):
-        var = comp.eigvals + s2
-        logp[:, i] = -0.5 * ((y * y) @ (1.0 / var) + float(np.sum(np.log(var))))
-    logp += np.log(model.weights)
-    logp -= logp.max(axis=1, keepdims=True)
-    log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
-    w = np.exp(log_w)
-    w[log_w < _LOG_UNDERFLOW] = 0.0
-    return X, log_w, w, ys
+    return _posterior(model, x.reshape(-1, model.d) - model.components[centre].mean,
+                      sigma, centre)
+
+
+def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+    """sum_i (coef_i v_i) diag(scale_i) U_i^T for v (m, K, d), per-row
+    coefficients coef (m, K) and per-block factors scale (K, d), as one GEMM
+    over the blocks whose coefficient is nonzero in some row; the terms of
+    the other blocks are exactly 0. Coefficients below the smallest normal
+    float count as 0, so no subnormal weight reaches the GEMM. The kept
+    blocks of v are scaled by coef in place; a kept set with gaps is packed
+    to the front of v first."""
+    m, _, d = v.shape
+    coef = np.where(np.abs(coef) < _TINY, 0.0, coef)
+    kept = np.flatnonzero(coef.any(axis=0))
+    n = len(kept)
+    if not n:
+        return np.zeros((m, d))
+    if kept[-1] - kept[0] + 1 == n:
+        kept = slice(kept[0], kept[-1] + 1)
+        block = v[:, kept]
+        block *= coef[:, kept, None]
+    else:
+        for p, i in enumerate(kept):
+            np.multiply(v[:, i], coef[:, i, None], out=v[:, p])
+        block = v[:, :n]
+    back = model._stack.back[kept] * scale[kept, :, None]
+    return block.reshape(m, n * d) @ back.reshape(n * d, d)
 
 
 def posterior_weights(model: MixtureModel, x: np.ndarray,
@@ -92,7 +179,7 @@ def posterior_weights(model: MixtureModel, x: np.ndarray,
     """Posterior probability that x, of shape (d,) or (m, d), belongs to each
     cluster at noise sigma: shape (K,) or (m, K). Weights relatively below
     exp(-745) of the maximum are exactly 0; the log weights stay informative."""
-    _, log_w, w, _ = _posterior(model, x, sigma)
+    log_w, w, _, _ = _pass(model, x, sigma)
     shape = (*np.shape(x)[:-1], model.k)
     return PosteriorWeights(w=w.reshape(shape), log_w=log_w.reshape(shape))
 
@@ -100,11 +187,8 @@ def posterior_weights(model: MixtureModel, x: np.ndarray,
 def mixture_score(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the noise-mollified mixture, sum_i w_i(x) (Sigma_i + sigma^2 I)^-1 (mu_i - x),
     evaluated as -sum_i w_i (y_i / (lam_i + sigma^2)) U_i^T."""
-    X, _, w, ys = _posterior(model, x, sigma)
-    out = np.zeros_like(X)
-    for w_i, comp, y in zip(w.T, model.components, ys):
-        out -= w_i[:, None] * ((y / (comp.eigvals + sigma * sigma)) @ comp.eigvecs.T)
-    return out.reshape(np.shape(x))
+    _, w, v, r = _pass(model, x, sigma)
+    return _back_project(model, v, -w, r).reshape(np.shape(x))
 
 
 def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -113,11 +197,9 @@ def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndar
 
     Satisfies D = x + sigma^2 * mixture_score(x) identically, by another formula.
     """
-    X, _, w, ys = _posterior(model, x, sigma)
-    out = np.zeros_like(X)
-    for w_i, comp, y in zip(w.T, model.components, ys):
-        out += w_i[:, None] * (comp.mean
-                               + (y * denoiser.shrinkage(comp, sigma)) @ comp.eigvecs.T)
+    _, w, v, r = _pass(model, x, sigma)
+    out = _back_project(model, v, w, model._stack.eigvals * r)  # y_i lam_i / (lam_i + sigma^2)
+    out += w @ model._stack.means
     return out.reshape(np.shape(x))
 
 
@@ -141,27 +223,61 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     g_mean_like = (gamma/sigma^2) sum_{i != c} w_i (I - S~_i)(mu_c - mu_i)
 
     whose sum equals gamma * (D_c - D_mixture) / sigma^2. The covariance
-    term reads the pass's y_i: (x - mu_c) U_i = y_i + (mu_i - mu_c) U_i, so
-    it takes one GEMM per component besides the pass.
+    term reads the pass centred on the target, whose projection before the
+    offsets is z_i = (x - mu_c) U_i, and takes it back with one GEMM.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    X, _, w, ys = _posterior(model, x, sigma)
+    _, w, v, r = _pass(model, x, sigma, target)
+    st = model._stack
+    v += st.offsets[target] * r  # z_i r_i
     coef = gamma / (sigma * sigma)
+    cpc = _back_project(model, v, np.eye(model.k)[target] - w, st.eigvals * r)
     tgt = model.components[target]
-
-    cpc = np.zeros_like(X)
-    mean_like = np.zeros_like(X)
-    for i, (comp, y) in enumerate(zip(model.components, ys)):
-        z = y + (comp.mean - tgt.mean) @ comp.eigvecs
-        cpc += (float(i == target) - w[:, i:i + 1]) * (
-            (z * denoiser.shrinkage(comp, sigma)) @ comp.eigvecs.T)
-        if i != target:
-            mean_like += w[:, i:i + 1] * denoiser.mean_shift(tgt, comp, sigma)
+    shifts = np.stack([denoiser.mean_shift(tgt, comp, sigma) if i != target
+                       else np.zeros(model.d) for i, comp in enumerate(model.components)])
     return GmmGuidanceTerms(g_cpc_like=(coef * cpc).reshape(np.shape(x)),
-                            g_mean_like=(coef * mean_like).reshape(np.shape(x)))
+                            g_mean_like=(coef * (w @ shifts)).reshape(np.shape(x)))
+
+
+def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig):
+    """drift(x, sigma) of ``integrate`` for one (m, d) block at a time.
+
+    Guided, the drift is c s_t + gamma (s_t - sum_i w_i s_i) = sum_i c_i s_i
+    with s_i = -(y_i / (lam_i + sigma^2)) U_i^T, c the cond switch (1 or 0),
+    c_i = -gamma w_i off the target and c_t = c + gamma sum_{i != t} w_i, so
+    a row one-hot on the target weighs s_t by exactly c. Unguided it is c s_t
+    from the target's block alone. One (m, d) buffer and, once guidance is
+    on, one (m, Kd) buffer, each made at its first use, serve every
+    evaluation.
+    """
+    tgt = model.components[target]
+    c = 1.0 if cfg.enable_cond else 0.0
+    others = [i for i in range(model.k) if i != target]
+    work = xc = None
+
+    def drift(x, sigma):
+        nonlocal work, xc
+        guided = cfg.guidance_active(sigma)
+        if not (guided or c):
+            return np.zeros_like(x)
+        if xc is None:
+            xc = np.empty_like(x)
+        np.subtract(x, tgt.mean, out=xc)
+        if not guided:
+            y = xc @ tgt.eigvecs
+            y *= -1.0 / (tgt.eigvals + sigma * sigma)
+            return y @ tgt.eigvecs.T
+        if work is None:
+            work = np.empty((len(x), model.k * model.d))
+        _, w, v, r = _posterior(model, xc, sigma, target, out=work)
+        coef = cfg.gamma * w  # -c_i
+        coef[:, target] = -(c + cfg.gamma * w[:, others].sum(axis=1))
+        return _back_project(model, v, coef, r)
+
+    return drift
 
 
 def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
@@ -169,17 +285,18 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
               heun: bool = False) -> np.ndarray:
     """Final states of the guided mixture flow toward one component from x_T.
 
-    Reuses the generic reverse-ODE driver by injecting the target component's
-    linear score as the conditional score and the mixture score as the
-    unconditional one; the per-term CPC toggles do not apply here.
+    The conditional score is the target component's linear score and the
+    unconditional one the mixture score; the guidance is gamma times their
+    difference, gated by cfg.guidance_active, and the per-term CPC toggles
+    do not apply. The drift is one stacked pass per evaluation
+    (``_guided_drift``), stepped by the generic reverse-ODE driver.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
-    tgt = model.components[target]
-    return sampler.integrate_with_scores(
-        lambda x, s: denoiser.score(tgt, x, s),
-        lambda x, s: mixture_score(model, x, s),
-        x_T, schedule, cfg, heun=heun, scale=sampler.data_scale(*model.components))
+    if np.ndim(x_T) and np.shape(x_T)[-1] != model.d:
+        raise ShapeError(f"state dimension {np.shape(x_T)[-1]} != mixture dimension {model.d}")
+    return sampler._drive(_guided_drift(model, target, cfg), x_T, schedule, heun=heun,
+                          scale=sampler.data_scale(*model.components))
 
 
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,

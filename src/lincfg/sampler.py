@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import denoiser
-from .cpca import SignedSpectrum, posterior_cpcs
+from .cpca import posterior_cpcs
 from .errors import DivergenceError, ShapeError
 from .stats import GaussianStats
 
@@ -160,8 +160,7 @@ def _check_pair(cond: GaussianStats, uncond: GaussianStats) -> None:
 
 
 def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
-                   sigma: float, cfg: GuidanceConfig,
-                   _cpc: SignedSpectrum | None = None) -> GuidanceTerms:
+                   sigma: float, cfg: GuidanceConfig) -> GuidanceTerms:
     """Decomposed CFG drift at state x and noise level sigma.
 
     f_c    : conditional score (sigma^-2)(Sigma~_c - I)(x - mu_c)
@@ -186,10 +185,8 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
         coef = cfg.gamma * (1.0 / (sigma * sigma))
         if cfg.enable_pos_cpc or cfg.enable_neg_cpc:
             z = x - cond.mean
-            cpc = _cpc
-            if cpc is None:
-                sigma_cpc = cfg.freeze_cpc_at if cfg.freeze_cpc_at is not None else sigma
-                cpc = posterior_cpcs(cond, uncond, sigma_cpc)
+            sigma_cpc = cfg.freeze_cpc_at if cfg.freeze_cpc_at is not None else sigma
+            cpc = posterior_cpcs(cond, uncond, sigma_cpc)
             if cfg.enable_pos_cpc and cpc.n_pos:
                 lp, vp = cpc.positive
                 g_pos = coef * (((z @ vp) * lp) @ vp.T)
@@ -569,15 +566,15 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
                           schedule: NoiseSchedule, cfg: GuidanceConfig, *,
                           heun: bool = False, scale: float = 0.0) -> np.ndarray:
-    """Reverse-ODE integration with injected score callables.
+    """Reverse-ODE integration with injected score callables: an oracle.
 
     ``cond_score(x, sigma)`` / ``uncond_score(x, sigma)`` stand in for the
     conditional/unconditional scores; the guidance is the plain CFG
-    difference gamma * (cond - uncond), gated by cfg.guidance_active. This is
-    the entry point the Gaussian-mixture extension uses, and with
-    ``denoiser.score`` it is the test oracle of ``integrate``'s full-CFG
-    path; ``scale`` is the data scale the divergence guard is relative to
-    (see ``_start``).
+    difference gamma * (cond - uncond), gated by cfg.guidance_active. No
+    sampling path calls it. With ``denoiser.score`` it is the test and
+    benchmark oracle of ``integrate``'s full-CFG path, and with mixture
+    scores that of ``gmm.integrate``; ``scale`` is the data scale the
+    divergence guard is relative to (see ``_start``).
     """
 
     def drift(x, sigma):

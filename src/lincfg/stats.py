@@ -225,7 +225,8 @@ def load_stats(path) -> GaussianStats:
 
 def data_matrix_to_bytes(data: DataMatrix) -> bytearray:
     """The LCFD1 file image, built in one buffer: the values are copied once,
-    straight into little-endian float64 after the 13-byte header."""
+    straight into little-endian float64 after the 13-byte header.
+    ``save_data_matrix`` writes the same bytes without building it."""
     out = bytearray(13 + 8 * data.values.size)
     struct.pack_into("<5sII", out, 0, DATA_MAGIC, data.n, data.d)
     np.frombuffer(out, "<f8", offset=13).reshape(data.values.shape)[...] = data.values
@@ -233,7 +234,12 @@ def data_matrix_to_bytes(data: DataMatrix) -> bytearray:
 
 
 def save_data_matrix(data: DataMatrix, path) -> None:
-    atomic_write_bytes(path, data_matrix_to_bytes(data))
+    """Write the LCFD1 file: the 13-byte header, then the values' own
+    little-endian C-order buffer (copied only if they are not already in
+    that layout), so no file image of the whole matrix is built."""
+    values = np.ascontiguousarray(data.values, dtype="<f8")
+    atomic_write_bytes(path, struct.pack("<5sII", DATA_MAGIC, data.n, data.d),
+                       memoryview(values).cast("B"))
 
 
 def load_data_matrix(path) -> DataMatrix:

@@ -316,6 +316,91 @@ class TestDenseOracle:
             assert np.max(np.abs(got - ref) / (kappa * np.maximum(1.0, size))) <= 1e-12
 
 
+def far_mixture(d, rng):
+    """Components 0 and 2 a few spreads apart and component 1 far from both:
+    mid-run, block 1 drops out of every back-projection while 0 and 2 stay,
+    and rows turn one-hot at different steps."""
+    comps = []
+    for shift in (0.0, 300.0, 20.0):
+        s = random_stats(d, rng)
+        comps.append(GaussianStats(mean=s.mean + shift, eigvecs=s.eigvecs, eigvals=s.eigvals))
+    return gmm.MixtureModel(components=tuple(comps), weights=np.array([0.3, 0.3, 0.4]))
+
+
+class TestFusedDrift:
+    """The stacked pass with block skipping against dense solves."""
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
+    @pytest.mark.parametrize("target", [0, 2])
+    def test_block_skipping_matches_dense_solve_drift(self, monkeypatch, target, name, heun):
+        cfg = MIXTURE_CFGS[name]
+        model = far_mixture(4, np.random.default_rng(5))
+        sched = sampler.make_schedule(n_steps=16)
+        coefs = []
+
+        def spy(model, v, coef, scale):
+            coefs.append(np.where(np.abs(coef) < gmm._TINY, 0.0, coef) != 0.0)
+            return back_project(model, v, coef, scale)
+
+        back_project = gmm._back_project
+        monkeypatch.setattr(gmm, "_back_project", spy)
+        got = gmm.sample_batch(model, target, 16, 3, sched, cfg, heun=heun)
+        x_T = sampler.draw_initial_states(4, 16, 3, sched)
+        ref = sampler._drive(_dense_mixture_drift(model, target, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+        # block 1 was dropped between two kept blocks, so the kept ones were packed
+        assert any(list(c.any(axis=0)) == [True, False, True] for c in coefs)
+        if name != "interval":  # the interval ends before any row is one-hot
+            one_hot = [(c.sum(axis=1) <= 1).any() and (c.sum(axis=1) > 1).any()
+                       for c in coefs]
+            assert any(one_hot), "no evaluation had both one-hot and mixed rows"
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
+    def test_single_component_matches_dense_solve_drift(self, name, heun):
+        cfg = MIXTURE_CFGS[name]
+        model = random_mixture(8, 1, np.random.default_rng(8))
+        sched = sampler.make_schedule(n_steps=12)
+        got = gmm.sample_batch(model, 0, 16, 8, sched, cfg, heun=heun)
+        x_T = sampler.draw_initial_states(8, 16, 8, sched)
+        ref = sampler._drive(_dense_mixture_drift(model, 0, cfg), x_T, sched, heun=heun)
+        assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    def test_subnormal_weight_never_reaches_the_back_projection(self):
+        """At x = mu_0 with sigma = 1 the far component's weight is about
+        exp(-721), subnormal; the drift drops it and is exactly 0 there,
+        where the dense drift is -gamma w_1 s_1, itself subnormal."""
+        comps = (GaussianStats(mean=[0.0, 0.0], eigvecs=np.eye(2), eigvals=[1.0, 1.0]),
+                 GaussianStats(mean=[53.7, 0.0], eigvecs=np.eye(2), eigvals=[1.0, 1.0]))
+        model = gmm.MixtureModel(components=comps, weights=np.array([0.5, 0.5]))
+        X = np.array([[0.0, 0.0], [-0.5, 0.3], [-2.0, -1.0]])
+        w1 = gmm.posterior_weights(model, X[0], 1.0).w[1]
+        assert 0.0 < w1 < np.finfo(np.float64).tiny
+        cfg = sampler.GuidanceConfig(gamma=2.0)
+        got = gmm._guided_drift(model, 0, cfg)(X, 1.0)
+        ref = _dense_mixture_drift(model, 0, cfg)(X, 1.0)
+        assert np.all(got[0] == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 30.0])
+    def test_batched_functions_on_far_clusters(self, sigma):
+        model = far_mixture(4, np.random.default_rng(6))
+        X = np.concatenate([model.components[i].mean + np.random.default_rng(i).standard_normal((5, 4))
+                            for i in range(3)])
+        scores, denoised, _, w = _dense_parts(model, X, sigma)
+        for got, parts in ((gmm.mixture_score(model, X, sigma), scores),
+                           (gmm.mixture_denoise(model, X, sigma), denoised)):
+            ref = sum(w[:, i:i + 1] * p for i, p in enumerate(parts))
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-11 * np.max(np.abs(ref)))
+        for target in range(3):
+            terms = gmm.gmm_cfg_guidance(model, target, X, sigma, 2.0)
+            ref = 2.0 * (denoised[target] - sum(w[:, i:i + 1] * p
+                                                for i, p in enumerate(denoised))) / sigma**2
+            np.testing.assert_allclose(terms.total(), ref, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(ref)))
+
+
 class TestManifest:
     def _write_components(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -22,8 +22,9 @@ def test_traced_functions_resolve():
     missing = [f"lincfg.{mod}.{fn}" for mod, fn in tracer.TRACED
                if not callable(getattr(importlib.import_module(f"lincfg.{mod}"), fn, None))]
     assert missing == []
-    from lincfg import sampler
-    assert "_cpc" in inspect.signature(sampler.guidance_terms).parameters
+    from lincfg import sampler  # tracer.projection_flops reads these five positionally
+    assert list(inspect.signature(sampler.guidance_terms).parameters) == [
+        "cond", "uncond", "x", "sigma", "cfg"]
 
 
 def test_oracle_imports():

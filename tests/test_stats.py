@@ -203,6 +203,15 @@ class TestDataFiles:
                   + np.ascontiguousarray(dm.values, dtype="<f8").tobytes())
         assert bytes(data_matrix_to_bytes(dm)) == expect
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
+    def test_saved_file_equals_file_image(self, tmp_path, layout):
+        values = np.random.default_rng(8).standard_normal((7, 5))
+        values = {"c": values, "fortran": np.asfortranarray(values),
+                  "sliced": values[::-2, 1::2]}[layout]
+        dm = DataMatrix(values)
+        save_data_matrix(dm, tmp_path / "d.bin")
+        assert (tmp_path / "d.bin").read_bytes() == bytes(data_matrix_to_bytes(dm))
+
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"NOPE!" + bytes(16))
