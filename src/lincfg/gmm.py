@@ -154,24 +154,19 @@ def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
     over the blocks whose coefficient is nonzero in some row; the terms of
     the other blocks are exactly 0. Coefficients below the smallest normal
     float count as 0, so no subnormal weight reaches the GEMM. The kept
-    blocks of v are scaled by coef in place; a kept set with gaps is packed
-    to the front of v first."""
+    blocks of v, scaled by coef, are packed in order to the front of v; as
+    no block lands past its own place, none is overwritten before it is
+    read."""
     m, _, d = v.shape
     coef = np.where(np.abs(coef) < _TINY, 0.0, coef)
     kept = np.flatnonzero(coef.any(axis=0))
     n = len(kept)
     if not n:
         return np.zeros((m, d))
-    if kept[-1] - kept[0] + 1 == n:
-        kept = slice(kept[0], kept[-1] + 1)
-        block = v[:, kept]
-        block *= coef[:, kept, None]
-    else:
-        for p, i in enumerate(kept):
-            np.multiply(v[:, i], coef[:, i, None], out=v[:, p])
-        block = v[:, :n]
+    for p, i in enumerate(kept):
+        np.multiply(v[:, i], coef[:, i, None], out=v[:, p])
     back = model._stack.back[kept] * scale[kept, :, None]
-    return block.reshape(m, n * d) @ back.reshape(n * d, d)
+    return v[:, :n].reshape(m, n * d) @ back.reshape(n * d, d)
 
 
 def posterior_weights(model: MixtureModel, x: np.ndarray,
@@ -249,9 +244,9 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig)
     with s_i = -(y_i / (lam_i + sigma^2)) U_i^T, c the cond switch (1 or 0),
     c_i = -gamma w_i off the target and c_t = c + gamma sum_{i != t} w_i, so
     a row one-hot on the target weighs s_t by exactly c. Unguided it is c s_t
-    from the target's block alone. One (m, d) buffer and, once guidance is
-    on, one (m, Kd) buffer, each made at its first use, serve every
-    evaluation.
+    from the target's block alone, which is ``denoiser.score``. One (m, d)
+    buffer and one (m, Kd) buffer, each made at the first guided evaluation,
+    serve every guided evaluation.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
@@ -261,17 +256,12 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig)
     def drift(x, sigma):
         nonlocal work, xc
         guided = cfg.guidance_active(sigma)
-        if not (guided or c):
-            return np.zeros_like(x)
-        if xc is None:
-            xc = np.empty_like(x)
-        np.subtract(x, tgt.mean, out=xc)
         if not guided:
-            y = xc @ tgt.eigvecs
-            y *= -1.0 / (tgt.eigvals + sigma * sigma)
-            return y @ tgt.eigvecs.T
+            return denoiser.score(tgt, x, sigma) if c else np.zeros_like(x)
         if work is None:
+            xc = np.empty_like(x)
             work = np.empty((len(x), model.k * model.d))
+        np.subtract(x, tgt.mean, out=xc)
         _, w, v, r = _posterior(model, xc, sigma, target, out=work)
         coef = cfg.gamma * w  # -c_i
         coef[:, target] = -(c + cfg.gamma * w[:, others].sum(axis=1))

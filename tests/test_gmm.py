@@ -401,6 +401,75 @@ class TestFusedDrift:
                                        atol=1e-9 * np.max(np.abs(ref)))
 
 
+def _long_double_flow(model, target, x_T, sched, cfg, heun):
+    """The mixture flow of ``_dense_mixture_drift`` stepped like sampler._drive,
+    all in long double: each score from the component's own eigenbasis,
+    -U (U^T (x - mu) / (lam + sigma^2)), the weights by log-sum-exp."""
+    ld = np.longdouble
+    comps = [(c.mean.astype(ld), c.eigvecs.astype(ld), c.eigvals.astype(ld))
+             for c in model.components]
+    log_prior = np.log(model.weights.astype(ld))
+
+    def drift(x, sigma):
+        scores, logp = [], []
+        for (mu, u, lam), lp in zip(comps, log_prior):
+            y = (x - mu) @ u
+            var = lam + sigma * sigma
+            scores.append(-((y / var) @ u.T))
+            logp.append(lp - 0.5 * (np.sum(y * y / var, axis=1) + np.sum(np.log(var))))
+        logp = np.stack(logp, axis=1)
+        w = np.exp(logp - logp.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        out = scores[target] if cfg.enable_cond else np.zeros_like(x)
+        if cfg.guidance_active(float(sigma)):
+            s_mix = sum(w[:, i:i + 1] * s for i, s in enumerate(scores))
+            out = out + ld(cfg.gamma) * (scores[target] - s_mix)
+        return out
+
+    x, sig = x_T.astype(ld), sched.sigmas.astype(ld)
+    for s0, s1 in zip(sig[:-1], sig[1:]):
+        k0 = -s0 * drift(x, s0)
+        x_next = x + (s1 - s0) * k0
+        if heun:
+            x_next = x + (s1 - s0) * ld(0.5) * (k0 - s1 * drift(x_next, s1))
+        x = x_next
+    return x
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="long double is no wider than float64 on this platform")
+class TestCondOffRounding:
+    """Without the cond term the guided mixture flow pushes states away from
+    the other clusters and amplifies rounding by 1e2-1e4, so the stacked pass
+    and the split dense-solve drift end apart by far more than an ulp. Both
+    are measured against the same flow in long double."""
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_fused_flow_is_as_close_to_exact_as_rounding_allows(self, heun):
+        cfg = sampler.GuidanceConfig(gamma=4.0, enable_cond=False)
+        sched = sampler.make_schedule(n_steps=50)
+        err, err_split, sens = [], [], []
+        for seed in range(12):
+            model = random_mixture(8, 3, np.random.default_rng(seed))
+            x_T = sampler.draw_initial_states(8, 64, seed, sched)
+            exact = _long_double_flow(model, 1, x_T, sched, cfg, heun)
+            size = float(np.max(np.abs(exact)))
+            got = gmm.integrate(model, 1, x_T, sched, cfg, heun=heun)
+            split = sampler._drive(_dense_mixture_drift(model, 1, cfg), x_T, sched, heun=heun)
+            err.append(float(np.max(np.abs(got - exact))) / size)
+            err_split.append(float(np.max(np.abs(split - exact))) / size)
+            # the flow's own 1-ulp sensitivity: x_T scaled by 1 +- 2^-52
+            sens.append(max(float(np.max(np.abs(
+                gmm.integrate(model, 1, x_T * (1.0 + e), sched, cfg, heun=heun) - got)))
+                for e in (2.0**-52, -(2.0**-52))) / size)
+        err, err_split, sens = map(np.array, (err, err_split, sens))
+        assert np.all(err <= 8.0 * sens), (err / sens).round(2)
+        # typically within the 1-ulp sensitivity, and no further from the
+        # exact flow than the split drift
+        assert np.exp(np.mean(np.log(err / sens))) <= 1.0
+        assert np.exp(np.mean(np.log(err / err_split))) <= 1.0
+
+
 class TestManifest:
     def _write_components(self, tmp_path):
         rng = np.random.default_rng(14)
