@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Commands: fit, sample, verify, export, similarity, gmm-demo. Experiment
-configuration is a flat key=value text file; CLI flags override file values.
-A run manifest (JSON) written next to the samples makes every sampling run
-reproducible: pass the manifest back as --config to regenerate bit-identical
-sample files with the same lincfg version, which the manifest records.
+Commands: fit, sample, verify, export (cpcs, mean_shift_dir, histograms,
+similarity), gmm-demo. Experiment configuration is a flat key=value text
+file; CLI flags override file values. A run manifest (JSON) written next to
+the samples makes every sampling run reproducible: pass the manifest back as
+--config to regenerate bit-identical sample files with the same lincfg
+version, which the manifest records.
 
 Exit codes: 0 ok, 1 verification/other failure (an output path that cannot
 be written included), 2 missing input, 3 format or usage error, 4 numerical
@@ -140,7 +141,8 @@ def _parse(key: str, text: str):
 
 
 def parse_config(resolved: dict[str, str]) -> dict:
-    """Typed values of a resolved config, with keys foreign to its mode rejected.
+    """Typed values of a resolved config, with keys foreign to its mode, and
+    an init_gamma that init=zero would ignore, rejected.
 
     A key counts as set when its value differs from its default's, so a run
     manifest, which lists every key, re-runs in either mode.
@@ -152,6 +154,8 @@ def parse_config(resolved: dict[str, str]) -> dict:
         if config[key] != _parse(key, CONFIG_KEYS[key][0]):
             raise FormatError(f"config key {key!r} does not apply to "
                               f"{'mixture' if mixture else 'Gaussian'} runs")
+    if config["init"] == "zero" and config["init_gamma"] != 0.0:
+        raise FormatError("config key 'init_gamma' applies only with init=mean_shifted")
     return config
 
 
@@ -433,30 +437,18 @@ def cmd_export_histograms(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _similarity_outputs(paths: list[str], out_csv: Path | None,
-                        out_svg: Path | None) -> int:
-    stats_list = [load_stats(_require_file(p, "stats file")) for p in paths]
-    labels = [s.label or Path(p).stem for s, p in zip(stats_list, paths)]
+def cmd_export_similarity(args: argparse.Namespace) -> int:
+    stats_list = [load_stats(_require_file(p, "stats file")) for p in args.stats]
+    labels = [s.label or Path(p).stem for s, p in zip(stats_list, args.stats)]
     matrix = metrics.class_similarity_matrix(stats_list)
     print("class similarity (Gaussian Frechet distance):")
     width = max(len(s) for s in labels)
     for name, row in zip(labels, matrix):
         print(f"  {name:>{width}} " + " ".join(f"{v:12.5g}" for v in row))
-    if out_csv:
-        atomic_write_text(out_csv, matrix_csv(matrix, labels))
-    if out_svg:
-        atomic_write_text(out_svg, heatmap_svg(matrix, labels,
-                                               title="class similarity"))
+    atomic_write_text(args.outdir / "similarity.csv", matrix_csv(matrix, labels))
+    atomic_write_text(args.outdir / "similarity.svg",
+                      heatmap_svg(matrix, labels, title="class similarity"))
     return EXIT_OK
-
-
-def cmd_export_similarity(args: argparse.Namespace) -> int:
-    return _similarity_outputs(args.stats, args.outdir / "similarity.csv",
-                               args.outdir / "similarity.svg")
-
-
-def cmd_similarity(args: argparse.Namespace) -> int:
-    return _similarity_outputs(args.stats, args.out_csv, args.out_svg)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe_sim.add_argument("--outdir", type=Path, default="out")
     pe_sim.set_defaults(func=cmd_export_similarity)
 
-    p_sim = sub.add_parser("similarity", help="pairwise Gaussian Frechet distances")
-    p_sim.add_argument("stats", nargs="+")
-    p_sim.add_argument("--out-csv", type=Path, default=None)
-    p_sim.add_argument("--out-svg", type=Path, default=None)
-    p_sim.set_defaults(func=cmd_similarity)
-
     p_demo = sub.add_parser("gmm-demo", help="run the built-in synthetic demos")
     p_demo.add_argument("--out", type=Path, default="gmm_demo_out")
     p_demo.add_argument("--gamma", type=_flag(_number(float, 0.0)), default=1.0)
@@ -634,11 +620,9 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"error: format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except DivergenceError as exc:
-        where = f"step {exc.step}"
-        if exc.sample is not None:
-            where += f", sample {exc.sample}"
-        print(f"error: numerical divergence at {where}: {exc}", file=sys.stderr)
+    except DivergenceError as exc:  # the message names the step and its sigma range
+        sample = "" if exc.sample is None else f", sample {exc.sample}"
+        print(f"error: numerical divergence: {exc}{sample}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except ShapeError as exc:
         print(f"error: shape error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ class ShapeError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when an ODE trajectory leaves the finite-magnitude guard.
 
-    Carries the offending step index and, for batched runs, the sample index.
+    Carries the offending step index and, for runs of more than one sample,
+    the sample index.
     """
 
     def __init__(self, message: str, step: int, sample: int | None = None):

@@ -205,32 +205,28 @@ def data_scale(*stats: GaussianStats) -> float:
     return max(float(np.max(np.abs(s.mean))) + float(np.sqrt(s.eigvals[0])) for s in stats)
 
 
-def _start(x_T: np.ndarray, schedule: NoiseSchedule,
-           scale: float) -> tuple[np.ndarray, bool, float]:
-    """The start as an (m, d) block, whether it was one (d,) state, and the
-    divergence limit: DIVERGENCE_GUARD times the trajectory scale
-    max(1, sigma_max, max|x_T|, scale), where ``scale`` is the run's data scale."""
+def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float) -> tuple[np.ndarray, float]:
+    """The start as an (m, d) block with m, d >= 1, and the divergence limit:
+    DIVERGENCE_GUARD times the trajectory scale max(1, sigma_max, max|x_T|,
+    scale), where ``scale`` is the run's data scale."""
     x = np.asarray(x_T, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
+    if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2:
-        raise ShapeError(f"state must have shape (d,) or (m, d), got {np.shape(x_T)}")
+    if x.ndim != 2 or not x.size:
+        raise ShapeError(f"state must have shape (d,) or (m, d) with m, d >= 1, "
+                         f"got {np.shape(x_T)}")
     if not np.all(np.isfinite(x)):
         raise ShapeError("initial state contains non-finite entries")
     limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, float(np.max(np.abs(x))), scale)
-    return x, single, limit
+    return x, limit
 
 
-def _diverged(schedule: NoiseSchedule, step: int, bad: np.ndarray,
-              single: bool) -> DivergenceError:
-    """The error for a step after which the rows flagged in ``bad`` are past the guard."""
+def _diverged(schedule: NoiseSchedule, step: int, bad: np.ndarray) -> DivergenceError:
+    """The error for a step after which the rows flagged in ``bad`` are past
+    the guard; it names the first of them when there is more than one row."""
     s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
-    sample = int(np.flatnonzero(bad)[0])
-    return DivergenceError(
-        f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})"
-        + (f", sample {sample}" if not single else ""),
-        step=step, sample=None if single else sample)
+    return DivergenceError(f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})",
+                           step=step, sample=int(np.flatnonzero(bad)[0]) if len(bad) > 1 else None)
 
 
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
@@ -242,7 +238,7 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
     non-finite one, raises DivergenceError; ``scale`` is the data scale of
     the run.
     """
-    x, single, limit = _start(x_T, schedule, scale)
+    x, limit = _start(x_T, schedule, scale)
     sig = schedule.sigmas
     for i in range(len(sig) - 1):
         s0, s1 = float(sig[i]), float(sig[i + 1])
@@ -254,8 +250,8 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
         if not np.max(np.abs(x)) <= limit:  # also trips on NaN and inf
-            raise _diverged(schedule, i, ~(np.abs(x) <= limit).all(axis=-1), single)
-    return x[0] if single else x
+            raise _diverged(schedule, i, ~(np.abs(x) <= limit).all(axis=-1))
+    return x.reshape(np.shape(x_T))
 
 
 def _factored(cfg: GuidanceConfig) -> bool:
@@ -383,16 +379,8 @@ class _CondBasisFlow:
 
     def scaling(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, k): step i, not coupled, maps y to y * f + k (k None for 0)."""
-        u0, u1 = self.weights(i)
-        a0, b0 = self.alpha[i], self.shift[i]
-        if not self.heun:
-            return 1.0 + u0 * a0, None if b0 is None else u0 * b0
-        a1, b1 = self.alpha[i + 1], self.shift[i + 1]
-        f = 1.0 + 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * a0 * a1
-        if b0 is None and b1 is None:
-            return f, None
-        b0, b1 = (0.0 if b is None else b for b in (b0, b1))
-        return f, 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * (b0 * a1))
+        node0, node1 = ((self.alpha[j], self.shift[j]) for j in (i, i + 1))
+        return _step_map(np.multiply, *self.weights(i), node0, node1 if self.heun else None)
 
     def node_matrix(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with drift(y, j) = y A + b."""
@@ -407,6 +395,29 @@ class _CondBasisFlow:
             b = np.zeros(d) if self.shift[j] is None else self.shift[j]
         a.flat[::d + 1] += self.alpha[j]
         return a, b
+
+
+def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None) -> tuple:
+    """(M, k): the step y -> y M + k of a drift y A_j + b_j at node j, where
+    node_j = (A_j, b_j) and ``mul`` is np.matmul for matrices A_j and
+    np.multiply for diagonals. Euler (node1 None) is M = I + u0 A_0, k = u0 b_0;
+    Heun is M = I + u0/2 A_0 + u1/2 A_1 + u0 u1/2 A_0 A_1, k = u0/2 b_0 + u1/2
+    (b_1 + u0 b_0 A_1). I is added last; a b_j of None is 0, k None if all are."""
+    a0, b0 = node0
+    if node1 is None:
+        M, k = u0 * a0, None if b0 is None else u0 * b0
+    else:
+        a1, b1 = node1
+        M = 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * mul(a0, a1)
+        k = None
+        if b0 is not None or b1 is not None:
+            b0, b1 = (0.0 if b is None else b for b in (b0, b1))
+            k = 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * mul(b0, a1))
+    if M.ndim == 2:
+        M.flat[::len(M) + 1] += 1.0
+    else:
+        M += 1.0
+    return M, k
 
 
 def _contrast(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
@@ -463,11 +474,10 @@ def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedul
         coupled=tuple(_coupled_steps(cfg, schedule, heun)), heun=heun)
 
 
-def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float,
-              single: bool = False) -> np.ndarray:
+def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
     """Step the (m, d) block x in the cond basis. After each step a sample
     whose |x - mu_c|_2 = |y|_2 exceeds ``limit``, or is not finite, raises
-    DivergenceError naming the step and the sample."""
+    DivergenceError naming the step (and the sample, see ``_diverged``)."""
     y = (x - flow.mean) @ flow.basis
     for i in range(flow.schedule.n_steps):
         u0, u1 = flow.weights(i)
@@ -484,12 +494,11 @@ def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float,
             y += 0.5 * u0 * k0 + 0.5 * u1 * k1
         norms = np.sqrt(np.einsum("ij,ij->i", y, y))
         if not norms.max() <= limit:  # also trips on NaN and inf
-            raise _diverged(flow.schedule, i, ~(norms <= limit), single)
+            raise _diverged(flow.schedule, i, ~(norms <= limit))
     return flow.mean + y @ flow.basis.T
 
 
-def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float,
-              single: bool = False) -> np.ndarray:
+def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
     (m, d) block x with one GEMM in x coordinates.
 
@@ -502,9 +511,8 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float,
     z = x - flow.mean
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
     P, q = np.eye(d), np.zeros(d)
-    prev = None  # (node, A, b) of the last node matrix built
+    last = {}  # the last step's second node, (A, b), which is this step's first
     for i in range(flow.schedule.n_steps):
-        u0, u1 = flow.weights(i)
         if not flow.coupled[i]:
             f, k = flow.scaling(i)
             P *= f
@@ -512,19 +520,14 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float,
             if k is not None:
                 q += k
         else:
-            a0, b0 = prev[1:] if prev and prev[0] == i else flow.node_matrix(i)
-            if flow.heun:
-                a1, b1 = flow.node_matrix(i + 1)
-                prev = (i + 1, a1, b1)
-                M = 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * (a0 @ a1)
-                k = 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * (b0 @ a1))
-            else:
-                M, k = u0 * a0, u0 * b0
-            M.flat[::d + 1] += 1.0
+            node0 = last.pop(i, None) or flow.node_matrix(i)
+            node1 = flow.node_matrix(i + 1) if flow.heun else None
+            last = {i + 1: node1}
+            M, k = _step_map(np.matmul, *flow.weights(i), node0, node1)
             P = P @ M
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
-            return _stepwise(flow, x, limit, single)
+            return _stepwise(flow, x, limit)
     out = z @ (flow.basis @ P @ flow.basis.T)
     out += flow.mean + q @ flow.basis.T
     return out
@@ -554,13 +557,12 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     equals, not the code it runs.
     """
     _check_pair(cond, uncond)
-    x, single, limit = _start(x_T, schedule, data_scale(cond, uncond))
+    x, limit = _start(x_T, schedule, data_scale(cond, uncond))
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
     path = choose_path(cfg, schedule, len(x), cond.d, heun=heun)
     run = _compiled if path == "compiled" else _stepwise
-    out = run(_cfg_flow(cond, uncond, schedule, cfg, heun), x, limit, single)
-    return out[0] if single else out
+    return run(_cfg_flow(cond, uncond, schedule, cfg, heun), x, limit).reshape(np.shape(x_T))
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,

@@ -244,13 +244,17 @@ class TestSample:
 
     def test_divergence_exit_4(self, tmp_path, toy_files, capsys):
         cond_path, uncond_path = toy_files
-        code = main(["sample", "--cond-stats", str(cond_path),
-                     "--uncond-stats", str(uncond_path), "--gamma", "1e18",
-                     "--steps", "3", "--m", "2", "--outdir", str(tmp_path / "d")])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "divergence" in err and "step" in err
-        assert not (tmp_path / "d").exists()
+        for m in (2, 1):
+            code = main(["sample", "--cond-stats", str(cond_path),
+                         "--uncond-stats", str(uncond_path), "--gamma", "1e18",
+                         "--steps", "3", "--m", str(m), "--outdir", str(tmp_path / "d")])
+            assert code == 4
+            err = capsys.readouterr().err
+            # the step, its sigma range and the sample (of a run of more than one) once each
+            assert "divergence" in err
+            assert err.count("step") == 1 and err.count("sigma") == 1 and err.count("->") == 1
+            assert err.count("sample") == (m > 1)
+            assert not (tmp_path / "d").exists()
 
     def test_compiled_run_divergence_exit_4(self, tmp_path):
         cond, uncond = random_stats_pair(4, np.random.default_rng(7))
@@ -461,11 +465,10 @@ class TestExport:
                      str(uncond_path), "--outdir", str(out)]) == 0
         assert (out / "similarity.csv").exists()
         assert (out / "similarity.svg").exists()
-        csv_out = tmp_path / "alias.csv"
-        assert main(["similarity", str(cond_path), str(uncond_path),
-                     "--out-csv", str(csv_out)]) == 0
-        assert csv_out.exists()
         assert "class similarity" in capsys.readouterr().out
+        # the top-level alias is gone: an unknown command is a usage error
+        assert main(["similarity", str(cond_path), str(uncond_path)]) == 3
+        assert "invalid choice: 'similarity'" in capsys.readouterr().err
 
 
 def test_gmm_demo(tmp_path, capsys):
@@ -501,6 +504,7 @@ _MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
     (_SAMPLE + ["--init-sigma", "nan"], 3, "'init_sigma'"),
     (_SAMPLE + ["--gamma", "inf"], 3, "'gamma'"),
     (_SAMPLE + ["--seed", "-1"], 3, "'seed'"),
+    (_SAMPLE + ["--init-gamma", "4"], 3, "'init_gamma'"),
     (_SAMPLE + ["--ppm-shape", "2x1x1", "--ppm-count", "-1"], 3, "'ppm_count'"),
     (_SAMPLE + ["--cond-stats", "{tmp}"], 2, "no such input: {tmp}"),
     (_SAMPLE + ["--config", "{tmp}"], 2, "no such input: {tmp}"),
@@ -548,7 +552,8 @@ def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, ar
 
 
 @pytest.mark.parametrize("argv,path", [
-    (["similarity", "{cond}", "{uncond}", "--out-csv", "{afile}/x.csv"], "{afile}/x.csv"),
+    (["export", "similarity", "--stats", "{cond}", "{uncond}", "--outdir", "{afile}/x"],
+     "{afile}/x"),
     (["sample", "--cond-stats", "{cond}", "--uncond-stats", "{uncond}", "--steps", "4",
       "--m", "2", "--outdir", "{afile}/x"], "{afile}/x"),
     (["fit", "{samples}", "{afile}/out.stats"], "{afile}/out.stats"),

@@ -357,10 +357,22 @@ class TestIntegrate:
             sampler.integrate(cond, uncond, np.array([np.nan, 0.0]), sched,
                               sampler.GuidanceConfig())
 
+    @pytest.mark.parametrize("entry", ["integrate", "integrate_with_scores", "gmm"])
+    def test_rejects_empty_batch(self, entry):
+        cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        sched, cfg = sampler.make_schedule(n_steps=4), G(gamma=1.0)
+        run = {"integrate": partial(sampler.integrate, cond, uncond),
+               "integrate_with_scores": partial(sampler.integrate_with_scores,
+                                                partial(denoiser.score, cond),
+                                                partial(denoiser.score, uncond)),
+               "gmm": partial(gmm.integrate, demo_mixture(), 0)}[entry]
+        with pytest.raises(ShapeError, match=r"m, d >= 1, got \(0, 2\)"):
+            run(np.empty((0, 2)), sched, cfg)
+
 
 def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
     """Run cfg through the named applier, whatever choose_path would pick."""
-    x, _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+    x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
     flow = sampler._cfg_flow(cond, uncond, sched, cfg, heun)
     return getattr(sampler, applier)(flow, x, limit)
 
@@ -440,6 +452,34 @@ class TestGaussianDivergence:
             seen.append((exc.value.step, exc.value.sample))
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][1] == 5
+
+    def test_sample_named_only_for_blocks_of_more_than_one_row(self):
+        """A lone (d,) state and a (1, d) block name no sample; a (3, d) block
+        names its first bad row. Every path trips at the same step."""
+        cond, uncond, sched, _ = self._blowup()
+        model = gmm.MixtureModel(components=(cond, uncond), weights=np.array([0.5, 0.5]))
+        cfg = G(gamma=1e7)  # strong enough for the mixture flow to trip at step 1 too
+        paths = {
+            **{a: partial(_apply, a, cond, uncond, sched=sched, cfg=cfg, heun=False)
+               for a in APPLIERS},
+            "integrate": partial(sampler.integrate, cond, uncond, schedule=sched, cfg=cfg),
+            "integrate_with_scores": partial(
+                sampler.integrate_with_scores, partial(denoiser.score, cond),
+                partial(denoiser.score, uncond), schedule=sched, cfg=cfg,
+                scale=sampler.data_scale(cond, uncond)),
+            "gmm": partial(gmm.integrate, model, 0, schedule=sched, cfg=cfg),
+        }
+        # rows 0 and 2 start at the shared mean, a fixed point of every flow here
+        x_T = np.repeat(cond.mean[None], 3, axis=0)
+        x_T[1] += sampler.draw_initial_states(4, 1, 3, sched)[0]
+        steps = set()
+        for name, run in paths.items():
+            for x, sample in ((x_T[1], None), (x_T, 1), (x_T[1:2], None)):
+                with pytest.raises(DivergenceError) as exc:
+                    run(x_T=x)
+                assert exc.value.sample == sample, (name, x.shape)
+                steps.add(exc.value.step)
+        assert len(steps) == 1
 
     @pytest.mark.parametrize("applier", APPLIERS)
     def test_start_far_beyond_the_absolute_guard_finishes(self, applier):
