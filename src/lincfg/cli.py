@@ -31,8 +31,8 @@ from .export import (check_image_shape, heatmap_svg, histogram_csv, histogram_sv
                      matrix_csv, parse_shape, write_image)
 from .fileio import atomic_write_text
 from .metrics import project_histogram
-from .stats import (DataMatrix, estimate_gaussian_stats, load_data_any,
-                    load_data_matrix, load_stats, save_data_matrix, save_stats)
+from .stats import (estimate_gaussian_stats, load_data_any, load_data_matrix, load_stats,
+                    save_data_matrix, save_stats)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -305,7 +305,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     samples = run(x_T)
     t2 = time.perf_counter()
     samples_path = outdir / "samples.bin"
-    save_data_matrix(DataMatrix(samples), samples_path)
+    save_data_matrix(samples, samples_path)
     timings = {"draw_seconds": t1 - t0, "integrate_seconds": t2 - t1,
                "write_seconds": time.perf_counter() - t2}
     timings["sample_seconds"] = timings["draw_seconds"] + timings["integrate_seconds"]
@@ -468,8 +468,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                  sampler.GuidanceConfig(gamma=0.0))
     guided = sampler.sample_batch(cond, uncond, args.m, args.seed, schedule,
                                   sampler.GuidanceConfig(gamma=args.gamma))
-    save_data_matrix(DataMatrix(naive), args.out / "toy_naive.bin")
-    save_data_matrix(DataMatrix(guided), args.out / "toy_cfg.bin")
+    save_data_matrix(naive, args.out / "toy_naive.bin")
+    save_data_matrix(guided, args.out / "toy_cfg.bin")
     v_pos = pair.eigvecs[:, 0]
     v_neg = pair.eigvecs[:, 1]
     ratios = {}
@@ -492,8 +492,8 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                sampler.GuidanceConfig(gamma=0.0))
     m_guided = gmm.sample_batch(model, 0, args.m, args.seed + 1, schedule,
                                 sampler.GuidanceConfig(gamma=args.gamma))
-    save_data_matrix(DataMatrix(m_naive), args.out / "gmm_naive.bin")
-    save_data_matrix(DataMatrix(m_guided), args.out / "gmm_cfg.bin")
+    save_data_matrix(m_naive, args.out / "gmm_naive.bin")
+    save_data_matrix(m_guided, args.out / "gmm_cfg.bin")
     sigma_eval = schedule.sigma_min
     w_naive = np.mean(gmm.posterior_weights(model, m_naive[:200], sigma_eval).w[:, 0])
     w_guided = np.mean(gmm.posterior_weights(model, m_guided[:200], sigma_eval).w[:, 0])

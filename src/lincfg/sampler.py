@@ -7,11 +7,12 @@ optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
 
 Every Gaussian run, full CFG and every ablation alike, integrates its drift
 in the eigenbasis of cond, where the scores are linear and every step is
-affine. ``choose_path`` picks one of two appliers by a flop count, stepwise
-or compiled, never another path: stepping (one or two GEMMs per drift
-evaluation with a CPC term, elementwise steps without one) or compiling the
-run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with one
-GEMM. ``guidance_terms`` is the decomposition of that drift into the paper's
+affine. ``choose_path`` picks one of two appliers, stepwise or compiled,
+never another path: stepping (one or two GEMMs per drift evaluation with a
+CPC term, elementwise steps without one) or compiling the run into one
+affine map x_0 = mu_c + (x_T - mu_c) P + q applied with one GEMM. It
+compiles when a step has a CPC term and the batch has at least d states.
+``guidance_terms`` is the decomposition of that drift into the paper's
 terms, for diagnostics and as a test oracle; sampling does not call it.
 States accept shape (d,) or a batch (m, d).
 """
@@ -254,11 +255,6 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
     return x.reshape(np.shape(x_T))
 
 
-def _factored(cfg: GuidanceConfig) -> bool:
-    """Both CPC signs on and no frozen basis: the CPC sum needs no split."""
-    return cfg.enable_pos_cpc and cfg.enable_neg_cpc and cfg.freeze_cpc_at is None
-
-
 def _coupled_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> list[bool]:
     """Per step, whether a CPC term is on at any of its drift evaluations
     (Heun: either end). Every other step scales and shifts y elementwise."""
@@ -267,49 +263,20 @@ def _coupled_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> 
     return [on[i] or (heun and on[i + 1]) for i in range(schedule.n_steps)]
 
 
-def _compiles(m: int, d: int, n_coupled: int, heun: bool, factored: bool) -> bool:
-    """Whether folding a Gaussian run into one affine map takes fewer flops
-    than stepping it, for m states in d dimensions with n_coupled steps
-    whose drift is not diagonal in the cond basis (see ``_CondBasisFlow``).
-
-    Stepping does s (m, d) x (d, d) GEMMs per coupled drift evaluation (e of
-    them per step: 1 for Euler, 2 for Heun) and two for the change into and
-    out of the cond basis. The factored CPC sum takes s = 2; a CPC matrix K_j
-    (frozen basis or one sign) takes s = 1:
-
-        stepwise = 2 m d^2 (s e n + 2).
-
-    Folding builds each coupled node's (d, d) matrix and multiplies it into
-    P (2 d^3). The factored sum's matrix is the symmetric product R
-    diag(beta) R^T (b = 1: d^3 flops, a syrk); K_j is built for either
-    applier, so it costs folding nothing extra (b = 0). Heun adds the product
-    of its two node matrices (2 d^3); its second node's matrix is the next
-    step's first. Moving P into x coordinates costs 4 d^3, and applying it
-    one GEMM:
-
-        compiled = d^3 (c n + 4) + 2 m d^2,   c = b + 2 (Euler) or b + 4 (Heun).
-
-    Elementwise and O(d^2) work is left out. For many coupled steps the
-    crossover is m/d = c / 2se: 3/4 for the factored sum with Euler and 5/8
-    with Heun, 1 for K_j with either. A run with no coupled step always
-    steps: each of its steps is an O(md) scale and shift, folding would save
-    at most one GEMM and only for m > 2d, and stepping keeps such runs exact
-    where they can be (the cond mean stays a fixed point of unguided runs).
-    """
-    if n_coupled == 0:
-        return False
-    e = 2 if heun else 1
-    s, b = (2, 1) if factored else (1, 0)
-    c = b + 2 * e
-    return d**3 * (c * n_coupled + 4) + 2 * m * d * d < 2 * m * d * d * (s * e * n_coupled + 2)
-
-
 def choose_path(cfg: GuidanceConfig, schedule: NoiseSchedule, m: int, d: int, *,
                 heun: bool = False) -> str:
-    """How ``integrate`` runs m states in d dimensions: 'compiled' or
-    'stepwise', by the flop rule of ``_compiles``."""
-    n_coupled = sum(_coupled_steps(cfg, schedule, heun))
-    return "compiled" if _compiles(m, d, n_coupled, heun, _factored(cfg)) else "stepwise"
+    """How ``integrate`` runs m states in d dimensions: 'compiled' when some
+    step is coupled (``_coupled_steps``) and m >= d, else 'stepwise'.
+
+    Stepping costs one or two (m, d) x (d, d) GEMMs per coupled drift
+    evaluation plus elementwise (m, d) work; folding costs a few d^3 per
+    coupled step and one GEMM to apply. Timed on one BLAS thread, the two
+    cross at m ~ d for every CPC form, step count and Euler or Heun. A run
+    with no coupled step always steps: each of its steps is an O(md) scale
+    and shift, and stepping keeps such runs exact where they can be (the
+    cond mean stays a fixed point of unguided runs).
+    """
+    return "compiled" if m >= d and any(_coupled_steps(cfg, schedule, heun)) else "stepwise"
 
 
 @dataclass(frozen=True)
@@ -442,7 +409,7 @@ def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedul
     """The flow of cfg for the pair along the schedule."""
     c = 1.0 if cfg.enable_cond else 0.0
     pos, neg = cfg.enable_pos_cpc, cfg.enable_neg_cpc
-    factored = _factored(cfg)
+    factored = pos and neg and cfg.freeze_cpc_at is None  # the CPC sum needs no split
     rot = cond.eigvecs.T @ uncond.eigvecs
     delta = (cond.mean - uncond.mean) @ uncond.eigvecs
     cpc = None
@@ -540,16 +507,15 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
 
     Returns the final state. Every Gaussian run, full CFG and every ablation
     alike, runs its drift in the eigenbasis of cond (see ``_CondBasisFlow``),
-    where every step is affine, in one of two ways that ``choose_path`` picks
-    by a flop count of (m, d, coupled steps, Heun, the CPC term's form):
+    where every step is affine, in one of two ways that ``choose_path`` picks:
+    compiled when some step has a CPC term and m >= d, stepwise otherwise.
 
     - stepwise: one or two GEMMs per coupled drift evaluation; other steps
       are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
-      P + q, 2 to 3 d^3 flops per coupled step (4 to 5 d^3 with Heun),
-      applied with one GEMM. A norm bound on each partial map guards it;
-      when the bound trips, the run is stepped to name the step and the
-      sample.
+      P + q, a few d^3 flops per coupled step, applied with one GEMM. A
+      norm bound on each partial map guards it; when the bound trips, the
+      run is stepped to name the step and the sample.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).

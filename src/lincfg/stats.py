@@ -29,6 +29,19 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(values) -> np.ndarray:
+    """values as a float64 array, not copied, once it is 2-D with n, d >= 1
+    and finite (a min and a max find any NaN or inf without a temporary)."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise ShapeError(f"data matrix must be 2-D, got shape {v.shape}")
+    if v.shape[0] < 1 or v.shape[1] < 1:
+        raise DataError(f"data matrix needs n >= 1 and d >= 1, got {v.shape}")
+    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
+        raise DataError("data matrix contains non-finite entries")
+    return v
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """n x d matrix of samples, one row per sample."""
@@ -36,14 +49,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeError(f"data matrix must be 2-D, got shape {v.shape}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise DataError(f"data matrix needs n >= 1 and d >= 1, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("data matrix contains non-finite entries")
-        object.__setattr__(self, "values", _as_readonly(v))
+        object.__setattr__(self, "values", _as_readonly(_checked(self.values)))
 
     @property
     def n(self) -> int:
@@ -129,12 +135,10 @@ def estimate_gaussian_stats(data: DataMatrix, label: str | None = None) -> Gauss
     The covariance is returned in spectral form; eigenvalues that come out
     slightly negative from round-off are clamped at zero.
     """
-    if not isinstance(data, DataMatrix):
-        data = DataMatrix(np.asarray(data))
-    x = data.values
+    x = data.values if isinstance(data, DataMatrix) else _checked(data)
     mu = x.mean(axis=0)
     centered = x - mu
-    cov = (centered.T @ centered) / data.n
+    cov = (centered.T @ centered) / len(x)
     return spectral_from_covariance(mu, cov, label=label)
 
 
@@ -223,23 +227,23 @@ def load_stats(path) -> GaussianStats:
                          eigvecs=payload[2 * d:].reshape(d, d))
 
 
-def data_matrix_to_bytes(data: DataMatrix) -> bytearray:
-    """The LCFD1 file image, built in one buffer: the values are copied once,
-    straight into little-endian float64 after the 13-byte header.
-    ``save_data_matrix`` writes the same bytes without building it."""
-    out = bytearray(13 + 8 * data.values.size)
-    struct.pack_into("<5sII", out, 0, DATA_MAGIC, data.n, data.d)
-    np.frombuffer(out, "<f8", offset=13).reshape(data.values.shape)[...] = data.values
+def data_matrix_to_bytes(values: np.ndarray) -> bytearray:
+    """The LCFD1 file image of the (n, d) values, built in one buffer: they
+    are copied once, straight into little-endian float64 after the 13-byte
+    header. ``save_data_matrix`` writes the same bytes without building it."""
+    v = _checked(values)
+    out = bytearray(13 + 8 * v.size)
+    struct.pack_into("<5sII", out, 0, DATA_MAGIC, *v.shape)
+    np.frombuffer(out, "<f8", offset=13).reshape(v.shape)[...] = v
     return out
 
 
-def save_data_matrix(data: DataMatrix, path) -> None:
-    """Write the LCFD1 file: the 13-byte header, then the values' own
-    little-endian C-order buffer (copied only if they are not already in
-    that layout), so no file image of the whole matrix is built."""
-    values = np.ascontiguousarray(data.values, dtype="<f8")
-    atomic_write_bytes(path, struct.pack("<5sII", DATA_MAGIC, data.n, data.d),
-                       memoryview(values).cast("B"))
+def save_data_matrix(values: np.ndarray, path) -> None:
+    """Write the (n, d) values as an LCFD1 file: the 13-byte header, then
+    their own little-endian C-order buffer (copied only if they are not
+    already in that layout), so no file image of the whole matrix is built."""
+    v = np.ascontiguousarray(_checked(values), dtype="<f8")
+    atomic_write_bytes(path, struct.pack("<5sII", DATA_MAGIC, *v.shape), memoryview(v).cast("B"))
 
 
 def load_data_matrix(path) -> DataMatrix:

@@ -8,8 +8,7 @@ import pytest
 import lincfg
 from lincfg import denoiser, gmm, sampler, verify
 from lincfg.cli import main
-from lincfg.stats import (DataMatrix, load_data_matrix, load_stats,
-                          save_data_matrix, save_stats)
+from lincfg.stats import load_data_matrix, load_stats, save_data_matrix, save_stats
 from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_conditional_stats,
                               toy_unconditional_stats)
 
@@ -51,7 +50,7 @@ class TestFit:
     def test_fit_binary(self, tmp_path):
         rng = np.random.default_rng(81)
         data = tmp_path / "data.bin"
-        save_data_matrix(DataMatrix(rng.standard_normal((30, 3))), data)
+        save_data_matrix(rng.standard_normal((30, 3)), data)
         out = tmp_path / "fit.stats"
         assert main(["fit", str(data), str(out)]) == 0
         assert load_stats(out).d == 3
@@ -424,7 +423,7 @@ class TestExport:
         cond_path, uncond_path = toy_files
         samples = tmp_path / "samples.bin"
         rng = np.random.default_rng(82)
-        save_data_matrix(DataMatrix(rng.standard_normal((40, 2))), samples)
+        save_data_matrix(rng.standard_normal((40, 2)), samples)
         out = tmp_path / "h"
         assert main(["export", "histograms", "--samples", str(samples),
                      "--cond", str(cond_path), "--uncond", str(uncond_path),
@@ -442,7 +441,7 @@ class TestExport:
         save_stats(cond, tmp_path / "c.stats")
         save_stats(uncond, tmp_path / "u.stats")
         data = np.random.default_rng(85).standard_normal((50, 6))
-        save_data_matrix(DataMatrix(data), tmp_path / "s.bin")
+        save_data_matrix(data, tmp_path / "s.bin")
         csv = {}
         for sigma in (None, 0.8):
             out = tmp_path / f"h{sigma}"
@@ -539,8 +538,7 @@ _MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
 def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, argv, code,
                                                  message):
     cond_path, uncond_path = toy_files
-    save_data_matrix(DataMatrix(np.random.default_rng(86).standard_normal((20, 2))),
-                     tmp_path / "s.bin")
+    save_data_matrix(np.random.default_rng(86).standard_normal((20, 2)), tmp_path / "s.bin")
     for name, weights in _BAD_WEIGHTS.items():
         (tmp_path / f"w_{name}.txt").write_text(
             "".join(f"{p.name} {w}\n" for p, w in zip(toy_files, weights)))
@@ -560,8 +558,7 @@ def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, ar
 ])
 def test_output_below_a_regular_file_exit_1(tmp_path, toy_files, capsys, argv, path):
     cond_path, uncond_path = toy_files
-    save_data_matrix(DataMatrix(np.random.default_rng(87).standard_normal((20, 2))),
-                     tmp_path / "s.bin")
+    save_data_matrix(np.random.default_rng(87).standard_normal((20, 2)), tmp_path / "s.bin")
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
     paths = {"cond": cond_path, "uncond": uncond_path, "samples": tmp_path / "s.bin",

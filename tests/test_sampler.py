@@ -394,21 +394,29 @@ class TestChoosePath:
             assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == (
                 "stepwise" if diagonal else "compiled")
 
+    @pytest.mark.parametrize("n", [1, 20])
     @pytest.mark.parametrize("heun", [False, True])
-    def test_crossover_between_half_d_and_d(self, heun):
-        for d in (256, 768):
-            assert not sampler._compiles(d // 2, d, 20, heun, True)
-            assert sampler._compiles(d, d, 20, heun, True)
-            # a CPC matrix K_j costs stepping one GEMM, not two: crossover at m = d
-            assert not sampler._compiles(d, d, 20, heun, False)
-            assert sampler._compiles(2 * d, d, 20, heun, False)
+    @pytest.mark.parametrize("form", ["factored", "frozen", "single_sign"])
+    def test_compiles_from_m_equal_d(self, form, heun, n):
+        """Whatever the CPC term's form, Euler or Heun, one coupled step or
+        many: a batch of d - 1 states steps and one of d states compiles."""
+        cfg = {"factored": G(gamma=4.0), "frozen": G(gamma=4.0, freeze_cpc_at=5.0),
+               "single_sign": G(gamma=4.0, enable_neg_cpc=False)}[form]
+        sched = sampler.make_schedule(n_steps=n)
+        for d in (2, 128, 768):
+            assert sampler.choose_path(cfg, sched, d - 1, d, heun=heun) == "stepwise"
+            assert sampler.choose_path(cfg, sched, d, d, heun=heun) == "compiled"
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_unguided_runs_always_step(self, heun):
-        sched = sampler.make_schedule(n_steps=20)
-        for cfg in (FULL_CFGS["gamma0"], FULL_CFGS["disjoint"]):
-            for m in (1, 16, 1024, 10**6):
-                assert sampler.choose_path(cfg, sched, m, 8, heun=heun) == "stepwise"
+        """No coupled step (no guidance, guidance outside the schedule, or
+        no CPC term): every m steps."""
+        for n in (1, 20):
+            sched = sampler.make_schedule(n_steps=n)
+            for cfg in (FULL_CFGS["gamma0"], FULL_CFGS["disjoint"],
+                        ABLATION_CFGS["mean_shift"], ABLATION_CFGS["none"]):
+                for m in (1, 7, 8, 9, 1024, 10**6):
+                    assert sampler.choose_path(cfg, sched, m, 8, heun=heun) == "stepwise"
 
 
 class TestGaussianDivergence:
@@ -592,6 +600,7 @@ class TestEveryGaussianConfig:
                                           st.floats(min_value=1.0, max_value=100.0)),
            gamma=st.just(0.0) | st.floats(min_value=0.1, max_value=5.0))
     @example(seed=0, d=16, freeze=1.0, interval=None, gamma=4.0)  # pos+neg Heun diverges
+    @example(seed=1, d=16, freeze=1.0, interval=None, gamma=4.0)  # pos+shift Heun: see below
     def test_each_applier_matches_split_and_dense_drifts(self, terms, heun, seed, d, freeze,
                                                          interval, gamma):
         cond_on, pos, neg, shift = terms
@@ -613,11 +622,26 @@ class TestEveryGaussianConfig:
                     _apply(applier, cond, uncond, x_T, sched, cfg, heun)
                 assert caught.value.step == err.step
             return
-        for applier in APPLIERS:
-            # the fold must not fall back to stepping
-            fallback = None if applier == "_compiled" else sampler._stepwise
-            with mock.patch.object(sampler, "_stepwise", fallback):
-                got = _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+        try:
+            stepped = _apply("_stepwise", cond, uncond, x_T, sched, cfg, heun)
+        except DivergenceError as err:
+            # the references hold max|x| to the guard and the appliers
+            # |x - mu_c|_2, so a flow can end between the two; then each
+            # reference's |x - mu_c|_2 must first pass the limit at that step
+            _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+            for drift in (_split_drift, _dense_ablation_drift):
+                past = [np.linalg.norm(sampler._drive(
+                            drift(cond, uncond, cfg), x_T,
+                            sampler.NoiseSchedule(sched.sigmas[:i + 2]), heun=heun)
+                        - cond.mean, axis=-1).max() > limit for i in range(err.step + 1)]
+                assert past == [False] * err.step + [True]
+            with pytest.raises(DivergenceError) as caught:
+                _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
+            assert caught.value.step == err.step
+            return
+        with mock.patch.object(sampler, "_stepwise", None):  # the fold must not fall back
+            compiled = _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
+        for got in (stepped, compiled):
             for ref in refs:
                 assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
 

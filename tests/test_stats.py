@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from lincfg.errors import DataError, FormatError
+from lincfg import stats as stats_mod
+from lincfg.errors import DataError, FormatError, ShapeError
 from lincfg.stats import (DATA_MAGIC, DataMatrix, GaussianStats, data_matrix_to_bytes,
                           estimate_gaussian_stats, load_data_csv, load_data_matrix, load_stats,
                           pool_stats, save_data_matrix, save_stats,
@@ -186,31 +187,45 @@ class TestStatsFileFormat:
 
 class TestDataFiles:
     def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        dm = DataMatrix(rng.standard_normal((12, 3)))
+        values = np.random.default_rng(6).standard_normal((12, 3))
         path = tmp_path / "d.bin"
-        save_data_matrix(dm, path)
+        save_data_matrix(values, path)
         back = load_data_matrix(path)
-        assert back.values.tobytes() == dm.values.tobytes()
+        assert back.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
     def test_file_image_equals_header_plus_payload(self, layout):
         values = np.random.default_rng(7).standard_normal((9, 6))
         values = {"c": values, "fortran": np.asfortranarray(values),
                   "sliced": values[1::2, ::-2]}[layout]
-        dm = DataMatrix(values)
-        expect = (struct.pack("<5sII", DATA_MAGIC, dm.n, dm.d)
-                  + np.ascontiguousarray(dm.values, dtype="<f8").tobytes())
-        assert bytes(data_matrix_to_bytes(dm)) == expect
+        expect = (struct.pack("<5sII", DATA_MAGIC, *values.shape)
+                  + np.ascontiguousarray(values, dtype="<f8").tobytes())
+        assert bytes(data_matrix_to_bytes(values)) == expect
 
     @pytest.mark.parametrize("layout", ["c", "fortran", "sliced"])
     def test_saved_file_equals_file_image(self, tmp_path, layout):
         values = np.random.default_rng(8).standard_normal((7, 5))
         values = {"c": values, "fortran": np.asfortranarray(values),
                   "sliced": values[::-2, 1::2]}[layout]
-        dm = DataMatrix(values)
-        save_data_matrix(dm, tmp_path / "d.bin")
-        assert (tmp_path / "d.bin").read_bytes() == bytes(data_matrix_to_bytes(dm))
+        save_data_matrix(values, tmp_path / "d.bin")
+        assert (tmp_path / "d.bin").read_bytes() == bytes(data_matrix_to_bytes(values))
+
+    def test_save_neither_copies_nor_writes_bad_values(self, tmp_path, monkeypatch):
+        """A C-order float64 block goes to the file as its own buffer; a
+        block that is not 2-D, is empty or is not finite fails before any
+        file is made."""
+        values = np.random.default_rng(9).standard_normal((4, 3))
+        parts = []
+        monkeypatch.setattr(stats_mod, "atomic_write_bytes", lambda path, *p: parts.extend(p))
+        save_data_matrix(values, tmp_path / "d.bin")
+        assert np.shares_memory(np.frombuffer(parts[1], "<f8"), values)
+        monkeypatch.undo()
+        for bad, err in ((values[0], ShapeError), (np.empty((0, 3)), DataError),
+                         (np.where(values > 1.0, np.nan, values), DataError),
+                         (np.where(values > 1.0, -np.inf, values), DataError)):
+            with pytest.raises(err):
+                save_data_matrix(bad, tmp_path / "bad.bin")
+        assert not (tmp_path / "bad.bin").exists()
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -226,7 +241,7 @@ class TestDataFiles:
 
     def test_binary_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "d.bin"
-        save_data_matrix(DataMatrix(np.ones((2, 3))), path)
+        save_data_matrix(np.ones((2, 3)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="offset 13"):
             load_data_matrix(path)
