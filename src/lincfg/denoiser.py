@@ -6,9 +6,9 @@ inverse (Sigma + sigma^2 I)^-1 is never formed here; it exists only as a test
 oracle. The CPC split, the mixture extension and the CLI exports build the
 guided drift from ``shrink``, ``score`` and ``mean_shift`` rather than
 re-deriving the eigenbasis algebra. Gaussian sampling is the one exception:
-every run, stepwise or compiled (never the CPC split), writes both scores in
-the eigenbasis of cond once per run (``sampler._CondBasisFlow``), and its
-tests hold it to dense solves.
+every run, stepwise or compiled, writes both scores in the eigenbasis of
+cond (``sampler._CondBasisFlow``), its CPC term one split per node
+(``sampler._cpc_split``), and its tests hold it to dense solves.
 
 Vector arguments accept shape (d,) or a batch (m, d); the result matches the
 input shape.

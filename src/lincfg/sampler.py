@@ -7,11 +7,11 @@ optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
 
 Every Gaussian run, full CFG and every ablation alike, integrates its drift
 in the eigenbasis of cond, where the scores are linear and every step is
-affine. ``choose_path`` picks one of two appliers, stepwise or compiled,
-never another path: stepping (one or two GEMMs per drift evaluation with a
-CPC term, elementwise steps without one) or compiling the run into one
-affine map x_0 = mu_c + (x_T - mu_c) P + q applied with one GEMM. It
-compiles when a step has a CPC term and the batch has at least d states.
+affine. ``choose_path`` picks one of two appliers, never another path:
+stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
+sign, one for a frozen basis; elementwise steps without one) or compiling
+the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
+one GEMM. It compiles when a step has a CPC term and the batch has m >= d.
 ``guidance_terms`` is the decomposition of that drift into the paper's
 terms, for diagnostics and as a test oracle; sampling does not call it.
 States accept shape (d,) or a batch (m, d).
@@ -20,9 +20,8 @@ States accept shape (d,) or a batch (m, d).
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -268,56 +267,78 @@ def choose_path(cfg: GuidanceConfig, schedule: NoiseSchedule, m: int, d: int, *,
     """How ``integrate`` runs m states in d dimensions: 'compiled' when some
     step is coupled (``_coupled_steps``) and m >= d, else 'stepwise'.
 
-    Stepping costs one or two (m, d) x (d, d) GEMMs per coupled drift
-    evaluation plus elementwise (m, d) work; folding costs a few d^3 per
-    coupled step and one GEMM to apply. Timed on one BLAS thread, the two
-    cross at m ~ d for every CPC form, step count and Euler or Heun. A run
-    with no coupled step always steps: each of its steps is an O(md) scale
-    and shift, and stepping keeps such runs exact where they can be (the
-    cond mean stays a fixed point of unguided runs).
+    Stepping costs two (m, d) x (d, k) GEMMs per coupled drift evaluation,
+    k <= d (one (d, d) GEMM for a frozen basis), plus elementwise (m, d)
+    work; folding costs a few d^3 per coupled step and one GEMM to apply.
+    Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
+    step count and Euler or Heun. A run with no coupled step always steps:
+    each of its steps is an O(md) scale and shift, and stepping keeps such
+    runs exact where they can be (the cond mean stays a fixed point of
+    unguided runs).
     """
     return "compiled" if m >= d and any(_coupled_steps(cfg, schedule, heun)) else "stepwise"
 
 
 @dataclass(frozen=True)
+class _Split:
+    """A CPC term F diag(lam) F^T + diag(diag) in the cond basis (``_cpc_split``)."""
+
+    vecs: np.ndarray
+    weights: np.ndarray  # all of one sign
+    diag: np.ndarray | float
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = F diag(lam) F^T, formed once per split by one symmetric product (syrk)."""
+        s = self.vecs * np.sqrt(np.abs(self.weights))
+        g = s @ s.T
+        return -g if self.weights.size and self.weights[0] < 0.0 else g
+
+
+def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
+               pos: bool, neg: bool) -> _Split:
+    """(1/s^2)(S~_c - S~_uc) at s = sigma in the cond basis, cut to the CPC
+    signs that are on. Both signs are the direct form F = R, lam = 1/(lam_uc
+    + s^2), diag = -1/(lam_c + s^2): no eigendecomposition, and no f_c - f_uc
+    that cancels at small s. One sign keeps the ``posterior_cpcs`` split,
+    F = U_c^T V and lam = lambda / s^2, so its zero cut stays the one
+    ``cpca`` defines."""
+    s2 = sigma * sigma
+    if pos and neg:
+        return _Split(rot, 1.0 / (uncond.eigvals + s2), -1.0 / (cond.eigvals + s2))
+    cpc = posterior_cpcs(cond, uncond, sigma)
+    lam, vec = cpc.positive if pos else cpc.negative
+    return _Split(cond.eigvecs.T @ vec, lam / s2, 0.0)
+
+
+@dataclass
 class _CondBasisFlow:
     """The drift of a Gaussian run in the eigenbasis of cond, node by node.
 
     With y = (x - mu_c) U_c, R = U_c^T U_uc and delta = (mu_c - mu_uc) U_uc,
-    the drift at a node sigma with coef = g / sigma^2 is
+    ``node(j)`` gives (alpha, split, gain, b) at s = sigma_j, and the drift
+    is y * alpha + ((y F) * (gain lam)) F^T + b. g is gamma where guidance
+    is on and 0 elsewhere, c is 1 with the conditional score on and 0 off:
 
-        y * alpha + ((y R + offset) * beta) R^T + y K + b.
+    - alpha = -c / (lam_c + s^2) + gain diag;
+    - where g > 0 and a CPC sign is on, (F, lam, diag) is ``_cpc_split`` at
+      s with gain g, or at the frozen sigma* with gain g sigma*^2 / s^2;
+    - b = (g / s^2)(I - S~_uc)(mu_c - mu_uc) U_c = (delta g / (lam_uc +
+      s^2)) R^T is the mean shift. Unused parts are None.
 
-    c is 1 with the conditional score on and 0 off, and g is gamma where
-    guidance is on and 0 elsewhere; alpha carries c s_c.
-
-    - Both CPC signs on, live basis: the CPC sum coef (S~_c - S~_uc) is
-      folded into alpha = -(c + g) / (lam_c + sigma^2) and beta = g / (lam_uc
-      + sigma^2), with offset = delta when the mean shift is on (then the
-      drift is (c + g) s_c - g s_uc) and 0 when it is off.
-    - Otherwise alpha = -c / (lam_c + sigma^2), and ``contrast`` gives the
-      CPC term's matrix K = coef C, where C is the cond-basis contrast of
-      ``_contrast`` at sigma (one ``posterior_cpcs`` per node with one sign
-      on) or at the frozen sigma (built once). The mean shift is the
-      constant b = coef (I - S~_uc)(mu_c - mu_uc) U_c = (delta * g / (lam_uc
-      + sigma^2)) R^T.
-
-    Unused parts are None. Step i goes from node i to node i + 1; a step
-    that is not ``coupled`` scales and shifts y elementwise.
+    Step i goes from node i to node i + 1; a step that is not ``coupled``
+    scales and shifts y elementwise.
     """
 
-    mean: np.ndarray
-    basis: np.ndarray
-    rot: np.ndarray
-    offset: np.ndarray
+    cond: GaussianStats
+    uncond: GaussianStats
+    cfg: GuidanceConfig
     schedule: NoiseSchedule
-    alpha: tuple
-    beta: tuple
-    shift: tuple
-    gain: tuple
-    cpc: Callable[[float], np.ndarray] | None
+    rot: np.ndarray
+    delta: np.ndarray | None
     coupled: tuple
     heun: bool
+    last: dict = field(default_factory=dict)  # the last split by its sigma: one sigma deep
 
     def weights(self, i: int) -> tuple[float, float]:
         """(u0, u1): step i's Euler update is y + u0 * drift(y, sigma_i);
@@ -325,46 +346,51 @@ class _CondBasisFlow:
         s0, s1 = float(self.schedule.sigmas[i]), float(self.schedule.sigmas[i + 1])
         return (s0 - s1) * s0, (s0 - s1) * s1
 
-    def contrast(self, j: int) -> np.ndarray | None:
-        """K at node j, or None where no CPC matrix is on."""
-        if self.gain[j] is None:
-            return None
-        return self.gain[j] * self.cpc(float(self.schedule.sigmas[j]))
+    def node(self, j: int) -> tuple:
+        """(alpha, split, gain, b) at node j."""
+        cfg, s = self.cfg, float(self.schedule.sigmas[j])
+        g = cfg.gamma if cfg.guidance_active(s) else 0.0
+        alpha = -(1.0 if cfg.enable_cond else 0.0) / (self.cond.eigvals + s * s)
+        split, gain, b = None, 0.0, None
+        if g > 0.0 and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
+            at = cfg.freeze_cpc_at or s  # the sigma of the split
+            if at not in self.last:  # Heun reads a node twice in a row; frozen is one sigma
+                self.last = {at: _cpc_split(self.cond, self.uncond, self.rot, at,
+                                            cfg.enable_pos_cpc, cfg.enable_neg_cpc)}
+            split = self.last[at]
+            gain = g if at == s else g * (at * at) / (s * s)
+            alpha = alpha + gain * split.diag
+        if g > 0.0 and self.delta is not None:
+            b = (self.delta * (g / (self.uncond.eigvals + s * s))) @ self.rot.T
+        return alpha, split, gain, b
 
     def drift(self, y: np.ndarray, j: int) -> np.ndarray:
-        """The drift at node j of the (m, d) block y: two GEMMs for the
-        factored CPC sum, one for K."""
-        out = y * self.alpha[j]
-        if self.beta[j] is not None:
-            out += ((y @ self.rot + self.offset) * self.beta[j]) @ self.rot.T
-        k = self.contrast(j)
-        if k is not None:
-            out += y @ k
-        if self.shift[j] is not None:
-            out += self.shift[j]
+        """The drift at node j of the (m, d) block y: two GEMMs with a CPC
+        term (thin ones for one live sign), one with G for a frozen basis."""
+        alpha, split, gain, b = self.node(j)
+        out = y * alpha
+        if split is not None:
+            out += ((y @ split.gram) * gain if self.cfg.freeze_cpc_at is not None
+                    else ((y @ split.vecs) * (gain * split.weights)) @ split.vecs.T)
+        if b is not None:
+            out += b
         return out
 
     def scaling(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, k): step i, not coupled, maps y to y * f + k (k None for 0)."""
-        node0, node1 = ((self.alpha[j], self.shift[j]) for j in (i, i + 1))
-        return _step_map(np.multiply, *self.weights(i), node0, node1 if self.heun else None)
+        ends = [self.node(j) for j in range(i, i + 1 + self.heun)]
+        return _step_map(np.multiply, *self.weights(i), *((a, b) for a, _, _, b in ends))
 
     def node_matrix(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with drift(y, j) = y A + b."""
-        d = len(self.mean)
-        if self.beta[j] is not None:
-            s = self.rot * np.sqrt(self.beta[j])
-            a = s @ s.T  # symmetric product: BLAS syrk
-            b = (self.offset * self.beta[j]) @ self.rot.T
-        else:
-            k = self.contrast(j)
-            a = np.zeros((d, d)) if k is None else k
-            b = np.zeros(d) if self.shift[j] is None else self.shift[j]
-        a.flat[::d + 1] += self.alpha[j]
-        return a, b
+        """(A, b) with drift(y, j) = y A + b, where A = gain G + diag(alpha)."""
+        alpha, split, gain, b = self.node(j)
+        d = len(alpha)
+        a = np.zeros((d, d)) if split is None else gain * split.gram
+        a.flat[::d + 1] += alpha
+        return a, np.zeros(d) if b is None else b
 
 
-def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None) -> tuple:
+def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None = None) -> tuple:
     """(M, k): the step y -> y M + k of a drift y A_j + b_j at node j, where
     node_j = (A_j, b_j) and ``mul`` is np.matmul for matrices A_j and
     np.multiply for diagonals. Euler (node1 None) is M = I + u0 A_0, k = u0 b_0;
@@ -387,57 +413,13 @@ def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None) -> t
     return M, k
 
 
-def _contrast(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
-              pos: bool, neg: bool) -> np.ndarray:
-    """S~_c - S~_uc at sigma in the cond basis, cut to the CPC signs that are
-    on. Both signs need no eigendecomposition; one sign keeps the
-    ``posterior_cpcs`` split, rotated into the cond basis by W = U_c^T V, so
-    its zero cut stays the one ``cpca`` defines."""
-    if pos and neg:
-        s = rot * np.sqrt(denoiser.shrinkage(uncond, sigma))
-        k = -(s @ s.T)
-        k.flat[::cond.d + 1] += denoiser.shrinkage(cond, sigma)
-        return k
-    cpc = posterior_cpcs(cond, uncond, sigma)
-    lam, vec = cpc.positive if pos else cpc.negative
-    w = cond.eigvecs.T @ vec
-    return (w * lam) @ w.T
-
-
 def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedule,
               cfg: GuidanceConfig, heun: bool) -> _CondBasisFlow:
     """The flow of cfg for the pair along the schedule."""
-    c = 1.0 if cfg.enable_cond else 0.0
-    pos, neg = cfg.enable_pos_cpc, cfg.enable_neg_cpc
-    factored = pos and neg and cfg.freeze_cpc_at is None  # the CPC sum needs no split
-    rot = cond.eigvecs.T @ uncond.eigvecs
-    delta = (cond.mean - uncond.mean) @ uncond.eigvecs
-    cpc = None
-    if (pos or neg) and not factored:
-        # Heun reads each node twice in a row, and a frozen basis is one
-        # sigma: remembering the last contrast makes one per node or one in all
-        decompose = lru_cache(maxsize=1)(partial(_contrast, cond, uncond, rot, pos=pos, neg=neg))
-        frozen = cfg.freeze_cpc_at
-        cpc = decompose if frozen is None else (lambda sigma: decompose(frozen))
-    alpha, beta, shift, gain = [], [], [], []
-    for s in schedule.sigmas:
-        s = float(s)
-        g = cfg.gamma if cfg.guidance_active(s) else 0.0
-        b_uc = g / (uncond.eigvals + s * s) if g > 0.0 else None
-        if factored:
-            alpha.append(-(c + g) / (cond.eigvals + s * s))
-            beta.append(b_uc)
-            shift.append(None)
-        else:
-            alpha.append(-c / (cond.eigvals + s * s))
-            beta.append(None)
-            shift.append((delta * b_uc) @ rot.T
-                         if b_uc is not None and cfg.enable_mean_shift else None)
-        gain.append(g / (s * s) if cpc is not None and g > 0.0 else None)
     return _CondBasisFlow(
-        mean=cond.mean, basis=cond.eigvecs, rot=rot,
-        offset=delta if cfg.enable_mean_shift else np.zeros(cond.d), schedule=schedule,
-        alpha=tuple(alpha), beta=tuple(beta), shift=tuple(shift), gain=tuple(gain), cpc=cpc,
+        cond=cond, uncond=uncond, cfg=cfg, schedule=schedule,
+        rot=cond.eigvecs.T @ uncond.eigvecs,
+        delta=(cond.mean - uncond.mean) @ uncond.eigvecs if cfg.enable_mean_shift else None,
         coupled=tuple(_coupled_steps(cfg, schedule, heun)), heun=heun)
 
 
@@ -445,7 +427,7 @@ def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
     """Step the (m, d) block x in the cond basis. After each step a sample
     whose |x - mu_c|_2 = |y|_2 exceeds ``limit``, or is not finite, raises
     DivergenceError naming the step (and the sample, see ``_diverged``)."""
-    y = (x - flow.mean) @ flow.basis
+    y = (x - flow.cond.mean) @ flow.cond.eigvecs
     for i in range(flow.schedule.n_steps):
         u0, u1 = flow.weights(i)
         if not flow.coupled[i]:
@@ -462,7 +444,7 @@ def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
         norms = np.sqrt(np.einsum("ij,ij->i", y, y))
         if not norms.max() <= limit:  # also trips on NaN and inf
             raise _diverged(flow.schedule, i, ~(norms <= limit))
-    return flow.mean + y @ flow.basis.T
+    return flow.cond.mean + y @ flow.cond.eigvecs.T
 
 
 def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
@@ -474,11 +456,11 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
     is stepped instead, which names the exact step and sample or returns the
     stepped result when the bound was loose.
     """
-    d = len(flow.mean)
-    z = x - flow.mean
+    d = len(flow.cond.mean)
+    z = x - flow.cond.mean
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
     P, q = np.eye(d), np.zeros(d)
-    last = {}  # the last step's second node, (A, b), which is this step's first
+    node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
     for i in range(flow.schedule.n_steps):
         if not flow.coupled[i]:
             f, k = flow.scaling(i)
@@ -487,16 +469,14 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
             if k is not None:
                 q += k
         else:
-            node0 = last.pop(i, None) or flow.node_matrix(i)
-            node1 = flow.node_matrix(i + 1) if flow.heun else None
-            last = {i + 1: node1}
-            M, k = _step_map(np.matmul, *flow.weights(i), node0, node1)
+            ends = [node(j) for j in range(i, i + 1 + flow.heun)]
+            M, k = _step_map(np.matmul, *flow.weights(i), *ends)
             P = P @ M
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
             return _stepwise(flow, x, limit)
-    out = z @ (flow.basis @ P @ flow.basis.T)
-    out += flow.mean + q @ flow.basis.T
+    out = z @ (flow.cond.eigvecs @ P @ flow.cond.eigvecs.T)
+    out += flow.cond.mean + q @ flow.cond.eigvecs.T
     return out
 
 
@@ -510,8 +490,8 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     where every step is affine, in one of two ways that ``choose_path`` picks:
     compiled when some step has a CPC term and m >= d, stepwise otherwise.
 
-    - stepwise: one or two GEMMs per coupled drift evaluation; other steps
-      are elementwise.
+    - stepwise: two GEMMs per coupled drift evaluation, thin ones for one
+      live CPC sign, or one for a frozen basis; other steps are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
       P + q, a few d^3 flops per coupled step, applied with one GEMM. A
       norm bound on each partial map guards it; when the bound trips, the

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,14 @@ from lincfg.cli import main
 from lincfg.stats import load_data_matrix, load_stats, save_data_matrix, save_stats
 from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_conditional_stats,
                               toy_unconditional_stats)
+
+
+def test_pyproject_version_is_the_package_version():
+    """The manifest's version promises bit-identical samples; a bump must
+    reach both places it is written."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == lincfg.__version__
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lincfg import analytic, denoiser, gmm, sampler
+from lincfg.cpca import posterior_cpcs
 from lincfg.errors import DivergenceError, ShapeError
 from lincfg.stats import GaussianStats
-from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_common_pair,
-                              toy_conditional_stats, toy_unconditional_stats)
+from lincfg.synthetic import (demo_mixture, random_orthonormal, random_stats_pair,
+                              toy_common_pair, toy_conditional_stats,
+                              toy_unconditional_stats)
 from lincfg.verify import trajectory_rel_error
 
 G = sampler.GuidanceConfig
@@ -672,6 +674,88 @@ class TestEveryGaussianConfig:
             calls.clear()
             _apply(applier, cond, uncond, x_T, sched, cfg, heun)
             assert len(calls) == expect.get(name, 0), name
+
+
+class TestCpcSplit:
+    """Every node's CPC term is one (vectors, weights, diagonal) split."""
+
+    @pytest.mark.parametrize("frozen", [5.0, 1e-2, 1e-3])
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_frozen_matrix_matches_dense_solves(self, d, frozen):
+        """With cond and mean shift off, node j's matrix is (gamma/sigma_j^2)
+        U_c^T s*^2 [(Sigma_uc + s*^2)^-1 - (Sigma_c + s*^2)^-1] U_c, held at
+        the scale of its own largest entry. The shrinkage difference f_c -
+        f_uc cancels at small s* and misses this by up to 1e-9 at 1e-3."""
+        cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+        sched = sampler.make_schedule(n_steps=6)
+        cfg = G(gamma=3.0, enable_cond=False, enable_mean_shift=False, freeze_cpc_at=frozen)
+        flow = sampler._cfg_flow(cond, uncond, sched, cfg, True)
+        inv_uc, inv_c = (np.linalg.solve(s.covariance() + frozen**2 * np.eye(d), np.eye(d))
+                         for s in (uncond, cond))
+        contrast = cond.eigvecs.T @ (frozen**2 * (inv_uc - inv_c)) @ cond.eigvecs
+        for j, s in enumerate(sched.sigmas):
+            a, b = flow.node_matrix(j)
+            ref = 3.0 / s**2 * contrast
+            assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max(), j
+            assert not b.any()
+
+    @staticmethod
+    def _shared_basis_pair(d, rng):
+        """lam_c = 2 lam_uc in one basis: every CPC is positive, at every sigma."""
+        basis = random_orthonormal(d, rng)
+        lam_uc = np.sort(rng.uniform(0.1, 1.0, size=d))[::-1]
+        return (GaussianStats(mean=rng.standard_normal(d), eigvecs=basis, eigvals=2.0 * lam_uc),
+                GaussianStats(mean=rng.standard_normal(d), eigvecs=basis, eigvals=lam_uc))
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("applier", APPLIERS)
+    @pytest.mark.parametrize("frozen", [None, 1.0])
+    def test_empty_sign_is_no_cpc_term(self, frozen, applier, heun):
+        """A neg-only run of a pair with no negative CPC (a (d, 0) split)
+        equals the run with no CPC term."""
+        d = 8
+        cond, uncond = self._shared_basis_pair(d, np.random.default_rng(11))
+        sched = sampler.make_schedule(n_steps=12)
+        for s in sched.sigmas:
+            cpc = posterior_cpcs(cond, uncond, float(s))
+            assert (cpc.n_pos, cpc.n_neg) == (d, 0)
+        x_T = sampler.draw_initial_states(d, 16, 11, sched)
+        neg = _apply(applier, cond, uncond, x_T, sched,
+                     G(gamma=2.0, enable_pos_cpc=False, freeze_cpc_at=frozen), heun)
+        none = _apply(applier, cond, uncond, x_T, sched,
+                      G(gamma=2.0, enable_pos_cpc=False, enable_neg_cpc=False), heun)
+        pos = _apply(applier, cond, uncond, x_T, sched,
+                     G(gamma=2.0, enable_neg_cpc=False, freeze_cpc_at=frozen), heun)
+        assert trajectory_rel_error(neg, none, x_T).max() <= 1e-15
+        assert trajectory_rel_error(pos, none, x_T).max() > 1e-3
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("applier", APPLIERS)
+    def test_gram_formed_once_per_split(self, applier, heun, monkeypatch):
+        """A frozen run forms its d x d matrix G once with either applier; a
+        live run forms one per coupled node when compiled and none when
+        stepped, where its two GEMMs use the split's vectors."""
+        formed = []
+        real = sampler._Split.gram.func  # counted under the split's own cache
+        monkeypatch.setattr(sampler._Split.gram, "func",
+                            lambda split: formed.append(split) or real(split))
+        if applier == "_compiled":  # the fold must not fall back to stepping
+            monkeypatch.setattr(sampler, "_stepwise", None)
+        cond, uncond = random_stats_pair(8, np.random.default_rng(12))
+        n = 12
+        sched = sampler.make_schedule(n_steps=n)
+        x_T = sampler.draw_initial_states(8, 16, 12, sched)
+        nodes = sched.sigmas[:n + heun]  # the nodes the steps evaluate the drift at
+        live = n + heun if applier == "_compiled" else 0
+        live_interval = int(np.sum((0.5 <= nodes) & (nodes <= 10.0))) if live else 0
+        for cfg, expect in ((G(gamma=2.0, freeze_cpc_at=5.0), 1),
+                            (G(gamma=2.0, enable_neg_cpc=False, freeze_cpc_at=0.1), 1),
+                            (G(gamma=2.0), live),
+                            (G(gamma=2.0, enable_pos_cpc=False), live),
+                            (G(gamma=2.0, active_interval=(0.5, 10.0)), live_interval)):
+            formed.clear()
+            _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+            assert len(formed) == expect, cfg
 
 
 class TestHeunRate:
