@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ShapeError
-from .stats import GaussianStats
+from .stats import GaussianStats, check_pair
 
 _EQUAL_LAMBDA_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -81,8 +81,7 @@ def check_common_pc(cond: GaussianStats, uncond: GaussianStats,
     eigenvalues are re-expressed as diag(U_c^T Sigma_uc U_c), keeping the
     conditional ordering, with the dropped off-diagonal mass reported.
     """
-    if cond.d != uncond.d:
-        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
+    check_pair(cond, uncond)
     sig_c = cond.covariance()
     sig_uc = uncond.covariance()
     denom = float(np.linalg.norm(sig_c) * np.linalg.norm(sig_uc))

@@ -470,21 +470,16 @@ def cmd_gmm_demo(args: argparse.Namespace) -> int:
                                   sampler.GuidanceConfig(gamma=args.gamma))
     save_data_matrix(naive, args.out / "toy_naive.bin")
     save_data_matrix(guided, args.out / "toy_cfg.bin")
-    v_pos = pair.eigvecs[:, 0]
-    v_neg = pair.eigvecs[:, 1]
-    ratios = {}
-    for name, v in (("pos_cpc", v_pos), ("neg_cpc", v_neg)):
+    ratios, preds = {}, {}
+    for name, sign, v, lam in (("pos_cpc", "+", pair.eigvecs[:, 0], (10.0, 3.0)),
+                                ("neg_cpc", "-", pair.eigvecs[:, 1], (3.0, 10.0))):
         var_n = float(np.var((naive - cond.mean) @ v))
         var_g = float(np.var((guided - cond.mean) @ v))
         ratios[name] = var_g / var_n
-    pred_pos = analytic.h_factor(10.0, 3.0, schedule.sigma_min, schedule.sigma_max) ** args.gamma
-    pred_neg = analytic.h_factor(3.0, 10.0, schedule.sigma_min, schedule.sigma_max) ** args.gamma
-    print(f"toy 2D: variance ratio along +CPC {ratios['pos_cpc']:.3f} "
-          f"(h^gamma prediction {pred_pos:.3f})")
-    print(f"toy 2D: variance ratio along -CPC {ratios['neg_cpc']:.3f} "
-          f"(h^gamma prediction {pred_neg:.3f})")
-    summary["toy"] = {"variance_ratios": ratios,
-                      "h_predictions": {"pos_cpc": pred_pos, "neg_cpc": pred_neg}}
+        preds[name] = analytic.h_factor(*lam, schedule.sigma_min, schedule.sigma_max) ** args.gamma
+        print(f"toy 2D: variance ratio along {sign}CPC {ratios[name]:.3f} "
+              f"(h^gamma prediction {preds[name]:.3f})")
+    summary["toy"] = {"variance_ratios": ratios, "h_predictions": preds}
 
     # 3-cluster mixture: guide toward cluster 0 against the mixture score
     model = synthetic.demo_mixture()

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import shrunk_covariance
 from .errors import ShapeError
-from .stats import GaussianStats, fix_eigvec_signs
+from .stats import GaussianStats, check_pair, fix_eigvec_signs
 
 _ZERO_TOL_FLOOR = 1e-10
 
@@ -75,14 +74,15 @@ def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,
     """CPCs of the conditional vs unconditional posterior covariances at sigma.
 
     The posterior covariances share the factor sigma^2, which cancels in the
-    contrast; eigenvalues are therefore reported in shrinkage units.
+    contrast; eigenvalues are therefore reported in shrinkage units. The
+    contrast S~_c - S~_uc is sigma^2 (R_uc - R_c), R = (Sigma + sigma^2)^-1.
     """
-    if cond.d != uncond.d:
-        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
+    check_pair(cond, uncond)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return contrastive_components(shrunk_covariance(cond, sigma),
-                                  shrunk_covariance(uncond, sigma))
+    s2 = sigma * sigma
+    return contrastive_components(*((s.eigvecs * (s2 / (s.eigvals + s2))) @ s.eigvecs.T
+                                    for s in (uncond, cond)))
 
 
 def variance_along(stats: GaussianStats, v: np.ndarray) -> float:

@@ -1,14 +1,14 @@
 """Optimal linear denoiser for a Gaussian data model.
 
-All operations work in the eigenbasis of the covariance: apply U^T, scale by
-the per-direction shrinkage factor lam/(lam + sigma^2), apply U. The dense
-inverse (Sigma + sigma^2 I)^-1 is never formed here; it exists only as a test
-oracle. The CPC split, the mixture extension and the CLI exports build the
-guided drift from ``shrink``, ``score`` and ``mean_shift`` rather than
-re-deriving the eigenbasis algebra. Gaussian sampling is the one exception:
-every run, stepwise or compiled, writes both scores in the eigenbasis of
-cond (``sampler._CondBasisFlow``), its CPC term one split per node
-(``sampler._cpc_split``), and its tests hold it to dense solves.
+All operations work in the eigenbasis of the covariance: apply U^T, scale
+each direction, apply U; the dense inverse is never formed here. Every
+guidance term is written with the resolvent R = (Sigma + sigma^2)^-1, never
+as a difference of shrinkage factors S~ = Sigma R, which cancels at small
+sigma: the score -R (x - mu), the mean shift sigma^2 R_uc (mu_c - mu_uc), the
+CPC contrast sigma^2 (R_uc - R_c) (``cpca.posterior_cpcs``), the mixture's
+gamma sum_{i != t} w_i (R_i - R_t)(x - mu_t) (``gmm.gmm_cfg_guidance``).
+Gaussian sampling writes them in the cond eigenbasis
+(``sampler._CondBasisFlow``), and its tests hold it to dense solves.
 
 Vector arguments accept shape (d,) or a batch (m, d); the result matches the
 input shape.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .stats import GaussianStats
+from .stats import GaussianStats, check_pair
 
 
 def shrinkage(stats: GaussianStats, sigma: float) -> np.ndarray:
@@ -64,11 +64,10 @@ def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def mean_shift(cond: GaussianStats, uncond: GaussianStats, sigma: float) -> np.ndarray:
-    """Mean-shift direction (I - S~_uc)(mu_c - mu_uc), where S~_uc = shrink(uncond, ., sigma)."""
-    if cond.d != uncond.d:
-        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
-    w = cond.mean - uncond.mean
-    return w - shrink(uncond, w, sigma)
+    """Mean-shift direction (I - S~_uc)(mu_c - mu_uc) = sigma^2 (Sigma_uc + sigma^2)^-1
+    (mu_c - mu_uc), that is -sigma^2 score(uncond, mu_c, sigma)."""
+    check_pair(cond, uncond)
+    return -(sigma * sigma) * score(uncond, cond.mean, sigma)
 
 
 def shrunk_covariance(stats: GaussianStats, sigma: float) -> np.ndarray:

@@ -3,6 +3,8 @@ heatmaps, CSV tables. Images are written atomically through ``fileio``."""
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -102,19 +104,23 @@ def histogram_csv(hist: ProjectionHistogram) -> str:
 
 
 def matrix_csv(matrix: np.ndarray, labels: list[str] | None = None) -> str:
+    """The matrix with a header row and a label column; a label holding a
+    comma or a quote is quoted by the csv module."""
     matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    labels = labels or [f"c{i}" for i in range(n)]
-    lines = ["," + ",".join(labels)]
-    for name, row in zip(labels, matrix):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    labels = labels or [f"c{i}" for i in range(matrix.shape[0])]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *labels])
+    writer.writerows([name, *(repr(float(v)) for v in row)] for name, row in zip(labels, matrix))
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # SVG (dependency-free, fixed-size canvases)
 # ---------------------------------------------------------------------------
 
+# & < > and " escaped in SVG character data (labels are file stems)
+_XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 _SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
              'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n')
 
@@ -128,7 +134,7 @@ def histogram_svg(hist: ProjectionHistogram, *, width: int = 640,
     parts = [_SVG_HEAD.format(w=width, h=height)]
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>\n')
+                     f'font-family="sans-serif" font-size="14">{title.translate(_XML)}</text>\n')
     n = len(counts)
     bar_w = plot_w / max(n, 1)
     for i, c in enumerate(counts):
@@ -151,7 +157,7 @@ def heatmap_svg(matrix: np.ndarray, labels: list[str] | None = None, *,
                 cell: int = 48, title: str = "") -> str:
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
-    labels = labels or [f"c{i}" for i in range(n)]
+    labels = [name.translate(_XML) for name in labels or [f"c{i}" for i in range(n)]]
     lo, hi = float(matrix.min()), float(matrix.max())
     span = hi - lo if hi > lo else 1.0
     pad_left, pad_top = 70, 50 if title else 30
@@ -160,7 +166,7 @@ def heatmap_svg(matrix: np.ndarray, labels: list[str] | None = None, *,
     parts = [_SVG_HEAD.format(w=width, h=height)]
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>\n')
+                     f'font-family="sans-serif" font-size="14">{title.translate(_XML)}</text>\n')
     for i in range(n):
         for j in range(n):
             t = (matrix[i, j] - lo) / span

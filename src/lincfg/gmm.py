@@ -215,11 +215,13 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     """CFG guidance toward mixture component ``target`` (0-based), decomposed as
 
     g_cpc_like  = (gamma/sigma^2) (S~_c - sum_i w_i S~_i)(x - mu_c)
+                = gamma sum_{i != c} w_i (R_i - R_c)(x - mu_c)
     g_mean_like = (gamma/sigma^2) sum_{i != c} w_i (I - S~_i)(mu_c - mu_i)
+                = gamma sum_{i != c} w_i R_i (mu_c - mu_i)
 
-    whose sum equals gamma * (D_c - D_mixture) / sigma^2. The covariance
-    term reads the pass centred on the target, whose projection before the
-    offsets is z_i = (x - mu_c) U_i, and takes it back with one GEMM.
+    with R_i = (Sigma_i + sigma^2)^-1; their sum is gamma (D_c - D_mixture) /
+    sigma^2. Both read the pass centred on the target: one GEMM takes z_i =
+    (x - mu_c) U_i back, and the offsets (mu_i - mu_c) U_i give the shifts.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
@@ -228,13 +230,19 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     _, w, v, r = _pass(model, x, sigma, target)
     st = model._stack
     v += st.offsets[target] * r  # z_i r_i
-    coef = gamma / (sigma * sigma)
-    cpc = _back_project(model, v, np.eye(model.k)[target] - w, st.eigvals * r)
-    tgt = model.components[target]
-    shifts = np.stack([denoiser.mean_shift(tgt, comp, sigma) if i != target
-                       else np.zeros(model.d) for i, comp in enumerate(model.components)])
-    return GmmGuidanceTerms(g_cpc_like=(coef * cpc).reshape(np.shape(x)),
-                            g_mean_like=(coef * (w @ shifts)).reshape(np.shape(x)))
+    cpc = _back_project(model, v, _coefficients(w, target, 0.0, gamma), r)
+    shifts = np.einsum("kd,kde->ke", st.offsets[target] / -(st.eigvals + sigma * sigma),
+                       st.back)  # R_i (mu_c - mu_i), exactly 0 for i = c
+    return GmmGuidanceTerms(g_cpc_like=cpc.reshape(np.shape(x)),
+                            g_mean_like=(gamma * (w @ shifts)).reshape(np.shape(x)))
+
+
+def _coefficients(w: np.ndarray, target: int, c: float, gamma: float) -> np.ndarray:
+    """gamma w_i off the target, -(c + gamma sum_{i != t} w_i) on it: never
+    c + gamma (w_t - 1), which rounds to c in rows close to one-hot."""
+    coef = gamma * w
+    coef[:, target] = -(c + gamma * np.delete(w, target, axis=1).sum(axis=1))
+    return coef
 
 
 def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig):
@@ -250,22 +258,18 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig)
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
-    others = [i for i in range(model.k) if i != target]
     work = xc = None
 
     def drift(x, sigma):
         nonlocal work, xc
-        guided = cfg.guidance_active(sigma)
-        if not guided:
+        if not cfg.guidance_active(sigma):
             return denoiser.score(tgt, x, sigma) if c else np.zeros_like(x)
         if work is None:
             xc = np.empty_like(x)
             work = np.empty((len(x), model.k * model.d))
         np.subtract(x, tgt.mean, out=xc)
         _, w, v, r = _posterior(model, xc, sigma, target, out=work)
-        coef = cfg.gamma * w  # -c_i
-        coef[:, target] = -(c + cfg.gamma * w[:, others].sum(axis=1))
-        return _back_project(model, v, coef, r)
+        return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
 
     return drift
 
@@ -322,6 +326,8 @@ def load_mixture(path) -> MixtureModel:
             weight = float(parts[1])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad weight {parts[1]!r}") from exc
+        if not stats_path.is_file():  # missing, or a directory
+            raise FileNotFoundError(stats_path)
         comps.append(load_stats(stats_path))
         weights.append(weight)
     if not comps:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .sampler import InitSpec
-from .stats import GaussianStats
+from .stats import GaussianStats, check_pair
 
 QUANTILE_LEVELS = (5.0, 25.0, 50.0, 75.0, 95.0)
 DEFAULT_BINS = 50
@@ -73,8 +73,7 @@ def gaussian_frechet(a: GaussianStats, b: GaussianStats) -> float:
 
     computed spectrally and clamped at zero.
     """
-    if a.d != b.d:
-        raise ShapeError(f"stats dims differ: {a.d} != {b.d}")
+    check_pair(a, b)
     if (np.array_equal(a.mean, b.mean) and np.array_equal(a.eigvals, b.eigvals)
             and np.array_equal(a.eigvecs, b.eigvecs)):
         return 0.0
@@ -109,8 +108,7 @@ def mean_shifted_init(cond: GaussianStats, uncond: GaussianStats,
     gamma = 0 recovers the standard zero-mean start. sigma_T follows the
     InitSpec.std rule of sampler.draw_initial_states (None: sigma_max).
     """
-    if cond.d != uncond.d:
-        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
+    check_pair(cond, uncond)
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return InitSpec(shift=gamma * (cond.mean - uncond.mean), std=sigma_T)

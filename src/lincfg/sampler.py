@@ -26,9 +26,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import denoiser
-from .cpca import posterior_cpcs
+from .cpca import contrastive_components, posterior_cpcs
 from .errors import DivergenceError, ShapeError
-from .stats import GaussianStats
+from .stats import GaussianStats, check_pair
 
 DIVERGENCE_GUARD = 1e6
 
@@ -154,11 +154,6 @@ class GuidanceTerms:
         return self.f_c + self.g_pos + self.g_neg + self.g_mean
 
 
-def _check_pair(cond: GaussianStats, uncond: GaussianStats) -> None:
-    if cond.d != uncond.d:
-        raise ShapeError(f"stats dims differ: {cond.d} != {uncond.d}")
-
-
 def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
                    sigma: float, cfg: GuidanceConfig) -> GuidanceTerms:
     """Decomposed CFG drift at state x and noise level sigma.
@@ -172,7 +167,7 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     active interval; f_c is never interval-gated. Zero terms and g_mean are
     read-only broadcast views of shape x.shape.
     """
-    _check_pair(cond, uncond)
+    check_pair(cond, uncond)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
@@ -297,18 +292,19 @@ class _Split:
 
 def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
                pos: bool, neg: bool) -> _Split:
-    """(1/s^2)(S~_c - S~_uc) at s = sigma in the cond basis, cut to the CPC
-    signs that are on. Both signs are the direct form F = R, lam = 1/(lam_uc
-    + s^2), diag = -1/(lam_c + s^2): no eigendecomposition, and no f_c - f_uc
-    that cancels at small s. One sign keeps the ``posterior_cpcs`` split,
-    F = U_c^T V and lam = lambda / s^2, so its zero cut stays the one
-    ``cpca`` defines."""
+    """(1/s^2)(S~_c - S~_uc) = R diag(1/(lam_uc + s^2)) R^T - diag(1/(lam_c +
+    s^2)) at s = sigma in the cond basis, R = U_c^T U_uc, cut to the CPC
+    signs that are on. Both signs keep this direct form: F = R, lam =
+    1/(lam_uc + s^2), diag = -1/(lam_c + s^2). One sign cuts s^2 times it
+    with ``contrastive_components``, so cpca's zero cut holds: F = W, lam =
+    lambda / s^2. Neither differences shrinkage factors."""
     s2 = sigma * sigma
     if pos and neg:
         return _Split(rot, 1.0 / (uncond.eigvals + s2), -1.0 / (cond.eigvals + s2))
-    cpc = posterior_cpcs(cond, uncond, sigma)
+    cpc = contrastive_components((rot * (s2 / (uncond.eigvals + s2))) @ rot.T,
+                                 np.diag(s2 / (cond.eigvals + s2)))
     lam, vec = cpc.positive if pos else cpc.negative
-    return _Split(cond.eigvecs.T @ vec, lam / s2, 0.0)
+    return _Split(vec, lam / s2, 0.0)
 
 
 @dataclass
@@ -502,7 +498,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     The CPC split of ``guidance_terms`` is the decomposition this drift
     equals, not the code it runs.
     """
-    _check_pair(cond, uncond)
+    check_pair(cond, uncond)
     x, limit = _start(x_T, schedule, data_scale(cond, uncond))
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")

@@ -24,6 +24,11 @@ _ORTHO_TOL = 1e-10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    """a itself when it is a read-only, C-contiguous float64 array (one that
+    np.frombuffer made from file bytes, say), else a read-only float64 copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+            and a.flags.c_contiguous):
+        return a
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
@@ -102,6 +107,11 @@ class GaussianStats:
     def covariance(self) -> np.ndarray:
         """Materialize Sigma = U diag(lam) U^T (test/diagnostic use)."""
         return (self.eigvecs * self.eigvals) @ self.eigvecs.T
+
+
+def check_pair(a: GaussianStats, b: GaussianStats) -> None:
+    if a.d != b.d:
+        raise ShapeError(f"stats dims differ: {a.d} != {b.d}")
 
 
 def fix_eigvec_signs(U: np.ndarray) -> np.ndarray:
@@ -265,6 +275,7 @@ def load_data_csv(path) -> DataMatrix:
                             comments="#")
     except ValueError as exc:
         raise FormatError(f"cannot parse CSV data file {path}: {exc}") from exc
+    values.setflags(write=False)  # no other reference: DataMatrix keeps it, uncopied
     return DataMatrix(values)
 
 

@@ -478,6 +478,26 @@ class TestExport:
         assert main(["similarity", str(cond_path), str(uncond_path)]) == 3
         assert "invalid choice: 'similarity'" in capsys.readouterr().err
 
+    def test_export_similarity_labels_read_back_unchanged(self, tmp_path):
+        """Labels are stats-file stems: '&', '<', '>' and '"' are escaped in
+        the SVG, and a comma or a quote is quoted in the CSV."""
+        import csv
+        import xml.etree.ElementTree as ET
+        labels = ["a&b", "c,d", 'e<"f">']
+        cond, uncond = random_stats_pair(3, np.random.default_rng(5))
+        paths = [tmp_path / f"{name}.stats" for name in labels]
+        for path, stats in zip(paths, (cond, uncond, cond)):
+            save_stats(stats, path)
+        out = tmp_path / "sim"
+        assert main(["export", "similarity", "--stats", *map(str, paths),
+                     "--outdir", str(out)]) == 0
+        rows = list(csv.reader((out / "similarity.csv").read_text().splitlines()))
+        assert rows[0] == ["", *labels] and [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == 4 for row in rows)
+        svg = ET.parse(out / "similarity.svg").getroot()
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-2 * len(labels):] == [name for name in labels for _ in (0, 1)]
+
 
 def test_gmm_demo(tmp_path, capsys):
     out = tmp_path / "demo"
@@ -555,6 +575,17 @@ def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, ar
              "out": tmp_path / "o", "tmp": tmp_path}
     assert main([a.format(**paths) for a in argv]) == code
     assert message.format(**paths) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mixture_component_that_is_a_directory_exits_2(tmp_path, toy_files, capsys):
+    """A manifest line naming a directory is a missing input, like a missing file."""
+    (tmp_path / "adir").mkdir()
+    manifest = tmp_path / "mixture.txt"
+    manifest.write_text(f"{toy_files[0].name} 0.5\nadir 0.5\n")
+    argv = [a.format(out=tmp_path / "o") for a in _MIX] + [str(manifest)]
+    assert main(argv) == 2
+    assert f"no such input: {tmp_path / 'adir'}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

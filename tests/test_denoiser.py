@@ -3,7 +3,7 @@ import pytest
 
 from lincfg import denoiser
 from lincfg.errors import ShapeError
-from lincfg.synthetic import random_stats, toy_conditional_stats
+from lincfg.synthetic import random_stats, random_stats_pair, toy_conditional_stats
 
 
 def dense_denoise(stats, x, sigma):
@@ -157,3 +157,15 @@ def test_posterior_cov_eigenvalue_bound():
         expect = np.sort(sigma**2 * stats.eigvals / (stats.eigvals + sigma**2))
         np.testing.assert_allclose(vals, expect, atol=1e-12)
         assert np.all(vals <= np.minimum(np.sort(stats.eigvals), sigma**2) + 1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 1e-3])
+@pytest.mark.parametrize("d", [8, 32])
+def test_mean_shift_matches_dense_solve(d, sigma):
+    """mean_shift is sigma^2 (Sigma_uc + sigma^2)^-1 (mu_c - mu_uc). The form
+    w - S~_uc w cancels at small sigma: it misses by about 1e-9 at 1e-3."""
+    cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+    w = cond.mean - uncond.mean
+    ref = sigma**2 * np.linalg.solve(uncond.covariance() + sigma**2 * np.eye(d), w)
+    got = denoiser.mean_shift(cond, uncond, sigma)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -470,6 +470,47 @@ class TestCondOffRounding:
         assert np.exp(np.mean(np.log(err / err_split))) <= 1.0
 
 
+def _long_double_cpc_like(model, target, X, sigma, gamma):
+    """gamma sum_{i != t} w_i (R_i - R_t)(x - mu_t) all in long double, with
+    the weights by log-sum-exp, and the off-target weight of each row."""
+    ld = np.longdouble
+    X, s2 = X.astype(ld), ld(sigma) ** 2
+    z = X - model.components[target].mean.astype(ld)
+    logp, rz = [], []
+    for c, lp in zip(model.components, np.log(model.weights.astype(ld))):
+        mu, u, var = c.mean.astype(ld), c.eigvecs.astype(ld), c.eigvals.astype(ld) + s2
+        y = (X - mu) @ u
+        logp.append(lp - 0.5 * (np.sum(y * y / var, axis=1) + np.sum(np.log(var))))
+        rz.append(((z @ u) / var) @ u.T)
+    logp = np.stack(logp, axis=1)
+    w = np.exp(logp - logp.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    others = [i for i in range(model.k) if i != target]
+    return (ld(gamma) * sum(w[:, i:i + 1] * (rz[i] - rz[target]) for i in others),
+            w[:, others].sum(axis=1))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="long double is no wider than float64 on this platform")
+@pytest.mark.parametrize("sigma", [1.0, 1e-1, 1e-2, 1e-3])
+def test_cpc_like_term_matches_long_double(sigma):
+    """g_cpc_like holds to each row's own size in rows close to one-hot, whose
+    off-target weights here reach 1e-137. The target's coefficient is -sum_{i
+    != t} w_i, never w_t - 1, which rounds to 0 there: (e_t - w) with the
+    shrinkage factors missed by 9 at sigma=1 and 4e6 at 1e-3."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = random_mixture(8, 3, rng)
+        spread = np.repeat([0.1, 0.3, 1.0, 3.0], 8)[:, None]
+        for target in range(3):
+            X = model.components[target].mean + spread * rng.standard_normal((32, 8))
+            got = gmm.gmm_cfg_guidance(model, target, X, sigma, 2.0).g_cpc_like
+            ref, off = _long_double_cpc_like(model, target, X, sigma, 2.0)
+            assert off.min() > np.finfo(np.float64).tiny  # no row is one-hot in float64
+            err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert err.max() <= 1e-12, (seed, target)
+
+
 class TestManifest:
     def _write_components(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -567,9 +567,10 @@ class TestFullCfgPath:
 
     def test_full_cfg_makes_no_cpc_decomposition(self, monkeypatch):
         calls = []
-        real = sampler.posterior_cpcs
-        monkeypatch.setattr(sampler, "posterior_cpcs",
+        real = sampler.contrastive_components
+        monkeypatch.setattr(sampler, "contrastive_components",
                             lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(sampler, "posterior_cpcs", None)  # only guidance_terms reads it
         for cfg in [G(gamma=0.0), *FULL_CFGS.values()]:
             for heun in (False, True):
                 self._run(8, cfg, heun)
@@ -650,12 +651,15 @@ class TestEveryGaussianConfig:
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("applier", APPLIERS)
     def test_decomposition_counts(self, applier, heun, monkeypatch):
-        """posterior_cpcs runs once per guided node for one live sign, once
-        for one frozen sign, and never with both signs or no CPC term."""
+        """The CPC split decomposes (contrastive_components) once per guided
+        node for one live sign, once for one frozen sign, and never with both
+        signs or no CPC term; sampling never calls posterior_cpcs."""
         calls = []
-        real = sampler.posterior_cpcs
-        monkeypatch.setattr(sampler, "posterior_cpcs", lambda *a: calls.append(a) or real(*a))
+        real = sampler.contrastive_components
+        monkeypatch.setattr(sampler, "contrastive_components",
+                            lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(sampler, "guidance_terms", None)
+        monkeypatch.setattr(sampler, "posterior_cpcs", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(9))
         n = 12
         sched = sampler.make_schedule(n_steps=n)
@@ -683,21 +687,29 @@ class TestCpcSplit:
     @pytest.mark.parametrize("d", [8, 32])
     def test_frozen_matrix_matches_dense_solves(self, d, frozen):
         """With cond and mean shift off, node j's matrix is (gamma/sigma_j^2)
-        U_c^T s*^2 [(Sigma_uc + s*^2)^-1 - (Sigma_c + s*^2)^-1] U_c, held at
-        the scale of its own largest entry. The shrinkage difference f_c -
+        C with C = U_c^T s*^2 [(Sigma_uc + s*^2)^-1 - (Sigma_c + s*^2)^-1] U_c
+        for both signs, or the positive or negative part of C for one, held
+        at the scale of its own largest entry. The shrinkage difference f_c -
         f_uc cancels at small s* and misses this by up to 1e-9 at 1e-3."""
         cond, uncond = random_stats_pair(d, np.random.default_rng(d))
         sched = sampler.make_schedule(n_steps=6)
-        cfg = G(gamma=3.0, enable_cond=False, enable_mean_shift=False, freeze_cpc_at=frozen)
-        flow = sampler._cfg_flow(cond, uncond, sched, cfg, True)
         inv_uc, inv_c = (np.linalg.solve(s.covariance() + frozen**2 * np.eye(d), np.eye(d))
                          for s in (uncond, cond))
         contrast = cond.eigvecs.T @ (frozen**2 * (inv_uc - inv_c)) @ cond.eigvecs
-        for j, s in enumerate(sched.sigmas):
-            a, b = flow.node_matrix(j)
-            ref = 3.0 / s**2 * contrast
-            assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max(), j
-            assert not b.any()
+        lam, vec = np.linalg.eigh(0.5 * (contrast + contrast.T))
+        cut = max(1e-10, d * np.finfo(np.float64).eps * np.abs(lam).max())  # cpca's zero cut
+        parts = {(True, True): contrast,
+                 (True, False): (vec * np.where(lam > cut, lam, 0.0)) @ vec.T,
+                 (False, True): (vec * np.where(lam < -cut, lam, 0.0)) @ vec.T}
+        for (pos, neg), part in parts.items():
+            cfg = G(gamma=3.0, enable_cond=False, enable_pos_cpc=pos, enable_neg_cpc=neg,
+                    enable_mean_shift=False, freeze_cpc_at=frozen)
+            flow = sampler._cfg_flow(cond, uncond, sched, cfg, True)
+            for j, s in enumerate(sched.sigmas):
+                a, b = flow.node_matrix(j)
+                ref = 3.0 / s**2 * part
+                assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max(), (pos, neg, j)
+                assert not b.any()
 
     @staticmethod
     def _shared_basis_pair(d, rng):

@@ -37,6 +37,25 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             dm.values[0, 0] = 7.0
 
+    def test_read_only_input_is_kept_and_writable_input_copied(self, tmp_path, monkeypatch):
+        frozen = np.frombuffer(np.arange(6.0).tobytes()).reshape(3, 2)
+        assert np.shares_memory(DataMatrix(frozen).values, frozen)
+        writable = np.arange(6.0).reshape(3, 2)
+        assert not np.shares_memory(DataMatrix(writable).values, writable)
+        # a loaded file is held once: the matrix is the payload as read
+        read = []
+        real = stats_mod._read_payload
+        monkeypatch.setattr(stats_mod, "_read_payload", lambda *a: read.append(real(*a)) or read[0])
+        save_data_matrix(writable, tmp_path / "x.lcfd")
+        loaded = load_data_matrix(tmp_path / "x.lcfd").values
+        assert np.shares_memory(loaded, read[0]) and np.array_equal(loaded, writable)
+        parsed, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k))
+                            or parsed[0])
+        (tmp_path / "x.csv").write_text("0,1\n2,3\n4,5\n")
+        loaded = load_data_csv(tmp_path / "x.csv").values
+        assert np.shares_memory(loaded, parsed[0]) and np.array_equal(loaded, writable)
+
 
 class TestEstimate:
     def test_zero_variance_repeated_point(self):
