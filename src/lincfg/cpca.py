@@ -78,8 +78,8 @@ def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,
     contrast S~_c - S~_uc is sigma^2 (R_uc - R_c), R = (Sigma + sigma^2)^-1.
     """
     check_pair(cond, uncond)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     s2 = sigma * sigma
     return contrastive_components(*((s.eigvecs * (s2 / (s.eigvals + s2))) @ s.eigvecs.T
                                     for s in (uncond, cond)))

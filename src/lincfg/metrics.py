@@ -109,6 +109,6 @@ def mean_shifted_init(cond: GaussianStats, uncond: GaussianStats,
     InitSpec.std rule of sampler.draw_initial_states (None: sigma_max).
     """
     check_pair(cond, uncond)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     return InitSpec(shift=gamma * (cond.mean - uncond.mean), std=sigma_T)

@@ -12,21 +12,21 @@ stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
 one GEMM. It compiles when a step has a CPC term and the batch has m >= d.
-``guidance_terms`` is the decomposition of that drift into the paper's
-terms, for diagnostics and as a test oracle; sampling does not call it.
+``_CondBasisFlow`` is the one definition of that drift, readable at any
+sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
+paper's decomposition for diagnostics; sampling does not call it.
 States accept shape (d,) or a batch (m, d).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import denoiser
-from .cpca import contrastive_components, posterior_cpcs
+from .cpca import contrastive_components
 from .errors import DivergenceError, ShapeError
 from .stats import GaussianStats, check_pair
 
@@ -116,8 +116,8 @@ class GuidanceConfig:
             lo, hi = self.active_interval
             if not (0.0 < lo <= hi):
                 raise ValueError(f"need 0 < sigma_lo <= sigma_hi, got [{lo}, {hi}]")
-        if self.freeze_cpc_at is not None and not self.freeze_cpc_at > 0.0:
-            raise ValueError(f"freeze_cpc_at must be positive, got {self.freeze_cpc_at}")
+        if self.freeze_cpc_at is not None and not 0.0 < self.freeze_cpc_at < np.inf:
+            raise ValueError(f"freeze_cpc_at must be finite and positive, got {self.freeze_cpc_at}")
 
     def guidance_active(self, sigma: float) -> bool:
         """Whether the guidance terms are on at sigma: gamma > 0, inside the interval."""
@@ -158,41 +158,36 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
                    sigma: float, cfg: GuidanceConfig) -> GuidanceTerms:
     """Decomposed CFG drift at state x and noise level sigma.
 
-    f_c    : conditional score (sigma^-2)(Sigma~_c - I)(x - mu_c)
+    Each term is the drift that sampling runs (``_CondBasisFlow``) at sigma
+    with only that term of cfg on, taken back to x with U_c:
+
+    f_c    : conditional score -(Sigma_c + sigma^2)^-1 (x - mu_c)
     g_pos  : (gamma/sigma^2) V+ L+ V+^T (x - mu_c), class-specific amplification
     g_neg  : (gamma/sigma^2) V- L- V-^T (x - mu_c), generic-feature suppression
-    g_mean : (gamma/sigma^2) (I - Sigma~_uc)(mu_c - mu_uc), x-independent shift
+    g_mean : gamma (Sigma_uc + sigma^2)^-1 (mu_c - mu_uc), x-independent shift
 
-    Disabled terms come back as zeros, as do all guidance terms outside the
-    active interval; f_c is never interval-gated. Zero terms and g_mean are
-    read-only broadcast views of shape x.shape.
+    (V, L) are the CPCs of S~_c - S~_uc at sigma, or at the frozen sigma*,
+    each sign from its own one-sign ``_cpc_split``; with both signs on,
+    sampling runs their sum as one direct split. Disabled terms come back as
+    read-only zero views of shape x.shape; outside the active interval the
+    flow gives zero guidance terms, but f_c is never interval-gated.
     """
     check_pair(cond, uncond)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != stats dimension {cond.d}")
+    flow, y = _cfg_flow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
+    names = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
 
-    f_c = denoiser.score(cond, x, sigma) if cfg.enable_cond else None
-    g_pos = g_neg = g_mean = None
-    if cfg.guidance_active(sigma):
-        coef = cfg.gamma * (1.0 / (sigma * sigma))
-        if cfg.enable_pos_cpc or cfg.enable_neg_cpc:
-            z = x - cond.mean
-            sigma_cpc = cfg.freeze_cpc_at if cfg.freeze_cpc_at is not None else sigma
-            cpc = posterior_cpcs(cond, uncond, sigma_cpc)
-            if cfg.enable_pos_cpc and cpc.n_pos:
-                lp, vp = cpc.positive
-                g_pos = coef * (((z @ vp) * lp) @ vp.T)
-            if cfg.enable_neg_cpc and cpc.n_neg:
-                ln, vn = cpc.negative
-                g_neg = coef * (((z @ vn) * ln) @ vn.T)
-        if cfg.enable_mean_shift:
-            g_mean = np.broadcast_to(coef * denoiser.mean_shift(cond, uncond, sigma), x.shape)
+    def term(name):
+        if not getattr(cfg, name):
+            return np.broadcast_to(0.0, x.shape)
+        one = replace(flow, cfg=replace(cfg, **{n: n == name for n in names}))
+        return one.drift(y, sigma) @ cond.eigvecs.T
 
-    zero = np.broadcast_to(0.0, x.shape)
-    return GuidanceTerms(*(zero if t is None else t for t in (f_c, g_pos, g_neg, g_mean)))
+    return GuidanceTerms(*map(term, names))
 
 
 def data_scale(*stats: GaussianStats) -> float:
@@ -309,42 +304,34 @@ def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigm
 
 @dataclass
 class _CondBasisFlow:
-    """The drift of a Gaussian run in the eigenbasis of cond, node by node.
+    """The drift of a Gaussian config in the eigenbasis of cond, at any sigma.
 
     With y = (x - mu_c) U_c, R = U_c^T U_uc and delta = (mu_c - mu_uc) U_uc,
-    ``node(j)`` gives (alpha, split, gain, b) at s = sigma_j, and the drift
-    is y * alpha + ((y F) * (gain lam)) F^T + b. g is gamma where guidance
-    is on and 0 elsewhere, c is 1 with the conditional score on and 0 off:
+    ``node(s)`` gives (alpha, split, gain, b) at sigma s, and the drift is
+    y * alpha + ((y F) * (gain lam)) F^T + b. g is gamma where guidance is on
+    and 0 elsewhere, c is 1 with the conditional score on and 0 off:
 
     - alpha = -c / (lam_c + s^2) + gain diag;
     - where g > 0 and a CPC sign is on, (F, lam, diag) is ``_cpc_split`` at
       s with gain g, or at the frozen sigma* with gain g sigma*^2 / s^2;
-    - b = (g / s^2)(I - S~_uc)(mu_c - mu_uc) U_c = (delta g / (lam_uc +
-      s^2)) R^T is the mean shift. Unused parts are None.
+    - where g > 0 and the mean shift is on, b = (g / s^2)(I - S~_uc)(mu_c -
+      mu_uc) U_c = (delta g / (lam_uc + s^2)) R^T. Unused parts are None.
 
-    Step i goes from node i to node i + 1; a step that is not ``coupled``
-    scales and shifts y elementwise.
+    This is the one definition of the Gaussian CFG drift: the appliers step
+    it along a schedule (``_steps``) and ``guidance_terms`` reads it one
+    term at a time.
     """
 
     cond: GaussianStats
     uncond: GaussianStats
     cfg: GuidanceConfig
-    schedule: NoiseSchedule
     rot: np.ndarray
-    delta: np.ndarray | None
-    coupled: tuple
-    heun: bool
-    last: dict = field(default_factory=dict)  # the last split by its sigma: one sigma deep
+    delta: np.ndarray
+    last: dict = field(default_factory=dict, init=False)  # the last split by its sigma: one deep
 
-    def weights(self, i: int) -> tuple[float, float]:
-        """(u0, u1): step i's Euler update is y + u0 * drift(y, sigma_i);
-        Heun's corrector weighs the drift at sigma_{i+1} by u1."""
-        s0, s1 = float(self.schedule.sigmas[i]), float(self.schedule.sigmas[i + 1])
-        return (s0 - s1) * s0, (s0 - s1) * s1
-
-    def node(self, j: int) -> tuple:
-        """(alpha, split, gain, b) at node j."""
-        cfg, s = self.cfg, float(self.schedule.sigmas[j])
+    def node(self, s: float) -> tuple:
+        """(alpha, split, gain, b) at sigma s."""
+        cfg = self.cfg
         g = cfg.gamma if cfg.guidance_active(s) else 0.0
         alpha = -(1.0 if cfg.enable_cond else 0.0) / (self.cond.eigvals + s * s)
         split, gain, b = None, 0.0, None
@@ -356,14 +343,15 @@ class _CondBasisFlow:
             split = self.last[at]
             gain = g if at == s else g * (at * at) / (s * s)
             alpha = alpha + gain * split.diag
-        if g > 0.0 and self.delta is not None:
+        if g > 0.0 and cfg.enable_mean_shift:
             b = (self.delta * (g / (self.uncond.eigvals + s * s))) @ self.rot.T
         return alpha, split, gain, b
 
-    def drift(self, y: np.ndarray, j: int) -> np.ndarray:
-        """The drift at node j of the (m, d) block y: two GEMMs with a CPC
-        term (thin ones for one live sign), one with G for a frozen basis."""
-        alpha, split, gain, b = self.node(j)
+    def drift(self, y: np.ndarray, s: float) -> np.ndarray:
+        """The drift at sigma s of y, one state (d,) or a block (m, d): two
+        GEMMs with a CPC term (thin ones for one live sign), one with G for a
+        frozen basis."""
+        alpha, split, gain, b = self.node(s)
         out = y * alpha
         if split is not None:
             out += ((y @ split.gram) * gain if self.cfg.freeze_cpc_at is not None
@@ -372,14 +360,9 @@ class _CondBasisFlow:
             out += b
         return out
 
-    def scaling(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """(f, k): step i, not coupled, maps y to y * f + k (k None for 0)."""
-        ends = [self.node(j) for j in range(i, i + 1 + self.heun)]
-        return _step_map(np.multiply, *self.weights(i), *((a, b) for a, _, _, b in ends))
-
-    def node_matrix(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with drift(y, j) = y A + b, where A = gain G + diag(alpha)."""
-        alpha, split, gain, b = self.node(j)
+    def node_matrix(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with drift(y, s) = y A + b, where A = gain G + diag(alpha)."""
+        alpha, split, gain, b = self.node(s)
         d = len(alpha)
         a = np.zeros((d, d)) if split is None else gain * split.gram
         a.flat[::d + 1] += alpha
@@ -409,41 +392,53 @@ def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None = Non
     return M, k
 
 
-def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, schedule: NoiseSchedule,
-              cfg: GuidanceConfig, heun: bool) -> _CondBasisFlow:
-    """The flow of cfg for the pair along the schedule."""
-    return _CondBasisFlow(
-        cond=cond, uncond=uncond, cfg=cfg, schedule=schedule,
-        rot=cond.eigvecs.T @ uncond.eigvecs,
-        delta=(cond.mean - uncond.mean) @ uncond.eigvecs if cfg.enable_mean_shift else None,
-        coupled=tuple(_coupled_steps(cfg, schedule, heun)), heun=heun)
+def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -> _CondBasisFlow:
+    """The flow of cfg for the pair."""
+    return _CondBasisFlow(cond=cond, uncond=uncond, cfg=cfg, rot=cond.eigvecs.T @ uncond.eigvecs,
+                          delta=(cond.mean - uncond.mean) @ uncond.eigvecs)
 
 
-def _stepwise(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
+def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
+    """Per step i of the schedule, (ends, (u0, u1), scaling): ends are the
+    sigmas the step reads the drift at (sigma_i, and sigma_{i+1} for Heun);
+    the Euler update is y + u0 * drift(y, sigma_i), and Heun's corrector
+    weighs the drift at sigma_{i+1} by u1. A step with no CPC term
+    (``_coupled_steps``) maps y to y * f + k, scaling = (f, k) (k None for
+    0); a coupled step has scaling None."""
+    coupled = _coupled_steps(flow.cfg, schedule, heun)
+    for i in range(schedule.n_steps):
+        s0, s1 = float(schedule.sigmas[i]), float(schedule.sigmas[i + 1])
+        ends, u = (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
+        yield ends, u, None if coupled[i] else _step_map(
+            np.multiply, *u, *((a, b) for a, _, _, b in map(flow.node, ends)))
+
+
+def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
+              limit: float) -> np.ndarray:
     """Step the (m, d) block x in the cond basis. After each step a sample
     whose |x - mu_c|_2 = |y|_2 exceeds ``limit``, or is not finite, raises
     DivergenceError naming the step (and the sample, see ``_diverged``)."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
-    for i in range(flow.schedule.n_steps):
-        u0, u1 = flow.weights(i)
-        if not flow.coupled[i]:
-            f, k = flow.scaling(i)
+    for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
+        if scaling is not None:
+            f, k = scaling
             y *= f
             if k is not None:
                 y += k
-        elif not flow.heun:
-            y += u0 * flow.drift(y, i)
+        elif not heun:
+            y += u0 * flow.drift(y, ends[0])
         else:
-            k0 = flow.drift(y, i)
-            k1 = flow.drift(y + u0 * k0, i + 1)
+            k0 = flow.drift(y, ends[0])
+            k1 = flow.drift(y + u0 * k0, ends[1])
             y += 0.5 * u0 * k0 + 0.5 * u1 * k1
         norms = np.sqrt(np.einsum("ij,ij->i", y, y))
         if not norms.max() <= limit:  # also trips on NaN and inf
-            raise _diverged(flow.schedule, i, ~(norms <= limit))
+            raise _diverged(schedule, i, ~(norms <= limit))
     return flow.cond.mean + y @ flow.cond.eigvecs.T
 
 
-def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
+def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
+              limit: float) -> np.ndarray:
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
     (m, d) block x with one GEMM in x coordinates.
 
@@ -457,20 +452,19 @@ def _compiled(flow: _CondBasisFlow, x: np.ndarray, limit: float) -> np.ndarray:
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
     P, q = np.eye(d), np.zeros(d)
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
-    for i in range(flow.schedule.n_steps):
-        if not flow.coupled[i]:
-            f, k = flow.scaling(i)
+    for ends, u, scaling in _steps(flow, schedule, heun):
+        if scaling is not None:
+            f, k = scaling
             P *= f
             q *= f
             if k is not None:
                 q += k
         else:
-            ends = [node(j) for j in range(i, i + 1 + flow.heun)]
-            M, k = _step_map(np.matmul, *flow.weights(i), *ends)
+            M, k = _step_map(np.matmul, *u, *map(node, ends))
             P = P @ M
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
-            return _stepwise(flow, x, limit)
+            return _stepwise(flow, schedule, heun, x, limit)
     out = z @ (flow.cond.eigvecs @ P @ flow.cond.eigvecs.T)
     out += flow.cond.mean + q @ flow.cond.eigvecs.T
     return out
@@ -495,8 +489,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).
-    The CPC split of ``guidance_terms`` is the decomposition this drift
-    equals, not the code it runs.
+    ``guidance_terms`` reads this same flow one term at a time.
     """
     check_pair(cond, uncond)
     x, limit = _start(x_T, schedule, data_scale(cond, uncond))
@@ -504,7 +497,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
     path = choose_path(cfg, schedule, len(x), cond.d, heun=heun)
     run = _compiled if path == "compiled" else _stepwise
-    return run(_cfg_flow(cond, uncond, schedule, cfg, heun), x, limit).reshape(np.shape(x_T))
+    return run(_cfg_flow(cond, uncond, cfg), schedule, heun, x, limit).reshape(np.shape(x_T))
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,

@@ -245,6 +245,8 @@ def _assembled_guidance(cond: GaussianStats, uncond: GaussianStats,
 
 
 def check_decomposition_identity(n_pairs: int = 100, d: int = 8) -> CheckResult:
+    """The four terms sum to the denoiser's CFG drift, and so does the drift
+    that full-CFG sampling runs: the flow's both-sign direct split."""
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(n_pairs):
@@ -254,9 +256,11 @@ def check_decomposition_identity(n_pairs: int = 100, d: int = 8) -> CheckResult:
         x = rng.standard_normal(d) * max(1.0, sigma)
         cfg = sampler.GuidanceConfig(gamma=gamma)
         terms = sampler.guidance_terms(cond, uncond, x, sigma, cfg)
+        run = sampler._cfg_flow(cond, uncond, cfg).drift((x - cond.mean) @ cond.eigvecs, sigma)
         ref = _assembled_guidance(cond, uncond, x, sigma, gamma)
-        worst = max(worst, float(np.max(np.abs(terms.total() - ref))))
-    return _result("decomposition/identity_vs_denoiser", worst, 1e-10)
+        worst = max(worst, float(np.max(np.abs(terms.total() - ref))),
+                    float(np.max(np.abs(run @ cond.eigvecs.T - ref))))
+    return _result("decomposition/identity_vs_denoiser", worst, 1e-10, "term sum and sampled drift")
 
 
 def check_gamma_zero() -> CheckResult:

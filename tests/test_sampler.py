@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lincfg import analytic, denoiser, gmm, sampler
-from lincfg.cpca import posterior_cpcs
+from lincfg import analytic, cpca, denoiser, gmm, metrics, sampler, verify
 from lincfg.errors import DivergenceError, ShapeError
 from lincfg.stats import GaussianStats
 from lincfg.synthetic import (demo_mixture, random_orthonormal, random_stats_pair,
@@ -26,6 +25,7 @@ FULL_CFGS = {
 }
 APPLIERS = ("_stepwise", "_compiled")
 TERM_SUBSETS = list(itertools.product((False, True), repeat=4))  # cond, pos, neg, mean shift
+TERMS = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
 ABLATION_CFGS = {
     "pos": G(gamma=2.0, enable_neg_cpc=False, enable_mean_shift=False),
     "neg": G(gamma=2.0, enable_pos_cpc=False, enable_mean_shift=False),
@@ -40,7 +40,8 @@ ABLATION_CFGS = {
 
 
 def _split_drift(cond, uncond, cfg):
-    """The drift as the sum of its decomposed terms."""
+    """The drift as the sum of its decomposed terms, each read from the flow
+    with only that term on (one-sign splits for the CPC terms)."""
     return lambda x, s: sampler.guidance_terms(cond, uncond, x, s, cfg).total()
 
 
@@ -223,6 +224,77 @@ class TestGuidanceTerms:
             sampler.guidance_terms(cond, uncond, np.zeros(2), 0.0,
                                    sampler.GuidanceConfig())
 
+    @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
+    @pytest.mark.parametrize("freeze", [None, 1e-2, 5.0], ids=["live", "frozen1e-2", "frozen5"])
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1.0, 80.0])
+    def test_each_term_matches_dense_one_term_drift(self, sigma, freeze, lone):
+        """Each term equals the dense drift of the config with only that term
+        on (``_dense_ablation_drift``): solves for f_c and g_mean, an eigh of
+        the dense shrinkage difference for g_pos and g_neg. With eigenvalues
+        of order 1, that difference loses eps / s^2 of its size at small s and
+        the flow's one-sign split, a difference of two matrices near I, loses
+        eps s^2 at large s, s the split's sigma; the CPC terms are held to
+        64 eps (s^2 + s^-2) of their largest entry, the others to 1e-14."""
+        d = 8
+        cond, uncond = random_stats_pair(d, np.random.default_rng(40))
+        x = cond.mean + (1.0 + sigma) * np.random.default_rng(41).standard_normal(
+            d if lone else (5, d))
+        terms = sampler.guidance_terms(cond, uncond, x, sigma, G(gamma=3.0, freeze_cpc_at=freeze))
+        s = freeze or sigma
+        cpc_tol = 64 * np.finfo(np.float64).eps * (s * s + 1.0 / (s * s))
+        for name, got, tol in zip(TERMS, (terms.f_c, terms.g_pos, terms.g_neg, terms.g_mean),
+                                  (1e-14, cpc_tol, cpc_tol, 1e-14)):
+            one = G(gamma=3.0, freeze_cpc_at=freeze, **{n: n == name for n in TERMS})
+            ref = _dense_ablation_drift(cond, uncond, one)(x, sigma)
+            assert got.shape == x.shape and np.abs(ref).max() > 0.0, name
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", ["freeze_cpc_at", "posterior_cpcs", "guidance_terms",
+                                   "mean_shifted_init"])
+def test_non_finite_input_raises_value_error(entry, value):
+    """A non-finite frozen sigma, sigma or init gamma fails fast with
+    ValueError, not later as a DivergenceError, LinAlgError or shape error."""
+    cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+    call = {"freeze_cpc_at": lambda: G(freeze_cpc_at=value),
+            "posterior_cpcs": lambda: cpca.posterior_cpcs(cond, uncond, value),
+            "guidance_terms": lambda: sampler.guidance_terms(cond, uncond, np.zeros(2), value, G()),
+            "mean_shifted_init": lambda: metrics.mean_shifted_init(cond, uncond, value)}[entry]
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+@pytest.mark.parametrize("mutation", ["both_sign_diag", "mean_shift_b"])
+def test_verify_decomposition_catches_a_mutated_flow(mutation, monkeypatch):
+    """The decomposition suite reads the drift that sampling runs: scaling
+    sigma^2 by 1.001 in the both-sign split's diagonal, or in the mean
+    shift's b, fails a check."""
+    if mutation == "both_sign_diag":
+        real_split = sampler._cpc_split
+
+        def split(cond, uncond, rot, sigma, pos, neg):
+            out = real_split(cond, uncond, rot, sigma, pos, neg)
+            if not (pos and neg):
+                return out
+            return sampler._Split(out.vecs, out.weights,
+                                  -1.0 / (cond.eigvals + 1.001 * sigma * sigma))
+
+        monkeypatch.setattr(sampler, "_cpc_split", split)
+    else:
+        real_node = sampler._CondBasisFlow.node
+
+        def node(flow, s):
+            alpha, split, gain, b = real_node(flow, s)
+            if b is not None:
+                b = (flow.delta * (flow.cfg.gamma / (flow.uncond.eigvals + 1.001 * s * s))
+                     ) @ flow.rot.T
+            return alpha, split, gain, b
+
+        monkeypatch.setattr(sampler._CondBasisFlow, "node", node)
+    failed = [r.name for r in verify.run_suite("decomposition") if not r.passed]
+    assert "decomposition/identity_vs_denoiser" in failed
+
 
 class TestClosedFormUnguided:
     def test_identity_at_equal_sigmas(self):
@@ -375,8 +447,7 @@ class TestIntegrate:
 def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
     """Run cfg through the named applier, whatever choose_path would pick."""
     x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
-    flow = sampler._cfg_flow(cond, uncond, sched, cfg, heun)
-    return getattr(sampler, applier)(flow, x, limit)
+    return getattr(sampler, applier)(sampler._cfg_flow(cond, uncond, cfg), sched, heun, x, limit)
 
 
 class TestChoosePath:
@@ -505,7 +576,7 @@ class TestGaussianDivergence:
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(8, 16, 8, sched)
         cfg = G(gamma=2.0)
-        flow = sampler._cfg_flow(cond, uncond, sched, cfg, False)
+        flow = sampler._cfg_flow(cond, uncond, cfg)
         seen = []  # the states after steps 0..N-2, then the last one
 
         def drift(x, sigma):
@@ -516,9 +587,9 @@ class TestGaussianDivergence:
         # just above the largest |x - mu_c| after any step: no sample passes it,
         # but the norm bound on the partial maps does
         limit = 1.001 * max(np.linalg.norm(x - cond.mean, axis=1).max() for x in seen[1:])
-        stepped = sampler._stepwise(flow, x_T, limit)
-        assert sampler._compiled(flow, x_T, limit).tobytes() == stepped.tobytes()
-        assert sampler._compiled(flow, x_T, 1e12).tobytes() != stepped.tobytes()
+        stepped = sampler._stepwise(flow, sched, False, x_T, limit)
+        assert sampler._compiled(flow, sched, False, x_T, limit).tobytes() == stepped.tobytes()
+        assert sampler._compiled(flow, sched, False, x_T, 1e12).tobytes() != stepped.tobytes()
 
 
 class TestFullCfgPath:
@@ -570,7 +641,7 @@ class TestFullCfgPath:
         real = sampler.contrastive_components
         monkeypatch.setattr(sampler, "contrastive_components",
                             lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(sampler, "posterior_cpcs", None)  # only guidance_terms reads it
+        monkeypatch.setattr(cpca, "posterior_cpcs", None)  # sampling never reads it
         for cfg in [G(gamma=0.0), *FULL_CFGS.values()]:
             for heun in (False, True):
                 self._run(8, cfg, heun)
@@ -659,7 +730,7 @@ class TestEveryGaussianConfig:
         monkeypatch.setattr(sampler, "contrastive_components",
                             lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(sampler, "guidance_terms", None)
-        monkeypatch.setattr(sampler, "posterior_cpcs", None)
+        monkeypatch.setattr(cpca, "posterior_cpcs", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(9))
         n = 12
         sched = sampler.make_schedule(n_steps=n)
@@ -704,9 +775,9 @@ class TestCpcSplit:
         for (pos, neg), part in parts.items():
             cfg = G(gamma=3.0, enable_cond=False, enable_pos_cpc=pos, enable_neg_cpc=neg,
                     enable_mean_shift=False, freeze_cpc_at=frozen)
-            flow = sampler._cfg_flow(cond, uncond, sched, cfg, True)
+            flow = sampler._cfg_flow(cond, uncond, cfg)
             for j, s in enumerate(sched.sigmas):
-                a, b = flow.node_matrix(j)
+                a, b = flow.node_matrix(float(s))
                 ref = 3.0 / s**2 * part
                 assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max(), (pos, neg, j)
                 assert not b.any()
@@ -729,7 +800,7 @@ class TestCpcSplit:
         cond, uncond = self._shared_basis_pair(d, np.random.default_rng(11))
         sched = sampler.make_schedule(n_steps=12)
         for s in sched.sigmas:
-            cpc = posterior_cpcs(cond, uncond, float(s))
+            cpc = cpca.posterior_cpcs(cond, uncond, float(s))
             assert (cpc.n_pos, cpc.n_neg) == (d, 0)
         x_T = sampler.draw_initial_states(d, 16, 11, sched)
         neg = _apply(applier, cond, uncond, x_T, sched,
