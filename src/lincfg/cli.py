@@ -270,7 +270,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
         if not 0 <= target < model.k:
             raise FormatError(f"out-of-range 'target' value {target}: "
                               f"the mixture has K={model.k} components")
-        meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture"}
+        meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture",
+                "mixture_form": gmm.mixture_form(m, model.d)}
         run = partial(gmm.integrate, model, target, schedule=schedule, cfg=cfg, heun=heun)
     else:
         cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))

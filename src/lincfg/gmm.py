@@ -2,22 +2,38 @@
 two-term CFG decomposition against a mixture background, and the guided
 mixture flow.
 
-Everything reads one stacked pass. The component eigenbases sit side by side
-in U_all = [U_1 ... U_K], shape (d, Kd), built once per model. ``_posterior``
-takes every y_i = (X - mu_i) U_i, divided by sqrt(lam_i + sigma^2), with one
-GEMM: X - mu_c against U_all with those factors folded into its columns,
-minus the scaled offsets (mu_i - mu_c) U_i. It is centred on one component
-c, so c's own block has no offset; its log-sum-exp weights stay finite for
-states far from every cluster. Each result is then a per-row, per-block
-weighting of those blocks, taken back to x with one GEMM against U_all^T
-with each block's remaining factor folded into its rows (``_back_project``).
-That GEMM drops every block whose coefficient is 0 in all rows.
+The diagnostics, and the guided flow of small batches, read one stacked
+pass. The component eigenbases sit side by side in U_all = [U_1 ... U_K],
+shape (d, Kd), built once per model. ``_posterior`` takes every y_i = (X -
+mu_i) U_i, divided by sqrt(lam_i + sigma^2), with one GEMM: X - mu_c against
+U_all with those factors folded into its columns, minus the scaled offsets
+(mu_i - mu_c) U_i. It is centred on one component c, so c's own block has
+no offset; its log-sum-exp weights stay finite for states far from every
+cluster. Each result is then a per-row, per-block weighting of those
+blocks, taken back to x with one GEMM against U_all^T with each block's
+remaining factor folded into its rows (``_back_project``). That GEMM drops
+every block whose coefficient is 0 in all rows.
 
-In GEMM-units of (m, d) x (d, d), a guided drift evaluation of ``integrate``
-costs 2K: K to project and K to back-project. Once every row's weight is
-one-hot on the target (on well-separated clusters, from sigma ~ 0.05 down)
-only the target's block goes back: K + 1. Where guidance is off, the
-target's block alone is projected and taken back: 2.
+The guided flow of ``integrate`` has a second form for large batches. Once
+per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
++ sigma^2)) U_i^T, one syrk each (``_resolvents``); one GEMM of X - mu_c
+against [R_1 ... R_K], minus the offsets (mu_i - mu_c) R_i (one more row
+against a column of ones), then gives every (x - mu_i) R_i = -s_i, whose dot
+products with x - mu_i are the quadratic forms of the weights and whose
+weighted sum is the drift.
+
+In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
+folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
+resolvents once per noise level (a Heun node shared by two steps is built
+once). Projected it costs 2K: K to project and K to back-project, or K + 1
+once every row's weight is one-hot on the target (on well-separated
+clusters, from sigma ~ 0.05 down) and only the target's block goes back.
+Where guidance is off, the target's block alone is projected and taken
+back: 2. ``mixture_form`` folds when m >= d (see there for the timings).
+The diagnostics (``posterior_weights``, ``mixture_score``,
+``mixture_denoise``, ``gmm_cfg_guidance``) stay on the eigenbasis pass, so
+the checks that hold the flow's drift, or the Tweedie identity, to them
+compare two independent formulas.
 """
 
 from __future__ import annotations
@@ -116,23 +132,33 @@ def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, centre: int,
     weights; r = 1/sqrt(lam_i + sigma^2) as (K, d); and v (m, K, d), a view
     of ``out`` (m, Kd) when given, holds v_i = y_i r_i with y_i = (X - mu_i)
     U_i, taken in one GEMM against U_all with r folded into its columns,
-    minus the centre's offsets times r. The log densities drop their d/2 log
-    2pi term, which cancels out of normalized weights.
+    minus the centre's offsets times r; the weights come from |v_i|^2
+    (``_weights``).
     """
     st = model._stack
     var = st.eigvals + sigma * sigma
     r = 1.0 / np.sqrt(var)
     v = np.matmul(xc, st.basis * r.reshape(-1), out=out).reshape(len(xc), model.k, model.d)
     v -= st.offsets[centre] * r
-    logp = np.einsum("mkd,mkd->mk", v, v)
+    log_w, w = _weights(model, np.einsum("mkd,mkd->mk", v, v), var)
+    return log_w, w, v, r
+
+
+def _weights(model: MixtureModel, quad: np.ndarray, var: np.ndarray) -> tuple:
+    """(log_w, w) (m, K) from the quadratic forms quad = (x - mu_i)^T (Sigma_i
+    + sigma^2)^-1 (x - mu_i) (m, K), overwritten, and the variances var =
+    lam_i + sigma^2 (K, d): normalized by log-sum-exp, and a weight whose log
+    is below -745 is exactly 0. The d/2 log 2pi term is dropped, as it cancels
+    out of normalized weights."""
+    logp = quad
     logp += np.sum(np.log(var), axis=1)
     logp *= -0.5
-    logp += st.log_prior
+    logp += model._stack.log_prior
     logp -= logp.max(axis=1, keepdims=True)
     log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
     w = np.exp(log_w)
     w[log_w < _LOG_UNDERFLOW] = 0.0
-    return log_w, w, v, r
+    return log_w, w
 
 
 def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> tuple:
@@ -245,31 +271,94 @@ def _coefficients(w: np.ndarray, target: int, c: float, gamma: float) -> np.ndar
     return coef
 
 
-def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig):
+def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Write R_i = U_i diag(1/(lam_i + sigma^2)) U_i^T into out (K, d, d), one
+    syrk each, as (U_i r_i)(U_i r_i)^T with r_i = 1/sqrt(lam_i + sigma^2);
+    return the variances lam_i + sigma^2 (K, d)."""
+    st, d = model._stack, model.d
+    var = st.eigvals + sigma * sigma
+    scaled = st.basis * (1.0 / np.sqrt(var)).reshape(-1)
+    for i in range(model.k):
+        a = scaled[:, i * d:(i + 1) * d]
+        np.matmul(a, a.T, out=out[i])
+    return var
+
+
+def mixture_form(m: int, d: int) -> str:
+    """How ``integrate`` evaluates the guided drift of m states in d
+    dimensions: 'folded' (``_resolvents``, one GEMM) when m >= d, else
+    'projected' (``_posterior`` and ``_back_project``, two GEMMs).
+
+    Folding saves K GEMM-units of (m, d) x (d, d) per evaluation and costs
+    K d / (2m) units per noise level, so it saves work from m = d / 2 with
+    Euler and from m = d / 4 with Heun, which evaluates each noise level
+    twice. Timed on one BLAS thread (``integrate``, K = 4, N = 50, d = 64 to
+    256), Euler ties near m = d / 2 (0.95-0.97 projected/folded) and folding
+    wins from m = d (1.12-1.21; 1.55-1.81 at m = 8d); with Heun folding
+    already wins at m = d / 8 (1.02-1.22). The rule keeps the Euler
+    crossover for both, which is also that of ``sampler.choose_path``.
+    """
+    return "folded" if m >= d else "projected"
+
+
+def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
+                  form: str):
     """drift(x, sigma) of ``integrate`` for one (m, d) block at a time.
 
     Guided, the drift is c s_t + gamma (s_t - sum_i w_i s_i) = sum_i c_i s_i
-    with s_i = -(y_i / (lam_i + sigma^2)) U_i^T, c the cond switch (1 or 0),
+    with s_i = -(Sigma_i + sigma^2)^-1 (x - mu_i), c the cond switch (1 or 0),
     c_i = -gamma w_i off the target and c_t = c + gamma sum_{i != t} w_i, so
-    a row one-hot on the target weighs s_t by exactly c. Unguided it is c s_t
-    from the target's block alone, which is ``denoiser.score``. One (m, d)
-    buffer and one (m, Kd) buffer, each made at the first guided evaluation,
+    a row one-hot on the target weighs s_t by exactly c. Coefficients below
+    the smallest normal float count as 0. ``form`` (``mixture_form``) says how:
+
+    - 'projected': one stacked pass (``_posterior``) and one back-projection
+      of the blocks some row still weighs (``_back_project``).
+    - 'folded': one GEMM of [x - mu_t, 1] against the resolvents of the
+      current sigma over their offsets -(mu_i - mu_t) R_i gives each -s_i =
+      (x - mu_i) R_i; the quadratic forms (x - mu_i) . (x - mu_i) R_i give
+      the weights, and the drift is the coefficient-weighted sum of the
+      blocks. The resolvents are rebuilt in place when sigma changes, so a
+      Heun node shared by two steps is built once.
+
+    Unguided it is c s_t from the target's block alone, which is
+    ``denoiser.score``. The (m, d + 1) and (m, Kd) buffers, and the (Kd, d +
+    1) resolvents when folded, are made at the first guided evaluation and
     serve every guided evaluation.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
-    work = xc = None
+    k, d = model.k, model.d
+    diff = model._stack.means - tgt.mean  # mu_i - mu_t, exactly 0 at the target
+    work = xc1 = xc = blocks = None
+    built = var = None
 
     def drift(x, sigma):
-        nonlocal work, xc
+        nonlocal work, xc1, xc, blocks, built, var
         if not cfg.guidance_active(sigma):
             return denoiser.score(tgt, x, sigma) if c else np.zeros_like(x)
         if work is None:
-            xc = np.empty_like(x)
-            work = np.empty((len(x), model.k * model.d))
+            work = np.empty((len(x), k * d))
+            xc1 = np.ones((len(x), d + 1))  # [x - mu_t, 1]
+            xc = xc1[:, :d]
+            if form == "folded":
+                blocks = np.empty((k * d, d + 1))  # block i: [R_i, -(mu_i - mu_t) R_i]
         np.subtract(x, tgt.mean, out=xc)
-        _, w, v, r = _posterior(model, xc, sigma, target, out=work)
-        return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
+        if form == "projected":
+            _, w, v, r = _posterior(model, xc, sigma, target, out=work)
+            return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
+        if sigma != built:
+            res = blocks[:, :d].reshape(k, d, d)
+            var = _resolvents(model, sigma, res)
+            blocks[:, d] = -np.einsum("kd,kde->ke", diff, res).reshape(-1)
+            built = sigma
+        # each R_i is symmetric, so blocks^T is [R_1 ... R_K] over the offsets
+        z = np.matmul(xc1, blocks.T, out=work).reshape(len(x), k, d)
+        quad = np.einsum("md,mkd->mk", xc, z)
+        quad -= np.einsum("mkd,kd->mk", z, diff)
+        _, w = _weights(model, quad, var)
+        coef = _coefficients(w, target, c, cfg.gamma)
+        coef[np.abs(coef) < _TINY] = 0.0
+        return np.einsum("mk,mkd->md", coef, z)
 
     return drift
 
@@ -282,14 +371,16 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     The conditional score is the target component's linear score and the
     unconditional one the mixture score; the guidance is gamma times their
     difference, gated by cfg.guidance_active, and the per-term CPC toggles
-    do not apply. The drift is one stacked pass per evaluation
-    (``_guided_drift``), stepped by the generic reverse-ODE driver.
+    do not apply. The drift (``_guided_drift``) is folded or projected as
+    ``mixture_form`` picks from the batch's (m, d), once per run, and
+    stepped by the generic reverse-ODE driver.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     if np.ndim(x_T) and np.shape(x_T)[-1] != model.d:
         raise ShapeError(f"state dimension {np.shape(x_T)[-1]} != mixture dimension {model.d}")
-    return sampler._drive(_guided_drift(model, target, cfg), x_T, schedule, heun=heun,
+    form = mixture_form(len(x_T) if np.ndim(x_T) == 2 else 1, model.d)
+    return sampler._drive(_guided_drift(model, target, cfg, form), x_T, schedule, heun=heun,
                           scale=sampler.data_scale(*model.components))
 
 

@@ -583,6 +583,40 @@ def check_two_component_1d() -> CheckResult:
     return _result("gmm/two_component_1d", worst, 1e-12)
 
 
+def check_guided_drift_vs_pass() -> CheckResult:
+    """The guided drift of ``gmm.integrate``, folded and projected, against c
+    s_t + gamma (s_t - s_mix) with s_t from ``denoiser.score`` and s_mix from
+    ``gmm.mixture_score``, the eigenbasis pass: near and far clusters, rows
+    at every component and far from all, sigma from 1e-3 to 80, cond on and
+    off, every target. Each row's error is in units of kappa max(1, max_i
+    |s_i|), where kappa = max(1, L max_i w_i (1 - w_i)) and L is the row's
+    largest half quadratic form: float64 knows the log densities to about
+    eps L, and that moves the weights by about w_i (1 - w_i) eps L."""
+    rng = np.random.default_rng(46)
+    worst = 0.0
+    for spread in (1.0, 1.0, 30.0, 30.0):
+        model = synthetic.random_mixture(8, 3, rng, mean_scale=spread)
+        means = np.stack([c.mean for c in model.components])
+        X = np.concatenate([means[i] + rng.standard_normal((4, 8)) for i in range(3)]
+                           + [10.0 * spread * rng.standard_normal((4, 8))])
+        for sigma in np.geomspace(1e-3, 80.0, 9):
+            scores = [denoiser.score(c, X, sigma) for c in model.components]
+            quad = np.stack([np.sum((mu - X) * s, axis=1) for mu, s in zip(means, scores)], axis=1)
+            w = gmm.posterior_weights(model, X, sigma).w
+            unit = (np.maximum(1.0, 0.5 * quad.max(axis=1) * np.max(w * (1.0 - w), axis=1))
+                    * np.maximum(1.0, np.max([np.max(np.abs(s), axis=1) for s in scores], axis=0)))
+            s_mix = gmm.mixture_score(model, X, sigma)
+            for cond in (1.0, 0.0):
+                cfg = sampler.GuidanceConfig(gamma=4.0, enable_cond=bool(cond))
+                for t in range(model.k):
+                    ref = cond * scores[t] + cfg.gamma * (scores[t] - s_mix)
+                    for form in ("folded", "projected"):
+                        got = gmm._guided_drift(model, t, cfg, form)(X, sigma)
+                        worst = max(worst, float(np.max(np.max(np.abs(got - ref), axis=1) / unit)))
+    return _result("gmm/guided_drift_vs_pass", worst, 1e-12,
+                   "both forms, sigma 1e-3 to 80, near and far clusters")
+
+
 def suite_gmm() -> list[CheckResult]:
     return [
         check_k1_reduction(),
@@ -591,6 +625,7 @@ def suite_gmm() -> list[CheckResult]:
         check_guidance_sum_identity(),
         check_weight_stability(),
         check_two_component_1d(),
+        check_guided_drift_vs_pass(),
     ]
 
 

@@ -286,13 +286,23 @@ class TestSample:
         batch = gmm.sample_batch(model, 1, 5, 9, sampler.make_schedule(n_steps=15),
                                  sampler.GuidanceConfig(gamma=1.0))
         np.testing.assert_array_equal(got, batch)
-        assert json.loads((out / "run_manifest.json").read_text())["meta"]["sampler"] == "mixture"
+        meta = json.loads((out / "run_manifest.json").read_text())["meta"]
+        assert (meta["sampler"], meta["mixture_form"]) == ("mixture", "folded")  # m = 5 >= d = 2
 
         # the manifest lists every key, the Gaussian-only ones at their defaults
         rerun = tmp_path / "rerun"
         assert main(["sample", "--config", str(out / "run_manifest.json"),
                      "--outdir", str(rerun)]) == 0
         assert (rerun / "samples.bin").read_bytes() == (out / "samples.bin").read_bytes()
+
+        # one sample is below the folding threshold: the same flow, projected
+        one = tmp_path / "one"
+        assert main(["sample", "--mixture", str(manifest), "--target", "1", "--gamma", "1",
+                     "--steps", "15", "--m", "1", "--seed", "9", "--outdir", str(one)]) == 0
+        meta = json.loads((one / "run_manifest.json").read_text())["meta"]
+        assert (meta["sampler"], meta["mixture_form"]) == ("mixture", "projected")
+        np.testing.assert_allclose(load_data_matrix(one / "samples.bin").values, batch[:1],
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(batch)))
 
     @pytest.mark.parametrize("mixture,flag,value", [
         (True, "--cond-stats", "cond.stats"), (True, "--uncond-stats", "uncond.stats"),

@@ -298,7 +298,10 @@ class TestDenseOracle:
         knows to about eps L; that moves w_i by about w_i (1 - w_i) eps L. So a
         row's weight errors are measured in units of
         kappa = max(1, L max_i w_i (1 - w_i)), and its score and denoiser
-        errors in units of kappa max(1, max_i |part_i|).
+        errors in units of kappa max(1, max_i |part_i|). The guided drift of
+        ``integrate``, in both forms, on the whole block (m >= d) and one row
+        at a time (m = 1 < d), is a weighting of the scores: its errors are in
+        the scores' units.
         """
         rng = np.random.default_rng(100 + d)
         model = random_mixture(d, 3, rng)
@@ -314,6 +317,16 @@ class TestDenseOracle:
             ref = sum(w[:, i:i + 1] * p for i, p in enumerate(parts))
             size = np.max([np.max(np.abs(p), axis=1) for p in parts], axis=0)[:, None]
             assert np.max(np.abs(got - ref) / (kappa * np.maximum(1.0, size))) <= 1e-12
+        size = np.max([np.max(np.abs(s), axis=1) for s in scores], axis=0)[:, None]
+        for cfg in MIXTURE_CFGS.values():
+            for target in range(model.k):
+                ref = _dense_mixture_drift(model, target, cfg)(X, sigma)
+                for form in ("folded", "projected"):
+                    for blocks in ([X], X[:, None]):
+                        drift = gmm._guided_drift(model, target, cfg, form)
+                        got = np.concatenate([drift(b, sigma) for b in blocks])
+                        err = np.max(np.abs(got - ref) / (kappa * np.maximum(1.0, size)))
+                        assert err <= 1e-12, (cfg, target, form, len(blocks))
 
 
 def far_mixture(d, rng):
@@ -328,32 +341,42 @@ def far_mixture(d, rng):
 
 
 class TestFusedDrift:
-    """The stacked pass with block skipping against dense solves."""
+    """Both forms of the guided drift, block skipping included, against dense solves."""
 
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
     @pytest.mark.parametrize("target", [0, 2])
-    def test_block_skipping_matches_dense_solve_drift(self, monkeypatch, target, name, heun):
+    @pytest.mark.parametrize("m", [3, 16])  # d = 4: projected below, folded at m >= d
+    def test_block_skipping_matches_dense_solve_drift(self, monkeypatch, m, target, name, heun):
         cfg = MIXTURE_CFGS[name]
         model = far_mixture(4, np.random.default_rng(5))
         sched = sampler.make_schedule(n_steps=16)
-        coefs = []
+        kept, packed = [], []
 
-        def spy(model, v, coef, scale):
-            coefs.append(np.where(np.abs(coef) < gmm._TINY, 0.0, coef) != 0.0)
+        def spy_coefficients(w, target, c, gamma):
+            coef = coefficients(w, target, c, gamma)
+            kept.append(np.abs(coef) >= gmm._TINY)
+            return coef
+
+        def spy_back_project(model, v, coef, scale):
+            packed.append(np.where(np.abs(coef) < gmm._TINY, 0.0, coef) != 0.0)
             return back_project(model, v, coef, scale)
 
-        back_project = gmm._back_project
-        monkeypatch.setattr(gmm, "_back_project", spy)
-        got = gmm.sample_batch(model, target, 16, 3, sched, cfg, heun=heun)
-        x_T = sampler.draw_initial_states(4, 16, 3, sched)
+        coefficients, back_project = gmm._coefficients, gmm._back_project
+        monkeypatch.setattr(gmm, "_coefficients", spy_coefficients)
+        monkeypatch.setattr(gmm, "_back_project", spy_back_project)
+        got = gmm.sample_batch(model, target, m, 3, sched, cfg, heun=heun)
+        x_T = sampler.draw_initial_states(4, m, 3, sched)
         ref = sampler._drive(_dense_mixture_drift(model, target, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
-        # block 1 was dropped between two kept blocks, so the kept ones were packed
-        assert any(list(c.any(axis=0)) == [True, False, True] for c in coefs)
+        if gmm.mixture_form(m, 4) == "projected":
+            # block 1 was dropped between two kept blocks, so the kept ones were packed
+            assert any(list(c.any(axis=0)) == [True, False, True] for c in packed)
+            return
+        assert not packed
         if name != "interval":  # the interval ends before any row is one-hot
             one_hot = [(c.sum(axis=1) <= 1).any() and (c.sum(axis=1) > 1).any()
-                       for c in coefs]
+                       for c in kept]
             assert any(one_hot), "no evaluation had both one-hot and mixed rows"
 
     @pytest.mark.parametrize("heun", [False, True])
@@ -367,10 +390,11 @@ class TestFusedDrift:
         ref = sampler._drive(_dense_mixture_drift(model, 0, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
 
-    def test_subnormal_weight_never_reaches_the_back_projection(self):
+    @pytest.mark.parametrize("form", ["folded", "projected"])
+    def test_subnormal_weight_never_reaches_the_back_projection(self, form):
         """At x = mu_0 with sigma = 1 the far component's weight is about
-        exp(-721), subnormal; the drift drops it and is exactly 0 there,
-        where the dense drift is -gamma w_1 s_1, itself subnormal."""
+        exp(-721), subnormal; either form of the drift drops it and is exactly
+        0 there, where the dense drift is -gamma w_1 s_1, itself subnormal."""
         comps = (GaussianStats(mean=[0.0, 0.0], eigvecs=np.eye(2), eigvals=[1.0, 1.0]),
                  GaussianStats(mean=[53.7, 0.0], eigvecs=np.eye(2), eigvals=[1.0, 1.0]))
         model = gmm.MixtureModel(components=comps, weights=np.array([0.5, 0.5]))
@@ -378,7 +402,7 @@ class TestFusedDrift:
         w1 = gmm.posterior_weights(model, X[0], 1.0).w[1]
         assert 0.0 < w1 < np.finfo(np.float64).tiny
         cfg = sampler.GuidanceConfig(gamma=2.0)
-        got = gmm._guided_drift(model, 0, cfg)(X, 1.0)
+        got = gmm._guided_drift(model, 0, cfg, form)(X, 1.0)
         ref = _dense_mixture_drift(model, 0, cfg)(X, 1.0)
         assert np.all(got[0] == 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
