@@ -55,8 +55,7 @@ class CommonPCPair:
             if v.shape != (d,):
                 raise ShapeError(f"{name} must have length {d}, got {v.shape}")
             object.__setattr__(self, name, v)
-        if np.any(self.lam_c < 0) or np.any(self.lam_uc < 0):
-            raise ValueError("eigenvalues must be nonnegative")
+        _check_eigvals(self.lam_c, self.lam_uc)
         object.__setattr__(self, "eigvecs", U)
 
     @property
@@ -98,8 +97,19 @@ def check_common_pc(cond: GaussianStats, uncond: GaussianStats,
 
 
 def _check_sigmas(sigma_t: float, sigma_T: float) -> None:
-    if not (sigma_T >= sigma_t > 0.0):
-        raise ValueError(f"need sigma_T >= sigma_t > 0, got sigma_t={sigma_t}, sigma_T={sigma_T}")
+    if not (np.inf > sigma_T >= sigma_t > 0.0):
+        raise ValueError(f"need finite sigma_T >= sigma_t > 0, "
+                         f"got sigma_t={sigma_t}, sigma_T={sigma_T}")
+
+
+def _check_eigvals(*lams) -> None:
+    if not all(np.all((0.0 <= lam) & (lam < np.inf)) for lam in lams):  # False on NaN
+        raise ValueError("eigenvalues must be finite and nonnegative")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
 
 
 def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
@@ -112,8 +122,7 @@ def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
     _check_sigmas(sigma_t, sigma_T)
     lam_c = np.asarray(lam_c, dtype=np.float64)
     lam_uc = np.asarray(lam_uc, dtype=np.float64)
-    if np.any(lam_c < 0) or np.any(lam_uc < 0):
-        raise ValueError("eigenvalues must be nonnegative")
+    _check_eigvals(lam_c, lam_uc)
     st2, sT2 = sigma_t * sigma_t, sigma_T * sigma_T
     out = (lam_c + st2) / (lam_c + sT2) * (lam_uc + sT2) / (lam_uc + st2)
     return float(out) if out.ndim == 0 else out
@@ -126,6 +135,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
 
     A panel is accepted when the whole-panel estimate agrees with the sum of
     its halves within the panel's share of ``tol``; otherwise it is split.
+    A non-finite estimate raises QuadratureError at once: no split mends it.
     """
 
     def panel(lo: float, hi: float) -> float:
@@ -145,6 +155,9 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
         left = panel(lo, mid)
         right = panel(mid, hi)
         err = abs(whole - (left + right))
+        if not np.isfinite(err):  # a non-finite whole, left or right
+            raise QuadratureError(f"non-finite panel estimate on [{lo:g}, {hi:g}]",
+                                  estimate=total)
         if err <= ptol or (hi - lo) <= abs(mid) * 1e-15:
             total += left + right
         elif depth >= max_depth:
@@ -174,10 +187,8 @@ def b_coefficient(lam_c: float, lam_uc: float, sigma_t: float, sigma_T: float,
     avoid cancellation.
     """
     _check_sigmas(sigma_t, sigma_T)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if lam_c < 0.0 or lam_uc < 0.0:
-        raise ValueError("eigenvalues must be nonnegative")
+    _check_gamma(gamma)
+    _check_eigvals(lam_c, lam_uc)
     if sigma_t == sigma_T:
         return 0.0
     if abs(lam_c - lam_uc) < _EQUAL_LAMBDA_TOL:
@@ -215,8 +226,7 @@ def closed_form_cfg(pair: CommonPCPair, x_T: np.ndarray, sigma_t: float,
     gamma = 0 reduces to the unguided closed form. Accepts batched x_T.
     """
     _check_sigmas(sigma_t, sigma_T)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     x_T = np.asarray(x_T, dtype=np.float64)
     if x_T.shape[-1] != pair.d:
         raise ShapeError(f"state dimension {x_T.shape[-1]} != pair dimension {pair.d}")

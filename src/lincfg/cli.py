@@ -271,7 +271,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
             raise FormatError(f"out-of-range 'target' value {target}: "
                               f"the mixture has K={model.k} components")
         meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture",
-                "mixture_form": gmm.mixture_form(m, model.d)}
+                "mixture_form": ("folded" if sampler.choose_path(m, model.d) == "compiled"
+                                 else "projected")}
         run = partial(gmm.integrate, model, target, schedule=schedule, cfg=cfg, heun=heun)
     else:
         cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))
@@ -284,7 +285,7 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
         if config["init"] == "mean_shifted":
             init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], init.std)
         meta = {"mode": "gaussian", "d": cond.d,
-                "sampler": sampler.choose_path(cfg, schedule, m, cond.d, heun=heun)}
+                "sampler": sampler.choose_path(m, cond.d)}
         run = partial(sampler.integrate, cond, uncond, schedule=schedule, cfg=cfg, heun=heun)
     if config["ppm_shape"] is not None:
         check_image_shape(config["ppm_shape"], meta["d"])

@@ -24,8 +24,8 @@ from .stats import GaussianStats, check_pair
 
 def shrinkage(stats: GaussianStats, sigma: float) -> np.ndarray:
     """Per-eigendirection attenuation factors lam_i/(lam_i + sigma^2)."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     lam = stats.eigvals
     return lam / (lam + sigma * sigma)
 
@@ -57,8 +57,8 @@ def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the noise-mollified Gaussian, (denoise(x) - x) / sigma^2,
     evaluated as -U diag(1/(lam + sigma^2)) U^T (x - mu). The equal form
     sigma^-2 U diag(f - 1) U^T (x - mu) cancels in f - 1 at small sigma."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = _check_dim(stats, x)
     return _project(stats, stats.mean - x, 1.0 / (stats.eigvals + sigma * sigma))
 

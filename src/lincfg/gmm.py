@@ -29,7 +29,11 @@ once). Projected it costs 2K: K to project and K to back-project, or K + 1
 once every row's weight is one-hot on the target (on well-separated
 clusters, from sigma ~ 0.05 down) and only the target's block goes back.
 Where guidance is off, the target's block alone is projected and taken
-back: 2. ``mixture_form`` folds when m >= d (see there for the timings).
+back: 2. ``integrate`` folds when ``sampler.choose_path`` compiles, at m >=
+d: timed on one BLAS thread (K = 4, N = 50, d = 64 to 256), Euler ties near
+m = d / 2 (0.95-0.97 projected/folded) and folding wins from m = d
+(1.12-1.21; 1.55-1.81 at m = 8d); with Heun folding already wins at m = d /
+8 (1.02-1.22), but one rule keeps the Euler crossover for both.
 The diagnostics (``posterior_weights``, ``mixture_score``,
 ``mixture_denoise``, ``gmm_cfg_guidance``) stay on the eigenbasis pass, so
 the checks that hold the flow's drift, or the Tweedie identity, to them
@@ -164,8 +168,8 @@ def _weights(model: MixtureModel, quad: np.ndarray, var: np.ndarray) -> tuple:
 def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> tuple:
     """``_posterior`` of the state(s) x, of shape (d,) or (m, d), as rows
     centred on component ``centre``, after checking sigma and the dimension."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != mixture dimension {model.d}")
@@ -284,23 +288,6 @@ def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarra
     return var
 
 
-def mixture_form(m: int, d: int) -> str:
-    """How ``integrate`` evaluates the guided drift of m states in d
-    dimensions: 'folded' (``_resolvents``, one GEMM) when m >= d, else
-    'projected' (``_posterior`` and ``_back_project``, two GEMMs).
-
-    Folding saves K GEMM-units of (m, d) x (d, d) per evaluation and costs
-    K d / (2m) units per noise level, so it saves work from m = d / 2 with
-    Euler and from m = d / 4 with Heun, which evaluates each noise level
-    twice. Timed on one BLAS thread (``integrate``, K = 4, N = 50, d = 64 to
-    256), Euler ties near m = d / 2 (0.95-0.97 projected/folded) and folding
-    wins from m = d (1.12-1.21; 1.55-1.81 at m = 8d); with Heun folding
-    already wins at m = d / 8 (1.02-1.22). The rule keeps the Euler
-    crossover for both, which is also that of ``sampler.choose_path``.
-    """
-    return "folded" if m >= d else "projected"
-
-
 def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
                   form: str):
     """drift(x, sigma) of ``integrate`` for one (m, d) block at a time.
@@ -309,7 +296,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     with s_i = -(Sigma_i + sigma^2)^-1 (x - mu_i), c the cond switch (1 or 0),
     c_i = -gamma w_i off the target and c_t = c + gamma sum_{i != t} w_i, so
     a row one-hot on the target weighs s_t by exactly c. Coefficients below
-    the smallest normal float count as 0. ``form`` (``mixture_form``) says how:
+    the smallest normal float count as 0. ``form`` (see ``integrate``) says how:
 
     - 'projected': one stacked pass (``_posterior``) and one back-projection
       of the blocks some row still weighs (``_back_project``).
@@ -371,15 +358,16 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     The conditional score is the target component's linear score and the
     unconditional one the mixture score; the guidance is gamma times their
     difference, gated by cfg.guidance_active, and the per-term CPC toggles
-    do not apply. The drift (``_guided_drift``) is folded or projected as
-    ``mixture_form`` picks from the batch's (m, d), once per run, and
-    stepped by the generic reverse-ODE driver.
+    do not apply. The drift (``_guided_drift``) is folded where
+    ``sampler.choose_path`` compiles the batch's (m, d), at m >= d, and
+    projected below, once per run; the generic reverse-ODE driver steps it.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     if np.ndim(x_T) and np.shape(x_T)[-1] != model.d:
         raise ShapeError(f"state dimension {np.shape(x_T)[-1]} != mixture dimension {model.d}")
-    form = mixture_form(len(x_T) if np.ndim(x_T) == 2 else 1, model.d)
+    m = len(x_T) if np.ndim(x_T) == 2 else 1
+    form = "folded" if sampler.choose_path(m, model.d) == "compiled" else "projected"
     return sampler._drive(_guided_drift(model, target, cfg, form), x_T, schedule, heun=heun,
                           scale=sampler.data_scale(*model.components))
 

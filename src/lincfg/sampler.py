@@ -11,7 +11,8 @@ affine. ``choose_path`` picks one of two appliers, never another path:
 stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
-one GEMM. It compiles when a step has a CPC term and the batch has m >= d.
+one GEMM. It compiles when the batch has m >= d, whatever the config,
+schedule or integrator (``choose_path`` gives the timings behind the rule).
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -50,8 +51,8 @@ class NoiseSchedule:
         s = np.asarray(self.sigmas, dtype=np.float64).reshape(-1)
         if s.size < 2:
             raise ValueError("schedule needs at least 2 noise levels (N >= 1)")
-        if not np.all(s > 0.0):
-            raise ValueError("all noise levels must be positive")
+        if not np.all((s > 0.0) & (s < np.inf)):
+            raise ValueError("all noise levels must be finite and positive")
         if not np.all(np.diff(s) < 0.0):
             raise ValueError("noise levels must be strictly decreasing")
         s = s.copy()
@@ -76,8 +77,8 @@ def make_schedule(sigma_max: float = DEFAULT_SIGMA_MAX,
                   n_steps: int = DEFAULT_STEPS,
                   rho: float = DEFAULT_RHO) -> NoiseSchedule:
     """rho-warped grid sigma_i = (s_max^(1/rho) + i/N (s_min^(1/rho) - s_max^(1/rho)))^rho."""
-    if not (sigma_max > sigma_min > 0.0):
-        raise ValueError(f"need sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
+    if not (np.inf > sigma_max > sigma_min > 0.0):
+        raise ValueError(f"need finite sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if rho < 1.0:
@@ -244,29 +245,24 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
     return x.reshape(np.shape(x_T))
 
 
-def _coupled_steps(cfg: GuidanceConfig, schedule: NoiseSchedule, heun: bool) -> list[bool]:
-    """Per step, whether a CPC term is on at any of its drift evaluations
-    (Heun: either end). Every other step scales and shifts y elementwise."""
-    cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
-    on = [cpc and cfg.guidance_active(float(s)) for s in schedule.sigmas]
-    return [on[i] or (heun and on[i + 1]) for i in range(schedule.n_steps)]
+def choose_path(m: int, d: int) -> str:
+    """How a run of m states in d dimensions is applied: 'compiled' when
+    m >= d, else 'stepwise'. This is the package's one applier rule; it
+    holds for every config, schedule and integrator, and ``gmm.integrate``
+    folds its guided mixture drift where it says 'compiled'.
 
-
-def choose_path(cfg: GuidanceConfig, schedule: NoiseSchedule, m: int, d: int, *,
-                heun: bool = False) -> str:
-    """How ``integrate`` runs m states in d dimensions: 'compiled' when some
-    step is coupled (``_coupled_steps``) and m >= d, else 'stepwise'.
-
-    Stepping costs two (m, d) x (d, k) GEMMs per coupled drift evaluation,
-    k <= d (one (d, d) GEMM for a frozen basis), plus elementwise (m, d)
-    work; folding costs a few d^3 per coupled step and one GEMM to apply.
-    Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
-    step count and Euler or Heun. A run with no coupled step always steps:
-    each of its steps is an O(md) scale and shift, and stepping keeps such
-    runs exact where they can be (the cond mean stays a fixed point of
-    unguided runs).
+    Stepping costs two (m, d) x (d, k) GEMMs per drift evaluation with a CPC
+    term, k <= d (one (d, d) GEMM for a frozen basis), and O(md) elementwise
+    work per step without one; folding costs a few d^3 per coupled step, d^2
+    per other step and one GEMM to apply. Timed on one BLAS thread, the two
+    cross at m ~ d for every CPC form, step count and Euler or Heun. Runs
+    with no CPC term (gamma = 0, mean shift only) cross between m = d and
+    2d (stepwise/compiled, N = 20 and 50: 0.43-1.18 at m = d and 0.70-1.79
+    at 2d for d = 64 to 256, 0.77-1.25 and 1.22-1.98 for d = 768, 1.9 at
+    m = 8d, d = 128), so the rule compiles them a little early, by a few ms
+    up to d = 256, to keep one threshold for every run.
     """
-    return "compiled" if m >= d and any(_coupled_steps(cfg, schedule, heun)) else "stepwise"
+    return "compiled" if m >= d else "stepwise"
 
 
 @dataclass(frozen=True)
@@ -402,14 +398,16 @@ def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     """Per step i of the schedule, (ends, (u0, u1), scaling): ends are the
     sigmas the step reads the drift at (sigma_i, and sigma_{i+1} for Heun);
     the Euler update is y + u0 * drift(y, sigma_i), and Heun's corrector
-    weighs the drift at sigma_{i+1} by u1. A step with no CPC term
-    (``_coupled_steps``) maps y to y * f + k, scaling = (f, k) (k None for
-    0); a coupled step has scaling None."""
-    coupled = _coupled_steps(flow.cfg, schedule, heun)
+    weighs the drift at sigma_{i+1} by u1. A step with no CPC term at any
+    of its ends maps y to y * f + k, scaling = (f, k) (k None for 0); a
+    coupled step has scaling None."""
+    cfg = flow.cfg
+    cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
+    on = [cpc and cfg.guidance_active(float(s)) for s in schedule.sigmas]
     for i in range(schedule.n_steps):
         s0, s1 = float(schedule.sigmas[i]), float(schedule.sigmas[i + 1])
         ends, u = (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
-        yield ends, u, None if coupled[i] else _step_map(
+        yield ends, u, None if on[i] or (heun and on[i + 1]) else _step_map(
             np.multiply, *u, *((a, b) for a, _, _, b in map(flow.node, ends)))
 
 
@@ -478,14 +476,16 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     Returns the final state. Every Gaussian run, full CFG and every ablation
     alike, runs its drift in the eigenbasis of cond (see ``_CondBasisFlow``),
     where every step is affine, in one of two ways that ``choose_path`` picks:
-    compiled when some step has a CPC term and m >= d, stepwise otherwise.
+    compiled when m >= d, stepwise otherwise, for every config and Euler or
+    Heun.
 
     - stepwise: two GEMMs per coupled drift evaluation, thin ones for one
       live CPC sign, or one for a frozen basis; other steps are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
-      P + q, a few d^3 flops per coupled step, applied with one GEMM. A
-      norm bound on each partial map guards it; when the bound trips, the
-      run is stepped to name the step and the sample.
+      P + q, a few d^3 flops per coupled step and d^2 per other step,
+      applied with one GEMM. An unguided run keeps q exactly 0, so mu_c
+      stays a fixed point. A norm bound on each partial map guards it; when
+      the bound trips, the run is stepped to name the step and the sample.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).
@@ -495,8 +495,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     x, limit = _start(x_T, schedule, data_scale(cond, uncond))
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
-    path = choose_path(cfg, schedule, len(x), cond.d, heun=heun)
-    run = _compiled if path == "compiled" else _stepwise
+    run = _compiled if choose_path(len(x), cond.d) == "compiled" else _stepwise
     return run(_cfg_flow(cond, uncond, cfg), schedule, heun, x, limit).reshape(np.shape(x_T))
 
 

@@ -138,6 +138,34 @@ def test_adaptive_quadrature_nonconvergence_carries_estimate():
     assert np.isfinite(exc.value.estimate)
 
 
+_NON_FINITE = {
+    "b_gamma_nan": lambda: analytic.b_coefficient(1.0, 2.0, 0.1, 1.0, np.nan),
+    "b_gamma_inf": lambda: analytic.b_coefficient(1.0, 2.0, 0.1, 1.0, np.inf),
+    "b_lam_c_nan": lambda: analytic.b_coefficient(np.nan, 2.0, 0.1, 1.0, 1.0),
+    "b_lam_c_inf": lambda: analytic.b_coefficient(np.inf, 2.0, 0.1, 1.0, 1.0),
+    "b_sigma_T_inf": lambda: analytic.b_coefficient(1.0, 2.0, 0.1, np.inf, 1.0),
+    "h_lam_uc_nan": lambda: analytic.h_factor(1.0, np.nan, 0.1, 1.0),
+    "h_sigma_T_inf": lambda: analytic.h_factor(1.0, 2.0, 0.1, np.inf),
+    "cfg_gamma_inf": lambda: analytic.closed_form_cfg(toy_common_pair(), np.ones(2),
+                                                      0.002, 80.0, np.inf),
+    "cfg_sigma_T_inf": lambda: analytic.closed_form_cfg(toy_common_pair(), np.ones(2),
+                                                        0.002, np.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", [*_NON_FINITE, "quadrature"])
+def test_non_finite_input_fails_fast(entry):
+    """A non-finite sigma, eigenvalue or gamma is a ValueError, and a
+    non-finite panel estimate stops the quadrature at once, where splitting
+    it down to the depth limit never returned."""
+    if entry == "quadrature":
+        with pytest.raises(QuadratureError, match="non-finite"):
+            analytic.adaptive_quadrature(lambda s: np.full_like(s, np.nan), 0.0, 1.0, tol=1e-10)
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            _NON_FINITE[entry]()
+
+
 class TestClosedFormCfg:
     def test_gamma_zero_reduces_to_unguided(self):
         pair = toy_common_pair()

@@ -270,8 +270,7 @@ class TestSample:
         save_stats(uncond, tmp_path / "u.stats")
         argv = ["sample", "--cond-stats", str(tmp_path / "c.stats"),
                 "--uncond-stats", str(tmp_path / "u.stats"), "--steps", "4", "--m", "32"]
-        schedule = sampler.make_schedule(n_steps=4)
-        assert sampler.choose_path(sampler.GuidanceConfig(gamma=1e6), schedule, 32, 4) == "compiled"
+        assert sampler.choose_path(32, 4) == "compiled"
         assert main(argv + ["--gamma", "1e6", "--outdir", str(tmp_path / "d")]) == 4
         assert not (tmp_path / "d" / "samples.bin").exists()
         assert main(argv + ["--gamma", "1", "--outdir", str(tmp_path / "ok")]) == 0

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,11 @@ def test_shrinkage_rejects_nonpositive_sigma():
         denoiser.shrinkage(stats, 0.0)
     with pytest.raises(ValueError):
         denoiser.shrinkage(stats, -1.0)
+    for call in (denoiser.shrinkage, partial(denoiser.score, x=stats.mean),
+                 partial(denoiser.denoise, x=stats.mean),
+                 partial(denoiser.mean_shift, toy_conditional_stats())):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call(stats, sigma=np.inf)
 
 
 def test_denoise_fixed_point_at_mean():

@@ -85,8 +85,12 @@ class TestPosteriorWeights:
                 np.testing.assert_allclose(w, pw.w, rtol=0.0, atol=1e-13)
 
     def test_sigma_domain(self):
-        with pytest.raises(ValueError):
-            gmm.posterior_weights(two_component_1d(), np.array([0.0]), 0.0)
+        model, x = two_component_1d(), np.array([0.0])
+        for sigma in (0.0, np.inf):
+            for call in (gmm.posterior_weights, gmm.mixture_score, gmm.mixture_denoise,
+                         lambda model, x, sigma: gmm.gmm_cfg_guidance(model, 0, x, sigma, 1.0)):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    call(model, x, sigma)
 
 
 class TestScoreAndDenoise:
@@ -369,7 +373,7 @@ class TestFusedDrift:
         x_T = sampler.draw_initial_states(4, m, 3, sched)
         ref = sampler._drive(_dense_mixture_drift(model, target, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
-        if gmm.mixture_form(m, 4) == "projected":
+        if sampler.choose_path(m, 4) == "stepwise":  # the projected form
             # block 1 was dropped between two kept blocks, so the kept ones were packed
             assert any(list(c.any(axis=0)) == [True, False, True] for c in packed)
             return

@@ -119,11 +119,13 @@ class TestSchedule:
 
     @pytest.mark.parametrize("kwargs", [
         dict(sigma_max=1.0, sigma_min=2.0), dict(sigma_min=-0.1),
-        dict(n_steps=0), dict(rho=0.5), dict(sigma_min=0.0),
+        dict(n_steps=0), dict(rho=0.5), dict(sigma_min=0.0), dict(sigma_max=np.inf),
+        dict(sigmas=[np.inf, 1.0]),
     ])
     def test_invalid_parameters(self, kwargs):
+        build = sampler.NoiseSchedule if "sigmas" in kwargs else sampler.make_schedule
         with pytest.raises(ValueError):
-            sampler.make_schedule(**kwargs)
+            build(**kwargs)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
@@ -325,26 +327,31 @@ class TestClosedFormUnguided:
 
 class TestIntegrate:
     def test_mean_is_exact_fixed_point_unguided(self):
+        """A lone state (stepped) and a block of m >= d states (compiled) at
+        mu_c stay exactly mu_c."""
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
         sched = sampler.make_schedule(n_steps=20)
-        final = sampler.integrate(cond, uncond, cond.mean, sched,
-                                  sampler.GuidanceConfig(gamma=0.0))
-        np.testing.assert_array_equal(final, cond.mean)
+        for x_T in (cond.mean, np.tile(cond.mean, (3, 1))):
+            final = sampler.integrate(cond, uncond, x_T, sched,
+                                      sampler.GuidanceConfig(gamma=0.0))
+            np.testing.assert_array_equal(final, np.broadcast_to(cond.mean, x_T.shape))
 
-    def test_matches_closed_form_at_n400(self):
+    @pytest.mark.parametrize("applier", APPLIERS)
+    def test_matches_closed_form_at_n400(self, applier):
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
         rng = np.random.default_rng(36)
         x_T = rng.standard_normal((20, 2)) * 80.0
         sched = sampler.make_schedule(80.0, 0.002, 400, 7.0)
-        got = sampler.integrate(cond, uncond, x_T, sched,
-                                sampler.GuidanceConfig(gamma=0.0))
+        got = _apply(applier, cond, uncond, x_T, sched, sampler.GuidanceConfig(gamma=0.0),
+                     False)
         ref = sampler.closed_form_unguided(cond, x_T, 80.0, 0.002)
         rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(x_T, axis=1)
         assert rel.max() < 1e-3
 
-    def test_heun_beats_euler(self):
+    @pytest.mark.parametrize("applier", APPLIERS)
+    def test_heun_beats_euler(self, applier):
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
         rng = np.random.default_rng(37)
@@ -352,11 +359,9 @@ class TestIntegrate:
         sched = sampler.make_schedule(80.0, 0.002, 50, 7.0)
         cfg = sampler.GuidanceConfig(gamma=0.0)
         ref = sampler.closed_form_unguided(cond, x_T, 80.0, 0.002)
-        err_euler = np.linalg.norm(
-            sampler.integrate(cond, uncond, x_T, sched, cfg) - ref, axis=1).max()
-        err_heun = np.linalg.norm(
-            sampler.integrate(cond, uncond, x_T, sched, cfg, heun=True) - ref,
-            axis=1).max()
+        err_euler, err_heun = (
+            np.linalg.norm(_apply(applier, cond, uncond, x_T, sched, cfg, heun) - ref,
+                           axis=1).max() for heun in (False, True))
         assert err_heun < 0.1 * err_euler
 
     def test_batched_equals_single(self):
@@ -451,45 +456,33 @@ def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
 
 
 class TestChoosePath:
-    @pytest.mark.parametrize("heun", [False, True])
-    def test_bench_shapes(self, heun):
-        n20, n50 = sampler.make_schedule(n_steps=20), sampler.make_schedule(n_steps=50)
-        full = G(gamma=4.0)
-        # (m, d): wide-cfg steps, batch-cfg and the ablation sweep compile,
-        # except the sweep's runs with no CPC term, whose steps are diagonal
-        assert sampler.choose_path(full, n20, 256, 768, heun=heun) == "stepwise"
-        assert sampler.choose_path(full, n20, 4096, 256, heun=heun) == "compiled"
-        for cfg in (full, G(gamma=4.0, active_interval=(0.3, 5.0)),
-                    G(gamma=4.0, enable_cond=False)):
-            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == "compiled"
-        for name, cfg in ABLATION_CFGS.items():
-            diagonal = name in ("mean_shift", "none")
-            assert sampler.choose_path(cfg, n50, 1024, 128, heun=heun) == (
-                "stepwise" if diagonal else "compiled")
+    def test_bench_shapes(self):
+        # (m, d): wide-cfg steps; batch-cfg and every op of the ablation sweep compile
+        assert sampler.choose_path(256, 768) == "stepwise"
+        assert sampler.choose_path(4096, 256) == "compiled"
+        assert sampler.choose_path(1024, 128) == "compiled"
 
     @pytest.mark.parametrize("n", [1, 20])
     @pytest.mark.parametrize("heun", [False, True])
-    @pytest.mark.parametrize("form", ["factored", "frozen", "single_sign"])
-    def test_compiles_from_m_equal_d(self, form, heun, n):
-        """Whatever the CPC term's form, Euler or Heun, one coupled step or
-        many: a batch of d - 1 states steps and one of d states compiles."""
-        cfg = {"factored": G(gamma=4.0), "frozen": G(gamma=4.0, freeze_cpc_at=5.0),
-               "single_sign": G(gamma=4.0, enable_neg_cpc=False)}[form]
+    def test_compiles_from_m_equal_d(self, heun, n, monkeypatch):
+        """Whatever the config (a CPC term or none, guided or not), Euler or
+        Heun, one step or many: ``integrate`` steps a batch of d - 1 states
+        and compiles one of d states."""
+        picked = []
+        for name in APPLIERS:
+            monkeypatch.setattr(sampler, name,
+                                lambda flow, sched, heun, x, limit, name=name:
+                                picked.append(name) or x)
         sched = sampler.make_schedule(n_steps=n)
         for d in (2, 128, 768):
-            assert sampler.choose_path(cfg, sched, d - 1, d, heun=heun) == "stepwise"
-            assert sampler.choose_path(cfg, sched, d, d, heun=heun) == "compiled"
-
-    @pytest.mark.parametrize("heun", [False, True])
-    def test_unguided_runs_always_step(self, heun):
-        """No coupled step (no guidance, guidance outside the schedule, or
-        no CPC term): every m steps."""
-        for n in (1, 20):
-            sched = sampler.make_schedule(n_steps=n)
-            for cfg in (FULL_CFGS["gamma0"], FULL_CFGS["disjoint"],
-                        ABLATION_CFGS["mean_shift"], ABLATION_CFGS["none"]):
-                for m in (1, 7, 8, 9, 1024, 10**6):
-                    assert sampler.choose_path(cfg, sched, m, 8, heun=heun) == "stepwise"
+            assert (sampler.choose_path(d - 1, d), sampler.choose_path(d, d)) == (
+                "stepwise", "compiled")
+            cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+            for name, cfg in [*FULL_CFGS.items(), *ABLATION_CFGS.items()]:
+                for m, applier in ((d - 1, "_stepwise"), (d, "_compiled")):
+                    picked.clear()
+                    sampler.integrate(cond, uncond, np.zeros((m, d)), sched, cfg, heun=heun)
+                    assert picked == [applier], (name, d, m)
 
 
 class TestGaussianDivergence:
@@ -508,7 +501,7 @@ class TestGaussianDivergence:
     def test_both_appliers_name_the_same_step_and_sample(self):
         cond, uncond, sched, x_T = self._blowup()
         cfg = G(gamma=1e6)
-        assert sampler.choose_path(cfg, sched, len(x_T), 4) == "compiled"
+        assert sampler.choose_path(len(x_T), 4) == "compiled"
         seen = []
         for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
                     *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
@@ -523,7 +516,7 @@ class TestGaussianDivergence:
                                      G(gamma=1e6, freeze_cpc_at=5.0)], ids=["pos", "frozen"])
     def test_ablation_names_the_same_step_and_sample(self, cfg):
         cond, uncond, sched, x_T = self._blowup()
-        assert sampler.choose_path(cfg, sched, len(x_T), 4) == "compiled"
+        assert sampler.choose_path(len(x_T), 4) == "compiled"
         seen = []
         for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
                     *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
