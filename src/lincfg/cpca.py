@@ -57,16 +57,20 @@ def contrastive_components(A: np.ndarray, B: np.ndarray, *,
         asym = float(np.max(np.abs(M - M.T)))
         if asym > sym_tol * scale:
             raise ValueError(f"{name} is asymmetric beyond tolerance: {asym:.3e}")
-    diff = 0.5 * (A + A.T) - 0.5 * (B + B.T)
+    lam, V, tol = signed_eigh(0.5 * (A + A.T) - 0.5 * (B + B.T))
+    return SignedSpectrum(eigvals=lam[::-1].copy(), eigvecs=fix_eigvec_signs(V[:, ::-1]),
+                          n_pos=int(np.sum(lam > tol)), n_neg=int(np.sum(lam < -tol)))
+
+
+def signed_eigh(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(lam, V, cut): ``np.linalg.eigh`` of a symmetric difference matrix
+    (its lower triangle is read), ascending, and the zero cut, the one
+    definition of it: |lambda| <= cut belongs to neither sign. eigh's
+    round-off is about d * eps * max|lambda|; the floor keeps the cut at
+    1e-10 for shrinkage-unit spectra, whose |lambda| <= 1."""
     lam, V = np.linalg.eigh(diff)
-    lam = lam[::-1].copy()
-    V = fix_eigvec_signs(V[:, ::-1])
-    # eigh's round-off is about d * eps * max|lambda|; the floor keeps the
-    # cut at 1e-10 for shrinkage-unit spectra, whose |lambda| <= 1
-    tol = max(_ZERO_TOL_FLOOR,
-              lam.size * np.finfo(np.float64).eps * float(np.max(np.abs(lam))))
-    return SignedSpectrum(eigvals=lam, eigvecs=V, n_pos=int(np.sum(lam > tol)),
-                          n_neg=int(np.sum(lam < -tol)))
+    return lam, V, max(_ZERO_TOL_FLOOR,
+                       lam.size * np.finfo(np.float64).eps * float(np.max(np.abs(lam))))
 
 
 def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,

@@ -11,8 +11,10 @@ affine. ``choose_path`` picks one of two appliers, never another path:
 stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
-one GEMM. It compiles when the batch has m >= d, whatever the config,
-schedule or integrator (``choose_path`` gives the timings behind the rule).
+one GEMM; folding costs one syrk and one GEMM per coupled Euler step, plus
+the GEMM A_0 A_1 for Heun. It compiles when the batch has m >= d, whatever
+the config, schedule or integrator (``choose_path`` gives the timings behind
+the rule).
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -27,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cpca import contrastive_components
+from .cpca import signed_eigh
 from .errors import DivergenceError, ShapeError
 from .stats import GaussianStats, check_pair
 
@@ -206,10 +208,10 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float) -> tuple[np.n
     if x.ndim != 2 or not x.size:
         raise ShapeError(f"state must have shape (d,) or (m, d) with m, d >= 1, "
                          f"got {np.shape(x_T)}")
-    if not np.all(np.isfinite(x)):
+    hi, lo = float(x.max()), float(x.min())  # NaN propagates to both
+    if not -np.inf < lo <= hi < np.inf:
         raise ShapeError("initial state contains non-finite entries")
-    limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, float(np.max(np.abs(x))), scale)
-    return x, limit
+    return x, DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, hi, -lo, scale)
 
 
 def _diverged(schedule: NoiseSchedule, step: int, bad: np.ndarray) -> DivergenceError:
@@ -253,14 +255,15 @@ def choose_path(m: int, d: int) -> str:
 
     Stepping costs two (m, d) x (d, k) GEMMs per drift evaluation with a CPC
     term, k <= d (one (d, d) GEMM for a frozen basis), and O(md) elementwise
-    work per step without one; folding costs a few d^3 per coupled step, d^2
-    per other step and one GEMM to apply. Timed on one BLAS thread, the two
-    cross at m ~ d for every CPC form, step count and Euler or Heun. Runs
-    with no CPC term (gamma = 0, mean shift only) cross between m = d and
-    2d (stepwise/compiled, N = 20 and 50: 0.43-1.18 at m = d and 0.70-1.79
-    at 2d for d = 64 to 256, 0.77-1.25 and 1.22-1.98 for d = 768, 1.9 at
-    m = 8d, d = 128), so the rule compiles them a little early, by a few ms
-    up to d = 256, to keep one threshold for every run.
+    work per step without one; folding costs one syrk and one (d, d) GEMM
+    per coupled Euler step (Heun adds the GEMM A_0 A_1), d^2 per other step
+    and one GEMM to apply. Timed on one BLAS thread, the two cross at m ~ d
+    for every CPC form, step count and Euler or Heun. Runs with no CPC term
+    (gamma = 0, mean shift only) cross between m = d and 2d
+    (stepwise/compiled, N = 20 and 50: 0.43-1.18 at m = d and 0.70-1.79 at
+    2d for d = 64 to 256, 0.77-1.25 and 1.22-1.98 for d = 768, 1.9 at m =
+    8d, d = 128), so the rule compiles them a little early, by a few ms up
+    to d = 256, to keep one threshold for every run.
     """
     return "compiled" if m >= d else "stepwise"
 
@@ -273,12 +276,19 @@ class _Split:
     weights: np.ndarray  # all of one sign
     diag: np.ndarray | float
 
+    def gram(self, c: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """c G, G = F diag(lam) F^T, c >= 0, by one symmetric product (syrk)
+        of F scaled by sqrt(c |lam|), written to ``out`` if given."""
+        s = self.vecs * np.sqrt(c * np.abs(self.weights))
+        g = np.matmul(s, s.T, out=out)
+        if self.weights.size and self.weights[0] < 0.0:
+            np.negative(g, out=g)
+        return g
+
     @cached_property
-    def gram(self) -> np.ndarray:
-        """G = F diag(lam) F^T, formed once per split by one symmetric product (syrk)."""
-        s = self.vecs * np.sqrt(np.abs(self.weights))
-        g = s @ s.T
-        return -g if self.weights.size and self.weights[0] < 0.0 else g
+    def unit_gram(self) -> np.ndarray:
+        """G, formed once for a split that every node reuses (a frozen basis)."""
+        return self.gram()
 
 
 def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigma: float,
@@ -286,16 +296,18 @@ def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigm
     """(1/s^2)(S~_c - S~_uc) = R diag(1/(lam_uc + s^2)) R^T - diag(1/(lam_c +
     s^2)) at s = sigma in the cond basis, R = U_c^T U_uc, cut to the CPC
     signs that are on. Both signs keep this direct form: F = R, lam =
-    1/(lam_uc + s^2), diag = -1/(lam_c + s^2). One sign cuts s^2 times it
-    with ``contrastive_components``, so cpca's zero cut holds: F = W, lam =
+    1/(lam_uc + s^2), diag = -1/(lam_c + s^2). One sign decomposes s^2 times
+    it with one ``signed_eigh``, so cpca's zero cut holds: F = W, lam =
     lambda / s^2. Neither differences shrinkage factors."""
     s2 = sigma * sigma
     if pos and neg:
         return _Split(rot, 1.0 / (uncond.eigvals + s2), -1.0 / (cond.eigvals + s2))
-    cpc = contrastive_components((rot * (s2 / (uncond.eigvals + s2))) @ rot.T,
-                                 np.diag(s2 / (cond.eigvals + s2)))
-    lam, vec = cpc.positive if pos else cpc.negative
-    return _Split(vec, lam / s2, 0.0)
+    f = rot * np.sqrt(s2 / (uncond.eigvals + s2))
+    c = f @ f.T  # a syrk, so exactly symmetric
+    c.flat[::len(c) + 1] -= s2 / (cond.eigvals + s2)
+    lam, vec, cut = signed_eigh(c)
+    keep = lam > cut if pos else lam < -cut
+    return _Split(vec[:, keep], lam[keep] / s2, 0.0)
 
 
 @dataclass
@@ -350,33 +362,49 @@ class _CondBasisFlow:
         alpha, split, gain, b = self.node(s)
         out = y * alpha
         if split is not None:
-            out += ((y @ split.gram) * gain if self.cfg.freeze_cpc_at is not None
+            out += ((y @ split.unit_gram) * gain if self.cfg.freeze_cpc_at is not None
                     else ((y @ split.vecs) * (gain * split.weights)) @ split.vecs.T)
         if b is not None:
             out += b
         return out
 
-    def node_matrix(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with drift(y, s) = y A + b, where A = gain G + diag(alpha)."""
+    def node_matrix(self, s: float, u: float = 1.0, one: float = 0.0,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(one I + u A, b), written to ``out`` if given, where drift(y, s) =
+        y A + b and A = gain G + diag(alpha); u >= 0. A live split forms u
+        gain G by one syrk and a frozen one scales its shared G, never in
+        place; the diagonal is then one in-place add."""
         alpha, split, gain, b = self.node(s)
         d = len(alpha)
-        a = np.zeros((d, d)) if split is None else gain * split.gram
-        a.flat[::d + 1] += alpha
+        if split is None:
+            a = np.empty((d, d)) if out is None else out
+            a.fill(0.0)
+        elif self.cfg.freeze_cpc_at is not None:
+            a = np.multiply(split.unit_gram, u * gain, out=out)
+        else:
+            a = split.gram(u * gain, out=out)
+        a.flat[::d + 1] += one + u * alpha
         return a, np.zeros(d) if b is None else b
 
 
-def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None = None) -> tuple:
+def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None = None, *,
+              out: np.ndarray | None = None) -> tuple:
     """(M, k): the step y -> y M + k of a drift y A_j + b_j at node j, where
     node_j = (A_j, b_j) and ``mul`` is np.matmul for matrices A_j and
-    np.multiply for diagonals. Euler (node1 None) is M = I + u0 A_0, k = u0 b_0;
-    Heun is M = I + u0/2 A_0 + u1/2 A_1 + u0 u1/2 A_0 A_1, k = u0/2 b_0 + u1/2
-    (b_1 + u0 b_0 A_1). I is added last; a b_j of None is 0, k None if all are."""
+    np.multiply for diagonals; M is written to ``out`` if given, and no A_j
+    is changed. Euler (node1 None) is M = I + u0 A_0, k = u0 b_0; Heun is
+    M = I + u0/2 A_0 + u1/2 A_1 + u0 u1/2 A_0 A_1, k = u0/2 b_0 + u1/2 (b_1 +
+    u0 b_0 A_1). I is added last; a b_j of None is 0, k None if all are."""
     a0, b0 = node0
     if node1 is None:
-        M, k = u0 * a0, None if b0 is None else u0 * b0
+        M, k = np.multiply(a0, u0, out=out), None if b0 is None else u0 * b0
     else:
         a1, b1 = node1
-        M = 0.5 * u0 * a0 + 0.5 * u1 * a1 + 0.5 * u0 * u1 * mul(a0, a1)
+        M = np.multiply(a0, 0.5 * u0, out=out)
+        M += 0.5 * u1 * a1
+        a01 = mul(a0, a1)
+        a01 *= 0.5 * u0 * u1
+        M += a01
         k = None
         if b0 is not None or b1 is not None:
             b0, b1 = (0.0 if b is None else b for b in (b0, b1))
@@ -440,26 +468,38 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
     (m, d) block x with one GEMM in x coordinates.
 
-    After each step i the bound max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every
-    sample's |x - mu_c|_2; if it exceeds ``limit`` or is not finite, the run
-    is stepped instead, which names the exact step and sample or returns the
-    stepped result when the bound was loose.
+    A coupled Euler step costs one syrk for M = I + u0 A_0 and one GEMM for
+    P M; Heun adds the GEMM A_0 A_1 and reuses A_1 as the next step's A_0.
+    The first step's M is P itself, and the products go to two reused
+    buffers. After each step i the bound max_k |y_0[k]|_2 |P_i|_F + |q_i|_2
+    caps every sample's |x - mu_c|_2; if it exceeds ``limit`` or is not
+    finite, the run is stepped instead, which names the exact step and
+    sample or returns the stepped result when the bound was loose.
     """
     d = len(flow.cond.mean)
     z = x - flow.cond.mean
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
-    P, q = np.eye(d), np.zeros(d)
+    P, q = None, np.zeros(d)  # P None is I, until the first step
+    M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
-    for ends, u, scaling in _steps(flow, schedule, heun):
+    for ends, (u0, u1), scaling in _steps(flow, schedule, heun):
         if scaling is not None:
             f, k = scaling
+            P = np.eye(d) if P is None else P
             P *= f
             q *= f
             if k is not None:
                 q += k
         else:
-            M, k = _step_map(np.matmul, *u, *map(node, ends))
-            P = P @ M
+            if heun:
+                M, k = _step_map(np.matmul, u0, u1, node(ends[0]), node(ends[1]), out=M_buf)
+            else:
+                M, b = flow.node_matrix(ends[0], u0, 1.0, out=M_buf)
+                k = u0 * b
+            if P is None:
+                P, M_buf = M, np.empty((d, d))
+            else:
+                P, P_buf = np.matmul(P, M, out=P_buf), P
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
             return _stepwise(flow, schedule, heun, x, limit)
@@ -482,10 +522,11 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     - stepwise: two GEMMs per coupled drift evaluation, thin ones for one
       live CPC sign, or one for a frozen basis; other steps are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
-      P + q, a few d^3 flops per coupled step and d^2 per other step,
-      applied with one GEMM. An unguided run keeps q exactly 0, so mu_c
-      stays a fixed point. A norm bound on each partial map guards it; when
-      the bound trips, the run is stepped to name the step and the sample.
+      P + q, one syrk and one (d, d) GEMM per coupled Euler step (Heun adds
+      the GEMM A_0 A_1) and d^2 per other step, applied with one GEMM. An
+      unguided run keeps q exactly 0, so mu_c stays a fixed point. A norm
+      bound on each partial map guards it; when the bound trips, the run is
+      stepped to name the step and the sample.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).
@@ -548,7 +589,6 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK_128 = (1 << 128) - 1
 
 
 def _hashed_seeds(seed: int, m: int) -> np.ndarray:
@@ -598,6 +638,50 @@ def _hashed_seeds(seed: int, m: int) -> np.ndarray:
     return state.astype("<u4").view("<u8")  # little-endian word pairs, as numpy
 
 
+def _pcg64_set_seed(words: np.ndarray) -> np.ndarray:
+    """What numpy's ``pcg64_set_seed`` makes of each row (s_hi, s_lo, i_hi,
+    i_lo) of an (m, 4) uint64 array: rows (state_hi, state_lo, inc_hi,
+    inc_lo), where inc = 2i + 1 and state = (s + inc) * MULT + inc mod
+    2^128 (from state 0, step, add s, step again).
+
+    The 128-bit arithmetic runs on 32-bit limbs in uint64 arrays, so no
+    intermediate wraps: a limb product plus two limbs is at most 2^64 - 1.
+    """
+    m32, w32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+    def limbs(hi, lo):  # least significant first
+        return [lo & m32, lo >> w32, hi & m32, hi >> w32]
+
+    def add(a, b):
+        out, carry = [], np.uint64(0)
+        for x, y in zip(a, b):
+            t = x + y + carry
+            out.append(t & m32)
+            carry = t >> w32
+        return out
+
+    def mul(a, c):  # a times the constant c, mod 2^128
+        c = [np.uint64((c >> 32 * j) & 0xFFFFFFFF) for j in range(4)]
+        out = [np.zeros_like(a[0]) for _ in range(4)]
+        for i in range(4):
+            carry = np.uint64(0)
+            for j in range(4 - i):
+                t = a[i] * c[j] + out[i + j] + carry
+                out[i + j] = t & m32
+                carry = t >> w32
+        return out
+
+    s, i = limbs(words[:, 0], words[:, 1]), limbs(words[:, 2], words[:, 3])
+    inc = [(i[0] << np.uint64(1) | np.uint64(1)) & m32]
+    inc += [(i[j] << np.uint64(1) | i[j - 1] >> np.uint64(31)) & m32 for j in range(1, 4)]
+    state = add(mul(add(s, inc), _PCG64_MULT), inc)
+    out = np.empty((len(words), 4), np.uint64)
+    for col, v in enumerate((state, inc)):
+        out[:, 2 * col] = v[2] | v[3] << w32
+        out[:, 2 * col + 1] = v[0] | v[1] << w32
+    return out
+
+
 def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
                         init: InitSpec | None = None) -> np.ndarray:
     """Initial states x_T[k] ~ N(shift, std^2 I), shape (m, d), m >= 1.
@@ -606,13 +690,14 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
     bit for bit, so it depends only on (seed, k), never on m or on other
     samples. The rule is met without building a generator per row: the m
     SeedSequence([seed, k]) states are hashed in one vectorised pass
-    (``_hashed_seeds``, after numpy's ``bit_generator.pyx``), each is turned
-    into the 128-bit state ``pcg64_set_seed`` would give, one PCG64 is
-    reseeded with it and draws row k in place, and the block is scaled and
-    shifted once. NEP 19 keeps the SeedSequence and PCG64 streams stable
-    across numpy versions. This is where the std rule is applied:
-    ``init.std=None`` means the schedule's sigma_max, and std must be >= 0
-    (std 0 starts every sample at the shift).
+    (``_hashed_seeds``, after numpy's ``bit_generator.pyx``), the 128-bit
+    (state, inc) that ``pcg64_set_seed`` gives each is computed in a second
+    one, on 32-bit limbs (``_pcg64_set_seed``), and then per row one PCG64
+    takes that state through one reused dict and fills row k in place; the
+    block is scaled and shifted once. NEP 19 keeps the SeedSequence and PCG64
+    streams stable across numpy versions. This is where the std rule is
+    applied: ``init.std=None`` means the schedule's sigma_max, and std must
+    be >= 0 (std 0 starts every sample at the shift).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -626,12 +711,12 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
     bit_gen = np.random.PCG64()
     rng = np.random.Generator(bit_gen)
     x = np.empty((m, d))
-    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(_hashed_seeds(seed, m).tolist()):
-        # pcg64_set_seed: inc = 2i + 1; from state 0, step, add s, step again
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK_128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK_128
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    seeded = _pcg64_set_seed(_hashed_seeds(seed, m)).tolist()
+    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeded):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bit_gen.state = full
         rng.standard_normal(out=x[k])
     x *= std
     x += shift

@@ -89,8 +89,9 @@ class GaussianStats:
             raise ShapeError(f"eigvals must have length {d}, got {lam.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(U)) and np.all(np.isfinite(lam))):
             raise DataError("stats contain non-finite entries")
-        gram = U.T @ U
-        if np.max(np.abs(gram - np.eye(d))) > _ORTHO_TOL:
+        gram = U.T @ U  # a syrk; then |U^T U - I| in place
+        gram.flat[::d + 1] -= 1.0
+        if np.abs(gram, out=gram).max() > _ORTHO_TOL:
             raise DataError("eigvecs are not orthonormal within 1e-10")
         if np.any(lam < 0):
             raise DataError("eigenvalues must be nonnegative")

@@ -436,6 +436,22 @@ class TestIntegrate:
             sampler.integrate(cond, uncond, np.array([np.nan, 0.0]), sched,
                               sampler.GuidanceConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last", "only"])
+    def test_start_rejects_each_non_finite_value(self, where, value):
+        """One max/min pair finds a NaN or an infinity of either sign at
+        either end of the block, or as its one entry."""
+        x = np.zeros(1) if where == "only" else np.ones((3, 4))
+        x.flat[-1 if where == "last" else 0] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            sampler._start(x, sampler.make_schedule(n_steps=4), 1.0)
+
+    def test_start_limit_reads_the_largest_magnitude_of_either_sign(self):
+        sched = sampler.make_schedule(sigma_max=10.0, n_steps=4)
+        for x, big in (([[3e3, -5e3]], 5e3), ([[-3e3, 5e3]], 5e3), ([[1.0, 2.0]], 10.0)):
+            _, limit = sampler._start(np.array(x), sched, 0.5)
+            assert limit == sampler.DIVERGENCE_GUARD * big
+
     @pytest.mark.parametrize("entry", ["integrate", "integrate_with_scores", "gmm"])
     def test_rejects_empty_batch(self, entry):
         cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
@@ -631,9 +647,8 @@ class TestFullCfgPath:
 
     def test_full_cfg_makes_no_cpc_decomposition(self, monkeypatch):
         calls = []
-        real = sampler.contrastive_components
-        monkeypatch.setattr(sampler, "contrastive_components",
-                            lambda *a: calls.append(a) or real(*a))
+        real = sampler.signed_eigh
+        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(cpca, "posterior_cpcs", None)  # sampling never reads it
         for cfg in [G(gamma=0.0), *FULL_CFGS.values()]:
             for heun in (False, True):
@@ -715,13 +730,12 @@ class TestEveryGaussianConfig:
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("applier", APPLIERS)
     def test_decomposition_counts(self, applier, heun, monkeypatch):
-        """The CPC split decomposes (contrastive_components) once per guided
-        node for one live sign, once for one frozen sign, and never with both
-        signs or no CPC term; sampling never calls posterior_cpcs."""
+        """The CPC split decomposes (signed_eigh) once per guided node for
+        one live sign, once for one frozen sign, and never with both signs or
+        no CPC term; sampling never calls posterior_cpcs."""
         calls = []
-        real = sampler.contrastive_components
-        monkeypatch.setattr(sampler, "contrastive_components",
-                            lambda *a: calls.append(a) or real(*a))
+        real = sampler.signed_eigh
+        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(sampler, "guidance_terms", None)
         monkeypatch.setattr(cpca, "posterior_cpcs", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(9))
@@ -812,9 +826,9 @@ class TestCpcSplit:
         live run forms one per coupled node when compiled and none when
         stepped, where its two GEMMs use the split's vectors."""
         formed = []
-        real = sampler._Split.gram.func  # counted under the split's own cache
-        monkeypatch.setattr(sampler._Split.gram, "func",
-                            lambda split: formed.append(split) or real(split))
+        real = sampler._Split.gram  # a frozen split's unit_gram calls it once
+        monkeypatch.setattr(sampler._Split, "gram",
+                            lambda split, *a, **k: formed.append(split) or real(split, *a, **k))
         if applier == "_compiled":  # the fold must not fall back to stepping
             monkeypatch.setattr(sampler, "_stepwise", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(12))
@@ -832,6 +846,29 @@ class TestCpcSplit:
             formed.clear()
             _apply(applier, cond, uncond, x_T, sched, cfg, heun)
             assert len(formed) == expect, cfg
+
+    @pytest.mark.parametrize("name", ["full", "pos", "frozen", "frozen_pos_interval"])
+    def test_compiled_euler_scales_no_cached_node_matrix(self, name):
+        """The fold writes each Euler step's map to its own buffer: the split
+        the flow keeps (a frozen one lives across runs) and its G are left
+        as they were, so a compiled Heun run on the same flow, which reuses
+        them and its cached node matrices, still equals the stepped run."""
+        cfg = {**FULL_CFGS, **ABLATION_CFGS}[name]
+        cond, uncond = random_stats_pair(8, np.random.default_rng(13))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(8, 16, 13, sched)
+        x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+        flow = sampler._cfg_flow(cond, uncond, cfg)
+        with mock.patch.object(sampler, "_stepwise", None):  # the fold must not fall back
+            sampler._compiled(flow, sched, False, x, limit)
+            for at, split in flow.last.items():
+                fresh = sampler._cpc_split(cond, uncond, flow.rot, at, cfg.enable_pos_cpc,
+                                           cfg.enable_neg_cpc)
+                np.testing.assert_array_equal(split.vecs, fresh.vecs)
+                np.testing.assert_array_equal(split.unit_gram, fresh.gram())
+            compiled = sampler._compiled(flow, sched, True, x, limit)
+        stepped = sampler._stepwise(sampler._cfg_flow(cond, uncond, cfg), sched, True, x, limit)
+        assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
 
 
 class TestHeunRate:
@@ -954,6 +991,32 @@ class TestSeedingRule:
                               (sampler.InitSpec(shift=shift, std=0.0), 0.0, shift)):
             x = sampler.draw_initial_states(d, m, seed, self.SCHED, init)
             np.testing.assert_array_equal(x, _rule_draw(d, m, seed, std, mu))
+
+    def test_pcg64_set_seed_matches_python_ints(self):
+        """The limb port gives what pcg64_set_seed gives with 128-bit Python
+        ints, on hashed words and on words whose sums carry: all ones, s +
+        inc wrapping at 2^64 (low half) and at 2^128."""
+        mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # pcg64.h
+
+        def set_seed(s_hi, s_lo, i_hi, i_lo):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & mask
+            state = (0 * mult + inc) & mask  # pcg_setseq_128_srandom_r: step, add, step
+            state = (state + (s_hi << 64 | s_lo)) & mask
+            state = (state * mult + inc) & mask
+            return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1)]
+
+        top = 2**64 - 1
+        carries = [[top] * 4, [0, top, 0, 0], [top, top, 0, 0], [0, top, 0, top],
+                   [top, top - 2, top, top], [0, 0, top, top], [1, 2, 0, 1 << 63]]
+        words = np.concatenate([sampler._hashed_seeds(12345, 10**4),
+                                np.array(carries, dtype=np.uint64)])
+        got = sampler._pcg64_set_seed(words)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [set_seed(*row) for row in words.tolist()]
+        bit_gen = np.random.PCG64(np.random.SeedSequence([12345, 3]))
+        state = bit_gen.state["state"]
+        assert got[3].tolist() == [state["state"] >> 64, state["state"] & top,
+                                   state["inc"] >> 64, state["inc"] & top]
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1), np.int32(2**31 - 1)])
     def test_numpy_integer_seeds_behave_like_ints(self, seed):

@@ -136,6 +136,25 @@ class TestGaussianStatsInvariants:
             GaussianStats(mean=np.zeros(2), eigvecs=np.ones((2, 2)),
                           eigvals=np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_orthonormality_bound_is_1e_10(self, diagonal):
+        """|U^T U - I| is held to 1e-10 on the diagonal (a column's norm) and
+        off it (two columns' overlap), and the input is left as it was."""
+        for dev, ok in ((5e-11, True), (2e-10, False)):
+            U = np.eye(3)
+            if diagonal:
+                U[:, 0] *= np.sqrt(1.0 + dev)
+            else:
+                U[0, 1] = dev  # U^T U: dev off the diagonal, 1 + dev^2 on it
+            kept = U.copy()
+            make = lambda: GaussianStats(mean=np.zeros(3), eigvecs=U, eigvals=np.ones(3))
+            if ok:
+                make()
+            else:
+                with pytest.raises(DataError, match="orthonormal"):
+                    make()
+            np.testing.assert_array_equal(U, kept)
+
     def test_rejects_ascending_eigvals(self):
         with pytest.raises(DataError):
             GaussianStats(mean=np.zeros(2), eigvecs=np.eye(2),
