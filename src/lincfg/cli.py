@@ -283,7 +283,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
         else:
             raise FileNotFoundError("uncond_stats required when gamma > 0")
         if config["init"] == "mean_shifted":
-            init = metrics.mean_shifted_init(cond, uncond, config["init_gamma"], init.std)
+            init = _checked(("init_gamma",), partial(metrics.mean_shifted_init, cond, uncond,
+                                                     config["init_gamma"], init.std))
         meta = {"mode": "gaussian", "d": cond.d,
                 "sampler": sampler.choose_path(m, cond.d)}
         run = partial(sampler.integrate, cond, uncond, schedule=schedule, cfg=cfg, heun=heun)

@@ -111,4 +111,8 @@ def mean_shifted_init(cond: GaussianStats, uncond: GaussianStats,
     check_pair(cond, uncond)
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    return InitSpec(shift=gamma * (cond.mean - uncond.mean), std=sigma_T)
+    with np.errstate(over="ignore"):
+        shift = gamma * (cond.mean - uncond.mean)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"gamma {gamma:g} overflows the init shift")
+    return InitSpec(shift=shift, std=sigma_T)

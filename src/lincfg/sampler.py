@@ -12,9 +12,9 @@ stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
 one GEMM; folding costs one syrk and one GEMM per coupled Euler step, plus
-the GEMM A_0 A_1 for Heun. It compiles when the batch has m >= d, whatever
-the config, schedule or integrator (``choose_path`` gives the timings behind
-the rule).
+the GEMM A_0 A_1 for Heun, and d per step before the first coupled one. It
+compiles when the batch has m >= d, whatever the config, schedule or
+integrator (``choose_path`` gives the timings behind the rule).
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -256,14 +256,13 @@ def choose_path(m: int, d: int) -> str:
     Stepping costs two (m, d) x (d, k) GEMMs per drift evaluation with a CPC
     term, k <= d (one (d, d) GEMM for a frozen basis), and O(md) elementwise
     work per step without one; folding costs one syrk and one (d, d) GEMM
-    per coupled Euler step (Heun adds the GEMM A_0 A_1), d^2 per other step
-    and one GEMM to apply. Timed on one BLAS thread, the two cross at m ~ d
-    for every CPC form, step count and Euler or Heun. Runs with no CPC term
-    (gamma = 0, mean shift only) cross between m = d and 2d
-    (stepwise/compiled, N = 20 and 50: 0.43-1.18 at m = d and 0.70-1.79 at
-    2d for d = 64 to 256, 0.77-1.25 and 1.22-1.98 for d = 768, 1.9 at m =
-    8d, d = 128), so the rule compiles them a little early, by a few ms up
-    to d = 256, to keep one threshold for every run.
+    per coupled Euler step (Heun adds the GEMM A_0 A_1), d per uncoupled
+    step while P is still diagonal and d^2 after, and one GEMM to apply.
+    Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
+    step count and Euler or Heun. Runs with no CPC term (gamma = 0, mean
+    shift only) keep P diagonal throughout, so compiling wins from m = d
+    (stepwise/compiled 1.16-2.39 at m = d and 1.33-2.98 at 2d, d = 64 to
+    768, Euler N = 50 and Heun N = 20).
     """
     return "compiled" if m >= d else "stepwise"
 
@@ -468,24 +467,24 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
     (m, d) block x with one GEMM in x coordinates.
 
-    A coupled Euler step costs one syrk for M = I + u0 A_0 and one GEMM for
-    P M; Heun adds the GEMM A_0 A_1 and reuses A_1 as the next step's A_0.
-    The first step's M is P itself, and the products go to two reused
-    buffers. After each step i the bound max_k |y_0[k]|_2 |P_i|_F + |q_i|_2
-    caps every sample's |x - mu_c|_2; if it exceeds ``limit`` or is not
-    finite, the run is stepped instead, which names the exact step and
-    sample or returns the stepped result when the bound was loose.
+    P is a vector, the map's diagonal, until the first coupled step forms
+    diag(P) M in M's buffer. A coupled Euler step costs one syrk for M = I +
+    u0 A_0 and one GEMM for P M into reused buffers; Heun adds the GEMM A_0
+    A_1 and reuses A_1 as the next step's A_0. After each step i the bound
+    max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every sample's |x - mu_c|_2; if
+    it exceeds ``limit`` or is not finite, the run is stepped instead, which
+    names the exact step and sample or returns the stepped result when the
+    bound was loose.
     """
     d = len(flow.cond.mean)
     z = x - flow.cond.mean
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
-    P, q = None, np.zeros(d)  # P None is I, until the first step
+    P, q = np.ones(d), np.zeros(d)
     M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
     for ends, (u0, u1), scaling in _steps(flow, schedule, heun):
         if scaling is not None:
             f, k = scaling
-            P = np.eye(d) if P is None else P
             P *= f
             q *= f
             if k is not None:
@@ -496,15 +495,16 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
             else:
                 M, b = flow.node_matrix(ends[0], u0, 1.0, out=M_buf)
                 k = u0 * b
-            if P is None:
-                P, M_buf = M, np.empty((d, d))
+            if P.ndim == 1:
+                P, M_buf = np.multiply(P[:, None], M, out=M), np.empty((d, d))
             else:
                 P, P_buf = np.matmul(P, M, out=P_buf), P
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
             return _stepwise(flow, schedule, heun, x, limit)
-    out = z @ (flow.cond.eigvecs @ P @ flow.cond.eigvecs.T)
-    out += flow.cond.mean + q @ flow.cond.eigvecs.T
+    U = flow.cond.eigvecs
+    out = z @ ((U * P if P.ndim == 1 else U @ P) @ U.T)
+    out += flow.cond.mean + q @ U.T
     return out
 
 
@@ -523,7 +523,8 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
       live CPC sign, or one for a frozen basis; other steps are elementwise.
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
       P + q, one syrk and one (d, d) GEMM per coupled Euler step (Heun adds
-      the GEMM A_0 A_1) and d^2 per other step, applied with one GEMM. An
+      the GEMM A_0 A_1), d per step before the first coupled one and d^2 per
+      other step, applied with one GEMM. An
       unguided run keeps q exactly 0, so mu_c stays a fixed point. A norm
       bound on each partial map guards it; when the bound trips, the run is
       stepped to name the step and the sample.
@@ -584,11 +585,9 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
     return stats.mean + (y * coef) @ stats.eigvecs.T
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _hashed_seeds(seed: int, m: int) -> np.ndarray:
@@ -635,51 +634,17 @@ def _hashed_seeds(seed: int, m: int) -> np.ndarray:
         hash_const = hash_const * _MULT_B & 0xFFFFFFFF
         value *= np.uint32(hash_const)
         state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8")  # little-endian word pairs, as numpy
+    return state.astype("<u4").view("<u8").astype(np.uint64, copy=False)  # as numpy
 
 
-def _pcg64_set_seed(words: np.ndarray) -> np.ndarray:
-    """What numpy's ``pcg64_set_seed`` makes of each row (s_hi, s_lo, i_hi,
-    i_lo) of an (m, 4) uint64 array: rows (state_hi, state_lo, inc_hi,
-    inc_lo), where inc = 2i + 1 and state = (s + inc) * MULT + inc mod
-    2^128 (from state 0, step, add s, step again).
+class _Words:
+    """Seed words that PCG64 seeds from in C: an ISeedSequence from the first draw on."""
 
-    The 128-bit arithmetic runs on 32-bit limbs in uint64 arrays, so no
-    intermediate wraps: a limb product plus two limbs is at most 2^64 - 1.
-    """
-    m32, w32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-    def limbs(hi, lo):  # least significant first
-        return [lo & m32, lo >> w32, hi & m32, hi >> w32]
-
-    def add(a, b):
-        out, carry = [], np.uint64(0)
-        for x, y in zip(a, b):
-            t = x + y + carry
-            out.append(t & m32)
-            carry = t >> w32
-        return out
-
-    def mul(a, c):  # a times the constant c, mod 2^128
-        c = [np.uint64((c >> 32 * j) & 0xFFFFFFFF) for j in range(4)]
-        out = [np.zeros_like(a[0]) for _ in range(4)]
-        for i in range(4):
-            carry = np.uint64(0)
-            for j in range(4 - i):
-                t = a[i] * c[j] + out[i + j] + carry
-                out[i + j] = t & m32
-                carry = t >> w32
-        return out
-
-    s, i = limbs(words[:, 0], words[:, 1]), limbs(words[:, 2], words[:, 3])
-    inc = [(i[0] << np.uint64(1) | np.uint64(1)) & m32]
-    inc += [(i[j] << np.uint64(1) | i[j - 1] >> np.uint64(31)) & m32 for j in range(1, 4)]
-    state = add(mul(add(s, inc), _PCG64_MULT), inc)
-    out = np.empty((len(words), 4), np.uint64)
-    for col, v in enumerate((state, inc)):
-        out[:, 2 * col] = v[2] | v[3] << w32
-        out[:, 2 * col + 1] = v[0] | v[1] << w32
-    return out
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for (4, np.uint64)
 
 
 def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
@@ -688,36 +653,30 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
 
     Row k is ``shift + std * np.random.default_rng([seed, k]).standard_normal(d)``
     bit for bit, so it depends only on (seed, k), never on m or on other
-    samples. The rule is met without building a generator per row: the m
-    SeedSequence([seed, k]) states are hashed in one vectorised pass
-    (``_hashed_seeds``, after numpy's ``bit_generator.pyx``), the 128-bit
-    (state, inc) that ``pcg64_set_seed`` gives each is computed in a second
-    one, on 32-bit limbs (``_pcg64_set_seed``), and then per row one PCG64
-    takes that state through one reused dict and fills row k in place; the
-    block is scaled and shifted once. NEP 19 keeps the SeedSequence and PCG64
-    streams stable across numpy versions. This is where the std rule is
-    applied: ``init.std=None`` means the schedule's sigma_max, and std must
-    be >= 0 (std 0 starts every sample at the shift).
+    samples. No SeedSequence is built per row: ``_hashed_seeds`` hashes the
+    m SeedSequence([seed, k]) states in one vectorised pass, and numpy seeds
+    each row's PCG64 from its words (``_Words``) and fills row k in place;
+    the block is scaled and shifted once. NEP 19 keeps the SeedSequence and
+    PCG64 streams stable across numpy versions. This is where the std rule
+    is applied: ``init.std=None`` means the schedule's sigma_max; std must
+    be finite and >= 0 (0 starts every sample at the shift) and the shift
+    finite, or a ValueError is raised before anything is allocated.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = init or InitSpec()
     std = spec.std if spec.std is not None else schedule.sigma_max
-    if not std >= 0:
-        raise ValueError(f"init std must be >= 0, got {std}")
+    if not 0 <= std < np.inf:
+        raise ValueError(f"init std must be finite and >= 0, got {std}")
     shift = np.zeros(d) if spec.shift is None else np.asarray(spec.shift, dtype=np.float64)
     if shift.shape != (d,):
         raise ShapeError(f"init shift must have length {d}, got {shift.shape}")
-    bit_gen = np.random.PCG64()
-    rng = np.random.Generator(bit_gen)
+    if not np.isfinite(shift).all():
+        raise ValueError("init shift contains non-finite entries")
+    np.random.bit_generator.ISeedSequence.register(_Words)  # so importing lincfg skips numpy.random
     x = np.empty((m, d))
-    pcg = {}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    seeded = _pcg64_set_seed(_hashed_seeds(seed, m)).tolist()
-    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeded):
-        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        bit_gen.state = full
-        rng.standard_normal(out=x[k])
+    for k, words in enumerate(_hashed_seeds(seed, m)):
+        np.random.Generator(np.random.PCG64(_Words(words))).standard_normal(out=x[k])
     x *= std
     x += shift
     return x

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,23 @@ class TestSample:
         assert samples.tobytes() == expect.tobytes()
         for row in samples:
             np.testing.assert_allclose(row, lone, rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_init_gamma_exit_3_before_the_draw(self, tmp_path, toy_files, capsys,
+                                                            monkeypatch):
+        """An init_gamma whose mean shift overflows is a format error naming
+        it, raised while the run is built: no draw, no outdir, no warning."""
+        cond_path, uncond_path = toy_files
+        out = tmp_path / "o"
+        monkeypatch.setattr(sampler, "draw_initial_states", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sample", "--cond-stats", str(cond_path),
+                         "--uncond-stats", str(uncond_path), "--init", "mean_shifted",
+                         "--init-gamma", "1e308", "--steps", "4", "--m", "2",
+                         "--outdir", str(out)])
+        assert code == 3
+        assert "'init_gamma'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exit_3(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,15 @@ class TestMeanShiftedInit:
             spec = metrics.mean_shifted_init(cond, uncond, gamma, 31.9)
             np.testing.assert_allclose(spec.shift,
                                        gamma * (cond.mean - uncond.mean))
+
+    def test_overflowing_shift_is_a_value_error(self):
+        """gamma (mu_c - mu_uc) past the float range raises instead of
+        handing the draw an infinite shift, and warns of no overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                metrics.mean_shifted_init(toy_conditional_stats(),
+                                          toy_unconditional_stats(), 1e308, 31.9)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -471,6 +471,34 @@ def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
     return getattr(sampler, applier)(sampler._cfg_flow(cond, uncond, cfg), sched, heun, x, limit)
 
 
+class TestDiagonalFold:
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("cfg", [G(gamma=0.0), G(enable_pos_cpc=False, enable_neg_cpc=False),
+                                     G(active_interval=(0.05, 2.0))],
+                             ids=["gamma0", "mean_shift", "interval"])
+    def test_map_stays_diagonal_until_the_first_coupled_step(self, cfg, heun, monkeypatch):
+        """The compiled map's P is a vector while every step so far is
+        diagonal: a run with no CPC term never builds a (d, d) P, and one
+        whose CPC term starts late builds it at its first coupled step. Each
+        matches stepping."""
+        d = 16
+        cond, uncond = random_stats_pair(d, np.random.default_rng(4))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(d, 2 * d, 3, sched)
+        diagonal = [scaling is not None for _, _, scaling in
+                    sampler._steps(sampler._cfg_flow(cond, uncond, cfg), sched, heun)]
+        lead = diagonal.index(False) if False in diagonal else len(diagonal)
+        shapes, real = [], np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda a: shapes.append(np.shape(a)) or real(a))
+        compiled = _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
+        monkeypatch.undo()
+        # the guard reads |P|_F, then |q|_2, after each step
+        assert shapes[::2] == [(d,)] * lead + [(d, d)] * (len(diagonal) - lead)
+        assert (lead == len(diagonal)) == (cfg.active_interval is None)
+        stepped = _apply("_stepwise", cond, uncond, x_T, sched, cfg, heun)
+        assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
+
+
 class TestChoosePath:
     def test_bench_shapes(self):
         # (m, d): wide-cfg steps; batch-cfg and every op of the ablation sweep compile
@@ -951,6 +979,23 @@ class TestSampleBatch:
             with pytest.raises(ValueError, match="std"):
                 sampler.draw_initial_states(2, 4, 2, sched, sampler.InitSpec(std=std))
 
+    @pytest.mark.parametrize("spec", [
+        sampler.InitSpec(std=np.inf), sampler.InitSpec(shift=np.array([0.0, np.inf])),
+        sampler.InitSpec(shift=np.array([np.nan, 0.0]), std=1.0),
+        sampler.InitSpec(shift=np.array([1.0, -np.inf]), std=0.0)])
+    def test_non_finite_init_fails_before_the_draw(self, spec, monkeypatch):
+        """An infinite std or a non-finite shift is the draw's ValueError,
+        raised before any seed is hashed or row allocated, not the start's
+        ShapeError after a block of non-finite rows."""
+        sched = sampler.make_schedule(n_steps=4)
+        monkeypatch.setattr(sampler, "_hashed_seeds", None)
+        for draw in (partial(sampler.draw_initial_states, 2, 4, 0, sched, spec),
+                     partial(sampler.sample_batch, toy_conditional_stats(),
+                             toy_unconditional_stats(), 4, 0, sched, G(), spec)):
+            with pytest.raises(ValueError, match=r"init (std|shift)") as caught:
+                draw()
+            assert not isinstance(caught.value, ShapeError)
+
     def test_disjoint_interval_equals_unguided(self):
         cond = toy_conditional_stats()
         uncond = toy_unconditional_stats()
@@ -991,32 +1036,6 @@ class TestSeedingRule:
                               (sampler.InitSpec(shift=shift, std=0.0), 0.0, shift)):
             x = sampler.draw_initial_states(d, m, seed, self.SCHED, init)
             np.testing.assert_array_equal(x, _rule_draw(d, m, seed, std, mu))
-
-    def test_pcg64_set_seed_matches_python_ints(self):
-        """The limb port gives what pcg64_set_seed gives with 128-bit Python
-        ints, on hashed words and on words whose sums carry: all ones, s +
-        inc wrapping at 2^64 (low half) and at 2^128."""
-        mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # pcg64.h
-
-        def set_seed(s_hi, s_lo, i_hi, i_lo):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & mask
-            state = (0 * mult + inc) & mask  # pcg_setseq_128_srandom_r: step, add, step
-            state = (state + (s_hi << 64 | s_lo)) & mask
-            state = (state * mult + inc) & mask
-            return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1)]
-
-        top = 2**64 - 1
-        carries = [[top] * 4, [0, top, 0, 0], [top, top, 0, 0], [0, top, 0, top],
-                   [top, top - 2, top, top], [0, 0, top, top], [1, 2, 0, 1 << 63]]
-        words = np.concatenate([sampler._hashed_seeds(12345, 10**4),
-                                np.array(carries, dtype=np.uint64)])
-        got = sampler._pcg64_set_seed(words)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [set_seed(*row) for row in words.tolist()]
-        bit_gen = np.random.PCG64(np.random.SeedSequence([12345, 3]))
-        state = bit_gen.state["state"]
-        assert got[3].tolist() == [state["state"] >> 64, state["state"] & top,
-                                   state["inc"] >> 64, state["inc"] & top]
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1), np.int32(2**31 - 1)])
     def test_numpy_integer_seeds_behave_like_ints(self, seed):
