@@ -438,11 +438,19 @@ def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
             np.multiply, *u, *((a, b) for a, _, _, b in map(flow.node, ends)))
 
 
+def _guard(schedule: NoiseSchedule, step: int, y: np.ndarray, limit: float) -> None:
+    """The appliers' one divergence rule: after ``step``, a row of the (m, d)
+    cond-basis block y whose |y|_2 = |x - mu_c|_2 exceeds ``limit``, or is
+    not finite, raises DivergenceError (see ``_diverged``)."""
+    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
+    if not norms.max() <= limit:  # also trips on NaN and inf
+        raise _diverged(schedule, step, ~(norms <= limit))
+
+
 def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
               limit: float) -> np.ndarray:
-    """Step the (m, d) block x in the cond basis. After each step a sample
-    whose |x - mu_c|_2 = |y|_2 exceeds ``limit``, or is not finite, raises
-    DivergenceError naming the step (and the sample, see ``_diverged``)."""
+    """Step the (m, d) block x in the cond basis, held to ``limit`` by
+    ``_guard`` after each step."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
     for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
         if scaling is not None:
@@ -456,9 +464,7 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
             k0 = flow.drift(y, ends[0])
             k1 = flow.drift(y + u0 * k0, ends[1])
             y += 0.5 * u0 * k0 + 0.5 * u1 * k1
-        norms = np.sqrt(np.einsum("ij,ij->i", y, y))
-        if not norms.max() <= limit:  # also trips on NaN and inf
-            raise _diverged(schedule, i, ~(norms <= limit))
+        _guard(schedule, i, y, limit)
     return flow.cond.mean + y @ flow.cond.eigvecs.T
 
 
@@ -471,18 +477,18 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     diag(P) M in M's buffer. A coupled Euler step costs one syrk for M = I +
     u0 A_0 and one GEMM for P M into reused buffers; Heun adds the GEMM A_0
     A_1 and reuses A_1 as the next step's A_0. After each step i the bound
-    max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every sample's |x - mu_c|_2; if
-    it exceeds ``limit`` or is not finite, the run is stepped instead, which
-    names the exact step and sample or returns the stepped result when the
-    bound was loose.
+    max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every sample's |x - mu_c|_2;
+    where it exceeds ``limit`` or is not finite, ``_guard`` holds y_i = y_0
+    P_i + q_i (one GEMM, or a product while P is diagonal) to the limit. An
+    overflowed map makes y_i non-finite even at a fixed point, so it raises.
     """
     d = len(flow.cond.mean)
     z = x - flow.cond.mean
     radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
-    P, q = np.ones(d), np.zeros(d)
+    P, q, y0 = np.ones(d), np.zeros(d), None
     M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
-    for ends, (u0, u1), scaling in _steps(flow, schedule, heun):
+    for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
         if scaling is not None:
             f, k = scaling
             P *= f
@@ -501,7 +507,8 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
                 P, P_buf = np.matmul(P, M, out=P_buf), P
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
-            return _stepwise(flow, schedule, heun, x, limit)
+            y0 = z @ flow.cond.eigvecs if y0 is None else y0
+            _guard(schedule, i, (y0 * P if P.ndim == 1 else y0 @ P) + q, limit)
     U = flow.cond.eigvecs
     out = z @ ((U * P if P.ndim == 1 else U @ P) @ U.T)
     out += flow.cond.mean + q @ U.T
@@ -524,10 +531,10 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
       P + q, one syrk and one (d, d) GEMM per coupled Euler step (Heun adds
       the GEMM A_0 A_1), d per step before the first coupled one and d^2 per
-      other step, applied with one GEMM. An
-      unguided run keeps q exactly 0, so mu_c stays a fixed point. A norm
-      bound on each partial map guards it; when the bound trips, the run is
-      stepped to name the step and the sample.
+      other step, applied with one GEMM. An unguided run keeps q exactly 0,
+      so mu_c stays a fixed point. A norm bound on each partial map guards
+      it; where it trips, the samples' exact distances come from that map.
+      A map that overflows raises even at a fixed point that stepping keeps.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).

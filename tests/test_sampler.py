@@ -1,6 +1,6 @@
 import itertools
+from dataclasses import replace
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,43 +533,82 @@ class TestGaussianDivergence:
     """Full CFG at gamma=1e6 leaves every trajectory scale within four steps."""
 
     @staticmethod
-    def _blowup():
+    def _blowup(shared_mean=True):
         cond, uncond = random_stats_pair(4, np.random.default_rng(7))
-        # equal means: samples started at the mean stay there, the rest diverge
-        uncond = GaussianStats(mean=cond.mean, eigvecs=uncond.eigvecs, eigvals=uncond.eigvals)
+        if shared_mean:  # samples started at the mean stay there, the rest diverge
+            uncond = GaussianStats(mean=cond.mean, eigvecs=uncond.eigvecs, eigvals=uncond.eigvals)
         sched = sampler.make_schedule(n_steps=4)
         x_T = sampler.draw_initial_states(4, 32, 3, sched)
         x_T[:5] = cond.mean
         return cond, uncond, sched, x_T
 
-    def test_both_appliers_name_the_same_step_and_sample(self):
-        cond, uncond, sched, x_T = self._blowup()
-        cfg = G(gamma=1e6)
-        assert sampler.choose_path(len(x_T), 4) == "compiled"
+    @staticmethod
+    def _named(cond, uncond, sched, x_T, cfg, heun):
+        """(step, sample) that ``integrate`` and each applier name."""
+        assert sampler.choose_path(len(x_T), cond.d) == "compiled"
         seen = []
-        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
-                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
+        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun),
+                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, heun)
                       for a in APPLIERS)):
             with pytest.raises(DivergenceError) as exc:
                 run()
             seen.append((exc.value.step, exc.value.sample))
+        return seen
+
+    def test_fold_never_steps(self):
+        """The compiled applier guards its own map: it never reruns a block
+        through the stepwise applier."""
+        assert "_stepwise" not in sampler._compiled.__code__.co_names
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_both_appliers_name_the_same_step_and_sample(self, heun):
+        seen = self._named(*self._blowup(), G(gamma=1e6), heun)
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][1] == 5  # the first sample not started at the mean
 
+    @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("cfg", [G(gamma=1e6, enable_neg_cpc=False, enable_mean_shift=False),
                                      G(gamma=1e6, freeze_cpc_at=5.0)], ids=["pos", "frozen"])
-    def test_ablation_names_the_same_step_and_sample(self, cfg):
-        cond, uncond, sched, x_T = self._blowup()
-        assert sampler.choose_path(len(x_T), 4) == "compiled"
-        seen = []
-        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
-                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, False)
-                      for a in APPLIERS)):
-            with pytest.raises(DivergenceError) as exc:
-                run()
-            seen.append((exc.value.step, exc.value.sample))
+    def test_ablation_names_the_same_step_and_sample(self, cfg, heun):
+        seen = self._named(*self._blowup(), cfg, heun)
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][1] == 5
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_mean_shift_names_the_same_step_and_sample(self, heun):
+        """A mean-shift-only run keeps the fold's P diagonal, so its exact
+        check is y_0 * P_i + q_i. q_i is gamma times q_i at gamma = 1, so
+        gamma can put the samples started at mu_c just inside the limit at
+        the largest |q_i|: only samples displaced along q_i pass it there."""
+        cond, uncond, sched, x_T = self._blowup(shared_mean=False)
+        _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+        shift = G(gamma=1.0, enable_pos_cpc=False, enable_neg_cpc=False)
+        q, sizes = 0.0, []
+        for _, _, (f, k) in sampler._steps(sampler._cfg_flow(cond, uncond, shift), sched, heun):
+            q = q * f + k
+            sizes.append(np.linalg.norm(q))
+        gamma = (1.0 - 1e-9) * limit / max(sizes)
+        seen = self._named(cond, uncond, sched, x_T, replace(shift, gamma=gamma), heun)
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][1] >= 5  # not a sample started at the mean
+
+    @pytest.mark.parametrize("gamma, n, step", [(1e30, 40, 11), (1e100, 20, 3)])
+    def test_overflowing_map_raises_at_the_fixed_point(self, gamma, n, step):
+        """With every sample at mu_c = mu_uc, a fixed point of full CFG,
+        stepping returns mu_c, but the folded map overflows; 0 * inf is NaN,
+        so the fold can give no output and names the step where it does."""
+        cond, uncond, _, _ = self._blowup()
+        sched = sampler.make_schedule(n_steps=n)
+        x_T = np.repeat(cond.mean[None], 32, axis=0)
+        cfg = G(gamma=gamma)
+        np.testing.assert_array_equal(_apply("_stepwise", cond, uncond, x_T, sched, cfg, False),
+                                      x_T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg),
+                        partial(_apply, "_compiled", cond, uncond, x_T, sched, cfg, False)):
+                with pytest.raises(DivergenceError) as exc:
+                    run()
+                assert (exc.value.step, exc.value.sample) == (step, 0)
 
     def test_sample_named_only_for_blocks_of_more_than_one_row(self):
         """A lone (d,) state and a (1, d) block name no sample; a (3, d) block
@@ -608,25 +647,39 @@ class TestGaussianDivergence:
         ref = sampler._drive(_dense_cfg_drift(cond, uncond, cfg), x_T, sched)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
 
-    def test_loose_bound_returns_the_stepped_run(self):
+    def test_loose_bound_keeps_the_fold(self, monkeypatch):
+        """Where the norm bound on the partial maps trips but no sample passes
+        the limit, the fold checks the samples' exact distances and keeps its
+        own map; with the limit just below the largest distance, both
+        appliers name the same step and sample."""
         cond, uncond = random_stats_pair(8, np.random.default_rng(8))
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(8, 16, 8, sched)
         cfg = G(gamma=2.0)
         flow = sampler._cfg_flow(cond, uncond, cfg)
-        seen = []  # the states after steps 0..N-2, then the last one
+        seen = []  # x_T, the states after steps 0..N-2, then the last one
 
         def drift(x, sigma):
             seen.append(x)
             return _dense_cfg_drift(cond, uncond, cfg)(x, sigma)
 
         seen.append(sampler._drive(drift, x_T, sched))
-        # just above the largest |x - mu_c| after any step: no sample passes it,
-        # but the norm bound on the partial maps does
-        limit = 1.001 * max(np.linalg.norm(x - cond.mean, axis=1).max() for x in seen[1:])
-        stepped = sampler._stepwise(flow, sched, False, x_T, limit)
-        assert sampler._compiled(flow, sched, False, x_T, limit).tobytes() == stepped.tobytes()
-        assert sampler._compiled(flow, sched, False, x_T, 1e12).tobytes() != stepped.tobytes()
+        dist = np.array([np.linalg.norm(x - cond.mean, axis=1) for x in seen[1:]])  # (step, sample)
+        checked, real = [], sampler._guard
+        monkeypatch.setattr(sampler, "_guard", lambda *a: checked.append(a[1]) or real(*a))
+        # just above the largest distance: no sample passes it, but the bound does
+        folded = sampler._compiled(flow, sched, False, x_T, 1.001 * dist.max())
+        assert checked  # the exact check ran
+        checked.clear()
+        assert sampler._compiled(flow, sched, False, x_T, 1e12).tobytes() == folded.tobytes()
+        assert checked == []
+        limit = 0.999 * dist.max()
+        step = int(np.flatnonzero((dist > limit).any(axis=1))[0])
+        first = (step, np.flatnonzero(dist[step] > limit)[0])
+        for applier in APPLIERS:
+            with pytest.raises(DivergenceError) as exc:
+                getattr(sampler, applier)(flow, sched, False, x_T, limit)
+            assert (exc.value.step, exc.value.sample) == first
 
 
 class TestFullCfgPath:
@@ -662,13 +715,11 @@ class TestFullCfgPath:
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("name", sorted(FULL_CFGS))
     @pytest.mark.parametrize("d", [2, 8, 32, 64])
-    def test_each_applier_matches_dense_solve_drift(self, d, name, heun, applier, monkeypatch):
+    def test_each_applier_matches_dense_solve_drift(self, d, name, heun, applier):
         cfg = FULL_CFGS[name]
         cond, uncond = random_stats_pair(d, np.random.default_rng(d))
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(d, 16, d, sched)
-        if applier == "_compiled":  # the fold must not fall back to stepping
-            monkeypatch.setattr(sampler, "_stepwise", None)
         got = _apply(applier, cond, uncond, x_T, sched, cfg, heun)
         ref = sampler._drive(_dense_cfg_drift(cond, uncond, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
@@ -711,6 +762,8 @@ class TestEveryGaussianConfig:
            gamma=st.just(0.0) | st.floats(min_value=0.1, max_value=5.0))
     @example(seed=0, d=16, freeze=1.0, interval=None, gamma=4.0)  # pos+neg Heun diverges
     @example(seed=1, d=16, freeze=1.0, interval=None, gamma=4.0)  # pos+shift Heun: see below
+    # cond off, a positive CPC, Heun: inside the limit where the fold's norm bound trips
+    @example(seed=1, d=16, freeze=0.375, interval=None, gamma=5.0)
     def test_each_applier_matches_split_and_dense_drifts(self, terms, heun, seed, d, freeze,
                                                          interval, gamma):
         cond_on, pos, neg, shift = terms
@@ -725,8 +778,7 @@ class TestEveryGaussianConfig:
                     for drift in (_split_drift, _dense_ablation_drift)]
         except DivergenceError as err:
             # a strong frozen CPC term on a coarse grid can leave the guard;
-            # then every applier trips it too, at the same step (the compiled
-            # map falls back to stepping to name it)
+            # then every applier trips it too, at the same step
             for applier in APPLIERS:
                 with pytest.raises(DivergenceError) as caught:
                     _apply(applier, cond, uncond, x_T, sched, cfg, heun)
@@ -749,8 +801,7 @@ class TestEveryGaussianConfig:
                 _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
             assert caught.value.step == err.step
             return
-        with mock.patch.object(sampler, "_stepwise", None):  # the fold must not fall back
-            compiled = _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
+        compiled = _apply("_compiled", cond, uncond, x_T, sched, cfg, heun)
         for got in (stepped, compiled):
             for ref in refs:
                 assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
@@ -774,8 +825,6 @@ class TestEveryGaussianConfig:
                 "pos_interval": G(gamma=2.0, enable_neg_cpc=False, active_interval=(0.5, 10.0))}
         for cfg in cfgs.values():
             sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun)
-        if applier == "_compiled":
-            monkeypatch.setattr(sampler, "_stepwise", None)
         nodes = sched.sigmas[:n + heun]  # the nodes the steps evaluate the drift at
         expect = {"pos": n + heun, "neg": n + heun,
                   "pos_interval": int(np.sum((0.5 <= nodes) & (nodes <= 10.0))),
@@ -857,8 +906,6 @@ class TestCpcSplit:
         real = sampler._Split.gram  # a frozen split's unit_gram calls it once
         monkeypatch.setattr(sampler._Split, "gram",
                             lambda split, *a, **k: formed.append(split) or real(split, *a, **k))
-        if applier == "_compiled":  # the fold must not fall back to stepping
-            monkeypatch.setattr(sampler, "_stepwise", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(12))
         n = 12
         sched = sampler.make_schedule(n_steps=n)
@@ -887,14 +934,13 @@ class TestCpcSplit:
         x_T = sampler.draw_initial_states(8, 16, 13, sched)
         x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         flow = sampler._cfg_flow(cond, uncond, cfg)
-        with mock.patch.object(sampler, "_stepwise", None):  # the fold must not fall back
-            sampler._compiled(flow, sched, False, x, limit)
-            for at, split in flow.last.items():
-                fresh = sampler._cpc_split(cond, uncond, flow.rot, at, cfg.enable_pos_cpc,
-                                           cfg.enable_neg_cpc)
-                np.testing.assert_array_equal(split.vecs, fresh.vecs)
-                np.testing.assert_array_equal(split.unit_gram, fresh.gram())
-            compiled = sampler._compiled(flow, sched, True, x, limit)
+        sampler._compiled(flow, sched, False, x, limit)
+        for at, split in flow.last.items():
+            fresh = sampler._cpc_split(cond, uncond, flow.rot, at, cfg.enable_pos_cpc,
+                                       cfg.enable_neg_cpc)
+            np.testing.assert_array_equal(split.vecs, fresh.vecs)
+            np.testing.assert_array_equal(split.unit_gram, fresh.gram())
+        compiled = sampler._compiled(flow, sched, True, x, limit)
         stepped = sampler._stepwise(sampler._cfg_flow(cond, uncond, cfg), sched, True, x, limit)
         assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
 
