@@ -7,7 +7,7 @@ score, signed contrastive-PC terms, and a mean-shift term, each independently
 toggleable. Closed forms (unguided and common-PC guided) provide the oracles.
 """
 
-__version__ = "0.4.8"  # samples are bit-identical only within one version
+__version__ = "0.4.9"  # samples are bit-identical only within one version
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy backends)
 
@@ -16,8 +16,8 @@ from .analytic import (CommonPCPair, CommonPCRejection, b_coefficient,
                        h_factor)
 from .cpca import (SignedSpectrum, contrastive_components, posterior_cpcs,
                    variance_along)
-from .denoiser import (denoise, mean_shift, posterior_cov, score, shrink,
-                       shrinkage, shrunk_covariance)
+from .denoiser import (denoise, mean_shift, score, shrink, shrinkage,
+                       shrunk_covariance)
 from .errors import (DataError, DivergenceError, FormatError, QuadratureError,
                      ShapeError)
 from .gmm import (GmmGuidanceTerms, MixtureModel, PosteriorWeights,

@@ -75,10 +75,3 @@ def shrunk_covariance(stats: GaussianStats, sigma: float) -> np.ndarray:
     U = stats.eigvecs
     return (U * shrinkage(stats, sigma)) @ U.T
 
-
-def posterior_cov(stats: GaussianStats, sigma: float) -> np.ndarray:
-    """Covariance of the clean signal given the noisy observation.
-
-    Equals sigma^2 times the (constant) Jacobian of ``denoise``.
-    """
-    return (sigma * sigma) * shrunk_covariance(stats, sigma)

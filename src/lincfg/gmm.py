@@ -360,7 +360,9 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     difference, gated by cfg.guidance_active, and the per-term CPC toggles
     do not apply. The drift (``_guided_drift``) is folded where
     ``sampler.choose_path`` compiles the batch's (m, d), at m >= d, and
-    projected below, once per run; the generic reverse-ODE driver steps it.
+    projected below, once per run; the generic reverse-ODE driver steps it
+    and holds each sample's |x - mu_target|_2 to the divergence limit, the
+    rule of the Gaussian runs with the target's mean as the centre.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
@@ -369,7 +371,8 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     m = len(x_T) if np.ndim(x_T) == 2 else 1
     form = "folded" if sampler.choose_path(m, model.d) == "compiled" else "projected"
     return sampler._drive(_guided_drift(model, target, cfg, form), x_T, schedule, heun=heun,
-                          scale=sampler.data_scale(*model.components))
+                          scale=sampler.data_scale(*model.components),
+                          centre=model.components[target].mean)
 
 
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,

@@ -23,6 +23,7 @@ States accept shape (d,) or a batch (m, d).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -81,10 +82,10 @@ def make_schedule(sigma_max: float = DEFAULT_SIGMA_MAX,
     """rho-warped grid sigma_i = (s_max^(1/rho) + i/N (s_min^(1/rho) - s_max^(1/rho)))^rho."""
     if not (np.inf > sigma_max > sigma_min > 0.0):
         raise ValueError(f"need finite sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if rho < 1.0:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:  # numpy integers too
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not 1.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and >= 1, got {rho}")
     i = np.arange(n_steps + 1, dtype=np.float64) / n_steps
     inv = 1.0 / rho
     sig = (sigma_max**inv + i * (sigma_min**inv - sigma_max**inv)) ** rho
@@ -214,22 +215,30 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float) -> tuple[np.n
     return x, DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, hi, -lo, scale)
 
 
-def _diverged(schedule: NoiseSchedule, step: int, bad: np.ndarray) -> DivergenceError:
-    """The error for a step after which the rows flagged in ``bad`` are past
-    the guard; it names the first of them when there is more than one row."""
-    s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
-    return DivergenceError(f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})",
-                           step=step, sample=int(np.flatnonzero(bad)[0]) if len(bad) > 1 else None)
+def _guard(schedule: NoiseSchedule, step: int, z: np.ndarray, limit: float) -> None:
+    """The package's one divergence rule and its one report. The rows of the
+    (m, d) block z are the samples' offsets from their flow's centre after
+    ``step``; a row whose |z|_2 exceeds ``limit``, or is not finite, raises
+    DivergenceError naming the step, its sigma range and, in a block of more
+    than one row, the first such row. The Gaussian appliers pass y = (x -
+    mu_c) U_c, whose |y|_2 is |x - mu_c|_2, and ``_drive`` x - centre."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    if not norms.max() <= limit:  # also trips on NaN and inf
+        s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
+        bad = int(np.flatnonzero(~(norms <= limit))[0]) if len(z) > 1 else None
+        raise DivergenceError(f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})",
+                              step=step, sample=bad)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _guard names the non-finite rows
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
-           heun: bool = False, scale: float = 0.0) -> np.ndarray:
+           heun: bool = False, scale: float = 0.0, centre=0.0) -> np.ndarray:
     """Step the reverse ODE along the schedule for one (m, d) state block.
 
     ``drift(x, sigma)`` returns the total score-like term; the ODE slope is
-    then -sigma * drift. A state entry beyond the limit of ``_start``, or a
-    non-finite one, raises DivergenceError; ``scale`` is the data scale of
-    the run.
+    then -sigma * drift. After each step ``_guard`` holds every row's
+    |x - centre|_2 to the limit of ``_start``, where ``scale`` is the run's
+    data scale and ``centre`` its flow's centre, a (d,) mean or 0.
     """
     x, limit = _start(x_T, schedule, scale)
     sig = schedule.sigmas
@@ -242,8 +251,7 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             k1 = (-s1) * drift(x_next, s1)
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
-        if not np.max(np.abs(x)) <= limit:  # also trips on NaN and inf
-            raise _diverged(schedule, i, ~(np.abs(x) <= limit).all(axis=-1))
+        _guard(schedule, i, x - centre, limit)
     return x.reshape(np.shape(x_T))
 
 
@@ -438,15 +446,7 @@ def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
             np.multiply, *u, *((a, b) for a, _, _, b in map(flow.node, ends)))
 
 
-def _guard(schedule: NoiseSchedule, step: int, y: np.ndarray, limit: float) -> None:
-    """The appliers' one divergence rule: after ``step``, a row of the (m, d)
-    cond-basis block y whose |y|_2 = |x - mu_c|_2 exceeds ``limit``, or is
-    not finite, raises DivergenceError (see ``_diverged``)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
-    if not norms.max() <= limit:  # also trips on NaN and inf
-        raise _diverged(schedule, step, ~(norms <= limit))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
               limit: float) -> np.ndarray:
     """Step the (m, d) block x in the cond basis, held to ``limit`` by
@@ -468,6 +468,7 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     return flow.cond.mean + y @ flow.cond.eigvecs.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
               limit: float) -> np.ndarray:
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
@@ -558,8 +559,9 @@ def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
     difference gamma * (cond - uncond), gated by cfg.guidance_active. No
     sampling path calls it. With ``denoiser.score`` it is the test and
     benchmark oracle of ``integrate``'s full-CFG path, and with mixture
-    scores that of ``gmm.integrate``; ``scale`` is the data scale the
-    divergence guard is relative to (see ``_start``).
+    scores that of ``gmm.integrate``. Its flow has no centre, so ``_guard``
+    holds each sample's |x|_2, its distance from the origin, to the limit of
+    ``_start``, relative to the data scale ``scale``.
     """
 
     def drift(x, sigma):

@@ -129,8 +129,8 @@ def test_c7_gmm_reductions_and_identities():
 
 
 def test_c8_posterior_covariance_identity():
-    """sigma^2 times the finite-difference Jacobian of denoise matches
-    posterior_cov on 20 random instances."""
+    """sigma^2 times the finite-difference Jacobian of denoise matches the
+    posterior covariance sigma^2 shrunk_covariance on 20 random instances."""
     rng = np.random.default_rng(88)
     step = 1e-4
     worst = 0.0
@@ -145,9 +145,9 @@ def test_c8_posterior_covariance_identity():
             J[:, j] = (denoiser.denoise(stats, x + e, sigma)
                        - denoiser.denoise(stats, x - e, sigma)) / (2 * step)
         worst = max(worst, float(np.max(np.abs(
-            sigma**2 * J - denoiser.posterior_cov(stats, sigma)))))
+            sigma**2 * J - sigma**2 * denoiser.shrunk_covariance(stats, sigma)))))
     report("C8 posterior covariance identity", worst < 1e-5,
-           f"max |sigma^2 J_fd - posterior_cov| = {worst:.2e} < 1e-5")
+           f"max |sigma^2 J_fd - sigma^2 shrunk_covariance| = {worst:.2e} < 1e-5")
 
 
 def test_c9_determinism(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 import lincfg
 from lincfg import denoiser, gmm, sampler, verify
 from lincfg.cli import main
-from lincfg.stats import load_data_matrix, load_stats, save_data_matrix, save_stats
+from lincfg.stats import (GaussianStats, load_data_matrix, load_stats, save_data_matrix,
+                          save_stats)
 from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_conditional_stats,
                               toy_unconditional_stats)
 
@@ -292,6 +293,25 @@ class TestSample:
         assert main(argv + ["--gamma", "1e6", "--outdir", str(tmp_path / "d")]) == 4
         assert not (tmp_path / "d" / "samples.bin").exists()
         assert main(argv + ["--gamma", "1", "--outdir", str(tmp_path / "ok")]) == 0
+
+    def test_overflowing_run_prints_only_the_divergence_line(self, tmp_path, capsys):
+        """With every sample at mu_c = mu_uc = 0, gamma = 1e30 overflows the
+        folded map; the run exits 4 and stderr holds the guard's line alone,
+        no numpy RuntimeWarning."""
+        cond, uncond = (GaussianStats(mean=np.zeros(4), eigvecs=s.eigvecs, eigvals=s.eigvals)
+                        for s in random_stats_pair(4, np.random.default_rng(7)))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sample", "--cond-stats", str(tmp_path / "c.stats"),
+                         "--uncond-stats", str(tmp_path / "u.stats"), "--init-sigma", "0",
+                         "--gamma", "1e30", "--steps", "40", "--m", "32",
+                         "--outdir", str(tmp_path / "d")])
+        assert code == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: numerical divergence: trajectory diverged at step 11 ")
+        assert line.endswith(", sample 0")
 
     def test_mixture_mode(self, tmp_path, mixture_file):
         model, manifest = mixture_file

@@ -153,14 +153,15 @@ def test_score_isotropic_reduction():
 def test_posterior_cov_zero_rank():
     from lincfg.stats import GaussianStats
     stats = GaussianStats(mean=np.zeros(2), eigvecs=np.eye(2), eigvals=np.zeros(2))
-    np.testing.assert_array_equal(denoiser.posterior_cov(stats, 3.0), np.zeros((2, 2)))
+    np.testing.assert_array_equal(3.0**2 * denoiser.shrunk_covariance(stats, 3.0),
+                                  np.zeros((2, 2)))
 
 
 def test_posterior_cov_eigenvalue_bound():
     rng = np.random.default_rng(15)
     stats = random_stats(5, rng, lam_range=(0.0, 4.0))
     for sigma in (0.1, 1.0, 10.0):
-        vals = np.linalg.eigvalsh(denoiser.posterior_cov(stats, sigma))
+        vals = np.linalg.eigvalsh(sigma**2 * denoiser.shrunk_covariance(stats, sigma))
         expect = np.sort(sigma**2 * stats.eigvals / (stats.eigvals + sigma**2))
         np.testing.assert_allclose(vals, expect, atol=1e-12)
         assert np.all(vals <= np.minimum(np.sort(stats.eigvals), sigma**2) + 1e-12)
