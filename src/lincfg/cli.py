@@ -5,11 +5,12 @@ similarity), gmm-demo. Experiment configuration is a flat key=value text
 file; CLI flags override file values. A run manifest (JSON) written next to
 the samples makes every sampling run reproducible: pass the manifest back as
 --config to regenerate bit-identical sample files with the same lincfg
-version, which the manifest records.
+version and thread count, which the manifest records with the numpy and
+python versions.
 
 Exit codes: 0 ok, 1 verification/other failure (an output path that cannot
-be written included), 2 missing input, 3 format or usage error, 4 numerical
-divergence, 5 shape error.
+be written and running out of memory included), 2 missing input, 3 format
+or usage error, 4 numerical divergence, 5 shape error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import re
 import sys
 import time
@@ -262,7 +265,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
                  cfg: sampler.GuidanceConfig, init: sampler.InitSpec) -> tuple:
     """Read the stats pair or the mixture of a parsed config and check the
     config against it. Returns (draw, run, meta): draw() draws x_T and run(x_T)
-    integrates the run from it. Writes nothing."""
+    integrates the run from it; a Gaussian run writes its samples over x_T.
+    Writes nothing."""
     m, seed, heun = config["m"], config["seed"], config["heun"]
     if config["mixture"]:
         model = gmm.load_mixture(_require_file(config["mixture"], "mixture manifest"))
@@ -287,7 +291,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
                                                      config["init_gamma"], init.std))
         meta = {"mode": "gaussian", "d": cond.d,
                 "sampler": sampler.choose_path(m, cond.d)}
-        run = partial(sampler.integrate, cond, uncond, schedule=schedule, cfg=cfg, heun=heun)
+        run = partial(sampler.integrate, cond, uncond, schedule=schedule, cfg=cfg, heun=heun,
+                      overwrite_x=True)  # x_T is read once: the samples take its buffer
     if config["ppm_shape"] is not None:
         check_image_shape(config["ppm_shape"], meta["d"])
     draw = partial(sampler.draw_initial_states, meta["d"], m, seed, schedule, init)
@@ -323,6 +328,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     manifest = {
         "tool": "lincfg",
         "version": __version__,
+        "environment": {"numpy": np.__version__, "python": platform.python_version(),
+                        "LCFG_THREADS": os.environ.get("LCFG_THREADS") or None},
         "config": resolved,
         "seed": config["seed"],
         "meta": meta,
@@ -625,6 +632,9 @@ def main(argv: list[str] | None = None) -> int:
     except ShapeError as exc:
         print(f"error: shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except (DataError, QuadratureError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

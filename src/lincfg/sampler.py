@@ -11,10 +11,11 @@ affine. ``choose_path`` picks one of two appliers, never another path:
 stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
-one GEMM; folding costs one syrk and one GEMM per coupled Euler step, plus
-the GEMM A_0 A_1 for Heun, and d per step before the first coupled one. It
-compiles when the batch has m >= d, whatever the config, schedule or
-integrator (``choose_path`` gives the timings behind the rule).
+one GEMM per row block, in place over x_T where the caller hands it over
+(``overwrite_x``); folding costs one syrk and one GEMM per coupled Euler
+step, plus the GEMM A_0 A_1 for Heun, and d per step before the first
+coupled one. It compiles when the batch has m >= d, whatever the config,
+schedule or integrator (``choose_path`` gives the timings behind the rule).
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -215,17 +216,22 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float) -> tuple[np.n
     return x, DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, hi, -lo, scale)
 
 
-def _guard(schedule: NoiseSchedule, step: int, z: np.ndarray, limit: float) -> None:
-    """The package's one divergence rule and its one report. The rows of the
-    (m, d) block z are the samples' offsets from their flow's centre after
-    ``step``; a row whose |z|_2 exceeds ``limit``, or is not finite, raises
-    DivergenceError naming the step, its sigma range and, in a block of more
-    than one row, the first such row. The Gaussian appliers pass y = (x -
-    mu_c) U_c, whose |y|_2 is |x - mu_c|_2, and ``_drive`` x - centre."""
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+def _norms(z: np.ndarray) -> np.ndarray:
+    """|z_k|_2 of each row of the (m, d) block z."""
+    return np.sqrt(np.einsum("ij,ij->i", z, z))
+
+
+def _guard(schedule: NoiseSchedule, step: int, norms: np.ndarray, limit: float) -> None:
+    """The package's one divergence rule and its one report. ``norms`` are
+    the samples' distances |z_k|_2 from their flow's centre after ``step``
+    (``_norms`` of the offsets z); one that exceeds ``limit``, or is not
+    finite, raises DivergenceError naming the step, its sigma range and, in
+    a block of more than one row, the first such row. The Gaussian appliers
+    measure y = (x - mu_c) U_c, whose |y|_2 is |x - mu_c|_2, and ``_drive``
+    x - centre."""
     if not norms.max() <= limit:  # also trips on NaN and inf
         s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
-        bad = int(np.flatnonzero(~(norms <= limit))[0]) if len(z) > 1 else None
+        bad = int(np.flatnonzero(~(norms <= limit))[0]) if len(norms) > 1 else None
         raise DivergenceError(f"trajectory diverged at step {step} (sigma {s0:g} -> {s1:g})",
                               step=step, sample=bad)
 
@@ -251,7 +257,7 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             k1 = (-s1) * drift(x_next, s1)
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
-        _guard(schedule, i, x - centre, limit)
+        _guard(schedule, i, _norms(x - centre), limit)
     return x.reshape(np.shape(x_T))
 
 
@@ -448,9 +454,10 @@ def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
-              limit: float) -> np.ndarray:
+              limit: float, out: np.ndarray | None = None) -> np.ndarray:
     """Step the (m, d) block x in the cond basis, held to ``limit`` by
-    ``_guard`` after each step."""
+    ``_guard`` after each step, and write the samples to ``out`` (a new
+    block if None; x itself is allowed) once every step has passed."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
     for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
         if scaling is not None:
@@ -464,15 +471,27 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
             k0 = flow.drift(y, ends[0])
             k1 = flow.drift(y + u0 * k0, ends[1])
             y += 0.5 * u0 * k0 + 0.5 * u1 * k1
-        _guard(schedule, i, y, limit)
-    return flow.cond.mean + y @ flow.cond.eigvecs.T
+        _guard(schedule, i, _norms(y), limit)
+    out = np.matmul(y, flow.cond.eigvecs.T, out=out)
+    out += flow.cond.mean
+    return out
+
+
+ROW_BLOCK_BYTES = 1 << 20  # the compiled applier streams x through blocks of about 1 MiB
+
+
+def _row_blocks(m: int, d: int) -> list[slice]:
+    """The rows of an (m, d) float64 block in slices of ROW_BLOCK_BYTES, at least one row each."""
+    rows = max(1, ROW_BLOCK_BYTES // (8 * d))
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
-              limit: float) -> np.ndarray:
+              limit: float, out: np.ndarray | None = None) -> np.ndarray:
     """Fold the steps into y_N = y_0 P + q, then apply that map to the
-    (m, d) block x with one GEMM in x coordinates.
+    (m, d) block x in x coordinates, writing the samples to ``out`` (a new
+    block if None; x itself is allowed).
 
     P is a vector, the map's diagonal, until the first coupled step forms
     diag(P) M in M's buffer. A coupled Euler step costs one syrk for M = I +
@@ -482,10 +501,23 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     where it exceeds ``limit`` or is not finite, ``_guard`` holds y_i = y_0
     P_i + q_i (one GEMM, or a product while P is diagonal) to the limit. An
     overflowed map makes y_i non-finite even at a fixed point, so it raises.
+
+    x is read in row blocks (``_row_blocks``) through one block-sized
+    scratch, never whole as x - mu_c: once for the radius max_k |x_k -
+    mu_c|_2, and once to apply T = U P U^T and c = mu_c + q U^T as (x_b -
+    mu_c) T + c, one GEMM per block. Only a tripped bound forms y_0 = (x -
+    mu_c) U, one (m, d) block, released before the output. The fold and
+    every guard finish before the first write, so a run that raises leaves
+    ``out`` and x as they were.
     """
-    d = len(flow.cond.mean)
-    z = x - flow.cond.mean
-    radius = float(np.sqrt(np.einsum("ij,ij->i", z, z).max()))
+    d, mean, U = len(flow.cond.mean), flow.cond.mean, flow.cond.eigvecs
+    blocks = _row_blocks(*x.shape)
+    buf = np.empty((blocks[0].stop, d))  # the one scratch block
+
+    def centred(b: slice) -> np.ndarray:
+        return np.subtract(x[b], mean, out=buf[:b.stop - b.start])
+
+    radius = max(float(_norms(centred(b)).max()) for b in blocks)
     P, q, y0 = np.ones(d), np.zeros(d), None
     M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
@@ -508,17 +540,29 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
                 P, P_buf = np.matmul(P, M, out=P_buf), P
             q = q @ M + k
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
-            y0 = z @ flow.cond.eigvecs if y0 is None else y0
-            _guard(schedule, i, (y0 * P if P.ndim == 1 else y0 @ P) + q, limit)
-    U = flow.cond.eigvecs
-    out = z @ ((U * P if P.ndim == 1 else U @ P) @ U.T)
-    out += flow.cond.mean + q @ U.T
+            if y0 is None:
+                y0 = np.empty(x.shape)
+                for b in blocks:
+                    np.matmul(centred(b), U, out=y0[b])
+            mul, norms = np.multiply if P.ndim == 1 else np.matmul, np.empty(len(x))
+            for b in blocks:
+                y = mul(y0[b], P, out=buf[:b.stop - b.start])
+                y += q
+                norms[b] = _norms(y)
+            _guard(schedule, i, norms, limit)
+    del y0  # the exact check's block goes before the output's
+    T = (U * P if P.ndim == 1 else U @ P) @ U.T
+    c = mean + q @ U.T
+    out = np.empty(x.shape) if out is None else out
+    for b in blocks:
+        np.matmul(centred(b), T, out=out[b])
+        out[b] += c
     return out
 
 
 def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
               schedule: NoiseSchedule, cfg: GuidanceConfig, *,
-              heun: bool = False) -> np.ndarray:
+              heun: bool = False, overwrite_x: bool = False) -> np.ndarray:
     """Integrate the guided reverse ODE from x_T down the schedule.
 
     Returns the final state. Every Gaussian run, full CFG and every ablation
@@ -532,21 +576,32 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
       P + q, one syrk and one (d, d) GEMM per coupled Euler step (Heun adds
       the GEMM A_0 A_1), d per step before the first coupled one and d^2 per
-      other step, applied with one GEMM. An unguided run keeps q exactly 0,
-      so mu_c stays a fixed point. A norm bound on each partial map guards
-      it; where it trips, the samples' exact distances come from that map.
-      A map that overflows raises even at a fixed point that stepping keeps.
+      other step, applied with one GEMM per row block of about
+      ROW_BLOCK_BYTES. An unguided run keeps q exactly 0, so mu_c stays a
+      fixed point. A norm bound on each partial map guards it; where it
+      trips, the samples' exact distances come from that map. A map that
+      overflows raises even at a fixed point that stepping keeps.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence
     limit, DIVERGENCE_GUARD times max(1, sigma_max, max|x_T|, data scale).
     ``guidance_terms`` reads this same flow one term at a time.
+
+    x_T is left as it is by default. With ``overwrite_x=True`` (x_T then
+    must be a writeable C-contiguous float64 array) the samples are written
+    into x_T's buffer and returned as a view of it: a compiled run then
+    holds no (m, d) block beyond x_T. Both give the same bits, and a run
+    that raises DivergenceError leaves x_T unchanged either way.
     """
     check_pair(cond, uncond)
+    if overwrite_x and not (isinstance(x_T, np.ndarray) and x_T.dtype == np.float64
+                            and x_T.flags.c_contiguous and x_T.flags.writeable):
+        raise ValueError("overwrite_x=True needs x_T as a writeable C-contiguous float64 array")
     x, limit = _start(x_T, schedule, data_scale(cond, uncond))
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
     run = _compiled if choose_path(len(x), cond.d) == "compiled" else _stepwise
-    return run(_cfg_flow(cond, uncond, cfg), schedule, heun, x, limit).reshape(np.shape(x_T))
+    return run(_cfg_flow(cond, uncond, cfg), schedule, heun, x, limit,
+               out=x if overwrite_x else None).reshape(np.shape(x_T))
 
 
 def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
@@ -695,6 +750,8 @@ def sample_batch(cond: GaussianStats, uncond: GaussianStats, m: int, seed: int,
                  schedule: NoiseSchedule, cfg: GuidanceConfig,
                  init: InitSpec | None = None, *, heun: bool = False) -> np.ndarray:
     """Final states (m, d) of m independent samples, row k seeded by (seed, k)
-    as in ``draw_initial_states``; deterministic for a fixed seed."""
+    as in ``draw_initial_states``; deterministic for a fixed seed. The
+    samples are written over the drawn states (``overwrite_x``), so a
+    compiled run holds one (m, d) block."""
     x_T = draw_initial_states(cond.d, m, seed, schedule, init)
-    return integrate(cond, uncond, x_T, schedule, cfg, heun=heun)
+    return integrate(cond, uncond, x_T, schedule, cfg, heun=heun, overwrite_x=True)

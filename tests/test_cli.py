@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
 import json
+import os
+import platform
 import warnings
 from pathlib import Path
 
@@ -102,6 +104,9 @@ class TestSample:
         manifest = json.loads((out1 / "run_manifest.json").read_text())
         assert manifest["seed"] == 123
         assert manifest["version"] == lincfg.__version__
+        assert manifest["environment"] == {
+            "numpy": np.__version__, "python": platform.python_version(),
+            "LCFG_THREADS": os.environ.get("LCFG_THREADS") or None}
         assert manifest["meta"]["sampler"] == "compiled"  # 16 states in d=2
 
         # re-run from the manifest into a fresh directory: bit-identical samples
@@ -109,6 +114,39 @@ class TestSample:
         assert main(["sample", "--config", str(out1 / "run_manifest.json"),
                      "--outdir", str(out2)]) == 0
         assert (out2 / "samples.bin").read_bytes() == samples1
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_manifest_records_the_thread_cap(self, tmp_path, toy_files, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("LCFG_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LCFG_THREADS", threads)
+        out = tmp_path / "o"
+        assert main(["sample", "--cond-stats", str(toy_files[0]), "--uncond-stats",
+                     str(toy_files[1]), "--steps", "4", "--m", "3", "--outdir", str(out)]) == 0
+        environment = json.loads((out / "run_manifest.json").read_text())["environment"]
+        assert set(environment) == {"numpy", "python", "LCFG_THREADS"}
+        assert environment["LCFG_THREADS"] == threads
+
+    @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
+    def test_out_of_memory_exit_1(self, tmp_path, toy_files, mixture_file, mode, capsys,
+                                  monkeypatch):
+        """A draw that cannot allocate is one error line and exit 1, with
+        nothing written; numpy's allocation error is raised, never made."""
+        def draw(*args, **kwargs):
+            raise MemoryError("Unable to allocate 93.1 TiB for an array with shape "
+                              "(100000000000, 128) and data type float64")
+
+        monkeypatch.setattr(sampler, "draw_initial_states", draw)
+        inputs = (["--mixture", str(mixture_file[1]), "--target", "1"] if mode == "mixture"
+                  else ["--cond-stats", str(toy_files[0]), "--uncond-stats", str(toy_files[1])])
+        out = tmp_path / "o"
+        assert main(["sample", *inputs, "--steps", "4", "--m", "100000000000",
+                     "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 93.1 TiB for an array with " \
+                      "shape (100000000000, 128) and data type float64\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["gaussian", "mixture"])
     def test_manifest_phase_timings(self, tmp_path, toy_files, mixture_file, mode):

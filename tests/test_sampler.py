@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -391,6 +392,43 @@ class TestIntegrate:
         # batched matmul and per-row matvec may round differently
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_compiled_run_holds_one_block(self, overwrite):
+        """A compiled run of 8192 states in d = 64, a 4 MiB block and four
+        row blocks' worth, allocates less than half a block above the
+        drawn states when it writes over them, and less than one and a half
+        (its output) otherwise, by tracemalloc's count of numpy's buffers."""
+        d, m = 64, 8192
+        cond, uncond = random_stats_pair(d, np.random.default_rng(2))
+        sched = sampler.make_schedule(n_steps=20)
+        x_T = sampler.draw_initial_states(d, m, 2, sched)
+        block = x_T.nbytes
+        assert block >= 4 * sampler.ROW_BLOCK_BYTES
+        assert sampler.choose_path(m, d) == "compiled"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = sampler.integrate(cond, uncond, x_T, sched, G(gamma=2.0), overwrite_x=overwrite)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out, x_T) == overwrite
+        assert peak < (0.5 if overwrite else 1.5) * block, peak / block
+
+    def test_overwrite_x_needs_a_writeable_float64_block(self):
+        cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        sched, cfg = sampler.make_schedule(n_steps=4), G(gamma=1.0)
+        frozen = np.zeros((4, 2))
+        frozen.flags.writeable = False
+        for x_T in ([[0.0, 1.0]], np.zeros((4, 2), np.float32), np.zeros((2, 4)).T, frozen):
+            with pytest.raises(ValueError, match="overwrite_x"):
+                sampler.integrate(cond, uncond, x_T, sched, cfg, overwrite_x=True)
+        lone = np.array([1.0, 2.0])  # a lone state is written over too
+        expect = sampler.integrate(cond, uncond, lone, sched, cfg)
+        got = sampler.integrate(cond, uncond, lone, sched, cfg, overwrite_x=True)
+        assert np.shares_memory(got, lone) and got.shape == (2,)
+        assert got.tobytes() == expect.tobytes() == lone.tobytes()
+
     def test_divergence_guard_reports_step_and_sample(self):
         sched = sampler.make_schedule(10.0, 1.0, 4, 1.0)
         explode = lambda x, s: x * 1e9
@@ -495,10 +533,12 @@ class TestIntegrate:
             run(np.empty((0, 2)), sched, cfg)
 
 
-def _apply(applier, cond, uncond, x_T, sched, cfg, heun):
-    """Run cfg through the named applier, whatever choose_path would pick."""
+def _apply(applier, cond, uncond, x_T, sched, cfg, heun, overwrite=False):
+    """Run cfg through the named applier, whatever choose_path would pick,
+    writing the samples over x_T if ``overwrite``."""
     x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
-    return getattr(sampler, applier)(sampler._cfg_flow(cond, uncond, cfg), sched, heun, x, limit)
+    return getattr(sampler, applier)(sampler._cfg_flow(cond, uncond, cfg), sched, heun, x, limit,
+                                     out=x if overwrite else None)
 
 
 class TestDiagonalFold:
@@ -545,7 +585,7 @@ class TestChoosePath:
         picked = []
         for name in APPLIERS:
             monkeypatch.setattr(sampler, name,
-                                lambda flow, sched, heun, x, limit, name=name:
+                                lambda flow, sched, heun, x, limit, out, name=name:
                                 picked.append(name) or x)
         sched = sampler.make_schedule(n_steps=n)
         for d in (2, 128, 768):
@@ -574,15 +614,23 @@ class TestGaussianDivergence:
 
     @staticmethod
     def _named(cond, uncond, sched, x_T, cfg, heun):
-        """(step, sample) that ``integrate`` and each applier name."""
+        """(step, sample) that ``integrate`` and each applier name, each with
+        and without writing over x_T, in one row block and in blocks of 7
+        rows (ragged at 32); x_T stays as it was after every one."""
         assert sampler.choose_path(len(x_T), cond.d) == "compiled"
-        seen = []
-        for run in (lambda: sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun),
-                    *(partial(_apply, a, cond, uncond, x_T, sched, cfg, heun)
-                      for a in APPLIERS)):
-            with pytest.raises(DivergenceError) as exc:
-                run()
-            seen.append((exc.value.step, exc.value.sample))
+        start, seen = x_T.tobytes(), []
+        for rows in (len(x_T), 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampler, "ROW_BLOCK_BYTES", rows * 8 * cond.d)
+                for overwrite in (False, True):
+                    for run in (partial(sampler.integrate, cond, uncond, x_T, sched, cfg,
+                                        heun=heun, overwrite_x=overwrite),
+                                *(partial(_apply, a, cond, uncond, x_T, sched, cfg, heun,
+                                          overwrite) for a in APPLIERS)):
+                        with pytest.raises(DivergenceError) as exc:
+                            run()
+                        assert x_T.tobytes() == start
+                        seen.append((exc.value.step, exc.value.sample))
         return seen
 
     def test_fold_never_steps(self):
@@ -593,7 +641,7 @@ class TestGaussianDivergence:
     @pytest.mark.parametrize("heun", [False, True])
     def test_both_appliers_name_the_same_step_and_sample(self, heun):
         seen = self._named(*self._blowup(), G(gamma=1e6), heun)
-        assert seen[0] == seen[1] == seen[2]
+        assert len(set(seen)) == 1
         assert seen[0][1] == 5  # the first sample not started at the mean
 
     @pytest.mark.parametrize("heun", [False, True])
@@ -601,7 +649,7 @@ class TestGaussianDivergence:
                                      G(gamma=1e6, freeze_cpc_at=5.0)], ids=["pos", "frozen"])
     def test_ablation_names_the_same_step_and_sample(self, cfg, heun):
         seen = self._named(*self._blowup(), cfg, heun)
-        assert seen[0] == seen[1] == seen[2]
+        assert len(set(seen)) == 1
         assert seen[0][1] == 5
 
     @pytest.mark.parametrize("heun", [False, True])
@@ -619,7 +667,7 @@ class TestGaussianDivergence:
             sizes.append(np.linalg.norm(q))
         gamma = (1.0 - 1e-9) * limit / max(sizes)
         seen = self._named(cond, uncond, sched, x_T, replace(shift, gamma=gamma), heun)
-        assert seen[0] == seen[1] == seen[2]
+        assert len(set(seen)) == 1
         assert seen[0][1] >= 5  # not a sample started at the mean
 
     @pytest.mark.parametrize("gamma, n, step", [(1e30, 40, 11), (1e100, 20, 3)])
@@ -821,6 +869,32 @@ class TestEveryGaussianConfig:
         for got in (stepped, compiled):
             for ref in refs:
                 assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("applier", APPLIERS)
+    @pytest.mark.parametrize("cfg", [FULL_CFGS["full"], ABLATION_CFGS["pos"],
+                                     ABLATION_CFGS["frozen"], FULL_CFGS["gamma0"]],
+                             ids=["full", "pos", "frozen", "gamma0"])
+    def test_overwrite_x_gives_the_same_bytes_in_x_T(self, cfg, applier, heun, monkeypatch):
+        """Written over x_T or into a new block, each applier gives the same
+        bytes; the first shares x_T's memory, the second leaves x_T as it
+        was. The compiled applier streams 23 rows of d = 8 in blocks of 5:
+        four whole ones and a ragged one of 3."""
+        d, m = 8, 23
+        monkeypatch.setattr(sampler, "ROW_BLOCK_BYTES", 5 * 8 * d)
+        assert [b.stop - b.start for b in sampler._row_blocks(m, d)] == [5, 5, 5, 5, 3]
+        cond, uncond = random_stats_pair(d, np.random.default_rng(6))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(d, m, 6, sched)
+        start = x_T.tobytes()
+        new = _apply(applier, cond, uncond, x_T, sched, cfg, heun)
+        assert x_T.tobytes() == start and not np.shares_memory(new, x_T)
+        over = _apply(applier, cond, uncond, x_T, sched, cfg, heun, overwrite=True)
+        assert np.shares_memory(over, x_T) and over.tobytes() == new.tobytes()
+        monkeypatch.undo()  # one block: the same samples to rounding
+        whole = _apply(applier, cond, uncond, sampler.draw_initial_states(d, m, 6, sched),
+                       sched, cfg, heun)
+        np.testing.assert_allclose(new, whole, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("applier", APPLIERS)
