@@ -144,8 +144,9 @@ def _parse(key: str, text: str):
 
 
 def parse_config(resolved: dict[str, str]) -> dict:
-    """Typed values of a resolved config, with keys foreign to its mode, and
-    an init_gamma that init=zero would ignore, rejected.
+    """Typed values of a resolved config, with keys foreign to its mode, an
+    init_gamma that init=zero would ignore, and a ppm_count or fixed_range
+    that no ppm_shape would use, rejected.
 
     A key counts as set when its value differs from its default's, so a run
     manifest, which lists every key, re-runs in either mode.
@@ -159,6 +160,9 @@ def parse_config(resolved: dict[str, str]) -> dict:
                               f"{'mixture' if mixture else 'Gaussian'} runs")
     if config["init"] == "zero" and config["init_gamma"] != 0.0:
         raise FormatError("config key 'init_gamma' applies only with init=mean_shifted")
+    for key in ("ppm_count", "fixed_range"):
+        if config["ppm_shape"] is None and config[key] != _parse(key, CONFIG_KEYS[key][0]):
+            raise FormatError(f"config key {key!r} applies only with ppm_shape")
     return config
 
 

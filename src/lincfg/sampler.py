@@ -12,10 +12,10 @@ stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
 sign, one for a frozen basis; elementwise steps without one) or compiling
 the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
 one GEMM per row block, in place over x_T where the caller hands it over
-(``overwrite_x``); folding costs one syrk and one GEMM per coupled Euler
-step, plus the GEMM A_0 A_1 for Heun, and d per step before the first
-coupled one. It compiles when the batch has m >= d, whatever the config,
-schedule or integrator (``choose_path`` gives the timings behind the rule).
+(``overwrite_x``); ``_fold`` builds that map without reading x and states
+what each step costs. It compiles when the batch has m >= d, whatever the
+config, schedule or integrator (``choose_path`` gives the timings behind the
+rule).
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -269,9 +269,9 @@ def choose_path(m: int, d: int) -> str:
 
     Stepping costs two (m, d) x (d, k) GEMMs per drift evaluation with a CPC
     term, k <= d (one (d, d) GEMM for a frozen basis), and O(md) elementwise
-    work per step without one; folding costs one syrk and one (d, d) GEMM
-    per coupled Euler step (Heun adds the GEMM A_0 A_1), d per uncoupled
-    step while P is still diagonal and d^2 after, and one GEMM to apply.
+    work per step without one; folding costs a few (d, d) products per
+    coupled step and at most d^2 per other step (``_fold`` gives the
+    count), and one GEMM per row block to apply.
     Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
     step count and Euler or Heun. Runs with no CPC term (gamma = 0, mean
     shift only) keep P diagonal throughout, so compiling wins from m = d
@@ -486,42 +486,23 @@ def _row_blocks(m: int, d: int) -> list[slice]:
     return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
-              limit: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Fold the steps into y_N = y_0 P + q, then apply that map to the
-    (m, d) block x in x coordinates, writing the samples to ``out`` (a new
-    block if None; x itself is allowed).
+def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
+    """Fold the schedule's steps into affine maps of y = (x - mu_c) U_c,
+    reading no state: after each step i, N in all, yield the partial map
+    (P_i, q_i) with y_{i+1} = y_0 P_i + q_i. Each pair lives in the fold's
+    buffers and holds until the next is asked for; the last is the run's map.
 
     P is a vector, the map's diagonal, until the first coupled step forms
-    diag(P) M in M's buffer. A coupled Euler step costs one syrk for M = I +
-    u0 A_0 and one GEMM for P M into reused buffers; Heun adds the GEMM A_0
-    A_1 and reuses A_1 as the next step's A_0. After each step i the bound
-    max_k |y_0[k]|_2 |P_i|_F + |q_i|_2 caps every sample's |x - mu_c|_2;
-    where it exceeds ``limit`` or is not finite, ``_guard`` holds y_i = y_0
-    P_i + q_i (one GEMM, or a product while P is diagonal) to the limit. An
-    overflowed map makes y_i non-finite even at a fixed point, so it raises.
-
-    x is read in row blocks (``_row_blocks``) through one block-sized
-    scratch, never whole as x - mu_c: once for the radius max_k |x_k -
-    mu_c|_2, and once to apply T = U P U^T and c = mu_c + q U^T as (x_b -
-    mu_c) T + c, one GEMM per block. Only a tripped bound forms y_0 = (x -
-    mu_c) U, one (m, d) block, released before the output. The fold and
-    every guard finish before the first write, so a run that raises leaves
-    ``out`` and x as they were.
+    diag(P) M in M's buffer: an uncoupled step costs d before it and d^2
+    after. A coupled Euler step costs one syrk for M = I + u0 A_0 and one (d, d) GEMM
+    for P M into reused buffers; Heun adds the GEMM A_0 A_1 and reuses A_1
+    as the next step's A_0.
     """
-    d, mean, U = len(flow.cond.mean), flow.cond.mean, flow.cond.eigvecs
-    blocks = _row_blocks(*x.shape)
-    buf = np.empty((blocks[0].stop, d))  # the one scratch block
-
-    def centred(b: slice) -> np.ndarray:
-        return np.subtract(x[b], mean, out=buf[:b.stop - b.start])
-
-    radius = max(float(_norms(centred(b)).max()) for b in blocks)
-    P, q, y0 = np.ones(d), np.zeros(d), None
+    d = len(flow.cond.mean)
+    P, q = np.ones(d), np.zeros(d)
     M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
     node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
-    for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
+    for ends, (u0, u1), scaling in _steps(flow, schedule, heun):
         if scaling is not None:
             f, k = scaling
             P *= f
@@ -539,25 +520,55 @@ def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
             else:
                 P, P_buf = np.matmul(P, M, out=P_buf), P
             q = q @ M + k
+        yield P, q
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _compiled(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
+              limit: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the run's folded map (``_fold``) to the (m, d) block x in x
+    coordinates, writing the samples to ``out`` (a new block if None; x
+    itself is allowed).
+
+    x is read in row blocks (``_row_blocks``) through one block-sized
+    scratch, never whole as x - mu_c. ``apply`` is the one row-block loop:
+    it writes (x_b - mu_c) U P U^T + c, one GEMM per block. After each step
+    i the bound max_k |x_k - mu_c|_2 |P_i|_F + |q_i|_2 caps every sample's
+    |x - mu_c|_2; where it exceeds ``limit`` or is not finite, ``apply``
+    writes y_i U^T with c = q_i U^T, block by block, into a second scratch
+    block made at the first trip, and ``_guard`` holds those rows' norms,
+    |y_i|_2, to the limit. An overflowed map makes them non-finite even at a
+    fixed point, so it raises. The output is ``apply`` of the last map with
+    c = mu_c + q U^T. The fold and every guard finish before the first
+    write, so a run that raises leaves ``out`` and x as they were.
+    """
+    mean, U = flow.cond.mean, flow.cond.eigvecs
+    blocks = _row_blocks(*x.shape)
+    buf = np.empty((blocks[0].stop, x.shape[1]))  # the one scratch block
+    check = dist = None  # the exact check's block and the samples' distances
+
+    def centred(b: slice) -> np.ndarray:
+        return np.subtract(x[b], mean, out=buf[:b.stop - b.start])
+
+    def apply(P, c, dst, norms=None):
+        """(x_b - mu_c) U P U^T + c to dst[b] for each row block b, or, with
+        ``norms``, to dst's first rows, keeping their norms[b]; returns dst."""
+        T = (U * P if P.ndim == 1 else U @ P) @ U.T
+        for b in blocks:
+            z = np.matmul(centred(b), T, out=dst[b] if norms is None else dst[:b.stop - b.start])
+            z += c
+            if norms is not None:
+                norms[b] = _norms(z)
+        return dst
+
+    radius = max(float(_norms(centred(b)).max()) for b in blocks)
+    for i, (P, q) in enumerate(_fold(flow, schedule, heun)):
         if not radius * np.linalg.norm(P) + np.linalg.norm(q) <= limit:
-            if y0 is None:
-                y0 = np.empty(x.shape)
-                for b in blocks:
-                    np.matmul(centred(b), U, out=y0[b])
-            mul, norms = np.multiply if P.ndim == 1 else np.matmul, np.empty(len(x))
-            for b in blocks:
-                y = mul(y0[b], P, out=buf[:b.stop - b.start])
-                y += q
-                norms[b] = _norms(y)
-            _guard(schedule, i, norms, limit)
-    del y0  # the exact check's block goes before the output's
-    T = (U * P if P.ndim == 1 else U @ P) @ U.T
-    c = mean + q @ U.T
-    out = np.empty(x.shape) if out is None else out
-    for b in blocks:
-        np.matmul(centred(b), T, out=out[b])
-        out[b] += c
-    return out
+            if check is None:
+                check, dist = np.empty_like(buf), np.empty(len(x))
+            apply(P, q @ U.T, check, dist)
+            _guard(schedule, i, dist, limit)
+    return apply(P, mean + q @ U.T, np.empty(x.shape) if out is None else out)
 
 
 def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
@@ -573,13 +584,13 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
 
     - stepwise: two GEMMs per coupled drift evaluation, thin ones for one
       live CPC sign, or one for a frozen basis; other steps are elementwise.
-    - compiled: the steps fold into one affine map x_0 = mu_c + (x_T - mu_c)
-      P + q, one syrk and one (d, d) GEMM per coupled Euler step (Heun adds
-      the GEMM A_0 A_1), d per step before the first coupled one and d^2 per
-      other step, applied with one GEMM per row block of about
-      ROW_BLOCK_BYTES. An unguided run keeps q exactly 0, so mu_c stays a
-      fixed point. A norm bound on each partial map guards it; where it
-      trips, the samples' exact distances come from that map. A map that
+    - compiled: ``_fold`` folds the steps into one affine map x_0 = mu_c +
+      (x_T - mu_c) P + q without reading x_T (its docstring gives the cost
+      per step), and the map is applied with one GEMM per row block of
+      about ROW_BLOCK_BYTES. An unguided run keeps q exactly 0, so mu_c
+      stays a fixed point. A norm bound on each partial map guards it;
+      where it trips, the same row-block loop gives the samples' exact
+      distances from that map, through one more row block. A map that
       overflows raises even at a fixed point that stepping keeps.
 
     After every step each sample's |x - mu_c|_2 is held to the divergence

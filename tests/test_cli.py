@@ -619,6 +619,9 @@ _MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
     (_SAMPLE + ["--seed", "-1"], 3, "'seed'"),
     (_SAMPLE + ["--init-gamma", "4"], 3, "'init_gamma'"),
     (_SAMPLE + ["--ppm-shape", "2x1x1", "--ppm-count", "-1"], 3, "'ppm_count'"),
+    # image keys with no ppm_shape would write no image
+    (_SAMPLE + ["--ppm-count", "3", "--fixed-range", "0:1"], 3, "'ppm_count'"),
+    (_SAMPLE + ["--fixed-range", "0:1"], 3, "'fixed_range'"),
     (_SAMPLE + ["--cond-stats", "{tmp}"], 2, "no such input: {tmp}"),
     (_SAMPLE + ["--config", "{tmp}"], 2, "no such input: {tmp}"),
     (["fit", "{tmp}", "{out}/o.stats"], 2, "no such input: {tmp}"),

@@ -569,6 +569,37 @@ class TestDiagonalFold:
         assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
 
 
+class TestFold:
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name, cfg", [
+        ("full", G(gamma=2.0)), ("pos", ABLATION_CFGS["pos"]), ("frozen", ABLATION_CFGS["frozen"]),
+        ("mean_shift", ABLATION_CFGS["mean_shift"]),
+        ("interval", G(gamma=2.0, active_interval=(0.05, 2.0)))])
+    def test_each_partial_map_is_the_run_stepped_that_far(self, name, cfg, heun):
+        """``_fold`` yields exactly one map per step. The map after step i,
+        applied to x_T, is the stepwise run over the schedule's first i + 1
+        steps. A mean-shift run's maps stay diagonal, an interval run's are
+        diagonal until its first coupled step, and the others' are full."""
+        d = 12
+        cond, uncond = random_stats_pair(d, np.random.default_rng(21))
+        sched = sampler.make_schedule(n_steps=10)
+        x_T = sampler.draw_initial_states(d, 2 * d, 21, sched)
+        x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
+        y0 = (x_T - cond.mean) @ cond.eigvecs
+        ndims = []
+        for i, (P, q) in enumerate(sampler._fold(sampler._cfg_flow(cond, uncond, cfg), sched,
+                                                 heun)):
+            ndims.append(P.ndim)
+            got = cond.mean + ((y0 @ P if P.ndim == 2 else y0 * P) + q) @ cond.eigvecs.T
+            ref = sampler._stepwise(sampler._cfg_flow(cond, uncond, cfg),
+                                    sampler.NoiseSchedule(sched.sigmas[:i + 2]), heun, x, limit)
+            assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12, i
+        assert len(ndims) == sched.n_steps
+        # guidance is on at sigma_6..sigma_8, and Heun's step 5 reads sigma_6
+        lead = {"mean_shift": sched.n_steps, "interval": 6 - heun}.get(name, 0)
+        assert ndims == [1] * lead + [2] * (sched.n_steps - lead)
+
+
 class TestChoosePath:
     def test_bench_shapes(self):
         # (m, d): wide-cfg steps; batch-cfg and every op of the ablation sweep compile
@@ -655,9 +686,10 @@ class TestGaussianDivergence:
     @pytest.mark.parametrize("heun", [False, True])
     def test_mean_shift_names_the_same_step_and_sample(self, heun):
         """A mean-shift-only run keeps the fold's P diagonal, so its exact
-        check is y_0 * P_i + q_i. q_i is gamma times q_i at gamma = 1, so
-        gamma can put the samples started at mu_c just inside the limit at
-        the largest |q_i|: only samples displaced along q_i pass it there."""
+        check applies U diag(P_i) U^T and q_i U^T. q_i is gamma times q_i at
+        gamma = 1, so gamma can put the samples started at mu_c just inside
+        the limit at the largest |q_i|: only samples displaced along q_i pass
+        it there."""
         cond, uncond, sched, x_T = self._blowup(shared_mean=False)
         _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         shift = G(gamma=1.0, enable_pos_cpc=False, enable_neg_cpc=False)
@@ -759,6 +791,34 @@ class TestGaussianDivergence:
             with pytest.raises(DivergenceError) as exc:
                 getattr(sampler, applier)(flow, sched, False, x_T, limit)
             assert (exc.value.step, exc.value.sample) == first
+
+
+    def test_tripped_guard_allocates_no_block(self, monkeypatch):
+        """A run of 8192 states in d = 64 (a 4 MiB block) whose norm bound
+        trips at several steps, written over x_T, checks the exact distances
+        through one more row block: it allocates less than 0.75 blocks above
+        x_T, by tracemalloc's count of numpy's buffers."""
+        d, m = 64, 8192
+        cond, uncond = random_stats_pair(d, np.random.default_rng(2))
+        sched = sampler.make_schedule(n_steps=20)
+        x_T = sampler.draw_initial_states(d, m, 2, sched)
+        flow = sampler._cfg_flow(cond, uncond, G(gamma=2.0))
+        y0 = (x_T - cond.mean) @ cond.eigvecs
+        dist = max(float(sampler._norms(y0 @ P + q).max())
+                   for P, q in sampler._fold(flow, sched, False))
+        del y0
+        checked, real = [], sampler._guard
+        monkeypatch.setattr(sampler, "_guard", lambda *a: checked.append(a[1]) or real(*a))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = sampler._compiled(flow, sched, False, x_T, 1.001 * dist, out=x_T)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert checked  # the exact check ran
+        assert np.shares_memory(out, x_T)
+        assert peak < 0.75 * x_T.nbytes, peak / x_T.nbytes
 
 
 class TestFullCfgPath:
