@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("gmm-demo", help="run the built-in synthetic demos")
     p_demo.add_argument("--out", type=Path, default="gmm_demo_out")
     p_demo.add_argument("--gamma", type=_flag(_number(float, 0.0)), default=1.0)
-    p_demo.add_argument("--m", type=_flag(_number(int, 1)), default=1000)
+    p_demo.add_argument("--m", type=_flag(_number(int, 2)), default=1000)
     p_demo.add_argument("--steps", type=_flag(_number(int, 1)), default=200)
     p_demo.add_argument("--seed", type=_flag(_number(int, 0)), default=0)
     p_demo.set_defaults(func=cmd_gmm_demo)

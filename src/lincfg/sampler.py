@@ -1,21 +1,24 @@
 """Reverse probability-flow ODE sampling with decomposed CFG guidance.
 
 The reverse ODE uses the sigma(t) = t time schedule, so steps walk the sigma
-grid directly: x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (-sigma_i) * drift,
-where drift is the conditional score plus the enabled guidance terms. An
-optional Heun corrector re-evaluates the drift at sigma_{i+1} and averages.
+grid directly, with the slope -sigma * drift, where drift is the conditional
+score plus the enabled guidance terms: Euler, or Heun's corrector, which
+re-evaluates the drift at sigma_{i+1} and averages.
 
 Every Gaussian run, full CFG and every ablation alike, integrates its drift
 in the eigenbasis of cond, where the scores are linear and every step is
-affine. ``choose_path`` picks one of two appliers, never another path:
-stepping (two GEMMs per drift evaluation with a CPC term, thin for one live
-sign, one for a frozen basis; elementwise steps without one) or compiling
-the run into one affine map x_0 = mu_c + (x_T - mu_c) P + q applied with
-one GEMM per row block, in place over x_T where the caller hands it over
-(``overwrite_x``); ``_fold`` builds that map without reading x and states
-what each step costs. It compiles when the batch has m >= d, whatever the
+affine. ``_step`` is its one Euler/Heun step, and it advances any block: the
+states, or the map they would go through. ``choose_path`` picks one of two
+appliers, never another path: stepping the states (two GEMMs per drift
+evaluation with a CPC term, thin for one live sign, one for a frozen basis;
+elementwise steps without one) or compiling the run into one affine map
+x_0 = mu_c + (x_T - mu_c) P + q, whose P and q ``_fold`` steps without
+reading x (its docstring gives each step's cost), applied with one GEMM per
+row block, in place over x_T where the caller hands it over
+(``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
-rule).
+rule). ``_drive`` steps an injected drift, the mixture's and the test
+oracles', in its own x + h * slope form.
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -267,11 +270,12 @@ def choose_path(m: int, d: int) -> str:
     holds for every config, schedule and integrator, and ``gmm.integrate``
     folds its guided mixture drift where it says 'compiled'.
 
-    Stepping costs two (m, d) x (d, k) GEMMs per drift evaluation with a CPC
-    term, k <= d (one (d, d) GEMM for a frozen basis), and O(md) elementwise
-    work per step without one; folding costs a few (d, d) products per
-    coupled step and at most d^2 per other step (``_fold`` gives the
-    count), and one GEMM per row block to apply.
+    Both take the same ``_step``. Stepping it on the states costs two
+    (m, d) x (d, k) GEMMs per drift evaluation with a CPC term, k <= d (one
+    (d, d) GEMM for a frozen basis), and O(md) elementwise work per step
+    without one; stepping it on the map costs one syrk per coupled node, one
+    (d, d) GEMM per coupled drift evaluation and at most d^2 per other step
+    (``_fold`` gives the count), and one GEMM per row block to apply.
     Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
     step count and Euler or Heun. Runs with no CPC term (gamma = 0, mean
     shift only) keep P diagonal throughout, so compiling wins from m = d
@@ -339,7 +343,7 @@ class _CondBasisFlow:
       mu_uc) U_c = (delta g / (lam_uc + s^2)) R^T. Unused parts are None.
 
     This is the one definition of the Gaussian CFG drift: the appliers step
-    it along a schedule (``_steps``) and ``guidance_terms`` reads it one
+    it along a schedule (``_step``) and ``guidance_terms`` reads it one
     term at a time.
     """
 
@@ -381,52 +385,42 @@ class _CondBasisFlow:
             out += b
         return out
 
-    def node_matrix(self, s: float, u: float = 1.0, one: float = 0.0,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(one I + u A, b), written to ``out`` if given, where drift(y, s) =
-        y A + b and A = gain G + diag(alpha); u >= 0. A live split forms u
-        gain G by one syrk and a frozen one scales its shared G, never in
-        place; the diagonal is then one in-place add."""
+    def node_matrix(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with drift(y, s) = y A + b: A = gain G + diag(alpha), or the
+        vector alpha where no CPC term is on. A live split forms gain G by one
+        syrk and a frozen one scales its shared G, never in place; the
+        diagonal is then one in-place add."""
         alpha, split, gain, b = self.node(s)
-        d = len(alpha)
+        b = np.zeros(len(alpha)) if b is None else b
         if split is None:
-            a = np.empty((d, d)) if out is None else out
-            a.fill(0.0)
-        elif self.cfg.freeze_cpc_at is not None:
-            a = np.multiply(split.unit_gram, u * gain, out=out)
-        else:
-            a = split.gram(u * gain, out=out)
-        a.flat[::d + 1] += one + u * alpha
-        return a, np.zeros(d) if b is None else b
+            return alpha, b
+        a = split.unit_gram * gain if self.cfg.freeze_cpc_at is not None else split.gram(gain)
+        a.flat[::len(a) + 1] += alpha
+        return a, b
 
 
-def _step_map(mul, u0: float, u1: float, node0: tuple, node1: tuple | None = None, *,
-              out: np.ndarray | None = None) -> tuple:
-    """(M, k): the step y -> y M + k of a drift y A_j + b_j at node j, where
-    node_j = (A_j, b_j) and ``mul`` is np.matmul for matrices A_j and
-    np.multiply for diagonals; M is written to ``out`` if given, and no A_j
-    is changed. Euler (node1 None) is M = I + u0 A_0, k = u0 b_0; Heun is
-    M = I + u0/2 A_0 + u1/2 A_1 + u0 u1/2 A_0 A_1, k = u0/2 b_0 + u1/2 (b_1 +
-    u0 b_0 A_1). I is added last; a b_j of None is 0, k None if all are."""
-    a0, b0 = node0
-    if node1 is None:
-        M, k = np.multiply(a0, u0, out=out), None if b0 is None else u0 * b0
+def _step(y: np.ndarray, drift, ends: tuple, u: tuple) -> np.ndarray:
+    """The package's one Euler/Heun step: advance the block y in place along
+    y' = drift(y, sigma) and return it. ``ends`` and u = (u0, u1) come from
+    ``_steps``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
+    drift(y, sigma_i); Heun is y + u0/2 k0 + u1/2 k1 with k1 = drift(y + u0
+    k0, sigma_{i+1}). y is a batch of states (``_stepwise``), a folded map's
+    P or q (``_fold``), or the rows whose step is an uncoupled step's scaling
+    (``_steps``)."""
+    u0, u1 = u
+    k0 = drift(y, ends[0])
+    if len(ends) == 1:
+        k0 *= u0
+        y += k0
     else:
-        a1, b1 = node1
-        M = np.multiply(a0, 0.5 * u0, out=out)
-        M += 0.5 * u1 * a1
-        a01 = mul(a0, a1)
-        a01 *= 0.5 * u0 * u1
-        M += a01
-        k = None
-        if b0 is not None or b1 is not None:
-            b0, b1 = (0.0 if b is None else b for b in (b0, b1))
-            k = 0.5 * u0 * b0 + 0.5 * u1 * (b1 + u0 * mul(b0, a1))
-    if M.ndim == 2:
-        M.flat[::len(M) + 1] += 1.0
-    else:
-        M += 1.0
-    return M, k
+        z = u0 * k0
+        z += y
+        k1 = drift(z, ends[1])
+        k0 *= 0.5 * u0  # in place: the step allocates no block beyond z and the drifts
+        k1 *= 0.5 * u1
+        k0 += k1
+        y += k0
+    return y
 
 
 def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -> _CondBasisFlow:
@@ -437,19 +431,28 @@ def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -
 
 def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     """Per step i of the schedule, (ends, (u0, u1), scaling): ends are the
-    sigmas the step reads the drift at (sigma_i, and sigma_{i+1} for Heun);
-    the Euler update is y + u0 * drift(y, sigma_i), and Heun's corrector
-    weighs the drift at sigma_{i+1} by u1. A step with no CPC term at any
-    of its ends maps y to y * f + k, scaling = (f, k) (k None for 0); a
-    coupled step has scaling None."""
-    cfg = flow.cfg
+    sigmas ``_step`` reads the drift at (sigma_i, and sigma_{i+1} for Heun)
+    and u_j = (sigma_i - sigma_{i+1}) sigma_j their weights. A step with no
+    CPC term at any of its ends maps y to y * f + k: its scaling (f, k) is
+    ``_step`` of ones under the drift y alpha and of zeros under y alpha +
+    b, taken as one (2, d) block. A coupled step has scaling None."""
+    cfg, d = flow.cfg, len(flow.cond.mean)
     cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
     on = [cpc and cfg.guidance_active(float(s)) for s in schedule.sigmas]
+    rows = np.repeat([[1.0], [0.0]], d, axis=1)  # ones, zeros
+
+    def drift(z, s):
+        alpha, _, _, b = flow.node(s)
+        out = z * alpha
+        if b is not None:
+            out[1] += b
+        return out
+
     for i in range(schedule.n_steps):
         s0, s1 = float(schedule.sigmas[i]), float(schedule.sigmas[i + 1])
         ends, u = (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
-        yield ends, u, None if on[i] or (heun and on[i + 1]) else _step_map(
-            np.multiply, *u, *((a, b) for a, _, _, b in map(flow.node, ends)))
+        yield ends, u, None if on[i] or (heun and on[i + 1]) else tuple(
+            _step(rows.copy(), drift, ends, u))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -459,18 +462,13 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     ``_guard`` after each step, and write the samples to ``out`` (a new
     block if None; x itself is allowed) once every step has passed."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
-    for i, (ends, (u0, u1), scaling) in enumerate(_steps(flow, schedule, heun)):
-        if scaling is not None:
+    for i, (ends, u, scaling) in enumerate(_steps(flow, schedule, heun)):
+        if scaling is None:
+            _step(y, flow.drift, ends, u)
+        else:
             f, k = scaling
             y *= f
-            if k is not None:
-                y += k
-        elif not heun:
-            y += u0 * flow.drift(y, ends[0])
-        else:
-            k0 = flow.drift(y, ends[0])
-            k1 = flow.drift(y + u0 * k0, ends[1])
-            y += 0.5 * u0 * k0 + 0.5 * u1 * k1
+            y += k
         _guard(schedule, i, _norms(y), limit)
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
     out += flow.cond.mean
@@ -492,34 +490,41 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     (P_i, q_i) with y_{i+1} = y_0 P_i + q_i. Each pair lives in the fold's
     buffers and holds until the next is asked for; the last is the run's map.
 
-    P is a vector, the map's diagonal, until the first coupled step forms
-    diag(P) M in M's buffer: an uncoupled step costs d before it and d^2
-    after. A coupled Euler step costs one syrk for M = I + u0 A_0 and one (d, d) GEMM
-    for P M into reused buffers; Heun adds the GEMM A_0 A_1 and reuses A_1
-    as the next step's A_0.
+    A coupled step is ``_step`` of P under the drift z A_j and of q under
+    z A_j + b_j, with (A_j, b_j) = ``node_matrix`` at the step's node j; an
+    uncoupled one applies ``_steps``' scaling, itself ``_step`` of ones and
+    zeros. P is a vector, the map's diagonal, until the first coupled step:
+    an uncoupled step costs d before it and d^2 after. A coupled step forms
+    each node's A once (one syrk for a live split) and costs one (d, d) GEMM
+    per drift evaluation of P, Euler one and Heun two, plus ``_step``'s d^2
+    passes; the product is d^2 where A is diagonal, and at the first
+    coupled step's first evaluation, while P is still diagonal.
     """
     d = len(flow.cond.mean)
-    P, q = np.ones(d), np.zeros(d)
-    M_buf, P_buf = np.empty((d, d)), np.empty((d, d))
-    node = lru_cache(maxsize=1)(flow.node_matrix)  # Heun's second node is the next step's first
-    for ends, (u0, u1), scaling in _steps(flow, schedule, heun):
+    P, q, lead = np.ones(d), np.zeros(d), None
+    node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # P's step, then q's, reads each node
+
+    def p_drift(z, s):
+        a = node(s)[0]
+        if a.ndim == 2 and z is P and lead is not None:
+            return lead * a  # diag(P) A = P[:, None] * A at the first coupled step
+        return z * a if a.ndim == 1 else z @ a
+
+    def q_drift(z, s):
+        return p_drift(z, s) + node(s)[1]
+
+    for ends, u, scaling in _steps(flow, schedule, heun):
         if scaling is not None:
             f, k = scaling
             P *= f
             q *= f
-            if k is not None:
-                q += k
+            q += k
         else:
-            if heun:
-                M, k = _step_map(np.matmul, u0, u1, node(ends[0]), node(ends[1]), out=M_buf)
-            else:
-                M, b = flow.node_matrix(ends[0], u0, 1.0, out=M_buf)
-                k = u0 * b
             if P.ndim == 1:
-                P, M_buf = np.multiply(P[:, None], M, out=M), np.empty((d, d))
-            else:
-                P, P_buf = np.matmul(P, M, out=P_buf), P
-            q = q @ M + k
+                lead, P = P[:, None], np.diag(P)
+            _step(P, p_drift, ends, u)
+            _step(q, q_drift, ends, u)
+            lead = None
         yield P, q
 
 
@@ -580,13 +585,14 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     alike, runs its drift in the eigenbasis of cond (see ``_CondBasisFlow``),
     where every step is affine, in one of two ways that ``choose_path`` picks:
     compiled when m >= d, stepwise otherwise, for every config and Euler or
-    Heun.
+    Heun. Both take each step with ``_step``, the one Euler/Heun update.
 
-    - stepwise: two GEMMs per coupled drift evaluation, thin ones for one
-      live CPC sign, or one for a frozen basis; other steps are elementwise.
-    - compiled: ``_fold`` folds the steps into one affine map x_0 = mu_c +
-      (x_T - mu_c) P + q without reading x_T (its docstring gives the cost
-      per step), and the map is applied with one GEMM per row block of
+    - stepwise: ``_step`` of the states; two GEMMs per coupled drift
+      evaluation, thin ones for one live CPC sign, or one for a frozen
+      basis; other steps are elementwise.
+    - compiled: ``_fold`` steps the affine map x_0 = mu_c + (x_T - mu_c) P
+      + q instead, without reading x_T (its docstring gives the cost per
+      step), and the map is applied with one GEMM per row block of
       about ROW_BLOCK_BYTES. An unguided run keeps q exactly 0, so mu_c
       stays a fixed point. A norm bound on each partial map guards it;
       where it trips, the same row-block loop gives the samples' exact

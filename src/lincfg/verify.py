@@ -327,6 +327,33 @@ def check_equal_covariance_case() -> CheckResult:
     return _result("decomposition/equal_covariance_mean_shift_only", worst, 1e-12)
 
 
+def check_mean_shift_keeps_gamma0_map(d: int = 16) -> CheckResult:
+    """The mean shift alone moves the folded map's offset q, never its P: it
+    only adds b to the drift, so each step's scale is gamma = 0's. The last
+    P of ``sampler._fold``, and with it the output covariance, is gamma =
+    0's bit for bit, with Euler and Heun, with and without an interval; a
+    q of all zeros (the shift never ran) fails the check."""
+    cond, uncond = synthetic.random_stats_pair(d, np.random.default_rng(26))
+    schedule = sampler.make_schedule(n_steps=20)
+
+    def last_map(cfg, heun):
+        for P, q in sampler._fold(sampler._cfg_flow(cond, uncond, cfg), schedule, heun):
+            pass
+        return P, q
+
+    worst = 0.0
+    for interval in (None, (0.3, 5.0)):
+        shift = sampler.GuidanceConfig(gamma=4.0, enable_pos_cpc=False, enable_neg_cpc=False,
+                                       active_interval=interval)
+        for heun in (False, True):
+            (p0, _), (p, q) = (last_map(cfg, heun) for cfg in
+                               (sampler.GuidanceConfig(gamma=0.0), shift))
+            same = p.shape == p0.shape and q.any()
+            worst = max(worst, float(np.max(np.abs(p - p0))) if same else np.inf)
+    return _result("decomposition/mean_shift_keeps_gamma0_map", worst, 0.0,
+                   "last P, Euler and Heun, with and without an interval")
+
+
 def suite_decomposition() -> list[CheckResult]:
     return [
         check_decomposition_identity(),
@@ -334,6 +361,7 @@ def suite_decomposition() -> list[CheckResult]:
         check_gamma_linearity(),
         check_interval_gating(),
         check_equal_covariance_case(),
+        check_mean_shift_keeps_gamma0_map(),
     ]
 
 

@@ -644,6 +644,8 @@ _MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
     (["export", "similarity", "--stats", "{cond}", "{tmp}/missing.stats", "--outdir", "{out}"],
      2, "missing.stats"),
     (["gmm-demo", "--out", "{out}", "--m", "0"], 3, "--m"),
+    # one sample has no variance to take a ratio of
+    (["gmm-demo", "--out", "{out}", "--m", "1"], 3, "--m"),
     (["gmm-demo", "--out", "{out}", "--steps", "0"], 3, "--steps"),
     (["gmm-demo", "--out", "{out}", "--gamma", "-1"], 3, "--gamma"),
     (["gmm-demo", "--out", "{out}", "--m", "abc"], 3, "--m"),

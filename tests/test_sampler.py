@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import tracemalloc
 import warnings
@@ -568,6 +569,85 @@ class TestDiagonalFold:
         stepped = _apply("_stepwise", cond, uncond, x_T, sched, cfg, heun)
         assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
 
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("cfg", [G(gamma=2.0), G(gamma=2.0, active_interval=(0.05, 2.0))],
+                             ids=["full", "interval"])
+    def test_first_coupled_product_is_no_gemm(self, cfg, heun):
+        """P steps under the drift z A with one (d, d) GEMM per coupled
+        evaluation, except the first coupled step's first one: P is still
+        its diagonal there, and diag(P) A is a d^2 product."""
+        gemms = []
+
+        class Counted(np.ndarray):  # a node matrix that counts the GEMMs it takes part in
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[0].ndim == 2:
+                    gemms.append(1)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        d = 8
+        cond, uncond = random_stats_pair(d, np.random.default_rng(5))
+        sched = sampler.make_schedule(n_steps=12)
+        flow = sampler._cfg_flow(cond, uncond, cfg)
+        real = flow.node_matrix
+
+        def counted(s):
+            a, b = real(s)
+            return (a.view(Counted) if a.ndim == 2 else a), b
+
+        flow.node_matrix = counted
+        for _ in sampler._fold(flow, sched, heun):
+            pass
+        on = [cfg.guidance_active(float(s)) for s in sched.sigmas]
+        # per coupled step, whether each node it reads has a CPC term (a (d, d) A)
+        steps = [(on[i], heun and on[i + 1]) for i in range(sched.n_steps)
+                 if on[i] or (heun and on[i + 1])]
+        assert len(gemms) == sum(a + b for a, b in steps) - steps[0][0]
+
+
+class TestStep:
+    """``_step`` is the one Euler/Heun update, of states and of maps alike."""
+
+    @staticmethod
+    def _elementwise(seed, d=64):
+        """The diagonal drift z * a_j at the nodes sigma_j = (2, 1), a shift
+        b, and weights (u0, u1), drawn so that no term of the step cancels
+        its 1."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(-1.0, 1.0, (2, d)), rng.standard_normal(d)
+        u0, u1 = rng.uniform(0.0, 0.5, 2)
+        nodes = {2.0: a[0], 1.0: a[1]}
+        return a, b, (u0, u1), lambda z, s: z * nodes[s], tuple(nodes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_euler_on_an_elementwise_drift_is_bit_exact(self, seed):
+        """Euler steps ones to 1 + u0 a0 and, under z a0 + b, zeros to u0 b,
+        bit for bit: the uncoupled scalings are what they were before the
+        step rule was one."""
+        a, b, (u0, u1), drift, ends = self._elementwise(seed)
+        got = sampler._step(np.ones(a.shape[1]), drift, ends[:1], (u0, u1))
+        np.testing.assert_array_equal(got, 1.0 + u0 * a[0])
+        shifted = sampler._step(np.zeros(a.shape[1]), lambda z, s: drift(z, s) + b,
+                                ends[:1], (u0, u1))
+        np.testing.assert_array_equal(shifted, u0 * b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_heun_on_an_elementwise_drift_is_the_step_polynomial(self, seed):
+        """Heun steps ones to the polynomial 1 + u0/2 a0 + u1/2 a1 + u0 u1/2
+        a0 a1 to within a few ulps."""
+        a, _, (u0, u1), drift, ends = self._elementwise(seed)
+        got = sampler._step(np.ones(a.shape[1]), drift, ends, (u0, u1))
+        ref = 1.0 + 0.5 * u0 * a[0] + 0.5 * u1 * a[1] + 0.5 * u0 * u1 * a[0] * a[1]
+        np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+
+    def test_every_integrator_calls_the_one_step(self):
+        """The appliers and the uncoupled scalings all take ``_step``; no
+        step-map polynomial is left."""
+        for fn in (sampler._stepwise, sampler._fold, sampler._steps):
+            assert "_step" in inspect.unwrap(fn).__code__.co_names, fn.__name__
+        assert not hasattr(sampler, "_step_map")
+
 
 class TestFold:
     @pytest.mark.parametrize("heun", [False, True])
@@ -667,7 +747,7 @@ class TestGaussianDivergence:
     def test_fold_never_steps(self):
         """The compiled applier guards its own map: it never reruns a block
         through the stepwise applier."""
-        assert "_stepwise" not in sampler._compiled.__code__.co_names
+        assert "_stepwise" not in inspect.unwrap(sampler._compiled).__code__.co_names
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_both_appliers_name_the_same_step_and_sample(self, heun):
@@ -1074,7 +1154,7 @@ class TestCpcSplit:
 
     @pytest.mark.parametrize("name", ["full", "pos", "frozen", "frozen_pos_interval"])
     def test_compiled_euler_scales_no_cached_node_matrix(self, name):
-        """The fold writes each Euler step's map to its own buffer: the split
+        """The fold's Euler steps scale only their own drift blocks: the split
         the flow keeps (a frozen one lives across runs) and its G are left
         as they were, so a compiled Heun run on the same flow, which reuses
         them and its cached node matrices, still equals the stepped run."""

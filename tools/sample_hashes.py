@@ -12,9 +12,10 @@ so two trees give the same samples bit for bit exactly when
     diff <(python tools/sample_hashes.py --seed 1 --src A/src) \\
          <(python tools/sample_hashes.py --seed 1 --src B/src)
 
-is empty. Pin ``LCFG_THREADS`` (say to 1) for both runs: a different BLAS
-thread count moves the samples at the rounding level. What lincfg prints
-on stdout is dropped; its errors reach stderr.
+is empty. A different BLAS thread count moves the samples at the rounding
+level, so ``LCFG_THREADS`` is set to 1 before lincfg is imported unless it
+is already set; then two trees never differ by thread count alone. What
+lincfg prints on stdout is dropped; its errors reach stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the lincfg package (default: this tree's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    os.environ.setdefault("LCFG_THREADS", "1")
     lincfg = importlib.import_module("lincfg")  # applies LCFG_THREADS before numpy loads
     print(f"lincfg {lincfg.__version__} from {Path(lincfg.__file__).parent}", file=sys.stderr)
     print("\n".join(sample_hashes(args.seed)))
