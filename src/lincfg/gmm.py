@@ -17,10 +17,13 @@ every block whose coefficient is 0 in all rows.
 The guided flow of ``integrate`` has a second form for large batches. Once
 per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
 + sigma^2)) U_i^T, one syrk each (``_resolvents``); one GEMM of X - mu_c
-against [R_1 ... R_K], minus the offsets (mu_i - mu_c) R_i (one more row
-against a column of ones), then gives every (x - mu_i) R_i = -s_i, whose dot
-products with x - mu_i are the quadratic forms of the weights and whose
-weighted sum is the drift.
+against [R_1 ... R_K], minus the (K, d) offsets (mu_i - mu_c) R_i, then
+gives every (x - mu_i) R_i = -s_i, whose dot products with x - mu_i are the
+quadratic forms of the weights and whose weighted sum is the drift. Both
+forms read the states centred on the target, X - mu_c, which is what the
+flow steps: ``integrate`` runs the sampler's one stepped loop
+(``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
+X - mu_c, every step coupled.
 
 In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
 folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
@@ -42,7 +45,7 @@ compare two independent formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -290,7 +293,8 @@ def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarra
 
 def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
                   form: str):
-    """drift(x, sigma) of ``integrate`` for one (m, d) block at a time.
+    """drift(y, sigma) of ``integrate`` for one (m, d) block y = X - mu_t at
+    a time, the states centred on the target.
 
     Guided, the drift is c s_t + gamma (s_t - sum_i w_i s_i) = sum_i c_i s_i
     with s_i = -(Sigma_i + sigma^2)^-1 (x - mu_i), c the cond switch (1 or 0),
@@ -298,49 +302,44 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     a row one-hot on the target weighs s_t by exactly c. Coefficients below
     the smallest normal float count as 0. ``form`` (see ``integrate``) says how:
 
-    - 'projected': one stacked pass (``_posterior``) and one back-projection
-      of the blocks some row still weighs (``_back_project``).
-    - 'folded': one GEMM of [x - mu_t, 1] against the resolvents of the
-      current sigma over their offsets -(mu_i - mu_t) R_i gives each -s_i =
-      (x - mu_i) R_i; the quadratic forms (x - mu_i) . (x - mu_i) R_i give
-      the weights, and the drift is the coefficient-weighted sum of the
-      blocks. The resolvents are rebuilt in place when sigma changes, so a
-      Heun node shared by two steps is built once.
+    - 'projected': one stacked pass of y (``_posterior``) and one
+      back-projection of the blocks some row still weighs (``_back_project``).
+    - 'folded': one GEMM of y against the resolvents of the current sigma,
+      minus the offsets (mu_i - mu_t) R_i, gives each -s_i = (x - mu_i) R_i;
+      the quadratic forms (x - mu_i) . (x - mu_i) R_i give the weights, and
+      the drift is the coefficient-weighted sum of the blocks. The resolvents
+      and offsets are rebuilt in place when sigma changes, so a Heun node
+      shared by two steps is built once.
 
-    Unguided it is c s_t from the target's block alone, which is
-    ``denoiser.score``. The (m, d + 1) and (m, Kd) buffers, and the (Kd, d +
-    1) resolvents when folded, are made at the first guided evaluation and
-    serve every guided evaluation.
+    Unguided it is c s_t, ``denoiser.score`` of the target centred at 0. The
+    (m, Kd) work block is made at the first guided evaluation and serves
+    every guided one; the (K, d, d) resolvents are made with a folded drift.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
     k, d = model.k, model.d
+    centred = replace(tgt, mean=np.zeros(d))  # its score at y is the target's at x
     diff = model._stack.means - tgt.mean  # mu_i - mu_t, exactly 0 at the target
-    work = xc1 = xc = blocks = None
-    built = var = None
+    res = np.empty((k, d, d)) if form == "folded" else None
+    work = offsets = built = var = None
 
-    def drift(x, sigma):
-        nonlocal work, xc1, xc, blocks, built, var
+    def drift(y, sigma):
+        nonlocal work, offsets, built, var
         if not cfg.guidance_active(sigma):
-            return denoiser.score(tgt, x, sigma) if c else np.zeros_like(x)
+            return denoiser.score(centred, y, sigma) if c else np.zeros_like(y)
         if work is None:
-            work = np.empty((len(x), k * d))
-            xc1 = np.ones((len(x), d + 1))  # [x - mu_t, 1]
-            xc = xc1[:, :d]
-            if form == "folded":
-                blocks = np.empty((k * d, d + 1))  # block i: [R_i, -(mu_i - mu_t) R_i]
-        np.subtract(x, tgt.mean, out=xc)
+            work = np.empty((len(y), k * d))
         if form == "projected":
-            _, w, v, r = _posterior(model, xc, sigma, target, out=work)
+            _, w, v, r = _posterior(model, y, sigma, target, out=work)
             return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
         if sigma != built:
-            res = blocks[:, :d].reshape(k, d, d)
             var = _resolvents(model, sigma, res)
-            blocks[:, d] = -np.einsum("kd,kde->ke", diff, res).reshape(-1)
+            offsets = np.einsum("kd,kde->ke", diff, res)
             built = sigma
-        # each R_i is symmetric, so blocks^T is [R_1 ... R_K] over the offsets
-        z = np.matmul(xc1, blocks.T, out=work).reshape(len(x), k, d)
-        quad = np.einsum("md,mkd->mk", xc, z)
+        # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
+        z = np.matmul(y, res.reshape(k * d, d).T, out=work).reshape(len(y), k, d)
+        z -= offsets
+        quad = np.einsum("md,mkd->mk", y, z)
         quad -= np.einsum("mkd,kd->mk", z, diff)
         _, w = _weights(model, quad, var)
         coef = _coefficients(w, target, c, cfg.gamma)
@@ -359,20 +358,25 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     unconditional one the mixture score; the guidance is gamma times their
     difference, gated by cfg.guidance_active, and the per-term CPC toggles
     do not apply. The drift (``_guided_drift``) is folded where
-    ``sampler.choose_path`` compiles the batch's (m, d), at m >= d, and
-    projected below, once per run; the generic reverse-ODE driver steps it
-    and holds each sample's |x - mu_target|_2 to the divergence limit, the
-    rule of the Gaussian runs with the target's mean as the centre.
+    ``sampler.choose_path`` compiles the block's (m, d), at m >= d, and
+    projected below, once per run. The run steps y = x - mu_target with the
+    sampler's one stepped loop (``sampler._advance``), every step coupled, so
+    each step is ``sampler._step`` and ``_guard`` holds each sample's |x -
+    mu_target|_2 to the divergence limit of ``sampler._start``, the rule of
+    the Gaussian runs with the target's mean as the centre. x_T is left as
+    it is; the (m, d) block y becomes the samples.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
-    if np.ndim(x_T) and np.shape(x_T)[-1] != model.d:
-        raise ShapeError(f"state dimension {np.shape(x_T)[-1]} != mixture dimension {model.d}")
-    m = len(x_T) if np.ndim(x_T) == 2 else 1
-    form = "folded" if sampler.choose_path(m, model.d) == "compiled" else "projected"
-    return sampler._drive(_guided_drift(model, target, cfg, form), x_T, schedule, heun=heun,
-                          scale=sampler.data_scale(*model.components),
-                          centre=model.components[target].mean)
+    x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components))
+    if x.shape[1] != model.d:
+        raise ShapeError(f"state dimension {x.shape[1]} != mixture dimension {model.d}")
+    form = "folded" if sampler.choose_path(*x.shape) == "compiled" else "projected"
+    mu = model.components[target].mean
+    steps = ((ends, u, None) for ends, u in sampler._nodes(schedule, heun))  # all coupled
+    y = sampler._advance(x - mu, _guided_drift(model, target, cfg, form), steps, schedule, limit)
+    y += mu
+    return y.reshape(np.shape(x_T))
 
 
 def sample_batch(model: MixtureModel, target: int, m: int, seed: int,

@@ -7,8 +7,9 @@ re-evaluates the drift at sigma_{i+1} and averages.
 
 Every Gaussian run, full CFG and every ablation alike, integrates its drift
 in the eigenbasis of cond, where the scores are linear and every step is
-affine. ``_step`` is its one Euler/Heun step, and it advances any block: the
-states, or the map they would go through. ``choose_path`` picks one of two
+affine. ``_step`` is the package's one Euler/Heun step, and it advances any
+block: Gaussian or mixture states, or the map Gaussian states would go
+through. ``choose_path`` picks one of two
 appliers, never another path: stepping the states (two GEMMs per drift
 evaluation with a CPC term, thin for one live sign, one for a frozen basis;
 elementwise steps without one) or compiling the run into one affine map
@@ -17,8 +18,11 @@ reading x (its docstring gives each step's cost), applied with one GEMM per
 row block, in place over x_T where the caller hands it over
 (``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
-rule). ``_drive`` steps an injected drift, the mixture's and the test
-oracles', in its own x + h * slope form.
+rule). ``_advance`` is the one stepped loop: ``_step``, then ``_guard``,
+for Gaussian states and for the mixture (``gmm.integrate``) alike.
+``_drive`` is kept apart as the reference stepper, in its own x + h * slope
+form, behind ``integrate_with_scores`` and the tests; no sampling path
+calls it.
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
 sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
 paper's decomposition for diagnostics; sampling does not call it.
@@ -230,8 +234,8 @@ def _guard(schedule: NoiseSchedule, step: int, norms: np.ndarray, limit: float) 
     (``_norms`` of the offsets z); one that exceeds ``limit``, or is not
     finite, raises DivergenceError naming the step, its sigma range and, in
     a block of more than one row, the first such row. The Gaussian appliers
-    measure y = (x - mu_c) U_c, whose |y|_2 is |x - mu_c|_2, and ``_drive``
-    x - centre."""
+    measure y = (x - mu_c) U_c, whose |y|_2 is |x - mu_c|_2, the mixture
+    y = x - mu_target (both through ``_advance``), and ``_drive`` x itself."""
     if not norms.max() <= limit:  # also trips on NaN and inf
         s0, s1 = float(schedule.sigmas[step]), float(schedule.sigmas[step + 1])
         bad = int(np.flatnonzero(~(norms <= limit))[0]) if len(norms) > 1 else None
@@ -241,13 +245,16 @@ def _guard(schedule: NoiseSchedule, step: int, norms: np.ndarray, limit: float) 
 
 @np.errstate(over="ignore", invalid="ignore")  # _guard names the non-finite rows
 def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
-           heun: bool = False, scale: float = 0.0, centre=0.0) -> np.ndarray:
-    """Step the reverse ODE along the schedule for one (m, d) state block.
+           heun: bool = False, scale: float = 0.0) -> np.ndarray:
+    """The reference stepper: step the reverse ODE along the schedule for
+    one (m, d) state block in its own x + h * slope form.
 
     ``drift(x, sigma)`` returns the total score-like term; the ODE slope is
-    then -sigma * drift. After each step ``_guard`` holds every row's
-    |x - centre|_2 to the limit of ``_start``, where ``scale`` is the run's
-    data scale and ``centre`` its flow's centre, a (d,) mean or 0.
+    then -sigma * drift. After each step ``_guard`` holds every row's |x|_2
+    to the limit of ``_start``, where ``scale`` is the run's data scale. No
+    sampling path calls it: it is kept apart from ``_step``, whose weighted
+    u k form rounds differently, so that ``integrate_with_scores`` and the
+    tests hold the sampling paths' one step rule against an independent one.
     """
     x, limit = _start(x_T, schedule, scale)
     sig = schedule.sigmas
@@ -260,7 +267,7 @@ def _drive(drift, x_T: np.ndarray, schedule: NoiseSchedule, *,
             k1 = (-s1) * drift(x_next, s1)
             x_next = x + h * 0.5 * (k0 + k1)
         x = x_next
-        _guard(schedule, i, _norms(x - centre), limit)
+        _guard(schedule, i, _norms(x), limit)
     return x.reshape(np.shape(x_T))
 
 
@@ -402,11 +409,11 @@ class _CondBasisFlow:
 def _step(y: np.ndarray, drift, ends: tuple, u: tuple) -> np.ndarray:
     """The package's one Euler/Heun step: advance the block y in place along
     y' = drift(y, sigma) and return it. ``ends`` and u = (u0, u1) come from
-    ``_steps``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
+    ``_nodes``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
     drift(y, sigma_i); Heun is y + u0/2 k0 + u1/2 k1 with k1 = drift(y + u0
-    k0, sigma_{i+1}). y is a batch of states (``_stepwise``), a folded map's
-    P or q (``_fold``), or the rows whose step is an uncoupled step's scaling
-    (``_steps``)."""
+    k0, sigma_{i+1}). y is a batch of Gaussian or mixture states
+    (``_advance``), a folded map's P or q (``_fold``), or the rows whose step
+    is an uncoupled step's scaling (``_steps``)."""
     u0, u1 = u
     k0 = drift(y, ends[0])
     if len(ends) == 1:
@@ -429,16 +436,25 @@ def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -
                           delta=(cond.mean - uncond.mean) @ uncond.eigvecs)
 
 
+def _nodes(schedule: NoiseSchedule, heun: bool):
+    """Per step i of the schedule, (ends, (u0, u1)): ends are the sigmas
+    ``_step`` reads the drift at (sigma_i, and sigma_{i+1} for Heun) and u_j
+    = (sigma_i - sigma_{i+1}) sigma_j their weights. Every stepped run and
+    the fold take their steps from here."""
+    sig = schedule.sigmas
+    for i in range(schedule.n_steps):
+        s0, s1 = float(sig[i]), float(sig[i + 1])
+        yield (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
+
+
 def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
-    """Per step i of the schedule, (ends, (u0, u1), scaling): ends are the
-    sigmas ``_step`` reads the drift at (sigma_i, and sigma_{i+1} for Heun)
-    and u_j = (sigma_i - sigma_{i+1}) sigma_j their weights. A step with no
-    CPC term at any of its ends maps y to y * f + k: its scaling (f, k) is
-    ``_step`` of ones under the drift y alpha and of zeros under y alpha +
-    b, taken as one (2, d) block. A coupled step has scaling None."""
+    """Per step of the schedule, (ends, u, scaling), with (ends, u) from
+    ``_nodes``. A step with no CPC term at any of its ends maps y to y * f +
+    k: its scaling (f, k) is ``_step`` of ones under the drift y alpha and of
+    zeros under y alpha + b, taken as one (2, d) block. A coupled step has
+    scaling None."""
     cfg, d = flow.cfg, len(flow.cond.mean)
     cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
-    on = [cpc and cfg.guidance_active(float(s)) for s in schedule.sigmas]
     rows = np.repeat([[1.0], [0.0]], d, axis=1)  # ones, zeros
 
     def drift(z, s):
@@ -448,28 +464,38 @@ def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
             out[1] += b
         return out
 
-    for i in range(schedule.n_steps):
-        s0, s1 = float(schedule.sigmas[i]), float(schedule.sigmas[i + 1])
-        ends, u = (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
-        yield ends, u, None if on[i] or (heun and on[i + 1]) else tuple(
+    for ends, u in _nodes(schedule, heun):
+        yield ends, u, None if cpc and any(map(cfg.guidance_active, ends)) else tuple(
             _step(rows.copy(), drift, ends, u))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
-              limit: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Step the (m, d) block x in the cond basis, held to ``limit`` by
-    ``_guard`` after each step, and write the samples to ``out`` (a new
-    block if None; x itself is allowed) once every step has passed."""
-    y = (x - flow.cond.mean) @ flow.cond.eigvecs
-    for i, (ends, u, scaling) in enumerate(_steps(flow, schedule, heun)):
+@np.errstate(over="ignore", invalid="ignore")  # _guard names the non-finite rows
+def _advance(y: np.ndarray, drift, steps, schedule: NoiseSchedule, limit: float) -> np.ndarray:
+    """The package's one stepped loop: advance the (m, d) block y in place
+    through ``steps``, (ends, u, scaling) per step of the schedule, and
+    return it. A step whose scaling is None is ``_step`` under ``drift``,
+    one with a scaling (f, k) is y * f + k; after each, ``_guard`` holds
+    every row's |y|_2 to ``limit``. A Gaussian run steps y = (x - mu_c) U_c
+    (``_stepwise``, with ``_steps``), the mixture y = x - mu_target with
+    every step coupled (``gmm.integrate``, with ``_nodes``)."""
+    for i, (ends, u, scaling) in enumerate(steps):
         if scaling is None:
-            _step(y, flow.drift, ends, u)
+            _step(y, drift, ends, u)
         else:
             f, k = scaling
             y *= f
             y += k
         _guard(schedule, i, _norms(y), limit)
+    return y
+
+
+def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.ndarray,
+              limit: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Step the (m, d) block x in the cond basis (``_advance``), held to
+    ``limit`` after each step, and write the samples to ``out`` (a new block
+    if None; x itself is allowed) once every step has passed."""
+    y = (x - flow.cond.mean) @ flow.cond.eigvecs
+    _advance(y, flow.drift, _steps(flow, schedule, heun), schedule, limit)
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
     out += flow.cond.mean
     return out
@@ -629,11 +655,12 @@ def integrate_with_scores(cond_score, uncond_score, x_T: np.ndarray,
     ``cond_score(x, sigma)`` / ``uncond_score(x, sigma)`` stand in for the
     conditional/unconditional scores; the guidance is the plain CFG
     difference gamma * (cond - uncond), gated by cfg.guidance_active. No
-    sampling path calls it. With ``denoiser.score`` it is the test and
-    benchmark oracle of ``integrate``'s full-CFG path, and with mixture
-    scores that of ``gmm.integrate``. Its flow has no centre, so ``_guard``
-    holds each sample's |x|_2, its distance from the origin, to the limit of
-    ``_start``, relative to the data scale ``scale``.
+    sampling path calls it. It steps with ``_drive``, the reference stepper,
+    not with the sampling paths' ``_step``: with ``denoiser.score`` it is the
+    test and benchmark oracle of ``integrate``'s full-CFG path, and with
+    mixture scores that of ``gmm.integrate``. Its flow has no centre, so
+    ``_guard`` holds each sample's |x|_2, its distance from the origin, to
+    the limit of ``_start``, relative to the data scale ``scale``.
     """
 
     def drift(x, sigma):

@@ -612,7 +612,8 @@ def check_two_component_1d() -> CheckResult:
 
 
 def check_guided_drift_vs_pass() -> CheckResult:
-    """The guided drift of ``gmm.integrate``, folded and projected, against c
+    """The guided drift of ``gmm.integrate``, folded and projected and read
+    at the centred states X - mu_t, against c
     s_t + gamma (s_t - s_mix) with s_t from ``denoiser.score`` and s_mix from
     ``gmm.mixture_score``, the eigenbasis pass: near and far clusters, rows
     at every component and far from all, sigma from 1e-3 to 80, cond on and
@@ -639,7 +640,7 @@ def check_guided_drift_vs_pass() -> CheckResult:
                 for t in range(model.k):
                     ref = cond * scores[t] + cfg.gamma * (scores[t] - s_mix)
                     for form in ("folded", "projected"):
-                        got = gmm._guided_drift(model, t, cfg, form)(X, sigma)
+                        got = gmm._guided_drift(model, t, cfg, form)(X - means[t], sigma)
                         worst = max(worst, float(np.max(np.max(np.abs(got - ref), axis=1) / unit)))
     return _result("gmm/guided_drift_vs_pass", worst, 1e-12,
                    "both forms, sigma 1e-3 to 80, near and far clusters")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,28 @@ class TestMixtureSampling:
         b = sampler.sample_batch(comp, comp, 6, 13, sched, cfg)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
+    @pytest.mark.parametrize("heun, bound", [(False, 7.0), (True, 9.0)])
+    def test_folded_run_holds_its_floor(self, heun, bound):
+        """A folded run of 4096 states in d = 32 toward one of K = 4
+        components allocates, by tracemalloc's count of numpy's buffers, less
+        than 7 (m, d) blocks above x_T with Euler and 9 with Heun. The floor
+        is 6 and 8: y = x - mu_t, which becomes the samples; the (m, Kd) work
+        block, K = 4 blocks; the drift's output; and for Heun z and k1. The
+        rest is the (m, K) weights and coefficients of an evaluation."""
+        d, m = 32, 4096
+        model = random_mixture(d, 4, np.random.default_rng(3))
+        sched = sampler.make_schedule(n_steps=10)
+        x_T = sampler.draw_initial_states(d, m, 3, sched)
+        assert sampler.choose_path(m, d) == "compiled"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x_T.nbytes, peak / x_T.nbytes
+
 
 def _dense_parts(model, X, sigma):
     """From dense solves against Sigma_i + sigma^2 I, per component: the score
@@ -328,7 +352,8 @@ class TestDenseOracle:
                 for form in ("folded", "projected"):
                     for blocks in ([X], X[:, None]):
                         drift = gmm._guided_drift(model, target, cfg, form)
-                        got = np.concatenate([drift(b, sigma) for b in blocks])
+                        mu = model.components[target].mean
+                        got = np.concatenate([drift(b - mu, sigma) for b in blocks])
                         err = np.max(np.abs(got - ref) / (kappa * np.maximum(1.0, size)))
                         assert err <= 1e-12, (cfg, target, form, len(blocks))
 
@@ -406,7 +431,7 @@ class TestFusedDrift:
         w1 = gmm.posterior_weights(model, X[0], 1.0).w[1]
         assert 0.0 < w1 < np.finfo(np.float64).tiny
         cfg = sampler.GuidanceConfig(gamma=2.0)
-        got = gmm._guided_drift(model, 0, cfg, form)(X, 1.0)
+        got = gmm._guided_drift(model, 0, cfg, form)(X - comps[0].mean, 1.0)
         ref = _dense_mixture_drift(model, 0, cfg)(X, 1.0)
         assert np.all(got[0] == 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
@@ -430,9 +455,11 @@ class TestFusedDrift:
 
 
 def _long_double_flow(model, target, x_T, sched, cfg, heun):
-    """The mixture flow of ``_dense_mixture_drift`` stepped like sampler._drive,
-    all in long double: each score from the component's own eigenbasis,
-    -U (U^T (x - mu) / (lam + sigma^2)), the weights by log-sum-exp."""
+    """The mixture flow of ``_dense_mixture_drift`` stepped in x like the
+    reference stepper sampler._drive, not like gmm.integrate's sampler._step
+    on y = x - mu_target, all in long double: each score from the
+    component's own eigenbasis, -U (U^T (x - mu) / (lam + sigma^2)), the
+    weights by log-sum-exp."""
     ld = np.longdouble
     comps = [(c.mean.astype(ld), c.eigvecs.astype(ld), c.eigvals.astype(ld))
              for c in model.components]

@@ -642,11 +642,25 @@ class TestStep:
         np.testing.assert_array_max_ulp(got, ref, maxulp=4)
 
     def test_every_integrator_calls_the_one_step(self):
-        """The appliers and the uncoupled scalings all take ``_step``; no
-        step-map polynomial is left."""
-        for fn in (sampler._stepwise, sampler._fold, sampler._steps):
+        """The stepped loop, the fold and the uncoupled scalings all take
+        ``_step``; Gaussian and mixture states both go through the one loop,
+        ``_advance``; no step-map polynomial is left, and no function of
+        ``sampler`` or ``gmm`` but the oracle ``integrate_with_scores``, nested
+        ones included, reaches the reference stepper ``_drive``."""
+        def names(code):
+            return set(code.co_names).union(*(names(c) for c in code.co_consts
+                                              if inspect.iscode(c)))
+
+        for fn in (sampler._advance, sampler._fold, sampler._steps):
             assert "_step" in inspect.unwrap(fn).__code__.co_names, fn.__name__
+        for fn in (sampler._stepwise, gmm.integrate):
+            assert "_advance" in inspect.unwrap(fn).__code__.co_names, fn.__name__
         assert not hasattr(sampler, "_step_map")
+        callers = {f"{module.__name__}.{name}" for module in (sampler, gmm)
+                   for name, fn in inspect.getmembers(module, inspect.isfunction)
+                   if fn.__module__ == module.__name__
+                   and "_drive" in names(inspect.unwrap(fn).__code__)}
+        assert callers == {"lincfg.sampler.integrate_with_scores"}
 
 
 class TestFold:
@@ -992,9 +1006,13 @@ class TestEveryGaussianConfig:
         cond, uncond = random_stats_pair(d, np.random.default_rng(seed))
         sched = sampler.make_schedule(n_steps=10)
         x_T = sampler.draw_initial_states(d, 12, seed, sched)
+        # the references step z = x - mu_c, so _drive's guard on |z|_2 is the
+        # appliers' on |x - mu_c|_2; their limit, from x_T, goes in as the scale
+        mu, (_, limit) = cond.mean, sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         try:
-            refs = [sampler._drive(drift(cond, uncond, cfg), x_T, sched, heun=heun,
-                                   centre=cond.mean, scale=sampler.data_scale(cond, uncond))
+            refs = [mu + sampler._drive(lambda z, s, f=drift(cond, uncond, cfg): f(z + mu, s),
+                                        x_T - mu, sched, heun=heun,
+                                        scale=limit / sampler.DIVERGENCE_GUARD)
                     for drift in (_split_drift, _dense_ablation_drift)]
         except DivergenceError as err:
             # a strong frozen CPC term on a coarse grid can leave the guard;

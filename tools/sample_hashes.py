@@ -1,6 +1,6 @@
 """Print the sha256 of every bench config's samples.bin, one line per config.
 
-    python tools/sample_hashes.py --seed N [--src PATH]
+    python tools/sample_hashes.py --seed N [--src PATH] [--keep DIR]
 
 The inputs come from ``perfbench/workloads.generate`` at seed N, written to a
 temporary directory; every config of the three workloads (11 in all) is
@@ -12,7 +12,16 @@ so two trees give the same samples bit for bit exactly when
     diff <(python tools/sample_hashes.py --seed 1 --src A/src) \\
          <(python tools/sample_hashes.py --seed 1 --src B/src)
 
-is empty. A different BLAS thread count moves the samples at the rounding
+is empty. Where they differ, ``--keep DIR`` says by how much: each config's
+samples.bin is kept as ``DIR/<workload>/<config>.bin``, and where that file
+is already there from an earlier run (of the other tree, say) it is left as
+it is and the config's line gains a third field, the largest
+|x - x_kept|_2 / |x_kept|_2 over its samples:
+
+    python tools/sample_hashes.py --seed 1 --src A/src --keep kept
+    python tools/sample_hashes.py --seed 1 --src B/src --keep kept
+
+A different BLAS thread count moves the samples at the rounding
 level, so ``LCFG_THREADS`` is set to 1 before lincfg is imported unless it
 is already set; then two trees never differ by thread count alone. What
 lincfg prints on stdout is dropped; its errors reach stderr.
@@ -44,10 +53,15 @@ def _workloads():
     return module
 
 
-def sample_hashes(seed: int, smoke: bool = False) -> list[str]:
+def sample_hashes(seed: int, smoke: bool = False, keep: Path | None = None) -> list[str]:
     """``workload/config sha256`` of each config's samples.bin, in bench
-    order; ``smoke`` runs the workloads at perfbench's smoke shape."""
+    order; ``smoke`` runs the workloads at perfbench's smoke shape. With
+    ``keep``, each samples.bin is kept as ``keep/<workload>/<config>.bin``,
+    or, where that file is already there, compared with it: the line then
+    ends in the largest |x - x_kept|_2 / |x_kept|_2 over the samples."""
+    import numpy as np
     from lincfg import cli
+    from lincfg.stats import load_data_matrix
     workloads, lines = _workloads(), []
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for name, workload in workloads.WORKLOADS.items():
@@ -60,8 +74,18 @@ def sample_hashes(seed: int, smoke: bool = False) -> list[str]:
             for config, _, _ in w.cycle:
                 if cli.main(["sample", "--config", str(workdir / f"{config}.cfg")]) != 0:
                     raise SystemExit(f"sample {name}/{config} failed")
-                digest = hashlib.sha256((workdir / "out" / config / "samples.bin").read_bytes())
-                lines.append(f"{name}/{config} {digest.hexdigest()}")
+                out = workdir / "out" / config / "samples.bin"
+                data = out.read_bytes()
+                lines.append(f"{name}/{config} {hashlib.sha256(data).hexdigest()}")
+                if keep is not None:
+                    kept = Path(keep) / name / f"{config}.bin"
+                    if kept.exists():
+                        x, ref = (load_data_matrix(p).values for p in (out, kept))
+                        moved = np.linalg.norm(x - ref, axis=1) / np.linalg.norm(ref, axis=1)
+                        lines[-1] += f" {moved.max():.2g}"
+                    else:
+                        kept.parent.mkdir(parents=True, exist_ok=True)
+                        kept.write_bytes(data)
     return lines
 
 
@@ -70,12 +94,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the lincfg package (default: this tree's)")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="keep each samples.bin under DIR, or compare with the one kept there")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     os.environ.setdefault("LCFG_THREADS", "1")
     lincfg = importlib.import_module("lincfg")  # applies LCFG_THREADS before numpy loads
     print(f"lincfg {lincfg.__version__} from {Path(lincfg.__file__).parent}", file=sys.stderr)
-    print("\n".join(sample_hashes(args.seed)))
+    print("\n".join(sample_hashes(args.seed, keep=args.keep)))
     return 0
 
 
