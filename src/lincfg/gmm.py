@@ -19,7 +19,10 @@ per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
 + sigma^2)) U_i^T, one syrk each (``_resolvents``); one GEMM of X - mu_c
 against [R_1 ... R_K], minus the (K, d) offsets (mu_i - mu_c) R_i, then
 gives every (x - mu_i) R_i = -s_i, whose dot products with x - mu_i are the
-quadratic forms of the weights and whose weighted sum is the drift. Both
+quadratic forms of the weights and whose weighted sum is the drift. It
+takes the states in row blocks whose (rows, Kd) work block is about
+``sampler.ROW_BLOCK_BYTES``, so its scratch does not grow with m, and each
+row's arithmetic is that of one whole-block pass: the same bits. Both
 forms read the states centred on the target, X - mu_c, which is what the
 flow steps: ``integrate`` runs the sampler's one stepped loop
 (``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
@@ -45,7 +48,7 @@ compare two independent formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -147,18 +150,18 @@ def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, centre: int,
     r = 1.0 / np.sqrt(var)
     v = np.matmul(xc, st.basis * r.reshape(-1), out=out).reshape(len(xc), model.k, model.d)
     v -= st.offsets[centre] * r
-    log_w, w = _weights(model, np.einsum("mkd,mkd->mk", v, v), var)
+    log_w, w = _weights(model, np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1))
     return log_w, w, v, r
 
 
-def _weights(model: MixtureModel, quad: np.ndarray, var: np.ndarray) -> tuple:
+def _weights(model: MixtureModel, quad: np.ndarray, logdet: np.ndarray) -> tuple:
     """(log_w, w) (m, K) from the quadratic forms quad = (x - mu_i)^T (Sigma_i
-    + sigma^2)^-1 (x - mu_i) (m, K), overwritten, and the variances var =
-    lam_i + sigma^2 (K, d): normalized by log-sum-exp, and a weight whose log
-    is below -745 is exactly 0. The d/2 log 2pi term is dropped, as it cancels
-    out of normalized weights."""
+    + sigma^2)^-1 (x - mu_i) (m, K), overwritten, and the log-determinants
+    logdet = sum log(lam_i + sigma^2) (K,): normalized by log-sum-exp, and a
+    weight whose log is below -745 is exactly 0. The d/2 log 2pi term is
+    dropped, as it cancels out of normalized weights."""
     logp = quad
-    logp += np.sum(np.log(var), axis=1)
+    logp += logdet
     logp *= -0.5
     logp += model._stack.log_prior
     logp -= logp.max(axis=1, keepdims=True)
@@ -304,47 +307,61 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
     - 'projected': one stacked pass of y (``_posterior``) and one
       back-projection of the blocks some row still weighs (``_back_project``).
-    - 'folded': one GEMM of y against the resolvents of the current sigma,
-      minus the offsets (mu_i - mu_t) R_i, gives each -s_i = (x - mu_i) R_i;
-      the quadratic forms (x - mu_i) . (x - mu_i) R_i give the weights, and
-      the drift is the coefficient-weighted sum of the blocks. The resolvents
-      and offsets are rebuilt in place when sigma changes, so a Heun node
-      shared by two steps is built once.
+    - 'folded': per row block of ``sampler._row_blocks``, one GEMM of its rows
+      against the resolvents of the current sigma, minus the offsets (mu_i -
+      mu_t) R_i, gives each -s_i = (x - mu_i) R_i; the quadratic forms (x -
+      mu_i) . (x - mu_i) R_i give the weights, and the coefficient-weighted
+      sum of the blocks is written into those rows of the drift. Each row's
+      arithmetic is that of one whole-block pass, so the drift does not
+      depend on the row blocks. The resolvents, offsets and log-determinants
+      are rebuilt in place when sigma changes, so a Heun node shared by two
+      steps is built once.
 
     Unguided it is c s_t, ``denoiser.score`` of the target centred at 0. The
-    (m, Kd) work block is made at the first guided evaluation and serves
-    every guided one; the (K, d, d) resolvents are made with a folded drift.
+    work block, (m, Kd) projected and (rows, Kd) of about ROW_BLOCK_BYTES
+    folded, is made at the first guided evaluation and serves every guided
+    one; the (K, d, d) resolvents are made with a folded drift.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
     k, d = model.k, model.d
-    centred = replace(tgt, mean=np.zeros(d))  # its score at y is the target's at x
     diff = model._stack.means - tgt.mean  # mu_i - mu_t, exactly 0 at the target
     res = np.empty((k, d, d)) if form == "folded" else None
-    work = offsets = built = var = None
+    work = offsets = built = logdet = None
 
     def drift(y, sigma):
-        nonlocal work, offsets, built, var
+        nonlocal work, offsets, built, logdet
         if not cfg.guidance_active(sigma):
-            return denoiser.score(centred, y, sigma) if c else np.zeros_like(y)
-        if work is None:
-            work = np.empty((len(y), k * d))
+            if not c:
+                return np.zeros_like(y)
+            # denoiser.score of the target centred at 0: its score at y is the target's at x
+            return denoiser._project(tgt, 0.0 - y, 1.0 / (tgt.eigvals + sigma * sigma))
         if form == "projected":
+            if work is None:
+                work = np.empty((len(y), k * d))
             _, w, v, r = _posterior(model, y, sigma, target, out=work)
             return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
         if sigma != built:
-            var = _resolvents(model, sigma, res)
+            logdet = np.sum(np.log(_resolvents(model, sigma, res)), axis=1)
             offsets = np.einsum("kd,kde->ke", diff, res)
             built = sigma
+        blocks = sampler._row_blocks(len(y), k * d)
+        if work is None:
+            work = np.empty((blocks[0].stop, k * d))
+        out = np.empty_like(y)
         # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
-        z = np.matmul(y, res.reshape(k * d, d).T, out=work).reshape(len(y), k, d)
-        z -= offsets
-        quad = np.einsum("md,mkd->mk", y, z)
-        quad -= np.einsum("mkd,kd->mk", z, diff)
-        _, w = _weights(model, quad, var)
-        coef = _coefficients(w, target, c, cfg.gamma)
-        coef[np.abs(coef) < _TINY] = 0.0
-        return np.einsum("mk,mkd->md", coef, z)
+        resolvents = res.reshape(k * d, d).T
+        for b in blocks:
+            yb = y[b]
+            z = np.matmul(yb, resolvents, out=work[:len(yb)]).reshape(len(yb), k, d)
+            z -= offsets
+            quad = np.einsum("md,mkd->mk", yb, z)
+            quad -= np.einsum("mkd,kd->mk", z, diff)
+            _, w = _weights(model, quad, logdet)
+            coef = _coefficients(w, target, c, cfg.gamma)
+            coef[np.abs(coef) < _TINY] = 0.0
+            np.einsum("mk,mkd->md", coef, z, out=out[b])
+        return out
 
     return drift
 

@@ -501,13 +501,18 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     return out
 
 
-ROW_BLOCK_BYTES = 1 << 20  # the compiled applier streams x through blocks of about 1 MiB
+ROW_BLOCK_BYTES = 1 << 20  # the compiled applier, and the folded mixture drift
+# (gmm._guided_drift), stream their states through row blocks of about 1 MiB
 
 
 def _row_blocks(m: int, d: int) -> list[slice]:
-    """The rows of an (m, d) float64 block in slices of ROW_BLOCK_BYTES, at least one row each."""
-    rows = max(1, ROW_BLOCK_BYTES // (8 * d))
-    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
+    """The rows of an (m, d) float64 block in as few slices of at most
+    ROW_BLOCK_BYTES (at least one row) as fit, of lengths that differ by at
+    most one, the first the longest. No slice is a ragged tail of a few
+    rows, whose GEMM BLAS may hand to a gemv or small-matrix kernel that
+    rounds otherwise than a long block's."""
+    n = -(-m // max(1, ROW_BLOCK_BYTES // (8 * d)))
+    return [slice(-(-m * i // n), -(-m * (i + 1) // n)) for i in range(n)]
 
 
 def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):

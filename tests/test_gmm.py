@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,15 +247,20 @@ class TestMixtureSampling:
         b = sampler.sample_batch(comp, comp, 6, 13, sched, cfg)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
-    @pytest.mark.parametrize("heun, bound", [(False, 7.0), (True, 9.0)])
-    def test_folded_run_holds_its_floor(self, heun, bound):
-        """A folded run of 4096 states in d = 32 toward one of K = 4
-        components allocates, by tracemalloc's count of numpy's buffers, less
-        than 7 (m, d) blocks above x_T with Euler and 9 with Heun. The floor
-        is 6 and 8: y = x - mu_t, which becomes the samples; the (m, Kd) work
-        block, K = 4 blocks; the drift's output; and for Heun z and k1. The
-        rest is the (m, K) weights and coefficients of an evaluation."""
-        d, m = 32, 4096
+    @pytest.mark.parametrize("m, heun, bound", [(4096, False, 4.0), (4096, True, 6.0),
+                                                 (16384, False, 3.0), (16384, True, 5.0)])
+    def test_folded_run_holds_its_floor(self, m, heun, bound):
+        """A folded run of m states in d = 32 toward one of K = 4 components
+        allocates, by tracemalloc's count of numpy's buffers, less than
+        ``bound`` (m, d) blocks above x_T. The floor is y = x - mu_t, which
+        becomes the samples; one (rows, Kd) work row block of about
+        ROW_BLOCK_BYTES, here 1024 rows, so one (m, d) block at m = 4096 and
+        a quarter of one at m = 16384; the drift's output; and for Heun z
+        and k1: 3 and 5 at m = 4096, 2.25 and 4.25 at m = 16384, where a
+        work block of m rows would hold 6 and 8. The rest is the row
+        block's weights and coefficients."""
+        d = 32
+        assert sampler._row_blocks(m, 4 * d)[0] == slice(0, 1024)
         model = random_mixture(d, 4, np.random.default_rng(3))
         sched = sampler.make_schedule(n_steps=10)
         x_T = sampler.draw_initial_states(d, m, 3, sched)
@@ -418,6 +424,40 @@ class TestFusedDrift:
         x_T = sampler.draw_initial_states(8, 16, 8, sched)
         ref = sampler._drive(_dense_mixture_drift(model, 0, cfg), x_T, sched, heun=heun)
         assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
+    def test_folded_drift_does_not_depend_on_row_blocks(self, monkeypatch, name, heun):
+        """Folded runs of m = 1, rows - 1, rows, rows + 1 and 2 rows + 3
+        states, streamed through row blocks of at most 6 rows, give the same
+        bits as through one block, for every drift evaluation of an Euler
+        and a Heun run. Every m is folded, m < d included."""
+        d, k, rows = 8, 3, 6
+        model = random_mixture(d, k, np.random.default_rng(4))
+        sched = sampler.make_schedule(n_steps=12)
+        monkeypatch.setattr(sampler, "choose_path", lambda m, d: "compiled")
+        for m, n_blocks in ((1, 1), (rows - 1, 1), (rows, 1), (rows + 1, 2), (2 * rows + 3, 3)):
+            x_T = sampler.draw_initial_states(d, m, m, sched)
+            whole = gmm.integrate(model, 1, x_T, sched, MIXTURE_CFGS[name], heun=heun)
+            with monkeypatch.context() as mp:
+                mp.setattr(sampler, "ROW_BLOCK_BYTES", rows * 8 * k * d)
+                blocks = sampler._row_blocks(m, k * d)
+                assert len(blocks) == n_blocks and blocks[0].stop <= rows
+                got = gmm.integrate(model, 1, x_T, sched, MIXTURE_CFGS[name], heun=heun)
+            assert np.array_equal(got, whole), m
+
+    @pytest.mark.parametrize("form", ["folded", "projected"])
+    @pytest.mark.parametrize("sigma", [0.1, 20.0])
+    def test_unguided_drift_is_the_centred_target_score(self, form, sigma):
+        """Outside the guidance interval the drift is, bit for bit,
+        ``denoiser.score`` of the target with its mean set to 0, at y."""
+        model = random_mixture(6, 3, np.random.default_rng(9))
+        cfg = G(gamma=2.0, active_interval=(0.5, 10.0))
+        assert not cfg.guidance_active(sigma)
+        y = 3.0 * np.random.default_rng(10).standard_normal((7, 6))
+        got = gmm._guided_drift(model, 1, cfg, form)(y, sigma)
+        centred = replace(model.components[1], mean=np.zeros(6))
+        assert np.array_equal(got, denoiser.score(centred, y, sigma))
 
     @pytest.mark.parametrize("form", ["folded", "projected"])
     def test_subnormal_weight_never_reaches_the_back_projection(self, form):

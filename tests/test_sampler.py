@@ -1036,11 +1036,11 @@ class TestEveryGaussianConfig:
     def test_overwrite_x_gives_the_same_bytes_in_x_T(self, cfg, applier, heun, monkeypatch):
         """Written over x_T or into a new block, each applier gives the same
         bytes; the first shares x_T's memory, the second leaves x_T as it
-        was. The compiled applier streams 23 rows of d = 8 in blocks of 5:
-        four whole ones and a ragged one of 3."""
+        was. The compiled applier streams 23 rows of d = 8 in blocks of at
+        most 5: three of 5 and two shorter ones of 4."""
         d, m = 8, 23
         monkeypatch.setattr(sampler, "ROW_BLOCK_BYTES", 5 * 8 * d)
-        assert [b.stop - b.start for b in sampler._row_blocks(m, d)] == [5, 5, 5, 5, 3]
+        assert [b.stop - b.start for b in sampler._row_blocks(m, d)] == [5, 5, 4, 5, 4]
         cond, uncond = random_stats_pair(d, np.random.default_rng(6))
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(d, m, 6, sched)
