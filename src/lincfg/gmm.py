@@ -26,7 +26,7 @@ row's arithmetic is that of one whole-block pass: the same bits. Both
 forms read the states centred on the target, X - mu_c, which is what the
 flow steps: ``integrate`` runs the sampler's one stepped loop
 (``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
-X - mu_c, every step coupled.
+X - mu_c, the loop and the step of every Gaussian run.
 
 In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
 folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
@@ -376,9 +376,9 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     difference, gated by cfg.guidance_active, and the per-term CPC toggles
     do not apply. The drift (``_guided_drift``) is folded where
     ``sampler.choose_path`` compiles the block's (m, d), at m >= d, and
-    projected below, once per run. The run steps y = x - mu_target with the
-    sampler's one stepped loop (``sampler._advance``), every step coupled, so
-    each step is ``sampler._step`` and ``_guard`` holds each sample's |x -
+    projected below, once per run. The run steps y = x - mu_target under
+    that drift with the sampler's one stepped loop (``sampler._advance``),
+    so each step is ``sampler._step`` and ``_guard`` holds each sample's |x -
     mu_target|_2 to the divergence limit of ``sampler._start``, the rule of
     the Gaussian runs with the target's mean as the centre. x_T is left as
     it is; the (m, d) block y becomes the samples.
@@ -390,8 +390,7 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
         raise ShapeError(f"state dimension {x.shape[1]} != mixture dimension {model.d}")
     form = "folded" if sampler.choose_path(*x.shape) == "compiled" else "projected"
     mu = model.components[target].mean
-    steps = ((ends, u, None) for ends, u in sampler._nodes(schedule, heun))  # all coupled
-    y = sampler._advance(x - mu, _guided_drift(model, target, cfg, form), steps, schedule, limit)
+    y = sampler._advance(x - mu, _guided_drift(model, target, cfg, form), schedule, heun, limit)
     y += mu
     return y.reshape(np.shape(x_T))
 

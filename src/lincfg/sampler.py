@@ -7,19 +7,21 @@ re-evaluates the drift at sigma_{i+1} and averages.
 
 Every Gaussian run, full CFG and every ablation alike, integrates its drift
 in the eigenbasis of cond, where the scores are linear and every step is
-affine. ``_step`` is the package's one Euler/Heun step, and it advances any
-block: Gaussian or mixture states, or the map Gaussian states would go
+affine. ``_step`` is the package's one Euler/Heun step, and every step of
+every run takes it under the flow's own drift, with a CPC term or without:
+it advances Gaussian or mixture states, or the map Gaussian states would go
 through. ``choose_path`` picks one of two
 appliers, never another path: stepping the states (two GEMMs per drift
 evaluation with a CPC term, thin for one live sign, one for a frozen basis;
-elementwise steps without one) or compiling the run into one affine map
+elementwise drifts without one) or compiling the run into one affine map
 x_0 = mu_c + (x_T - mu_c) P + q, whose P and q ``_fold`` steps without
 reading x (its docstring gives each step's cost), applied with one GEMM per
 row block, in place over x_T where the caller hands it over
 (``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
-rule). ``_advance`` is the one stepped loop: ``_step``, then ``_guard``,
-for Gaussian states and for the mixture (``gmm.integrate``) alike.
+rule). ``_advance`` is the one stepped loop: ``_step`` at each of
+``_nodes``, then ``_guard``, for Gaussian states and for the mixture
+(``gmm.integrate``) alike.
 ``_drive`` is kept apart as the reference stepper, in its own x + h * slope
 form, behind ``integrate_with_scores`` and the tests; no sampling path
 calls it.
@@ -279,15 +281,15 @@ def choose_path(m: int, d: int) -> str:
 
     Both take the same ``_step``. Stepping it on the states costs two
     (m, d) x (d, k) GEMMs per drift evaluation with a CPC term, k <= d (one
-    (d, d) GEMM for a frozen basis), and O(md) elementwise work per step
-    without one; stepping it on the map costs one syrk per coupled node, one
-    (d, d) GEMM per coupled drift evaluation and at most d^2 per other step
-    (``_fold`` gives the count), and one GEMM per row block to apply.
-    Timed on one BLAS thread, the two cross at m ~ d for every CPC form,
-    step count and Euler or Heun. Runs with no CPC term (gamma = 0, mean
-    shift only) keep P diagonal throughout, so compiling wins from m = d
-    (stepwise/compiled 1.16-2.39 at m = d and 1.33-2.98 at 2d, d = 64 to
-    768, Euler N = 50 and Heun N = 20).
+    (d, d) GEMM for a frozen basis), and ``_step``'s elementwise passes over
+    (m, d) blocks per step without one; stepping it on the map costs one
+    syrk per node with a CPC term, one (d, d) GEMM per drift evaluation
+    with one and a few d^2 passes per other step (``_fold`` gives the
+    count), and one GEMM per row block to apply. Timed on one BLAS thread,
+    the two cross at m ~ d for every CPC form, step count and Euler or Heun.
+    Runs with no CPC term (gamma = 0, mean shift only) keep P diagonal
+    throughout, so compiling wins from m = d (stepwise/compiled 1.17-5.6 at
+    m = d and 1.3-12.6 at 2d, d = 64 to 768, Euler N = 50 and Heun N = 20).
     """
     return "compiled" if m >= d else "stepwise"
 
@@ -300,11 +302,11 @@ class _Split:
     weights: np.ndarray  # all of one sign
     diag: np.ndarray | float
 
-    def gram(self, c: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    def gram(self, c: float = 1.0) -> np.ndarray:
         """c G, G = F diag(lam) F^T, c >= 0, by one symmetric product (syrk)
-        of F scaled by sqrt(c |lam|), written to ``out`` if given."""
+        of F scaled by sqrt(c |lam|)."""
         s = self.vecs * np.sqrt(c * np.abs(self.weights))
-        g = np.matmul(s, s.T, out=out)
+        g = s @ s.T
         if self.weights.size and self.weights[0] < 0.0:
             np.negative(g, out=g)
         return g
@@ -412,8 +414,8 @@ def _step(y: np.ndarray, drift, ends: tuple, u: tuple) -> np.ndarray:
     ``_nodes``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
     drift(y, sigma_i); Heun is y + u0/2 k0 + u1/2 k1 with k1 = drift(y + u0
     k0, sigma_{i+1}). y is a batch of Gaussian or mixture states
-    (``_advance``), a folded map's P or q (``_fold``), or the rows whose step
-    is an uncoupled step's scaling (``_steps``)."""
+    (``_advance``) or a folded map's P or q (``_fold``), and every step of
+    every run is this one, whether or not it has a CPC term."""
     u0, u1 = u
     k0 = drift(y, ends[0])
     if len(ends) == 1:
@@ -447,44 +449,17 @@ def _nodes(schedule: NoiseSchedule, heun: bool):
         yield (s0, s1)[:1 + heun], ((s0 - s1) * s0, (s0 - s1) * s1)
 
 
-def _steps(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
-    """Per step of the schedule, (ends, u, scaling), with (ends, u) from
-    ``_nodes``. A step with no CPC term at any of its ends maps y to y * f +
-    k: its scaling (f, k) is ``_step`` of ones under the drift y alpha and of
-    zeros under y alpha + b, taken as one (2, d) block. A coupled step has
-    scaling None."""
-    cfg, d = flow.cfg, len(flow.cond.mean)
-    cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
-    rows = np.repeat([[1.0], [0.0]], d, axis=1)  # ones, zeros
-
-    def drift(z, s):
-        alpha, _, _, b = flow.node(s)
-        out = z * alpha
-        if b is not None:
-            out[1] += b
-        return out
-
-    for ends, u in _nodes(schedule, heun):
-        yield ends, u, None if cpc and any(map(cfg.guidance_active, ends)) else tuple(
-            _step(rows.copy(), drift, ends, u))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # _guard names the non-finite rows
-def _advance(y: np.ndarray, drift, steps, schedule: NoiseSchedule, limit: float) -> np.ndarray:
+def _advance(y: np.ndarray, drift, schedule: NoiseSchedule, heun: bool,
+             limit: float) -> np.ndarray:
     """The package's one stepped loop: advance the (m, d) block y in place
-    through ``steps``, (ends, u, scaling) per step of the schedule, and
-    return it. A step whose scaling is None is ``_step`` under ``drift``,
-    one with a scaling (f, k) is y * f + k; after each, ``_guard`` holds
-    every row's |y|_2 to ``limit``. A Gaussian run steps y = (x - mu_c) U_c
-    (``_stepwise``, with ``_steps``), the mixture y = x - mu_target with
-    every step coupled (``gmm.integrate``, with ``_nodes``)."""
-    for i, (ends, u, scaling) in enumerate(steps):
-        if scaling is None:
-            _step(y, drift, ends, u)
-        else:
-            f, k = scaling
-            y *= f
-            y += k
+    by ``_step`` under ``drift`` at each of the schedule's ``_nodes``, and
+    return it; after each step ``_guard`` holds every row's |y|_2 to
+    ``limit``. A Gaussian run steps y = (x - mu_c) U_c under its flow's
+    drift (``_stepwise``), the mixture y = x - mu_target under its guided
+    drift (``gmm.integrate``)."""
+    for i, (ends, u) in enumerate(_nodes(schedule, heun)):
+        _step(y, drift, ends, u)
         _guard(schedule, i, _norms(y), limit)
     return y
 
@@ -495,7 +470,7 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     ``limit`` after each step, and write the samples to ``out`` (a new block
     if None; x itself is allowed) once every step has passed."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
-    _advance(y, flow.drift, _steps(flow, schedule, heun), schedule, limit)
+    _advance(y, flow.drift, schedule, heun, limit)
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
     out += flow.cond.mean
     return out
@@ -521,15 +496,16 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     (P_i, q_i) with y_{i+1} = y_0 P_i + q_i. Each pair lives in the fold's
     buffers and holds until the next is asked for; the last is the run's map.
 
-    A coupled step is ``_step`` of P under the drift z A_j and of q under
-    z A_j + b_j, with (A_j, b_j) = ``node_matrix`` at the step's node j; an
-    uncoupled one applies ``_steps``' scaling, itself ``_step`` of ones and
-    zeros. P is a vector, the map's diagonal, until the first coupled step:
-    an uncoupled step costs d before it and d^2 after. A coupled step forms
-    each node's A once (one syrk for a live split) and costs one (d, d) GEMM
-    per drift evaluation of P, Euler one and Heun two, plus ``_step``'s d^2
-    passes; the product is d^2 where A is diagonal, and at the first
-    coupled step's first evaluation, while P is still diagonal.
+    Every step is ``_step`` of P under the drift z A_j and of q under z A_j
+    + b_j, with (A_j, b_j) = ``node_matrix`` at the step's node j, the
+    vector alpha for A_j where no CPC term is on. P is a vector, the map's
+    diagonal, until the first step that reads a matrix A_j, where it becomes
+    diag(P): a step whose every A_j is a vector costs a few passes of d
+    before then and of d^2 after. Each node's A is formed once (one syrk
+    for a live split); a step that reads a matrix costs one (d, d) GEMM per
+    drift evaluation of P, Euler one and Heun two, plus ``_step``'s d^2
+    passes; the product is d^2 where A is a vector, and at the first such
+    step's first evaluation, while P is still diagonal.
     """
     d = len(flow.cond.mean)
     P, q, lead = np.ones(d), np.zeros(d), None
@@ -538,24 +514,18 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     def p_drift(z, s):
         a = node(s)[0]
         if a.ndim == 2 and z is P and lead is not None:
-            return lead * a  # diag(P) A = P[:, None] * A at the first coupled step
+            return lead * a  # diag(P) A = P[:, None] * A at the first matrix node
         return z * a if a.ndim == 1 else z @ a
 
     def q_drift(z, s):
         return p_drift(z, s) + node(s)[1]
 
-    for ends, u, scaling in _steps(flow, schedule, heun):
-        if scaling is not None:
-            f, k = scaling
-            P *= f
-            q *= f
-            q += k
-        else:
-            if P.ndim == 1:
-                lead, P = P[:, None], np.diag(P)
-            _step(P, p_drift, ends, u)
-            _step(q, q_drift, ends, u)
-            lead = None
+    for ends, u in _nodes(schedule, heun):
+        if P.ndim == 1 and any(node(s)[0].ndim == 2 for s in ends):
+            lead, P = P[:, None], np.diag(P)
+        _step(P, p_drift, ends, u)
+        _step(q, q_drift, ends, u)
+        lead = None
         yield P, q
 
 
@@ -618,9 +588,9 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     compiled when m >= d, stepwise otherwise, for every config and Euler or
     Heun. Both take each step with ``_step``, the one Euler/Heun update.
 
-    - stepwise: ``_step`` of the states; two GEMMs per coupled drift
-      evaluation, thin ones for one live CPC sign, or one for a frozen
-      basis; other steps are elementwise.
+    - stepwise: ``_step`` of the states under the flow's drift; two GEMMs
+      per drift evaluation with a CPC term, thin ones for one live CPC sign,
+      or one for a frozen basis; without one the drift is elementwise.
     - compiled: ``_fold`` steps the affine map x_0 = mu_c + (x_T - mu_c) P
       + q instead, without reading x_T (its docstring gives the cost per
       step), and the map is applied with one GEMM per row block of

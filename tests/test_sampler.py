@@ -556,8 +556,10 @@ class TestDiagonalFold:
         cond, uncond = random_stats_pair(d, np.random.default_rng(4))
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(d, 2 * d, 3, sched)
-        diagonal = [scaling is not None for _, _, scaling in
-                    sampler._steps(sampler._cfg_flow(cond, uncond, cfg), sched, heun)]
+        cpc = cfg.enable_pos_cpc or cfg.enable_neg_cpc
+        # per step, whether no node it reads has a CPC term
+        diagonal = [not (cpc and any(map(cfg.guidance_active, ends)))
+                    for ends, _ in sampler._nodes(sched, heun)]
         lead = diagonal.index(False) if False in diagonal else len(diagonal)
         shapes, real = [], np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda a: shapes.append(np.shape(a)) or real(a))
@@ -622,8 +624,7 @@ class TestStep:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_euler_on_an_elementwise_drift_is_bit_exact(self, seed):
         """Euler steps ones to 1 + u0 a0 and, under z a0 + b, zeros to u0 b,
-        bit for bit: the uncoupled scalings are what they were before the
-        step rule was one."""
+        bit for bit: a diagonal map's first step is its scaling exactly."""
         a, b, (u0, u1), drift, ends = self._elementwise(seed)
         got = sampler._step(np.ones(a.shape[1]), drift, ends[:1], (u0, u1))
         np.testing.assert_array_equal(got, 1.0 + u0 * a[0])
@@ -642,20 +643,22 @@ class TestStep:
         np.testing.assert_array_max_ulp(got, ref, maxulp=4)
 
     def test_every_integrator_calls_the_one_step(self):
-        """The stepped loop, the fold and the uncoupled scalings all take
-        ``_step``; Gaussian and mixture states both go through the one loop,
-        ``_advance``; no step-map polynomial is left, and no function of
+        """The stepped loop and the fold take ``_step`` for every step, with a
+        CPC term or without; Gaussian and mixture states both go through the
+        one loop, ``_advance``; no step-map polynomial or precomputed
+        uncoupled scaling is left, and no function of
         ``sampler`` or ``gmm`` but the oracle ``integrate_with_scores``, nested
         ones included, reaches the reference stepper ``_drive``."""
         def names(code):
             return set(code.co_names).union(*(names(c) for c in code.co_consts
                                               if inspect.iscode(c)))
 
-        for fn in (sampler._advance, sampler._fold, sampler._steps):
+        for fn in (sampler._advance, sampler._fold):
             assert "_step" in inspect.unwrap(fn).__code__.co_names, fn.__name__
         for fn in (sampler._stepwise, gmm.integrate):
             assert "_advance" in inspect.unwrap(fn).__code__.co_names, fn.__name__
         assert not hasattr(sampler, "_step_map")
+        assert not hasattr(sampler, "_steps")
         callers = {f"{module.__name__}.{name}" for module in (sampler, gmm)
                    for name, fn in inspect.getmembers(module, inspect.isfunction)
                    if fn.__module__ == module.__name__
@@ -787,10 +790,8 @@ class TestGaussianDivergence:
         cond, uncond, sched, x_T = self._blowup(shared_mean=False)
         _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         shift = G(gamma=1.0, enable_pos_cpc=False, enable_neg_cpc=False)
-        q, sizes = 0.0, []
-        for _, _, (f, k) in sampler._steps(sampler._cfg_flow(cond, uncond, shift), sched, heun):
-            q = q * f + k
-            sizes.append(np.linalg.norm(q))
+        sizes = [np.linalg.norm(q) for _, q in
+                 sampler._fold(sampler._cfg_flow(cond, uncond, shift), sched, heun)]
         gamma = (1.0 - 1e-9) * limit / max(sizes)
         seen = self._named(cond, uncond, sched, x_T, replace(shift, gamma=gamma), heun)
         assert len(set(seen)) == 1
@@ -1256,9 +1257,10 @@ class TestSampleBatch:
         shift = np.array([100.0, -50.0])
         batch = sampler.sample_batch(cond, uncond, 4, 0, sched, cfg,
                                      init=sampler.InitSpec(shift=shift, std=0.0))
-        expect = sampler.integrate(cond, uncond, shift, sched, cfg)
-        for row in batch:
-            np.testing.assert_array_equal(row, expect)
+        # the same (4, d) block of starts, so the same applier as the batch
+        expect = sampler.integrate(cond, uncond, np.tile(shift, (4, 1)), sched, cfg)
+        np.testing.assert_array_equal(batch, expect)
+        np.testing.assert_array_equal(batch, np.tile(batch[0], (4, 1)))
 
     def test_init_std_rule(self):
         sched = sampler.make_schedule(n_steps=6)
