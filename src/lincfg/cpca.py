@@ -16,6 +16,7 @@ from .errors import ShapeError
 from .stats import GaussianStats, check_pair, fix_eigvec_signs
 
 _ZERO_TOL_FLOOR = 1e-10
+_SYM_TOL = 1e-8  # asymmetry contrastive_components accepts, relative to the largest entry
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,11 @@ class SignedSpectrum:
         return self.eigvals[k:], self.eigvecs[:, k:]
 
 
-def contrastive_components(A: np.ndarray, B: np.ndarray, *,
-                           sym_tol: float = 1e-8) -> SignedSpectrum:
+def contrastive_components(A: np.ndarray, B: np.ndarray) -> SignedSpectrum:
     """Signed eigendecomposition of A - B for symmetric A, B.
 
     Inputs are symmetrized before decomposition to absorb round-off; genuine
-    asymmetry beyond ``sym_tol`` (relative to the largest entry) is rejected.
+    asymmetry beyond ``_SYM_TOL`` (relative to the largest entry) is rejected.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -55,7 +55,7 @@ def contrastive_components(A: np.ndarray, B: np.ndarray, *,
     for name, M in (("A", A), ("B", B)):
         scale = max(1.0, float(np.max(np.abs(M))))
         asym = float(np.max(np.abs(M - M.T)))
-        if asym > sym_tol * scale:
+        if asym > _SYM_TOL * scale:
             raise ValueError(f"{name} is asymmetric beyond tolerance: {asym:.3e}")
     lam, V, tol = signed_eigh(0.5 * (A + A.T) - 0.5 * (B + B.T))
     return SignedSpectrum(eigvals=lam[::-1].copy(), eigvecs=fix_eigvec_signs(V[:, ::-1]),

@@ -123,10 +123,12 @@ def matrix_csv(matrix: np.ndarray, labels: list[str] | None = None) -> str:
 _XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 _SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
              'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n')
+_HIST_WIDTH, _HIST_HEIGHT = 640, 360  # the histogram canvas
+_HEAT_CELL = 48  # the side of one heatmap cell
 
 
-def histogram_svg(hist: ProjectionHistogram, *, width: int = 640,
-                  height: int = 360, title: str = "") -> str:
+def histogram_svg(hist: ProjectionHistogram, *, title: str = "") -> str:
+    width, height = _HIST_WIDTH, _HIST_HEIGHT
     counts = hist.counts.astype(np.float64)
     peak = counts.max() if counts.size and counts.max() > 0 else 1.0
     pad, base = 40, height - 30
@@ -153,8 +155,8 @@ def histogram_svg(hist: ProjectionHistogram, *, width: int = 640,
     return "".join(parts)
 
 
-def heatmap_svg(matrix: np.ndarray, labels: list[str] | None = None, *,
-                cell: int = 48, title: str = "") -> str:
+def heatmap_svg(matrix: np.ndarray, labels: list[str] | None = None, *, title: str = "") -> str:
+    cell = _HEAT_CELL
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     labels = [name.translate(_XML) for name in labels or [f"c{i}" for i in range(n)]]

@@ -70,6 +70,11 @@ class _Stack:
     (K, d, d), so rows of U_all^T; eigvals: lam_i as (K, d); log_prior:
     (K,); offsets: per centre c, (mu_i - mu_c) U_i as (K, K, d), whose block
     c is exactly 0; means: (K, d).
+
+    ``back`` is a stored C-contiguous copy, not the strided view
+    basis.T.reshape(K, d, d) of the same numbers: ``gmm_cfg_guidance``'s
+    mean term reads it directly, and its product rounds otherwise in the
+    view's layout (up to 3.2e-16 relative, d = 16 to 64, K = 3 and 4).
     """
 
     basis: np.ndarray

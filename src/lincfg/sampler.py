@@ -15,8 +15,9 @@ appliers, never another path: stepping the states (two GEMMs per drift
 evaluation with a CPC term, thin for one live sign, one for a frozen basis;
 elementwise drifts without one) or compiling the run into one affine map
 x_0 = mu_c + (x_T - mu_c) P + q, whose P and q ``_fold`` steps without
-reading x (its docstring gives each step's cost), applied with one GEMM per
-row block, in place over x_T where the caller hands it over
+reading x (one (d, d) GEMM per drift evaluation of P with a CPC term, d^2
+products without one; its docstring gives each step's cost), applied with
+one GEMM per row block, in place over x_T where the caller hands it over
 (``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
 rule). ``_advance`` is the one stepped loop: ``_step`` at each of
@@ -502,19 +503,16 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     diagonal, until the first step that reads a matrix A_j, where it becomes
     diag(P): a step whose every A_j is a vector costs a few passes of d
     before then and of d^2 after. Each node's A is formed once (one syrk
-    for a live split); a step that reads a matrix costs one (d, d) GEMM per
-    drift evaluation of P, Euler one and Heun two, plus ``_step``'s d^2
-    passes; the product is d^2 where A is a vector, and at the first such
-    step's first evaluation, while P is still diagonal.
+    for a live split); every drift evaluation of P that reads a matrix A is
+    one (d, d) GEMM, Euler one and Heun two per step, plus ``_step``'s d^2
+    passes; the product is d^2 where A is a vector.
     """
     d = len(flow.cond.mean)
-    P, q, lead = np.ones(d), np.zeros(d), None
+    P, q = np.ones(d), np.zeros(d)
     node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # P's step, then q's, reads each node
 
     def p_drift(z, s):
         a = node(s)[0]
-        if a.ndim == 2 and z is P and lead is not None:
-            return lead * a  # diag(P) A = P[:, None] * A at the first matrix node
         return z * a if a.ndim == 1 else z @ a
 
     def q_drift(z, s):
@@ -522,10 +520,9 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
 
     for ends, u in _nodes(schedule, heun):
         if P.ndim == 1 and any(node(s)[0].ndim == 2 for s in ends):
-            lead, P = P[:, None], np.diag(P)
+            P = np.diag(P)
         _step(P, p_drift, ends, u)
         _step(q, q_drift, ends, u)
-        lead = None
         yield P, q
 
 
