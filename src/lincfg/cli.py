@@ -269,8 +269,7 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
                  cfg: sampler.GuidanceConfig, init: sampler.InitSpec) -> tuple:
     """Read the stats pair or the mixture of a parsed config and check the
     config against it. Returns (draw, run, meta): draw() draws x_T and run(x_T)
-    integrates the run from it; a Gaussian run writes its samples over x_T.
-    Writes nothing."""
+    integrates the run from it, writing its samples over x_T. Writes nothing."""
     m, seed, heun = config["m"], config["seed"], config["heun"]
     if config["mixture"]:
         model = gmm.load_mixture(_require_file(config["mixture"], "mixture manifest"))
@@ -281,7 +280,8 @@ def _load_inputs(config: dict, schedule: sampler.NoiseSchedule,
         meta = {"mode": "mixture", "k": model.k, "d": model.d, "sampler": "mixture",
                 "mixture_form": ("folded" if sampler.choose_path(m, model.d) == "compiled"
                                  else "projected")}
-        run = partial(gmm.integrate, model, target, schedule=schedule, cfg=cfg, heun=heun)
+        run = partial(gmm.integrate, model, target, schedule=schedule, cfg=cfg, heun=heun,
+                      overwrite_x=True)
     else:
         cond = load_stats(_require_file(config["cond_stats"], "cond_stats"))
         if config["uncond_stats"]:

@@ -20,13 +20,16 @@ per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
 against [R_1 ... R_K], minus the (K, d) offsets (mu_i - mu_c) R_i, then
 gives every (x - mu_i) R_i = -s_i, whose dot products with x - mu_i are the
 quadratic forms of the weights and whose weighted sum is the drift. It
-takes the states in row blocks whose (rows, Kd) work block is about
-``sampler.ROW_BLOCK_BYTES``, so its scratch does not grow with m, and each
-row's arithmetic is that of one whole-block pass: the same bits. Both
+reads the components themselves (means, eigenpairs, log-priors), one U_i
+at a time, and never builds the stacked form. It takes the states in row
+blocks whose (rows, Kd) work block is about ``sampler.ROW_BLOCK_BYTES``, so
+its scratch does not grow with m, and each row's arithmetic is that of one
+whole-block pass: the same bits. Both
 forms read the states centred on the target, X - mu_c, which is what the
 flow steps: ``integrate`` runs the sampler's one stepped loop
 (``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
-X - mu_c, the loop and the step of every Gaussian run.
+X - mu_c, the loop and the step of every Gaussian run, in x_T's own buffer
+where the caller hands it over (``overwrite_x``).
 
 In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
 folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
@@ -64,12 +67,14 @@ _TINY = np.finfo(np.float64).tiny  # below this a float64 is subnormal
 
 @dataclass(frozen=True)
 class _Stack:
-    """The components side by side, blocks in component order.
+    """The components side by side, blocks in component order, for the
+    stacked pass of the diagnostics and the projected drift; a folded run
+    never builds it.
 
     basis: U_all = [U_1 ... U_K], shape (d, Kd); back: U_i^T per block,
-    (K, d, d), so rows of U_all^T; eigvals: lam_i as (K, d); log_prior:
-    (K,); offsets: per centre c, (mu_i - mu_c) U_i as (K, K, d), whose block
-    c is exactly 0; means: (K, d).
+    (K, d, d), so rows of U_all^T; eigvals: lam_i as (K, d); offsets: per
+    centre c, (mu_i - mu_c) U_i as (K, K, d), whose block c is exactly 0;
+    means: (K, d). The whole is 2 K d^2 + K^2 d + 2 K d floats.
 
     ``back`` is a stored C-contiguous copy, not the strided view
     basis.T.reshape(K, d, d) of the same numbers: ``gmm_cfg_guidance``'s
@@ -80,7 +85,6 @@ class _Stack:
     basis: np.ndarray
     back: np.ndarray
     eigvals: np.ndarray
-    log_prior: np.ndarray
     offsets: np.ndarray
     means: np.ndarray
 
@@ -127,7 +131,6 @@ class MixtureModel:
         return _Stack(basis=np.concatenate(blocks, axis=1),
                       back=np.ascontiguousarray(blocks.transpose(0, 2, 1)),
                       eigvals=np.stack([c.eigvals for c in self.components]),
-                      log_prior=np.log(self.weights),
                       offsets=np.einsum("cid,ide->cie", diff, blocks), means=means)
 
 
@@ -168,7 +171,7 @@ def _weights(model: MixtureModel, quad: np.ndarray, logdet: np.ndarray) -> tuple
     logp = quad
     logp += logdet
     logp *= -0.5
-    logp += model._stack.log_prior
+    logp += np.log(model.weights)
     logp -= logp.max(axis=1, keepdims=True)
     log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
     w = np.exp(log_w)
@@ -288,14 +291,14 @@ def _coefficients(w: np.ndarray, target: int, c: float, gamma: float) -> np.ndar
 
 def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarray:
     """Write R_i = U_i diag(1/(lam_i + sigma^2)) U_i^T into out (K, d, d), one
-    syrk each, as (U_i r_i)(U_i r_i)^T with r_i = 1/sqrt(lam_i + sigma^2);
-    return the variances lam_i + sigma^2 (K, d)."""
-    st, d = model._stack, model.d
-    var = st.eigvals + sigma * sigma
-    scaled = st.basis * (1.0 / np.sqrt(var)).reshape(-1)
-    for i in range(model.k):
-        a = scaled[:, i * d:(i + 1) * d]
-        np.matmul(a, a.T, out=out[i])
+    syrk each, as (U_i r_i)(U_i r_i)^T with r_i = 1/sqrt(lam_i + sigma^2),
+    each U_i r_i scaled into one (d, d) buffer; return the variances lam_i +
+    sigma^2 (K, d). Reads the components, not the stacked form."""
+    var = np.stack([comp.eigvals for comp in model.components]) + sigma * sigma
+    scaled = np.empty((model.d, model.d))
+    for comp, r, res in zip(model.components, 1.0 / np.sqrt(var), out):
+        np.multiply(comp.eigvecs, r, out=scaled)
+        np.matmul(scaled, scaled.T, out=res)
     return var
 
 
@@ -325,12 +328,13 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     Unguided it is c s_t, ``denoiser.score`` of the target centred at 0. The
     work block, (m, Kd) projected and (rows, Kd) of about ROW_BLOCK_BYTES
     folded, is made at the first guided evaluation and serves every guided
-    one; the (K, d, d) resolvents are made with a folded drift.
+    one; the (K, d, d) resolvents are made with a folded drift, which reads
+    the components and not ``model._stack``.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
     k, d = model.k, model.d
-    diff = model._stack.means - tgt.mean  # mu_i - mu_t, exactly 0 at the target
+    diff = np.stack([comp.mean for comp in model.components]) - tgt.mean  # 0 at the target
     res = np.empty((k, d, d)) if form == "folded" else None
     work = offsets = built = logdet = None
 
@@ -373,7 +377,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
 def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
               schedule: sampler.NoiseSchedule, cfg: sampler.GuidanceConfig, *,
-              heun: bool = False) -> np.ndarray:
+              heun: bool = False, overwrite_x: bool = False) -> np.ndarray:
     """Final states of the guided mixture flow toward one component from x_T.
 
     The conditional score is the target component's linear score and the
@@ -385,17 +389,26 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     that drift with the sampler's one stepped loop (``sampler._advance``),
     so each step is ``sampler._step`` and ``_guard`` holds each sample's |x -
     mu_target|_2 to the divergence limit of ``sampler._start``, the rule of
-    the Gaussian runs with the target's mean as the centre. x_T is left as
-    it is; the (m, d) block y becomes the samples.
+    the Gaussian runs with the target's mean as the centre. The (m, d) block
+    y becomes the samples.
+
+    x_T is left as it is by default, and y is a new block. With
+    ``overwrite_x=True`` (x_T then must be a writeable C-contiguous float64
+    array, as for ``sampler.integrate``) y is formed in x_T's buffer,
+    stepped there and returned as a view of it, so the run holds no (m, d)
+    block of states beyond x_T; both give the same bits. Unlike a Gaussian
+    run, whose fold guards every step before it writes, a run that raises
+    DivergenceError then leaves x_T's contents unspecified.
     """
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
-    x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components))
+    x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x)
     if x.shape[1] != model.d:
         raise ShapeError(f"state dimension {x.shape[1]} != mixture dimension {model.d}")
     form = "folded" if sampler.choose_path(*x.shape) == "compiled" else "projected"
     mu = model.components[target].mean
-    y = sampler._advance(x - mu, _guided_drift(model, target, cfg, form), schedule, heun, limit)
+    y = np.subtract(x, mu, out=x if overwrite_x else None)
+    sampler._advance(y, _guided_drift(model, target, cfg, form), schedule, heun, limit)
     y += mu
     return y.reshape(np.shape(x_T))
 
@@ -405,9 +418,10 @@ def sample_batch(model: MixtureModel, target: int, m: int, seed: int,
                  init: sampler.InitSpec | None = None, *,
                  heun: bool = False) -> np.ndarray:
     """Final states (m, d) of guided mixture samples toward one component
-    (``integrate``); seeding follows sampler.draw_initial_states."""
+    (``integrate``); seeding follows sampler.draw_initial_states. The
+    samples are written over the drawn states (``overwrite_x``)."""
     x_T = sampler.draw_initial_states(model.d, m, seed, schedule, init)
-    return integrate(model, target, x_T, schedule, cfg, heun=heun)
+    return integrate(model, target, x_T, schedule, cfg, heun=heun, overwrite_x=True)
 
 
 def load_mixture(path) -> MixtureModel:

@@ -210,10 +210,17 @@ def data_scale(*stats: GaussianStats) -> float:
     return max(float(np.max(np.abs(s.mean))) + float(np.sqrt(s.eigvals[0])) for s in stats)
 
 
-def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float) -> tuple[np.ndarray, float]:
+def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
+           overwrite_x: bool = False) -> tuple[np.ndarray, float]:
     """The start as an (m, d) block with m, d >= 1, and the divergence limit:
     DIVERGENCE_GUARD times the trajectory scale max(1, sigma_max, max|x_T|,
-    scale), where ``scale`` is the run's data scale."""
+    scale), where ``scale`` is the run's data scale. With ``overwrite_x``
+    the block is x_T's own buffer (a view of it for a lone state), which the
+    run may write, so x_T must be a writeable C-contiguous float64 array:
+    the one rule of both integrators' ``overwrite_x``."""
+    if overwrite_x and not (isinstance(x_T, np.ndarray) and x_T.dtype == np.float64
+                            and x_T.flags.c_contiguous and x_T.flags.writeable):
+        raise ValueError("overwrite_x=True needs x_T as a writeable C-contiguous float64 array")
     x = np.asarray(x_T, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -608,10 +615,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     that raises DivergenceError leaves x_T unchanged either way.
     """
     check_pair(cond, uncond)
-    if overwrite_x and not (isinstance(x_T, np.ndarray) and x_T.dtype == np.float64
-                            and x_T.flags.c_contiguous and x_T.flags.writeable):
-        raise ValueError("overwrite_x=True needs x_T as a writeable C-contiguous float64 array")
-    x, limit = _start(x_T, schedule, data_scale(cond, uncond))
+    x, limit = _start(x_T, schedule, data_scale(cond, uncond), overwrite_x)
     if x.shape[1] != cond.d:
         raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
     run = _compiled if choose_path(len(x), cond.d) == "compiled" else _stepwise

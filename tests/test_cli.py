@@ -14,8 +14,8 @@ from lincfg import denoiser, gmm, sampler, verify
 from lincfg.cli import main
 from lincfg.stats import (GaussianStats, load_data_matrix, load_stats, save_data_matrix,
                           save_stats)
-from lincfg.synthetic import (demo_mixture, random_stats_pair, toy_conditional_stats,
-                              toy_unconditional_stats)
+from lincfg.synthetic import (demo_mixture, random_mixture, random_stats_pair,
+                              toy_conditional_stats, toy_unconditional_stats)
 
 
 def test_pyproject_version_is_the_package_version():
@@ -331,6 +331,29 @@ class TestSample:
         assert main(argv + ["--gamma", "1e6", "--outdir", str(tmp_path / "d")]) == 4
         assert not (tmp_path / "d" / "samples.bin").exists()
         assert main(argv + ["--gamma", "1", "--outdir", str(tmp_path / "ok")]) == 0
+
+    @pytest.mark.parametrize("m, form", [(8, "folded"), (3, "projected")])
+    def test_mixture_divergence_exit_4(self, tmp_path, capsys, m, form):
+        """A mixture run steps inside x_T's buffer; one that diverges still
+        exits 4 with the guard's one line and writes no samples."""
+        model = random_mixture(4, 3, np.random.default_rng(7))
+        for i, comp in enumerate(model.components):
+            save_stats(comp, tmp_path / f"comp{i}.stats")
+        manifest = tmp_path / "mixture.txt"
+        manifest.write_text("".join(f"comp{i}.stats {float(w)!r}\n"
+                                    for i, w in enumerate(model.weights)))
+        assert ("folded" if sampler.choose_path(m, 4) == "compiled" else "projected") == form
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sample", "--mixture", str(manifest), "--target", "0",
+                         "--gamma", "1e18", "--steps", "3", "--m", str(m), "--outdir", str(out)])
+        assert code == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: numerical divergence: trajectory diverged at step ")
+        assert err.count("step") == 1 and err.count("sigma") == 1 and err.count("->") == 1
+        assert err.count("sample") == 1
+        assert not out.exists()  # so no samples.bin
 
     def test_overflowing_run_prints_only_the_divergence_line(self, tmp_path, capsys):
         """With every sample at mu_c = mu_uc = 0, gamma = 1e30 overflows the

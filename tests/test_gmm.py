@@ -247,18 +247,23 @@ class TestMixtureSampling:
         b = sampler.sample_batch(comp, comp, 6, 13, sched, cfg)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
-    @pytest.mark.parametrize("m, heun, bound", [(4096, False, 4.0), (4096, True, 6.0),
-                                                 (16384, False, 3.0), (16384, True, 5.0)])
-    def test_folded_run_holds_its_floor(self, m, heun, bound):
+    @pytest.mark.parametrize("m, heun, overwrite, bound", [
+        (4096, False, False, 4.0), (4096, True, False, 6.0),
+        (16384, False, False, 3.0), (16384, True, False, 5.0),
+        (4096, False, True, 2.5), (4096, True, True, 4.5),
+        (16384, False, True, 1.5), (16384, True, True, 3.5)])
+    def test_folded_run_holds_its_floor(self, m, heun, overwrite, bound):
         """A folded run of m states in d = 32 toward one of K = 4 components
         allocates, by tracemalloc's count of numpy's buffers, less than
-        ``bound`` (m, d) blocks above x_T. The floor is y = x - mu_t, which
-        becomes the samples; one (rows, Kd) work row block of about
+        ``bound`` (m, d) blocks above x_T. With ``overwrite_x`` the states
+        y = x - mu_t are stepped in x_T's buffer, and the floor is the
+        drift's output; one (rows, Kd) work row block of about
         ROW_BLOCK_BYTES, here 1024 rows, so one (m, d) block at m = 4096 and
-        a quarter of one at m = 16384; the drift's output; and for Heun z
-        and k1: 3 and 5 at m = 4096, 2.25 and 4.25 at m = 16384, where a
-        work block of m rows would hold 6 and 8. The rest is the row
-        block's weights and coefficients."""
+        a quarter of one at m = 16384; and for Heun z and k1: 2 and 4 at m =
+        4096, 1.25 and 3.25 at m = 16384, where a work block of m rows would
+        hold 5 and 7. Without it y is one more block: 3 and 5, 2.25 and
+        4.25. The rest is the row block's weights and coefficients and the
+        (K, d, d) resolvents; the run builds no stacked form."""
         d = 32
         assert sampler._row_blocks(m, 4 * d)[0] == slice(0, 1024)
         model = random_mixture(d, 4, np.random.default_rng(3))
@@ -268,11 +273,40 @@ class TestMixtureSampling:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun)
+            out = gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun,
+                                overwrite_x=overwrite)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert np.shares_memory(out, x_T) == overwrite
         assert peak < bound * x_T.nbytes, peak / x_T.nbytes
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("m", [24, 5])  # folded at m >= d = 8, projected below
+    @pytest.mark.parametrize("cfg", list(MIXTURE_CFGS.values()), ids=list(MIXTURE_CFGS))
+    def test_overwrite_x_gives_the_same_bytes_in_x_T(self, cfg, m, heun):
+        model = random_mixture(8, 3, np.random.default_rng(14))
+        sched = sampler.make_schedule(n_steps=12)
+        x_T = sampler.draw_initial_states(model.d, m, 5, sched)
+        drawn = x_T.copy()
+        expect = gmm.integrate(model, 1, x_T, sched, cfg, heun=heun)
+        assert x_T.tobytes() == drawn.tobytes()  # the default leaves x_T as it is
+        got = gmm.integrate(model, 1, x_T, sched, cfg, heun=heun, overwrite_x=True)
+        assert np.shares_memory(got, x_T)
+        assert got.tobytes() == expect.tobytes() == x_T.tobytes()
+
+    def test_folded_run_builds_no_stack(self):
+        """The folded drift reads the components; the stacked form is built
+        for the diagnostics (and the projected drift)."""
+        model = random_mixture(8, 3, np.random.default_rng(15))
+        sched = sampler.make_schedule(n_steps=6)
+        x_T = sampler.draw_initial_states(model.d, 16, 1, sched)
+        assert sampler.choose_path(*x_T.shape) == "compiled"
+        for heun in (False, True):
+            gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun)
+        assert "_stack" not in vars(model)
+        gmm.mixture_score(model, x_T, 1.0)
+        assert "_stack" in vars(model)
 
 
 def _dense_parts(model, X, sigma):

@@ -50,22 +50,3 @@ def test_bench_configs_run_and_meet_their_oracles(tmp_path):
             assert cli.main(["sample", "--config", str(cfg)]) == 0, (name, config)
             samples = workdir / "out" / config / "samples.bin"
             assert oracle.check(kind, cfg, samples) <= oracle.TOL, (name, config)
-
-
-def test_sample_hashes_gives_one_line_per_bench_config(tmp_path):
-    """tools/sample_hashes.py at the smoke shape gives one `workload/config
-    sha256` line for each of the 11 bench configs, and keeps each
-    samples.bin under --keep's directory. A rerun gives the same lines, each
-    with a third field: 0, its samples' movement against the kept ones."""
-    spec = importlib.util.spec_from_file_location(
-        "sample_hashes", PERFBENCH.parent / "tools" / "sample_hashes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    lines = tool.sample_hashes(1, smoke=True, keep=tmp_path)
-    assert len(list(tmp_path.glob("*/*.bin"))) == 11
-    again = tool.sample_hashes(1, smoke=True, keep=tmp_path)
-    assert [line.rsplit(" ", 1) for line in again] == [[line, "0"] for line in lines]
-    names = [line.split()[0] for line in lines]
-    assert len(names) == len(set(names)) == 11
-    assert names[:2] == ["wide-cfg/full", "batch-cfg/full"]
-    assert all(len(line.split()[1]) == 64 for line in lines)

@@ -416,17 +416,23 @@ class TestIntegrate:
         assert np.shares_memory(out, x_T) == overwrite
         assert peak < (0.5 if overwrite else 1.5) * block, peak / block
 
-    def test_overwrite_x_needs_a_writeable_float64_block(self):
+    @pytest.mark.parametrize("integrator", ["gaussian", "mixture"])
+    def test_overwrite_x_needs_a_writeable_float64_block(self, integrator):
+        """Both integrators hold x_T to ``sampler._start``'s one overwrite rule."""
         cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        if integrator == "gaussian":
+            run = partial(sampler.integrate, cond, uncond)
+        else:
+            run = partial(gmm.integrate, gmm.MixtureModel((cond, uncond), np.array([0.5, 0.5])), 0)
         sched, cfg = sampler.make_schedule(n_steps=4), G(gamma=1.0)
         frozen = np.zeros((4, 2))
         frozen.flags.writeable = False
         for x_T in ([[0.0, 1.0]], np.zeros((4, 2), np.float32), np.zeros((2, 4)).T, frozen):
             with pytest.raises(ValueError, match="overwrite_x"):
-                sampler.integrate(cond, uncond, x_T, sched, cfg, overwrite_x=True)
+                run(x_T, sched, cfg, overwrite_x=True)
         lone = np.array([1.0, 2.0])  # a lone state is written over too
-        expect = sampler.integrate(cond, uncond, lone, sched, cfg)
-        got = sampler.integrate(cond, uncond, lone, sched, cfg, overwrite_x=True)
+        expect = run(lone, sched, cfg)
+        got = run(lone, sched, cfg, overwrite_x=True)
         assert np.shares_memory(got, lone) and got.shape == (2,)
         assert got.tobytes() == expect.tobytes() == lone.tobytes()
 
