@@ -6,13 +6,14 @@ The diagnostics, and the guided flow of small batches, read one stacked
 pass. The component eigenbases sit side by side in U_all = [U_1 ... U_K],
 shape (d, Kd), built once per model. ``_posterior`` takes every y_i = (X -
 mu_i) U_i, divided by sqrt(lam_i + sigma^2), with one GEMM: X - mu_c against
-U_all with those factors folded into its columns, minus the scaled offsets
-(mu_i - mu_c) U_i. It is centred on one component c, so c's own block has
-no offset; its log-sum-exp weights stay finite for states far from every
-cluster. Each result is then a per-row, per-block weighting of those
-blocks, taken back to x with one GEMM against U_all^T with each block's
-remaining factor folded into its rows (``_back_project``). That GEMM drops
-every block whose coefficient is 0 in all rows.
+U_all, minus the offsets (mu_i - mu_c) U_i, then times those factors, in
+place. It is centred on one component c, so c's own block has no offset;
+its log-sum-exp weights stay finite for states far from every cluster.
+Each result is then a per-row, per-block weighting of those blocks, taken
+back to x with one GEMM per block against U_i^T, each block's weights and
+remaining factor multiplied into its own columns (``_back_project``); a
+block whose coefficient is 0 in all rows is skipped. No evaluation makes a
+scaled copy of U_all or of its blocks.
 
 The guided flow of ``integrate`` has a second form for large batches. Once
 per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
@@ -21,15 +22,17 @@ against [R_1 ... R_K], minus the (K, d) offsets (mu_i - mu_c) R_i, then
 gives every (x - mu_i) R_i = -s_i, whose dot products with x - mu_i are the
 quadratic forms of the weights and whose weighted sum is the drift. It
 reads the components themselves (means, eigenpairs, log-priors), one U_i
-at a time, and never builds the stacked form. It takes the states in row
-blocks whose (rows, Kd) work block is about ``sampler.ROW_BLOCK_BYTES``, so
-its scratch does not grow with m, and each row's arithmetic is that of one
-whole-block pass: the same bits. Both
-forms read the states centred on the target, X - mu_c, which is what the
-flow steps: ``integrate`` runs the sampler's one stepped loop
-(``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
-X - mu_c, the loop and the step of every Gaussian run, in x_T's own buffer
-where the caller hands it over (``overwrite_x``).
+at a time, and never builds the stacked form. ``integrate`` steps its
+states one row block at a time, each with a (rows, Kd) work block of about
+``sampler.ROW_BLOCK_BYTES``, so neither that scratch nor a step's slopes
+grow with m, and each row's arithmetic is that of one whole-block pass:
+the same bits. The drift keeps the resolvents of the last 1 + heun noise
+levels, so each level is still built once per run. Both forms read the
+states centred on the target, X - mu_c, which is what the flow steps:
+``integrate`` runs the sampler's one stepped loop (``sampler._advance``,
+so ``sampler._step`` and ``sampler._guard``) on y = X - mu_c, the loop and
+the step of every Gaussian run, in x_T's own buffer where the caller hands
+it over (``overwrite_x``).
 
 In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
 folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
@@ -125,13 +128,12 @@ class MixtureModel:
     @cached_property
     def _stack(self) -> _Stack:
         """The stacked form of the components, built on first use."""
-        blocks = np.stack([c.eigvecs for c in self.components])  # (K, d, d): U_i
+        back = np.stack([c.eigvecs.T for c in self.components])  # (K, d, d): U_i^T
         means = np.stack([c.mean for c in self.components])
         diff = means[None, :, :] - means[:, None, :]  # [c, i] = mu_i - mu_c
-        return _Stack(basis=np.concatenate(blocks, axis=1),
-                      back=np.ascontiguousarray(blocks.transpose(0, 2, 1)),
-                      eigvals=np.stack([c.eigvals for c in self.components]),
-                      offsets=np.einsum("cid,ide->cie", diff, blocks), means=means)
+        return _Stack(basis=np.concatenate([c.eigvecs for c in self.components], axis=1),
+                      back=back, eigvals=np.stack([c.eigvals for c in self.components]),
+                      offsets=np.einsum("cid,ied->cie", diff, back), means=means)
 
 
 @dataclass(frozen=True)
@@ -149,29 +151,32 @@ def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, centre: int,
     log_w and w (m, K) are the normalized log posterior weights and the
     weights; r = 1/sqrt(lam_i + sigma^2) as (K, d); and v (m, K, d), a view
     of ``out`` (m, Kd) when given, holds v_i = y_i r_i with y_i = (X - mu_i)
-    U_i, taken in one GEMM against U_all with r folded into its columns,
-    minus the centre's offsets times r; the weights come from |v_i|^2
-    (``_weights``).
+    U_i: one GEMM against U_all, minus the centre's offsets, times r, both
+    in place, so no scaled copy of U_all is made; the weights come from
+    |v_i|^2 (``_weights``).
     """
     st = model._stack
     var = st.eigvals + sigma * sigma
     r = 1.0 / np.sqrt(var)
-    v = np.matmul(xc, st.basis * r.reshape(-1), out=out).reshape(len(xc), model.k, model.d)
-    v -= st.offsets[centre] * r
-    log_w, w = _weights(model, np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1))
+    v = np.matmul(xc, st.basis, out=out).reshape(len(xc), model.k, model.d)
+    v -= st.offsets[centre]
+    v *= r
+    log_w, w = _weights(np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1),
+                        np.log(model.weights))
     return log_w, w, v, r
 
 
-def _weights(model: MixtureModel, quad: np.ndarray, logdet: np.ndarray) -> tuple:
+def _weights(quad: np.ndarray, logdet: np.ndarray, log_prior: np.ndarray) -> tuple:
     """(log_w, w) (m, K) from the quadratic forms quad = (x - mu_i)^T (Sigma_i
-    + sigma^2)^-1 (x - mu_i) (m, K), overwritten, and the log-determinants
-    logdet = sum log(lam_i + sigma^2) (K,): normalized by log-sum-exp, and a
-    weight whose log is below -745 is exactly 0. The d/2 log 2pi term is
-    dropped, as it cancels out of normalized weights."""
+    + sigma^2)^-1 (x - mu_i) (m, K), overwritten, the log-determinants
+    logdet = sum log(lam_i + sigma^2) (K,) and the log-priors log_prior
+    (K,): normalized by log-sum-exp, and a weight whose log is below -745 is
+    exactly 0. The d/2 log 2pi term is dropped, as it cancels out of
+    normalized weights."""
     logp = quad
     logp += logdet
     logp *= -0.5
-    logp += np.log(model.weights)
+    logp += log_prior
     logp -= logp.max(axis=1, keepdims=True)
     log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
     w = np.exp(log_w)
@@ -194,23 +199,25 @@ def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> 
 def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
                   scale: np.ndarray) -> np.ndarray:
     """sum_i (coef_i v_i) diag(scale_i) U_i^T for v (m, K, d), per-row
-    coefficients coef (m, K) and per-block factors scale (K, d), as one GEMM
-    over the blocks whose coefficient is nonzero in some row; the terms of
-    the other blocks are exactly 0. Coefficients below the smallest normal
-    float count as 0, so no subnormal weight reaches the GEMM. The kept
-    blocks of v, scaled by coef, are packed in order to the front of v; as
-    no block lands past its own place, none is overwritten before it is
-    read."""
+    coefficients coef (m, K) and per-block factors scale (K, d): one GEMM
+    against U_i^T for each block whose coefficient is nonzero in some row,
+    summed in block order; the terms of the other blocks are exactly 0.
+    Coefficients below the smallest normal float count as 0, so no
+    subnormal weight reaches a GEMM. Each kept block of v is scaled in
+    place by coef_i and scale_i, so no scaled copy of U_i^T is made."""
     m, _, d = v.shape
     coef = np.where(np.abs(coef) < _TINY, 0.0, coef)
-    kept = np.flatnonzero(coef.any(axis=0))
-    n = len(kept)
-    if not n:
-        return np.zeros((m, d))
-    for p, i in enumerate(kept):
-        np.multiply(v[:, i], coef[:, i, None], out=v[:, p])
-    back = model._stack.back[kept] * scale[kept, :, None]
-    return v[:, :n].reshape(m, n * d) @ back.reshape(n * d, d)
+    out = term = None
+    for i in np.flatnonzero(coef.any(axis=0)):
+        vi = v[:, i]
+        vi *= coef[:, i, None]
+        vi *= scale[i]
+        if out is None:
+            out = vi @ model._stack.back[i]
+        else:
+            term = np.matmul(vi, model._stack.back[i], out=term)
+            out += term
+    return np.zeros((m, d)) if out is None else out
 
 
 def posterior_weights(model: MixtureModel, x: np.ndarray,
@@ -274,18 +281,21 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     _, w, v, r = _pass(model, x, sigma, target)
     st = model._stack
     v += st.offsets[target] * r  # z_i r_i
-    cpc = _back_project(model, v, _coefficients(w, target, 0.0, gamma), r)
+    others = np.flatnonzero(np.arange(model.k) != target)
+    cpc = _back_project(model, v, _coefficients(w, target, others, 0.0, gamma), r)
     shifts = np.einsum("kd,kde->ke", st.offsets[target] / -(st.eigvals + sigma * sigma),
                        st.back)  # R_i (mu_c - mu_i), exactly 0 for i = c
     return GmmGuidanceTerms(g_cpc_like=cpc.reshape(np.shape(x)),
                             g_mean_like=(gamma * (w @ shifts)).reshape(np.shape(x)))
 
 
-def _coefficients(w: np.ndarray, target: int, c: float, gamma: float) -> np.ndarray:
-    """gamma w_i off the target, -(c + gamma sum_{i != t} w_i) on it: never
-    c + gamma (w_t - 1), which rounds to c in rows close to one-hot."""
+def _coefficients(w: np.ndarray, target: int, others: np.ndarray, c: float,
+                  gamma: float) -> np.ndarray:
+    """gamma w_i off the target, -(c + gamma sum_{i != t} w_i) on it, the sum
+    over the columns ``others`` (every index but the target's, in order):
+    never c + gamma (w_t - 1), which rounds to c in rows close to one-hot."""
     coef = gamma * w
-    coef[:, target] = -(c + gamma * np.delete(w, target, axis=1).sum(axis=1))
+    coef[:, target] = -(c + gamma * w[:, others].sum(axis=1))
     return coef
 
 
@@ -303,9 +313,9 @@ def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarra
 
 
 def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
-                  form: str):
-    """drift(y, sigma) of ``integrate`` for one (m, d) block y = X - mu_t at
-    a time, the states centred on the target.
+                  form: str, heun: bool = False):
+    """drift(y, sigma) of ``integrate`` for one block of rows y = X - mu_t
+    at a time, the states centred on the target.
 
     Guided, the drift is c s_t + gamma (s_t - sum_i w_i s_i) = sum_i c_i s_i
     with s_i = -(Sigma_i + sigma^2)^-1 (x - mu_i), c the cond switch (1 or 0),
@@ -315,62 +325,60 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
     - 'projected': one stacked pass of y (``_posterior``) and one
       back-projection of the blocks some row still weighs (``_back_project``).
-    - 'folded': per row block of ``sampler._row_blocks``, one GEMM of its rows
-      against the resolvents of the current sigma, minus the offsets (mu_i -
-      mu_t) R_i, gives each -s_i = (x - mu_i) R_i; the quadratic forms (x -
-      mu_i) . (x - mu_i) R_i give the weights, and the coefficient-weighted
-      sum of the blocks is written into those rows of the drift. Each row's
-      arithmetic is that of one whole-block pass, so the drift does not
-      depend on the row blocks. The resolvents, offsets and log-determinants
-      are rebuilt in place when sigma changes, so a Heun node shared by two
-      steps is built once.
+    - 'folded': one GEMM of y against the resolvents of sigma, minus the
+      offsets (mu_i - mu_t) R_i, gives each -s_i = (x - mu_i) R_i; the
+      quadratic forms (x - mu_i) . (x - mu_i) R_i give the weights, and the
+      drift is the coefficient-weighted sum of the blocks. Each row's
+      arithmetic reads its own row only. The resolvents, offsets and
+      log-determinants of the last 1 + ``heun`` guided sigmas are kept, and
+      a new sigma's are built over the oldest's, so each noise level is
+      built once per run however many row blocks ``integrate`` steps: N
+      times with Euler and N + 1 with Heun, whose steps share a node.
 
     Unguided it is c s_t, ``denoiser.score`` of the target centred at 0. The
-    work block, (m, Kd) projected and (rows, Kd) of about ROW_BLOCK_BYTES
-    folded, is made at the first guided evaluation and serves every guided
-    one; the (K, d, d) resolvents are made with a folded drift, which reads
-    the components and not ``model._stack``.
+    work block, (rows, Kd) for the rows of y, is made at the first guided
+    evaluation and serves every guided one, so y must have no more rows
+    than at that evaluation; ``integrate`` hands its longest row block
+    first. The folded drift reads the components and not ``model._stack``.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
     k, d = model.k, model.d
     diff = np.stack([comp.mean for comp in model.components]) - tgt.mean  # 0 at the target
-    res = np.empty((k, d, d)) if form == "folded" else None
-    work = offsets = built = logdet = None
+    others = np.flatnonzero(np.arange(k) != target)
+    log_prior = np.log(model.weights)
+    levels = {}  # sigma -> (res, offsets, logdet), the oldest first
+    work = None
+
+    def level(sigma):
+        """(res, offsets, logdet) of sigma; res (K, d, d) holds R_1 ... R_K."""
+        if sigma not in levels:
+            res = levels.pop(next(iter(levels)))[0] if len(levels) > heun else np.empty((k, d, d))
+            logdet = np.sum(np.log(_resolvents(model, sigma, res)), axis=1)
+            levels[sigma] = res, np.einsum("kd,kde->ke", diff, res), logdet
+        return levels[sigma]
 
     def drift(y, sigma):
-        nonlocal work, offsets, built, logdet
+        nonlocal work
         if not cfg.guidance_active(sigma):
             if not c:
                 return np.zeros_like(y)
             # denoiser.score of the target centred at 0: its score at y is the target's at x
             return denoiser._project(tgt, 0.0 - y, 1.0 / (tgt.eigvals + sigma * sigma))
-        if form == "projected":
-            if work is None:
-                work = np.empty((len(y), k * d))
-            _, w, v, r = _posterior(model, y, sigma, target, out=work)
-            return _back_project(model, v, _coefficients(w, target, c, cfg.gamma), r)
-        if sigma != built:
-            logdet = np.sum(np.log(_resolvents(model, sigma, res)), axis=1)
-            offsets = np.einsum("kd,kde->ke", diff, res)
-            built = sigma
-        blocks = sampler._row_blocks(len(y), k * d)
         if work is None:
-            work = np.empty((blocks[0].stop, k * d))
-        out = np.empty_like(y)
+            work = np.empty((len(y), k * d))
+        if form == "projected":
+            _, w, v, r = _posterior(model, y, sigma, target, out=work[:len(y)])
+            return _back_project(model, v, _coefficients(w, target, others, c, cfg.gamma), r)
+        res, offsets, logdet = level(sigma)
         # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
-        resolvents = res.reshape(k * d, d).T
-        for b in blocks:
-            yb = y[b]
-            z = np.matmul(yb, resolvents, out=work[:len(yb)]).reshape(len(yb), k, d)
-            z -= offsets
-            quad = np.einsum("md,mkd->mk", yb, z)
-            quad -= np.einsum("mkd,kd->mk", z, diff)
-            _, w = _weights(model, quad, logdet)
-            coef = _coefficients(w, target, c, cfg.gamma)
-            coef[np.abs(coef) < _TINY] = 0.0
-            np.einsum("mk,mkd->md", coef, z, out=out[b])
-        return out
+        z = np.matmul(y, res.reshape(k * d, d).T, out=work[:len(y)]).reshape(len(y), k, d)
+        z -= offsets
+        quad = np.einsum("md,mkd->mk", y, z)
+        quad -= np.einsum("mkd,kd->mk", z, diff)
+        coef = _coefficients(_weights(quad, logdet, log_prior)[1], target, others, c, cfg.gamma)
+        coef[np.abs(coef) < _TINY] = 0.0
+        return np.einsum("mk,mkd->md", coef, z)
 
     return drift
 
@@ -389,8 +397,11 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     that drift with the sampler's one stepped loop (``sampler._advance``),
     so each step is ``sampler._step`` and ``_guard`` holds each sample's |x -
     mu_target|_2 to the divergence limit of ``sampler._start``, the rule of
-    the Gaussian runs with the target's mean as the centre. The (m, d) block
-    y becomes the samples.
+    the Gaussian runs with the target's mean as the centre. A folded run
+    steps y in the row blocks of ``sampler._row_blocks(m, Kd)``, one (rows,
+    Kd) work block of about ROW_BLOCK_BYTES each, so its slopes and scratch
+    do not grow with m; a projected one steps all m rows at once. The (m,
+    d) block y becomes the samples.
 
     x_T is left as it is by default, and y is a new block. With
     ``overwrite_x=True`` (x_T then must be a writeable C-contiguous float64
@@ -405,10 +416,13 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x)
     if x.shape[1] != model.d:
         raise ShapeError(f"state dimension {x.shape[1]} != mixture dimension {model.d}")
-    form = "folded" if sampler.choose_path(*x.shape) == "compiled" else "projected"
+    m, d = x.shape
+    folded = sampler.choose_path(m, d) == "compiled"
+    blocks = sampler._row_blocks(m, model.k * d) if folded else [slice(None)]
     mu = model.components[target].mean
     y = np.subtract(x, mu, out=x if overwrite_x else None)
-    sampler._advance(y, _guided_drift(model, target, cfg, form), schedule, heun, limit)
+    drift = _guided_drift(model, target, cfg, "folded" if folded else "projected", heun)
+    sampler._advance(y, drift, schedule, heun, limit, blocks)
     y += mu
     return y.reshape(np.shape(x_T))
 

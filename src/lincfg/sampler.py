@@ -21,8 +21,8 @@ one GEMM per row block, in place over x_T where the caller hands it over
 (``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
 rule). ``_advance`` is the one stepped loop: ``_step`` at each of
-``_nodes``, then ``_guard``, for Gaussian states and for the mixture
-(``gmm.integrate``) alike.
+``_nodes`` for each row block, then ``_guard``, for Gaussian states (one
+block) and for the mixture (``gmm.integrate``) alike.
 ``_drive`` is kept apart as the reference stepper, in its own x + h * slope
 form, behind ``integrate_with_scores`` and the tests; no sampling path
 calls it.
@@ -421,7 +421,7 @@ def _step(y: np.ndarray, drift, ends: tuple, u: tuple) -> np.ndarray:
     y' = drift(y, sigma) and return it. ``ends`` and u = (u0, u1) come from
     ``_nodes``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
     drift(y, sigma_i); Heun is y + u0/2 k0 + u1/2 k1 with k1 = drift(y + u0
-    k0, sigma_{i+1}). y is a batch of Gaussian or mixture states
+    k0, sigma_{i+1}). y is a row block of Gaussian or mixture states
     (``_advance``) or a folded map's P or q (``_fold``), and every step of
     every run is this one, whether or not it has a CPC term."""
     u0, u1 = u
@@ -459,15 +459,19 @@ def _nodes(schedule: NoiseSchedule, heun: bool):
 
 @np.errstate(over="ignore", invalid="ignore")  # _guard names the non-finite rows
 def _advance(y: np.ndarray, drift, schedule: NoiseSchedule, heun: bool,
-             limit: float) -> np.ndarray:
+             limit: float, blocks: list[slice]) -> np.ndarray:
     """The package's one stepped loop: advance the (m, d) block y in place
-    by ``_step`` under ``drift`` at each of the schedule's ``_nodes``, and
-    return it; after each step ``_guard`` holds every row's |y|_2 to
-    ``limit``. A Gaussian run steps y = (x - mu_c) U_c under its flow's
-    drift (``_stepwise``), the mixture y = x - mu_target under its guided
-    drift (``gmm.integrate``)."""
+    by ``_step`` under ``drift`` at each of the schedule's ``_nodes``, one
+    row block of ``blocks`` (slices of y's rows) at a time, and return it;
+    after each step ``_guard`` holds every row's |y|_2 to ``limit``. A row's
+    step reads its own row only, so a step's slopes are those of one row
+    block, not of m rows. A Gaussian run steps y = (x - mu_c) U_c under its
+    flow's drift in one block (``_stepwise``), the mixture y = x -
+    mu_target under its guided drift in the row blocks of
+    ``gmm.integrate``."""
     for i, (ends, u) in enumerate(_nodes(schedule, heun)):
-        _step(y, drift, ends, u)
+        for b in blocks:
+            _step(y[b], drift, ends, u)
         _guard(schedule, i, _norms(y), limit)
     return y
 
@@ -478,14 +482,14 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     ``limit`` after each step, and write the samples to ``out`` (a new block
     if None; x itself is allowed) once every step has passed."""
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
-    _advance(y, flow.drift, schedule, heun, limit)
+    _advance(y, flow.drift, schedule, heun, limit, [slice(None)])
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
     out += flow.cond.mean
     return out
 
 
-ROW_BLOCK_BYTES = 1 << 20  # the compiled applier, and the folded mixture drift
-# (gmm._guided_drift), stream their states through row blocks of about 1 MiB
+ROW_BLOCK_BYTES = 1 << 20  # the compiled applier, and the folded mixture run
+# (gmm.integrate), stream their states through row blocks of about 1 MiB
 
 
 def _row_blocks(m: int, d: int) -> list[slice]:

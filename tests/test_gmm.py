@@ -247,29 +247,12 @@ class TestMixtureSampling:
         b = sampler.sample_batch(comp, comp, 6, 13, sched, cfg)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
-    @pytest.mark.parametrize("m, heun, overwrite, bound", [
-        (4096, False, False, 4.0), (4096, True, False, 6.0),
-        (16384, False, False, 3.0), (16384, True, False, 5.0),
-        (4096, False, True, 2.5), (4096, True, True, 4.5),
-        (16384, False, True, 1.5), (16384, True, True, 3.5)])
-    def test_folded_run_holds_its_floor(self, m, heun, overwrite, bound):
-        """A folded run of m states in d = 32 toward one of K = 4 components
-        allocates, by tracemalloc's count of numpy's buffers, less than
-        ``bound`` (m, d) blocks above x_T. With ``overwrite_x`` the states
-        y = x - mu_t are stepped in x_T's buffer, and the floor is the
-        drift's output; one (rows, Kd) work row block of about
-        ROW_BLOCK_BYTES, here 1024 rows, so one (m, d) block at m = 4096 and
-        a quarter of one at m = 16384; and for Heun z and k1: 2 and 4 at m =
-        4096, 1.25 and 3.25 at m = 16384, where a work block of m rows would
-        hold 5 and 7. Without it y is one more block: 3 and 5, 2.25 and
-        4.25. The rest is the row block's weights and coefficients and the
-        (K, d, d) resolvents; the run builds no stacked form."""
-        d = 32
-        assert sampler._row_blocks(m, 4 * d)[0] == slice(0, 1024)
-        model = random_mixture(d, 4, np.random.default_rng(3))
-        sched = sampler.make_schedule(n_steps=10)
-        x_T = sampler.draw_initial_states(d, m, 3, sched)
-        assert sampler.choose_path(m, d) == "compiled"
+    @staticmethod
+    def _run_peak(model, m, heun, overwrite=True, n_steps=10):
+        """(peak bytes a run of m states allocates, by tracemalloc's count of
+        numpy's buffers, above the drawn x_T; x_T's bytes)."""
+        sched = sampler.make_schedule(n_steps=n_steps)
+        x_T = sampler.draw_initial_states(model.d, m, 3, sched)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -279,7 +262,54 @@ class TestMixtureSampling:
         finally:
             tracemalloc.stop()
         assert np.shares_memory(out, x_T) == overwrite
-        assert peak < bound * x_T.nbytes, peak / x_T.nbytes
+        return peak, x_T.nbytes
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("m", [4096, 16384])
+    def test_folded_run_holds_its_floor(self, m, heun, overwrite):
+        """A folded run of m states in d = 32 toward one of K = 4 components
+        steps one row block of 1024 rows at a time. With ``overwrite_x`` the
+        states y = x - mu_t are stepped in x_T's buffer, and the floor is one
+        (rows, Kd) work block of ROW_BLOCK_BYTES, 1 MiB, and the step's (rows,
+        d) slope blocks, 0.25 MiB each: the drift's output, and for Heun z and
+        k1 too, so 1.25 MiB with Euler and 1.75 MiB with Heun, whatever m is.
+        The rest stays under one more slope block: the row block's (rows, K)
+        weights and coefficients, the 1 + heun resolvent sets of K d^2 floats
+        (32 KiB each) and the guard's m norms, which it reads once the slopes
+        are gone. Without ``overwrite_x`` y is one more (m, d) block. The run
+        builds no stacked form."""
+        d = 32
+        assert sampler._row_blocks(m, 4 * d)[0] == slice(0, 1024)
+        assert sampler.choose_path(m, d) == "compiled"
+        model = random_mixture(d, 4, np.random.default_rng(3))
+        peak, states = self._run_peak(model, m, heun, overwrite)
+        slope = 1024 * d * 8
+        floor = sampler.ROW_BLOCK_BYTES + (1 + 2 * heun) * slope + (0 if overwrite else states)
+        assert peak < floor + slope, (peak / 2**20, floor / 2**20)
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_folded_run_memory_does_not_grow_with_m(self, heun):
+        """Above x_T, a folded run of 16384 states peaks within 5% of one of
+        4096: every block it makes is a row block's, none is (m, d)."""
+        model = random_mixture(32, 4, np.random.default_rng(3))
+        small, large = (self._run_peak(model, m, heun)[0] for m in (4096, 16384))
+        assert abs(large - small) <= 0.05 * small, (small, large)
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_projected_run_makes_no_d2_copies(self, heun):
+        """A projected run (m = 64 < d = 512, K = 4) holds the stacked form,
+        2 K d^2 floats (16 MiB), built on its first guided evaluation; above
+        it, each evaluation's one (m, Kd) work block (1 MiB) and a few (m, d)
+        blocks. No evaluation scales a copy of U_all or of the back blocks,
+        (d, Kd) each, which would add 8 MiB or more."""
+        d, k, m = 512, 4, 64
+        assert sampler.choose_path(m, d) == "stepwise"
+        model = random_mixture(d, k, np.random.default_rng(3))
+        peak, _ = self._run_peak(model, m, heun, n_steps=4)
+        work = m * k * d * 8
+        assert "_stack" in vars(model)
+        assert peak - 2 * k * d * d * 8 < 3 * work, peak / 2**20
 
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("m", [24, 5])  # folded at m >= d = 8, projected below
@@ -422,8 +452,8 @@ class TestFusedDrift:
         sched = sampler.make_schedule(n_steps=16)
         kept, packed = [], []
 
-        def spy_coefficients(w, target, c, gamma):
-            coef = coefficients(w, target, c, gamma)
+        def spy_coefficients(*args):
+            coef = coefficients(*args)
             kept.append(np.abs(coef) >= gmm._TINY)
             return coef
 
@@ -479,6 +509,38 @@ class TestFusedDrift:
                 assert len(blocks) == n_blocks and blocks[0].stop <= rows
                 got = gmm.integrate(model, 1, x_T, sched, MIXTURE_CFGS[name], heun=heun)
             assert np.array_equal(got, whole), m
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", sorted(MIXTURE_CFGS))
+    def test_folded_run_builds_each_noise_level_once(self, monkeypatch, name, heun):
+        """A folded run streamed through 4 row blocks builds the resolvents
+        of each guided node once, in schedule order: N levels with Euler and
+        N + 1 with Heun, whose steps share a node; the interval config only
+        its guided ones. A rebuild per row block gives the same bits, so only
+        a count sees it."""
+        d, k, m, n_steps = 8, 3, 24, 12
+        cfg = MIXTURE_CFGS[name]
+        model = random_mixture(d, k, np.random.default_rng(4))
+        sched = sampler.make_schedule(n_steps=n_steps)
+        x_T = sampler.draw_initial_states(d, m, 2, sched)
+        built = []
+
+        def spy_resolvents(model, sigma, out):
+            built.append(sigma)
+            return resolvents(model, sigma, out)
+
+        resolvents = gmm._resolvents
+        monkeypatch.setattr(gmm, "_resolvents", spy_resolvents)
+        monkeypatch.setattr(sampler, "ROW_BLOCK_BYTES", 6 * 8 * k * d)
+        assert len(sampler._row_blocks(m, k * d)) == 4
+        assert sampler.choose_path(m, d) == "compiled"
+        gmm.integrate(model, 1, x_T, sched, cfg, heun=heun)
+        guided = [float(s) for s in sched.sigmas[:n_steps + heun] if cfg.guidance_active(s)]
+        assert built == guided
+        if name == "interval":
+            assert 0 < len(guided) < n_steps
+        else:
+            assert len(guided) == n_steps + heun
 
     @pytest.mark.parametrize("form", ["folded", "projected"])
     @pytest.mark.parametrize("sigma", [0.1, 20.0])

@@ -57,3 +57,17 @@ def test_sample_hashes_gives_one_line_per_bench_config(tmp_path):
     assert len(names) == len(set(names)) == 11
     assert names[:2] == ["wide-cfg/full", "batch-cfg/full"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_sample_hashes_forwards_set_to_every_sample_call():
+    """--set KEY=VALUE reaches every `lincfg sample` call as --KEY VALUE: at
+    m = 4 every config still gives a line, two calls give the same lines,
+    and the lines differ from those of the configs' own m."""
+    tool = _tool("sample_hashes")
+    assert tool._setting("m=4") == ("m", "4")
+    lines = tool.sample_hashes(1, smoke=True, sets={"m": "4"})
+    assert len(lines) == 11
+    assert tool.sample_hashes(1, smoke=True, sets={"m": "4"}) == lines
+    own = tool.sample_hashes(1, smoke=True)
+    assert [line.split()[0] for line in own] == [line.split()[0] for line in lines]
+    assert not set(own) & set(lines)
