@@ -23,7 +23,7 @@ import platform
 import re
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +545,8 @@ def _flag(parse):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command. Each command's ``func`` default is
+    the name of its ``cmd_*`` function, which ``main`` looks up when it runs."""
     parser = _Parser(
         prog="lincfg",
         description="Linear-Gaussian diffusion sampling and guidance analysis lab")
@@ -554,18 +556,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data", help="input data file (LCFD1 binary or CSV)")
     p_fit.add_argument("out", help="output stats file (LCFG1)")
     p_fit.add_argument("--label", default=None)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func="cmd_fit")
 
     p_sample = sub.add_parser("sample", help="run a guided sampling experiment")
     p_sample.add_argument("--config", default=None,
                           help="key=value config file or run manifest JSON")
     for key in CONFIG_KEYS:
         p_sample.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-    p_sample.set_defaults(func=cmd_sample)
+    p_sample.set_defaults(func="cmd_sample")
 
     p_verify = sub.add_parser("verify", help="run built-in property suites")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func="cmd_verify")
 
     p_export = sub.add_parser("export", help="render vectors/stats as images or figures")
     export_sub = p_export.add_subparsers(dest="what", required=True)
@@ -586,11 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe_cpcs = export_sub.add_parser("cpcs", parents=[pair, image],
                                     help="CPC images and eigenvalue table")
     pe_cpcs.add_argument("--count", type=_flag(_number(int, 0)), default=4)
-    pe_cpcs.set_defaults(func=cmd_export_cpcs)
+    pe_cpcs.set_defaults(func="cmd_export_cpcs")
 
     pe_ms = export_sub.add_parser("mean_shift_dir", parents=[pair, image],
                                   help="mean-shift direction image")
-    pe_ms.set_defaults(func=cmd_export_mean_shift)
+    pe_ms.set_defaults(func="cmd_export_mean_shift")
 
     pe_hist = export_sub.add_parser("histograms", parents=[pair],
                                     help="projection histogram CSV + SVG")
@@ -601,12 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     mag = pe_hist.add_mutually_exclusive_group()
     mag.add_argument("--magnitude", dest="magnitude", action="store_true", default=None)
     mag.add_argument("--signed", dest="magnitude", action="store_false")
-    pe_hist.set_defaults(func=cmd_export_histograms)
+    pe_hist.set_defaults(func="cmd_export_histograms")
 
     pe_sim = export_sub.add_parser("similarity", help="class-similarity CSV + SVG heatmap")
     pe_sim.add_argument("--stats", nargs="+", required=True)
     pe_sim.add_argument("--outdir", type=Path, default="out")
-    pe_sim.set_defaults(func=cmd_export_similarity)
+    pe_sim.set_defaults(func="cmd_export_similarity")
 
     p_demo = sub.add_parser("gmm-demo", help="run the built-in synthetic demos")
     p_demo.add_argument("--out", type=Path, default="gmm_demo_out")
@@ -614,15 +616,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--m", type=_flag(_number(int, 2)), default=1000)
     p_demo.add_argument("--steps", type=_flag(_number(int, 1)), default=200)
     p_demo.add_argument("--seed", type=_flag(_number(int, 0)), default=0)
-    p_demo.set_defaults(func=cmd_gmm_demo)
+    p_demo.set_defaults(func="cmd_gmm_demo")
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: a parse leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()[args.func](args)  # by name, so a patched cmd_* runs
     except FileNotFoundError as exc:
         print(f"error: no such input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

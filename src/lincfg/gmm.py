@@ -42,10 +42,12 @@ once every row's weight is one-hot on the target (on well-separated
 clusters, from sigma ~ 0.05 down) and only the target's block goes back.
 Where guidance is off, the target's block alone is projected and taken
 back: 2. ``integrate`` folds when ``sampler.choose_path`` compiles, at m >=
-d: timed on one BLAS thread (K = 4, N = 50, d = 64 to 256), Euler ties near
-m = d / 2 (0.95-0.97 projected/folded) and folding wins from m = d
-(1.12-1.21; 1.55-1.81 at m = 8d); with Heun folding already wins at m = d /
-8 (1.02-1.22), but one rule keeps the Euler crossover for both.
+d, which suits both integrators. Timed on one BLAS thread (K = 4
+``synthetic.random_mixture``, gamma = 4, median of 5), folded/projected
+time is 2.6-7.9 at m = 16 and 1.4-1.9 at m = d / 2 with Euler (N = 50, d =
+128 to 512), 1.04-4.7 from m = 16 to d / 2 with Heun (N = 20), 0.71-1.09 at
+m = d and 0.62-0.68 at m = 8d: projecting wins below m = d, and folding
+from there.
 The diagnostics (``posterior_weights``, ``mixture_score``,
 ``mixture_denoise``, ``gmm_cfg_guidance``) stay on the eigenbasis pass, so
 the checks that hold the flow's drift, or the Tweedie identity, to them
@@ -60,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import denoiser, sampler
+from . import sampler
 from .errors import FormatError, ShapeError
 from .stats import GaussianStats, load_stats
 
@@ -197,27 +199,32 @@ def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> 
 
 
 def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
-                  scale: np.ndarray) -> np.ndarray:
+                  scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i (coef_i v_i) diag(scale_i) U_i^T for v (m, K, d), per-row
-    coefficients coef (m, K) and per-block factors scale (K, d): one GEMM
-    against U_i^T for each block whose coefficient is nonzero in some row,
-    summed in block order; the terms of the other blocks are exactly 0.
-    Coefficients below the smallest normal float count as 0, so no
-    subnormal weight reaches a GEMM. Each kept block of v is scaled in
-    place by coef_i and scale_i, so no scaled copy of U_i^T is made."""
+    coefficients coef (m, K) and per-block factors scale (K, d), written
+    into ``out`` (a new block if None) and returned: one GEMM against U_i^T
+    for each block whose coefficient is nonzero in some row, summed in
+    block order; the terms of the other blocks are exactly 0. Coefficients
+    below the smallest normal float count as 0, so no subnormal weight
+    reaches a GEMM. Each kept block of v is scaled in place by coef_i and
+    scale_i, so no scaled copy of U_i^T is made."""
     m, _, d = v.shape
     coef = np.where(np.abs(coef) < _TINY, 0.0, coef)
-    out = term = None
-    for i in np.flatnonzero(coef.any(axis=0)):
+    kept = np.flatnonzero(coef.any(axis=0))
+    out = np.empty((m, d)) if out is None else out
+    if not kept.size:
+        out.fill(0.0)
+    term = None
+    for n, i in enumerate(kept):
         vi = v[:, i]
         vi *= coef[:, i, None]
         vi *= scale[i]
-        if out is None:
-            out = vi @ model._stack.back[i]
-        else:
+        if n:
             term = np.matmul(vi, model._stack.back[i], out=term)
             out += term
-    return np.zeros((m, d)) if out is None else out
+        else:
+            np.matmul(vi, model._stack.back[i], out=out)
+    return out
 
 
 def posterior_weights(model: MixtureModel, x: np.ndarray,
@@ -314,8 +321,15 @@ def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarra
 
 def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
                   form: str, heun: bool = False):
-    """drift(y, sigma) of ``integrate`` for one block of rows y = X - mu_t
-    at a time, the states centred on the target.
+    """drift(y, sigma, w=1, out=None) of ``integrate`` for one block of rows
+    y = X - mu_t at a time, the states centred on the target: w times the
+    drift, written into ``out`` (a new block if None, never y) and
+    returned. The unguided branch takes w in its d factors. A guided drift
+    scales its sum by w, one pass of the rows' block: a cond-off guided
+    drift is a sum of cancelling terms, and w in the (rows, K) coefficients
+    rounds each term once more, which raised a run's error, in units of
+    its own 1-ulp sensitivity, from 0.92 to 1.06 (Euler, geometric mean
+    over 60 random cond-off mixtures).
 
     Guided, the drift is c s_t + gamma (s_t - sum_i w_i s_i) = sum_i c_i s_i
     with s_i = -(Sigma_i + sigma^2)^-1 (x - mu_i), c the cond switch (1 or 0),
@@ -335,9 +349,10 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
       built once per run however many row blocks ``integrate`` steps: N
       times with Euler and N + 1 with Heun, whose steps share a node.
 
-    Unguided it is c s_t, ``denoiser.score`` of the target centred at 0. The
-    work block, (rows, Kd) for the rows of y, is made at the first guided
-    evaluation and serves every guided one, so y must have no more rows
+    Unguided it is c s_t, ``denoiser.score`` of the target centred at 0,
+    whose projection onto U_t takes the work block's first rows x d
+    entries. The work block, (rows, Kd) for the rows of y, is made at the
+    first evaluation and serves every one, so y must have no more rows
     than at that evaluation; ``integrate`` hands its longest row block
     first. The folded drift reads the components and not ``model._stack``.
     """
@@ -358,27 +373,32 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
             levels[sigma] = res, np.einsum("kd,kde->ke", diff, res), logdet
         return levels[sigma]
 
-    def drift(y, sigma):
+    def drift(y, sigma, w=1.0, out=None):
         nonlocal work
-        if not cfg.guidance_active(sigma):
-            if not c:
-                return np.zeros_like(y)
-            # denoiser.score of the target centred at 0: its score at y is the target's at x
-            return denoiser._project(tgt, 0.0 - y, 1.0 / (tgt.eigvals + sigma * sigma))
         if work is None:
             work = np.empty((len(y), k * d))
+        if not cfg.guidance_active(sigma):
+            # c w denoiser.score of the target centred at 0: its score at y is the target's at x
+            proj = np.matmul(y, tgt.eigvecs, out=work.reshape(-1)[:y.size].reshape(y.shape))
+            proj *= (-c * w) / (tgt.eigvals + sigma * sigma)
+            return np.matmul(proj, tgt.eigvecs.T, out=out)
         if form == "projected":
-            _, w, v, r = _posterior(model, y, sigma, target, out=work[:len(y)])
-            return _back_project(model, v, _coefficients(w, target, others, c, cfg.gamma), r)
-        res, offsets, logdet = level(sigma)
-        # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
-        z = np.matmul(y, res.reshape(k * d, d).T, out=work[:len(y)]).reshape(len(y), k, d)
-        z -= offsets
-        quad = np.einsum("md,mkd->mk", y, z)
-        quad -= np.einsum("mkd,kd->mk", z, diff)
-        coef = _coefficients(_weights(quad, logdet, log_prior)[1], target, others, c, cfg.gamma)
-        coef[np.abs(coef) < _TINY] = 0.0
-        return np.einsum("mk,mkd->md", coef, z)
+            _, wts, v, r = _posterior(model, y, sigma, target, out=work[:len(y)])
+            out = _back_project(model, v, _coefficients(wts, target, others, c, cfg.gamma), r,
+                                out)
+        else:
+            res, offsets, logdet = level(sigma)
+            # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
+            z = np.matmul(y, res.reshape(k * d, d).T, out=work[:len(y)]).reshape(len(y), k, d)
+            z -= offsets
+            quad = np.einsum("md,mkd->mk", y, z)
+            quad -= np.einsum("mkd,kd->mk", z, diff)
+            coef = _coefficients(_weights(quad, logdet, log_prior)[1], target, others, c,
+                                 cfg.gamma)
+            coef[np.abs(coef) < _TINY] = 0.0
+            out = np.einsum("mk,mkd->md", coef, z, out=out)
+        out *= w  # after the sum, not in the coefficients (see above)
+        return out
 
     return drift
 

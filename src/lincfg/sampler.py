@@ -37,7 +37,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -181,11 +181,13 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     g_neg  : (gamma/sigma^2) V- L- V-^T (x - mu_c), generic-feature suppression
     g_mean : gamma (Sigma_uc + sigma^2)^-1 (mu_c - mu_uc), x-independent shift
 
-    (V, L) are the CPCs of S~_c - S~_uc at sigma, or at the frozen sigma*,
-    each sign from its own one-sign ``_cpc_split``; with both signs on,
-    sampling runs their sum as one direct split. Disabled terms come back as
-    read-only zero views of shape x.shape; outside the active interval the
-    flow gives zero guidance terms, but f_c is never interval-gated.
+    (V, L) are the CPCs of S~_c - S~_uc at sigma, or at the frozen sigma*:
+    both one-sign splits come from one ``signed_eigh`` of the contrast
+    (``_contrast_eigh``), as a one-sign run's ``_cpc_split`` takes them;
+    with both signs on, sampling runs their sum as one direct split.
+    Disabled terms come back as read-only zero views of shape x.shape;
+    outside the active interval the flow gives zero guidance terms, but f_c
+    is never interval-gated.
     """
     check_pair(cond, uncond)
     if not 0.0 < sigma < np.inf:
@@ -195,11 +197,16 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
         raise ShapeError(f"state dimension {x.shape[-1]} != stats dimension {cond.d}")
     flow, y = _cfg_flow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
     names = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
+    at = cfg.freeze_cpc_at or sigma  # the sigma of the CPC splits
+    eig = (_contrast_eigh(cond, uncond, flow.rot, at) if cfg.guidance_active(sigma)
+           and (cfg.enable_pos_cpc or cfg.enable_neg_cpc) else None)
 
     def term(name):
         if not getattr(cfg, name):
             return np.broadcast_to(0.0, x.shape)
         one = replace(flow, cfg=replace(cfg, **{n: n == name for n in names}))
+        if eig is not None and name in ("enable_pos_cpc", "enable_neg_cpc"):
+            one.last = {at: _one_sign(eig, at, name == "enable_pos_cpc")}  # node() reads it
         return one.drift(y, sigma) @ cond.eigvecs.T
 
     return GuidanceTerms(*map(term, names))
@@ -234,8 +241,9 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
-    """|z_k|_2 of each row of the (m, d) block z."""
-    return np.sqrt(np.einsum("ij,ij->i", z, z))
+    """|z_k|_2 of each row of the (m, d) block z, in one (m,) array."""
+    sq = np.einsum("ij,ij->i", z, z)
+    return np.sqrt(sq, out=sq)
 
 
 def _guard(schedule: NoiseSchedule, step: int, norms: np.ndarray, limit: float) -> None:
@@ -331,17 +339,32 @@ def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigm
     s^2)) at s = sigma in the cond basis, R = U_c^T U_uc, cut to the CPC
     signs that are on. Both signs keep this direct form: F = R, lam =
     1/(lam_uc + s^2), diag = -1/(lam_c + s^2). One sign decomposes s^2 times
-    it with one ``signed_eigh``, so cpca's zero cut holds: F = W, lam =
-    lambda / s^2. Neither differences shrinkage factors."""
-    s2 = sigma * sigma
+    it with one ``signed_eigh`` (``_contrast_eigh``), so cpca's zero cut
+    holds: F = W, lam = lambda / s^2 (``_one_sign``). Neither differences
+    shrinkage factors."""
     if pos and neg:
+        s2 = sigma * sigma
         return _Split(rot, 1.0 / (uncond.eigvals + s2), -1.0 / (cond.eigvals + s2))
+    return _one_sign(_contrast_eigh(cond, uncond, rot, sigma), sigma, pos)
+
+
+def _contrast_eigh(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray,
+                   sigma: float) -> tuple:
+    """``signed_eigh`` of s^2 R diag(1/(lam_uc + s^2)) R^T - diag(s^2/(lam_c +
+    s^2)) at s = sigma: the one decomposition both CPC signs are cut from."""
+    s2 = sigma * sigma
     f = rot * np.sqrt(s2 / (uncond.eigvals + s2))
     c = f @ f.T  # a syrk, so exactly symmetric
+    del f  # d^2 floats that eigh's own workspace need not sit beside
     c.flat[::len(c) + 1] -= s2 / (cond.eigvals + s2)
-    lam, vec, cut = signed_eigh(c)
+    return signed_eigh(c)
+
+
+def _one_sign(eig: tuple, sigma: float, pos: bool) -> _Split:
+    """The positive (or negative) split of a ``_contrast_eigh`` at sigma."""
+    lam, vec, cut = eig
     keep = lam > cut if pos else lam < -cut
-    return _Split(vec[:, keep], lam[keep] / s2, 0.0)
+    return _Split(vec[:, keep], lam[keep] / (sigma * sigma), 0.0)
 
 
 @dataclass
@@ -357,8 +380,10 @@ class _CondBasisFlow:
     - where g > 0 and a CPC sign is on, (F, lam, diag) is ``_cpc_split`` at
       s with gain g, or at the frozen sigma* with gain g sigma*^2 / s^2;
     - where g > 0 and the mean shift is on, b = (g / s^2)(I - S~_uc)(mu_c -
-      mu_uc) U_c = (delta g / (lam_uc + s^2)) R^T. Unused parts are None.
+      mu_uc) U_c = ((delta g / (lam_uc + s^2)) U_uc^T) U_c, formed for all
+      of a run's nodes at once (``prepare``). Unused parts are None.
 
+    R (``rot``, d^2 floats and a d^3 GEMM) is formed only for a CPC split.
     This is the one definition of the Gaussian CFG drift: the appliers step
     it along a schedule (``_step``) and ``guidance_terms`` reads it one
     term at a time.
@@ -367,9 +392,29 @@ class _CondBasisFlow:
     cond: GaussianStats
     uncond: GaussianStats
     cfg: GuidanceConfig
-    rot: np.ndarray
-    delta: np.ndarray
     last: dict = field(default_factory=dict, init=False)  # the last split by its sigma: one deep
+    shifts: dict = field(default_factory=dict, init=False)  # b by its sigma (``prepare``)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
+
+    @cached_property
+    def rot(self) -> np.ndarray:
+        """R = U_c^T U_uc."""
+        return self.cond.eigvecs.T @ self.uncond.eigvecs
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """(mu_c - mu_uc) U_uc."""
+        return (self.cond.mean - self.uncond.mean) @ self.uncond.eigvecs
+
+    def prepare(self, sigmas) -> None:
+        """Form b at each of the sigmas where it is on, by two GEMMs for all
+        of them: a run pays them once, not a pair of d^2 matvecs per node.
+        ``node`` reads them, and prepares a sigma it has not seen."""
+        cfg = self.cfg
+        on = [float(s) for s in sigmas if cfg.enable_mean_shift and cfg.guidance_active(s)]
+        if on:
+            h = self.delta * (cfg.gamma / (self.uncond.eigvals + np.square(on)[:, None]))
+            self.shifts.update(zip(on, (h @ self.uncond.eigvecs.T) @ self.cond.eigvecs))
 
     def node(self, s: float) -> tuple:
         """(alpha, split, gain, b) at sigma s."""
@@ -386,64 +431,87 @@ class _CondBasisFlow:
             gain = g if at == s else g * (at * at) / (s * s)
             alpha = alpha + gain * split.diag
         if g > 0.0 and cfg.enable_mean_shift:
-            b = (self.delta * (g / (self.uncond.eigvals + s * s))) @ self.rot.T
+            if s not in self.shifts:
+                self.prepare([s])
+            b = self.shifts[s]
         return alpha, split, gain, b
 
-    def drift(self, y: np.ndarray, s: float) -> np.ndarray:
-        """The drift at sigma s of y, one state (d,) or a block (m, d): two
-        GEMMs with a CPC term (thin ones for one live sign), one with G for a
-        frozen basis."""
+    def _block(self, shape: tuple) -> np.ndarray:
+        """A C-contiguous block of the given shape in the flow's one scratch
+        buffer, which grows only when a block needs more than it holds."""
+        n = int(np.prod(shape))
+        if self.scratch.size < n:
+            self.scratch = np.empty(n)
+        return self.scratch[:n].reshape(shape)
+
+    def drift(self, y: np.ndarray, s: float, w: float = 1.0,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """w times the drift at sigma s of y, one state (d,) or a block (m,
+        d), written into ``out`` (a new block if None, never y) and
+        returned. w scales alpha, gain lam and b, never the block. With a
+        CPC term the product goes into out by two GEMMs, the thin one into
+        the flow's scratch (thin for one live sign), or by one with G for a
+        frozen basis, and y alpha is added through that scratch; without one
+        the drift is elementwise."""
         alpha, split, gain, b = self.node(s)
-        out = y * alpha
-        if split is not None:
-            out += ((y @ split.unit_gram) * gain if self.cfg.freeze_cpc_at is not None
-                    else ((y @ split.vecs) * (gain * split.weights)) @ split.vecs.T)
+        if split is None:
+            out = np.multiply(y, alpha * w, out=out)
+        else:
+            if self.cfg.freeze_cpc_at is not None:
+                out = np.matmul(y, split.unit_gram, out=out)
+                out *= gain * w
+            else:
+                thin = self._block((*y.shape[:-1], len(split.weights)))
+                thin = np.matmul(y, split.vecs, out=thin)
+                thin *= (gain * w) * split.weights
+                out = np.matmul(thin, split.vecs.T, out=out)
+            out += np.multiply(y, alpha * w, out=self._block(y.shape))  # over the spent thin one
         if b is not None:
-            out += b
+            out += b * w
         return out
 
-    def node_matrix(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with drift(y, s) = y A + b: A = gain G + diag(alpha), or the
-        vector alpha where no CPC term is on. A live split forms gain G by one
-        syrk and a frozen one scales its shared G, never in place; the
-        diagonal is then one in-place add."""
+    def node_matrix(self, s: float, w: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with w drift(y, s) = y A + b: A = w (gain G + diag(alpha)),
+        or the vector w alpha where no CPC term is on. A live split forms w
+        gain G by one syrk, w inside its scale, and a frozen one scales its
+        shared G, never in place; the diagonal is then one in-place add."""
         alpha, split, gain, b = self.node(s)
-        b = np.zeros(len(alpha)) if b is None else b
+        alpha, b = alpha * w, np.zeros(len(alpha)) if b is None else b * w
         if split is None:
             return alpha, b
-        a = split.unit_gram * gain if self.cfg.freeze_cpc_at is not None else split.gram(gain)
+        a = (split.unit_gram * (gain * w) if self.cfg.freeze_cpc_at is not None
+             else split.gram(gain * w))
         a.flat[::len(a) + 1] += alpha
         return a, b
 
 
-def _step(y: np.ndarray, drift, ends: tuple, u: tuple) -> np.ndarray:
+def _step(y: np.ndarray, drift, ends: tuple, u: tuple, out: np.ndarray) -> np.ndarray:
     """The package's one Euler/Heun step: advance the block y in place along
-    y' = drift(y, sigma) and return it. ``ends`` and u = (u0, u1) come from
-    ``_nodes``; ``drift`` returns a new block. Euler is y + u0 k0 with k0 =
-    drift(y, sigma_i); Heun is y + u0/2 k0 + u1/2 k1 with k1 = drift(y + u0
-    k0, sigma_{i+1}). y is a row block of Gaussian or mixture states
-    (``_advance``) or a folded map's P or q (``_fold``), and every step of
-    every run is this one, whether or not it has a CPC term."""
+    y' = f(y, sigma) and return it. ``ends`` and u = (u0, u1) come from
+    ``_nodes``. ``drift(z, sigma, w, dst)`` writes w f(z, sigma) into the
+    block dst, never z itself, and returns it; ``out`` holds the
+    step's blocks of y's shape (one for Euler, three for Heun), which the
+    run reuses, so a step allocates nothing of its own. Euler is y + u0 f(y,
+    sigma_i), its weight taken in the drift. Heun is y + (k0 + k1) with k0
+    = u0/2 f(y, sigma_i) and k1 = u1/2 f(z, sigma_{i+1}) at z = y + 2 k0.
+    y is a row block of Gaussian or mixture states (``_advance``) or a
+    folded map's P or q (``_fold``), and every step of every run is this
+    one, whether or not it has a CPC term."""
     u0, u1 = u
-    k0 = drift(y, ends[0])
     if len(ends) == 1:
-        k0 *= u0
-        y += k0
+        y += drift(y, ends[0], u0, out[0])
     else:
-        z = u0 * k0
+        k0 = drift(y, ends[0], 0.5 * u0, out[0])
+        z = np.add(k0, k0, out=out[1])  # u0 f(y), exactly: w scales by a power of 2
         z += y
-        k1 = drift(z, ends[1])
-        k0 *= 0.5 * u0  # in place: the step allocates no block beyond z and the drifts
-        k1 *= 0.5 * u1
-        k0 += k1
+        k0 += drift(z, ends[1], 0.5 * u1, out[2])
         y += k0
     return y
 
 
 def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -> _CondBasisFlow:
     """The flow of cfg for the pair."""
-    return _CondBasisFlow(cond=cond, uncond=uncond, cfg=cfg, rot=cond.eigvecs.T @ uncond.eigvecs,
-                          delta=(cond.mean - uncond.mean) @ uncond.eigvecs)
+    return _CondBasisFlow(cond=cond, uncond=uncond, cfg=cfg)
 
 
 def _nodes(schedule: NoiseSchedule, heun: bool):
@@ -468,10 +536,13 @@ def _advance(y: np.ndarray, drift, schedule: NoiseSchedule, heun: bool,
     block, not of m rows. A Gaussian run steps y = (x - mu_c) U_c under its
     flow's drift in one block (``_stepwise``), the mixture y = x -
     mu_target under its guided drift in the row blocks of
-    ``gmm.integrate``."""
+    ``gmm.integrate``. The steps share one set of ``_step``'s slope blocks,
+    sized to the first row block, the longest."""
+    out = np.empty((1 + 2 * heun, *y[blocks[0]].shape))
     for i, (ends, u) in enumerate(_nodes(schedule, heun)):
         for b in blocks:
-            _step(y[b], drift, ends, u)
+            rows = y[b]
+            _step(rows, drift, ends, u, out[:, :len(rows)])
         _guard(schedule, i, _norms(y), limit)
     return y
 
@@ -481,6 +552,7 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     """Step the (m, d) block x in the cond basis (``_advance``), held to
     ``limit`` after each step, and write the samples to ``out`` (a new block
     if None; x itself is allowed) once every step has passed."""
+    flow.prepare(schedule.sigmas)
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
     _advance(y, flow.drift, schedule, heun, limit, [slice(None)])
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
@@ -516,24 +588,37 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     before then and of d^2 after. Each node's A is formed once (one syrk
     for a live split); every drift evaluation of P that reads a matrix A is
     one (d, d) GEMM, Euler one and Heun two per step, plus ``_step``'s d^2
-    passes; the product is d^2 where A is a vector.
+    passes; the product is d^2 where A is a vector. An Euler node is formed
+    at its step's weight u0 (inside the syrk's scale), so its product is
+    the weighted slope; Heun shares each node between two steps at
+    different weights, so its A stays unweighted and each product is
+    scaled, one d^2 pass. The slopes go into blocks the fold reuses.
     """
     d = len(flow.cond.mean)
     P, q = np.ones(d), np.zeros(d)
+    flow.prepare(schedule.sigmas)
     node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # P's step, then q's, reads each node
 
-    def p_drift(z, s):
-        a = node(s)[0]
-        return z * a if a.ndim == 1 else z @ a
+    def matrix(s, w):
+        return node(s, 1.0 if heun else w)
 
-    def q_drift(z, s):
-        return p_drift(z, s) + node(s)[1]
+    def drift(z, s, w, out, shift):
+        """w (z A + b) at node s into out, b only for q (``shift``)."""
+        a, b = matrix(s, w)
+        out = np.multiply(z, a, out=out) if a.ndim == 1 else np.matmul(z, a, out=out)
+        if shift:
+            out += b
+        if heun:
+            out *= w
+        return out
 
+    p_drift, q_drift = partial(drift, shift=False), partial(drift, shift=True)
+    p_out, q_out = np.empty((1 + 2 * heun, d)), np.empty((1 + 2 * heun, d))
     for ends, u in _nodes(schedule, heun):
-        if P.ndim == 1 and any(node(s)[0].ndim == 2 for s in ends):
-            P = np.diag(P)
-        _step(P, p_drift, ends, u)
-        _step(q, q_drift, ends, u)
+        if P.ndim == 1 and any(matrix(s, w)[0].ndim == 2 for s, w in zip(ends, u)):
+            P, p_out = np.diag(P), np.empty((1 + 2 * heun, d, d))
+        _step(P, p_drift, ends, u, p_out)
+        _step(q, q_drift, ends, u, q_out)
         yield P, q
 
 

@@ -736,3 +736,36 @@ def test_fixed_range_with_negative_bound_as_separate_token(tmp_path, toy_files, 
         assert main(argv + spelling + ["--outdir", str(out)]) == 0
         images.append({p.name: p.read_bytes() for p in sorted(out.glob("*.pgm"))})
     assert images[0] and images[0] == images[1]
+
+
+def test_main_builds_its_parser_once_and_runs_the_command_by_name(tmp_path, toy_files,
+                                                                   monkeypatch, capsys):
+    """One process builds the argparse tree once, however many commands it
+    runs, failed ones and --help included. Each command's function is looked
+    up by name when it runs, so a ``cmd_*`` replaced on the module (as a
+    tracer wraps ``cmd_sample``) is the one that runs."""
+    from lincfg import cli
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()  # a parser from an earlier test would hide the count
+    cond, uncond = map(str, toy_files)
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0\n3.0,5.0\n-1.0,0.5\n")
+    out = str(tmp_path / "o")
+    for argv, code in ((["fit", str(data), str(tmp_path / "fit.stats")], 0),
+                       (["sample", "--cond-stats", cond, "--uncond-stats", uncond, "--m", "4",
+                         "--steps", "3", "--outdir", out], 0),
+                       (["verify", "decomposition"], 0),
+                       (["export", "mean_shift_dir", "--cond", cond, "--uncond", uncond,
+                         "--shape", "1x2", "--outdir", out], 0),
+                       (["fit", str(tmp_path / "missing.csv"), out], 2),
+                       (["sample", "--gamma", "nan"], 3)):
+        assert main(argv) == code, argv
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 1
+    ran = []
+    monkeypatch.setattr(cli, "cmd_sample", lambda args: ran.append(args.m) or 0)
+    assert main(["sample", "--m", "3"]) == 0 and ran == ["3"]
+    assert len(built) == 1
+    capsys.readouterr()

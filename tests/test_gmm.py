@@ -457,9 +457,9 @@ class TestFusedDrift:
             kept.append(np.abs(coef) >= gmm._TINY)
             return coef
 
-        def spy_back_project(model, v, coef, scale):
+        def spy_back_project(model, v, coef, scale, *out):
             packed.append(np.where(np.abs(coef) < gmm._TINY, 0.0, coef) != 0.0)
-            return back_project(model, v, coef, scale)
+            return back_project(model, v, coef, scale, *out)
 
         coefficients, back_project = gmm._coefficients, gmm._back_project
         monkeypatch.setattr(gmm, "_coefficients", spy_coefficients)

@@ -242,6 +242,30 @@ class TestGuidanceTerms:
             sampler.guidance_terms(cond, uncond, np.zeros(2), 0.0,
                                    sampler.GuidanceConfig())
 
+    @pytest.mark.parametrize("freeze", [None, 5.0], ids=["live", "frozen"])
+    def test_both_signs_share_one_decomposition(self, freeze, monkeypatch):
+        """One call decomposes the contrast once (one ``signed_eigh``) for
+        both one-sign terms, and its terms are bit for bit those of one-term
+        flows that each decompose their own sign, as the flows of earlier
+        versions did: two decompositions more."""
+        calls = []
+        real = sampler.signed_eigh
+        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
+        cond, uncond = random_stats_pair(8, np.random.default_rng(42))
+        x = cond.mean + np.random.default_rng(43).standard_normal((5, 8))
+        cfg = G(gamma=3.0, freeze_cpc_at=freeze)
+        terms = sampler.guidance_terms(cond, uncond, x, 0.7, cfg)
+        assert len(calls) == 1
+        flow, y = sampler._cfg_flow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
+        for name, got in zip(TERMS, (terms.f_c, terms.g_pos, terms.g_neg, terms.g_mean)):
+            one = replace(flow, cfg=replace(cfg, **{n: n == name for n in TERMS}))
+            np.testing.assert_array_equal(got, one.drift(y, 0.7) @ cond.eigvecs.T, name)
+        assert len(calls) == 3
+        calls.clear()
+        sampler.guidance_terms(cond, uncond, x, 0.7, replace(cfg, enable_neg_cpc=False))
+        sampler.guidance_terms(cond, uncond, x, 0.7, replace(cfg, gamma=0.0))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("lone", [True, False], ids=["lone", "batch"])
     @pytest.mark.parametrize("freeze", [None, 1e-2, 5.0], ids=["live", "frozen1e-2", "frozen5"])
     @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1.0, 80.0])
@@ -415,6 +439,33 @@ class TestIntegrate:
             tracemalloc.stop()
         assert np.shares_memory(out, x_T) == overwrite
         assert peak < (0.5 if overwrite else 1.5) * block, peak / block
+
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("name", ["full", "mean_shift"])
+    def test_stepped_run_holds_its_floor(self, name, heun):
+        """A stepped run of 128 states in d = 256, written over the drawn
+        states, holds y = (x - mu_c) U_c and the step's slope block (with
+        Heun also z and k1), reused from step to step. Full CFG adds the
+        flow's one scratch block (its thin product, then y alpha) and R =
+        U_c^T U_uc, d^2 floats, 2 blocks here; the mean shift alone forms
+        no R. By tracemalloc's count of numpy's buffers the peak stays
+        within half a block of that floor."""
+        d, m = 256, 128
+        cond, uncond = random_stats_pair(d, np.random.default_rng(2))
+        sched = sampler.make_schedule(n_steps=10)
+        x_T = sampler.draw_initial_states(d, m, 2, sched)
+        block = x_T.nbytes
+        assert sampler.choose_path(m, d) == "stepwise"
+        cfg = G(gamma=2.0) if name == "full" else ABLATION_CFGS["mean_shift"]
+        floor = 2 + 2 * heun + (1 + d // m if name == "full" else 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sampler.integrate(cond, uncond, x_T, sched, cfg, heun=heun, overwrite_x=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < (floor + 0.5) * block, (peak / block, floor)
 
     @pytest.mark.parametrize("integrator", ["gaussian", "mixture"])
     def test_overwrite_x_needs_a_writeable_float64_block(self, integrator):
@@ -599,8 +650,8 @@ class TestDiagonalFold:
         flow = sampler._cfg_flow(cond, uncond, cfg)
         real = flow.node_matrix
 
-        def counted(s):
-            a, b = real(s)
+        def counted(s, *w):
+            a, b = real(s, *w)
             return (a.view(Counted) if a.ndim == 2 else a), b
 
         flow.node_matrix = counted
@@ -618,14 +669,21 @@ class TestStep:
 
     @staticmethod
     def _elementwise(seed, d=64):
-        """The diagonal drift z * a_j at the nodes sigma_j = (2, 1), a shift
-        b, and weights (u0, u1), drawn so that no term of the step cancels
-        its 1."""
+        """The weighted diagonal drift w z a_j (plus w b with ``shift``) at
+        the nodes sigma_j = (2, 1), written into its out block, and weights
+        (u0, u1), drawn so that no term of the step cancels its 1."""
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(-1.0, 1.0, (2, d)), rng.standard_normal(d)
         u0, u1 = rng.uniform(0.0, 0.5, 2)
         nodes = {2.0: a[0], 1.0: a[1]}
-        return a, b, (u0, u1), lambda z, s: z * nodes[s], tuple(nodes)
+
+        def drift(z, s, w, out, shift=False):
+            out = np.multiply(z, nodes[s] * w, out=out)
+            if shift:
+                out += b * w
+            return out
+
+        return a, b, (u0, u1), drift, tuple(nodes)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -633,21 +691,30 @@ class TestStep:
         """Euler steps ones to 1 + u0 a0 and, under z a0 + b, zeros to u0 b,
         bit for bit: a diagonal map's first step is its scaling exactly."""
         a, b, (u0, u1), drift, ends = self._elementwise(seed)
-        got = sampler._step(np.ones(a.shape[1]), drift, ends[:1], (u0, u1))
+        d = a.shape[1]
+        got = sampler._step(np.ones(d), drift, ends[:1], (u0, u1), np.empty((1, d)))
         np.testing.assert_array_equal(got, 1.0 + u0 * a[0])
-        shifted = sampler._step(np.zeros(a.shape[1]), lambda z, s: drift(z, s) + b,
-                                ends[:1], (u0, u1))
+        shifted = sampler._step(np.zeros(d), partial(drift, shift=True), ends[:1], (u0, u1),
+                                np.empty((1, d)))
         np.testing.assert_array_equal(shifted, u0 * b)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_heun_on_an_elementwise_drift_is_the_step_polynomial(self, seed):
         """Heun steps ones to the polynomial 1 + u0/2 a0 + u1/2 a1 + u0 u1/2
-        a0 a1 to within a few ulps."""
+        a0 a1 to within a few ulps. Each drift writes into one of the step's
+        out blocks, never into the block it reads."""
         a, _, (u0, u1), drift, ends = self._elementwise(seed)
-        got = sampler._step(np.ones(a.shape[1]), drift, ends, (u0, u1))
+        d = a.shape[1]
+        out = np.empty((3, d))
+        calls = []
+        got = sampler._step(np.ones(d), lambda z, s, w, dst: calls.append((z, dst)) or drift(
+            z, s, w, dst), ends, (u0, u1), out)
         ref = 1.0 + 0.5 * u0 * a[0] + 0.5 * u1 * a[1] + 0.5 * u0 * u1 * a[0] * a[1]
         np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+        assert len(calls) == 2
+        assert all(np.shares_memory(dst, out) and not np.shares_memory(dst, z)
+                   for z, dst in calls)
 
     def test_every_integrator_calls_the_one_step(self):
         """The stepped loop and the fold take ``_step`` for every step, with a
