@@ -351,9 +351,10 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
     Unguided it is c s_t, ``denoiser.score`` of the target centred at 0,
     whose projection onto U_t takes the work block's first rows x d
-    entries. The work block, (rows, Kd) for the rows of y, is made at the
-    first evaluation and serves every one, so y must have no more rows
-    than at that evaluation; ``integrate`` hands its longest row block
+    entries, and zero with no GEMM where c = 0. The work block, (rows, Kd)
+    for the rows of y, is made at the first evaluation that reads it and
+    serves every later one, so y must have no more rows than at that
+    evaluation; ``integrate`` hands its longest row block
     first. The folded drift reads the components and not ``model._stack``.
     """
     tgt = model.components[target]
@@ -375,9 +376,15 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
     def drift(y, sigma, w=1.0, out=None):
         nonlocal work
+        guided = cfg.guidance_active(sigma)
+        if not (guided or c):
+            if out is None:
+                return np.zeros_like(y)
+            out.fill(0.0)
+            return out
         if work is None:
             work = np.empty((len(y), k * d))
-        if not cfg.guidance_active(sigma):
+        if not guided:
             # c w denoiser.score of the target centred at 0: its score at y is the target's at x
             proj = np.matmul(y, tgt.eigvecs, out=work.reshape(-1)[:y.size].reshape(y.shape))
             proj *= (-c * w) / (tgt.eigvals + sigma * sigma)

@@ -408,8 +408,10 @@ class _CondBasisFlow:
 
     def prepare(self, sigmas) -> None:
         """Form b at each of the sigmas where it is on, by two GEMMs for all
-        of them: a run pays them once, not a pair of d^2 matvecs per node.
-        ``node`` reads them, and prepares a sigma it has not seen."""
+        of them, where each node would take two d^2 matvecs: at d = 768 those
+        were a fifth of a mean-shift stepped run of 384 states (Euler, N =
+        50, one BLAS thread). ``node`` reads them, and prepares a sigma it
+        has not seen."""
         cfg = self.cfg
         on = [float(s) for s in sigmas if cfg.enable_mean_shift and cfg.guidance_active(s)]
         if on:
@@ -470,17 +472,16 @@ class _CondBasisFlow:
             out += b * w
         return out
 
-    def node_matrix(self, s: float, w: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with w drift(y, s) = y A + b: A = w (gain G + diag(alpha)),
-        or the vector w alpha where no CPC term is on. A live split forms w
-        gain G by one syrk, w inside its scale, and a frozen one scales its
-        shared G, never in place; the diagonal is then one in-place add."""
+    def node_matrix(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with drift(y, s) = y A + b: A = gain G + diag(alpha), or the
+        vector alpha where no CPC term is on. A live split forms gain G by one
+        syrk and a frozen one scales its shared G, never in place; the
+        diagonal is then one in-place add."""
         alpha, split, gain, b = self.node(s)
-        alpha, b = alpha * w, np.zeros(len(alpha)) if b is None else b * w
+        b = np.zeros(len(alpha)) if b is None else b
         if split is None:
             return alpha, b
-        a = (split.unit_gram * (gain * w) if self.cfg.freeze_cpc_at is not None
-             else split.gram(gain * w))
+        a = split.unit_gram * gain if self.cfg.freeze_cpc_at is not None else split.gram(gain)
         a.flat[::len(a) + 1] += alpha
         return a, b
 
@@ -554,6 +555,9 @@ def _stepwise(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool, x: np.n
     if None; x itself is allowed) once every step has passed."""
     flow.prepare(schedule.sigmas)
     y = (x - flow.cond.mean) @ flow.cond.eigvecs
+    # the first node's split (a frozen basis's G too) is formed on one row, so
+    # its d^2 temporaries come and go before _advance makes its step blocks
+    flow.drift(y[:1], float(schedule.sigmas[0]))
     _advance(y, flow.drift, schedule, heun, limit, [slice(None)])
     out = np.matmul(y, flow.cond.eigvecs.T, out=out)
     out += flow.cond.mean
@@ -588,34 +592,28 @@ def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     before then and of d^2 after. Each node's A is formed once (one syrk
     for a live split); every drift evaluation of P that reads a matrix A is
     one (d, d) GEMM, Euler one and Heun two per step, plus ``_step``'s d^2
-    passes; the product is d^2 where A is a vector. An Euler node is formed
-    at its step's weight u0 (inside the syrk's scale), so its product is
-    the weighted slope; Heun shares each node between two steps at
-    different weights, so its A stays unweighted and each product is
-    scaled, one d^2 pass. The slopes go into blocks the fold reuses.
+    passes; the product is d^2 where A is a vector. Each product is scaled
+    by its step weight in place, and the slopes go into blocks the fold
+    reuses.
     """
     d = len(flow.cond.mean)
     P, q = np.ones(d), np.zeros(d)
     flow.prepare(schedule.sigmas)
     node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # P's step, then q's, reads each node
 
-    def matrix(s, w):
-        return node(s, 1.0 if heun else w)
-
     def drift(z, s, w, out, shift):
         """w (z A + b) at node s into out, b only for q (``shift``)."""
-        a, b = matrix(s, w)
+        a, b = node(s)
         out = np.multiply(z, a, out=out) if a.ndim == 1 else np.matmul(z, a, out=out)
         if shift:
             out += b
-        if heun:
-            out *= w
+        out *= w
         return out
 
     p_drift, q_drift = partial(drift, shift=False), partial(drift, shift=True)
     p_out, q_out = np.empty((1 + 2 * heun, d)), np.empty((1 + 2 * heun, d))
     for ends, u in _nodes(schedule, heun):
-        if P.ndim == 1 and any(matrix(s, w)[0].ndim == 2 for s, w in zip(ends, u)):
+        if P.ndim == 1 and any(node(s)[0].ndim == 2 for s in ends):
             P, p_out = np.diag(P), np.empty((1 + 2 * heun, d, d))
         _step(P, p_drift, ends, u, p_out)
         _step(q, q_drift, ends, u, q_out)

@@ -441,14 +441,15 @@ class TestIntegrate:
         assert peak < (0.5 if overwrite else 1.5) * block, peak / block
 
     @pytest.mark.parametrize("heun", [False, True])
-    @pytest.mark.parametrize("name", ["full", "mean_shift"])
+    @pytest.mark.parametrize("name", ["full", "mean_shift", "frozen"])
     def test_stepped_run_holds_its_floor(self, name, heun):
         """A stepped run of 128 states in d = 256, written over the drawn
         states, holds y = (x - mu_c) U_c and the step's slope block (with
         Heun also z and k1), reused from step to step. Full CFG adds the
         flow's one scratch block (its thin product, then y alpha) and R =
-        U_c^T U_uc, d^2 floats, 2 blocks here; the mean shift alone forms
-        no R. By tracemalloc's count of numpy's buffers the peak stays
+        U_c^T U_uc, d^2 floats, 2 blocks here; a frozen basis adds its G,
+        d^2 floats more, formed before the step blocks; the mean shift alone
+        forms no R. By tracemalloc's count of numpy's buffers the peak stays
         within half a block of that floor."""
         d, m = 256, 128
         cond, uncond = random_stats_pair(d, np.random.default_rng(2))
@@ -456,8 +457,8 @@ class TestIntegrate:
         x_T = sampler.draw_initial_states(d, m, 2, sched)
         block = x_T.nbytes
         assert sampler.choose_path(m, d) == "stepwise"
-        cfg = G(gamma=2.0) if name == "full" else ABLATION_CFGS["mean_shift"]
-        floor = 2 + 2 * heun + (1 + d // m if name == "full" else 0)
+        cfg = G(gamma=2.0) if name == "full" else ABLATION_CFGS[name]
+        floor = 2 + 2 * heun + {"full": 1 + d // m, "mean_shift": 0, "frozen": 1 + 2 * d // m}[name]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -650,8 +651,8 @@ class TestDiagonalFold:
         flow = sampler._cfg_flow(cond, uncond, cfg)
         real = flow.node_matrix
 
-        def counted(s, *w):
-            a, b = real(s, *w)
+        def counted(s):
+            a, b = real(s)
             return (a.view(Counted) if a.ndim == 2 else a), b
 
         flow.node_matrix = counted
