@@ -2,37 +2,35 @@
 two-term CFG decomposition against a mixture background, and the guided
 mixture flow.
 
-The diagnostics, and the guided flow of small batches, read one stacked
-pass. The component eigenbases sit side by side in U_all = [U_1 ... U_K],
-shape (d, Kd), built once per model. ``_posterior`` takes every y_i = (X -
-mu_i) U_i, divided by sqrt(lam_i + sigma^2), with one GEMM: X - mu_c against
-U_all, minus the offsets (mu_i - mu_c) U_i, then times those factors, in
-place. It is centred on one component c, so c's own block has no offset;
-its log-sum-exp weights stay finite for states far from every cluster.
-Each result is then a per-row, per-block weighting of those blocks, taken
-back to x with one GEMM per block against U_i^T, each block's weights and
+The diagnostics, and the guided flow of small batches, read one eigenbasis
+pass over the components as they are stored. ``_posterior`` takes every
+y_i = (X - mu_i) U_i, divided by sqrt(lam_i + sigma^2), into one (m, Kd)
+work block: one GEMM of X - mu_c against U_i into block i, minus the
+offsets (mu_i - mu_c) U_i, then times those factors, in place. It is
+centred on one component c, so c's own block has no offset; its
+log-sum-exp weights stay finite for states far from every cluster. Each
+result is then a per-row, per-block weighting of those blocks, taken back
+to x with one GEMM per block against U_i^T, each block's weights and
 remaining factor multiplied into its own columns (``_back_project``); a
-block whose coefficient is 0 in all rows is skipped. No evaluation makes a
-scaled copy of U_all or of its blocks.
+block whose coefficient is 0 in all rows is skipped. The model keeps no
+second copy of the bases, and no evaluation makes a scaled copy of one.
 
 The guided flow of ``integrate`` has a second form for large batches. Once
 per noise level it builds the component resolvents R_i = U_i diag(1/(lam_i
 + sigma^2)) U_i^T, one syrk each (``_resolvents``); one GEMM of X - mu_c
 against [R_1 ... R_K], minus the (K, d) offsets (mu_i - mu_c) R_i, then
 gives every (x - mu_i) R_i = -s_i, whose dot products with x - mu_i are the
-quadratic forms of the weights and whose weighted sum is the drift. It
-reads the components themselves (means, eigenpairs, log-priors), one U_i
-at a time, and never builds the stacked form. ``integrate`` steps its
-states one row block at a time, each with a (rows, Kd) work block of about
-``sampler.ROW_BLOCK_BYTES``, so neither that scratch nor a step's slopes
-grow with m, and each row's arithmetic is that of one whole-block pass:
-the same bits. The drift keeps the resolvents of the last 1 + heun noise
-levels, so each level is still built once per run. Both forms read the
-states centred on the target, X - mu_c, which is what the flow steps:
-``integrate`` runs the sampler's one stepped loop (``sampler._advance``,
-so ``sampler._step`` and ``sampler._guard``) on y = X - mu_c, the loop and
-the step of every Gaussian run, in x_T's own buffer where the caller hands
-it over (``overwrite_x``).
+quadratic forms of the weights and whose weighted sum is the drift.
+``integrate`` steps its states one row block at a time, each with a (rows,
+Kd) work block of about ``sampler.ROW_BLOCK_BYTES``, so neither that
+scratch nor a step's slopes grow with m, and each row's arithmetic is that
+of one whole-block pass: the same bits. The drift keeps the resolvents of
+the last 1 + heun noise levels, so each level is still built once per run.
+Both forms read the states centred on the target, X - mu_c, which is what
+the flow steps: ``integrate`` runs the sampler's one stepped loop
+(``sampler._advance``, so ``sampler._step`` and ``sampler._guard``) on y =
+X - mu_c, the loop and the step of every Gaussian run, in x_T's own buffer
+where the caller hands it over (``overwrite_x``).
 
 In GEMM-units of (m, d) x (d, d), a guided drift evaluation costs K when
 folded, plus K d^3 / 2 multiply-adds, K d / (2m) units, to build the
@@ -57,7 +55,6 @@ compare two independent formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,30 +65,6 @@ from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
 _TINY = np.finfo(np.float64).tiny  # below this a float64 is subnormal
-
-
-@dataclass(frozen=True)
-class _Stack:
-    """The components side by side, blocks in component order, for the
-    stacked pass of the diagnostics and the projected drift; a folded run
-    never builds it.
-
-    basis: U_all = [U_1 ... U_K], shape (d, Kd); back: U_i^T per block,
-    (K, d, d), so rows of U_all^T; eigvals: lam_i as (K, d); offsets: per
-    centre c, (mu_i - mu_c) U_i as (K, K, d), whose block c is exactly 0;
-    means: (K, d). The whole is 2 K d^2 + K^2 d + 2 K d floats.
-
-    ``back`` is a stored C-contiguous copy, not the strided view
-    basis.T.reshape(K, d, d) of the same numbers: ``gmm_cfg_guidance``'s
-    mean term reads it directly, and its product rounds otherwise in the
-    view's layout (up to 3.2e-16 relative, d = 16 to 64, K = 3 and 4).
-    """
-
-    basis: np.ndarray
-    back: np.ndarray
-    eigvals: np.ndarray
-    offsets: np.ndarray
-    means: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,16 +100,6 @@ class MixtureModel:
     def d(self) -> int:
         return self.components[0].d
 
-    @cached_property
-    def _stack(self) -> _Stack:
-        """The stacked form of the components, built on first use."""
-        back = np.stack([c.eigvecs.T for c in self.components])  # (K, d, d): U_i^T
-        means = np.stack([c.mean for c in self.components])
-        diff = means[None, :, :] - means[:, None, :]  # [c, i] = mu_i - mu_c
-        return _Stack(basis=np.concatenate([c.eigvecs for c in self.components], axis=1),
-                      back=back, eigvals=np.stack([c.eigvals for c in self.components]),
-                      offsets=np.einsum("cid,ied->cie", diff, back), means=means)
-
 
 @dataclass(frozen=True)
 class PosteriorWeights:
@@ -146,26 +109,35 @@ class PosteriorWeights:
     log_w: np.ndarray
 
 
-def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, centre: int,
+def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, offsets: np.ndarray,
                out: np.ndarray | None = None) -> tuple:
-    """(log_w, w, v, r) of the rows xc = X - mu_centre (m, d) at noise sigma.
+    """(log_w, w, v, r) of the rows xc = X - mu_c (m, d) at noise sigma, with
+    the centre's ``_offsets``.
 
     log_w and w (m, K) are the normalized log posterior weights and the
     weights; r = 1/sqrt(lam_i + sigma^2) as (K, d); and v (m, K, d), a view
-    of ``out`` (m, Kd) when given, holds v_i = y_i r_i with y_i = (X - mu_i)
-    U_i: one GEMM against U_all, minus the centre's offsets, times r, both
-    in place, so no scaled copy of U_all is made; the weights come from
-    |v_i|^2 (``_weights``).
+    of ``out`` (m, Kd) (a new block if None), holds v_i = y_i r_i with y_i =
+    (X - mu_i) U_i: one GEMM of xc against U_i into each block, then minus
+    the offsets and times r, both in place; the weights come from |v_i|^2
+    (``_weights``).
     """
-    st = model._stack
-    var = st.eigvals + sigma * sigma
+    var = np.stack([c.eigvals for c in model.components]) + sigma * sigma
     r = 1.0 / np.sqrt(var)
-    v = np.matmul(xc, st.basis, out=out).reshape(len(xc), model.k, model.d)
-    v -= st.offsets[centre]
+    out = np.empty((len(xc), model.k * model.d)) if out is None else out
+    v = out.reshape(len(xc), model.k, model.d)
+    for i, comp in enumerate(model.components):
+        np.matmul(xc, comp.eigvecs, out=v[:, i])
+    v -= offsets
     v *= r
     log_w, w = _weights(np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1),
                         np.log(model.weights))
     return log_w, w, v, r
+
+
+def _offsets(model: MixtureModel, centre: int) -> np.ndarray:
+    """(mu_i - mu_centre) U_i as (K, d), exactly 0 at the centre."""
+    mu = model.components[centre].mean
+    return np.stack([np.einsum("d,ed->e", c.mean - mu, c.eigvecs.T) for c in model.components])
 
 
 def _weights(quad: np.ndarray, logdet: np.ndarray, log_prior: np.ndarray) -> tuple:
@@ -186,28 +158,31 @@ def _weights(quad: np.ndarray, logdet: np.ndarray, log_prior: np.ndarray) -> tup
     return log_w, w
 
 
-def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0) -> tuple:
+def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0,
+          offsets: np.ndarray | None = None) -> tuple:
     """``_posterior`` of the state(s) x, of shape (d,) or (m, d), as rows
-    centred on component ``centre``, after checking sigma and the dimension."""
+    centred on component ``centre``, whose ``_offsets`` are formed unless
+    given, after checking sigma and the dimension."""
     if not 0.0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.d:
         raise ShapeError(f"state dimension {x.shape[-1]} != mixture dimension {model.d}")
-    return _posterior(model, x.reshape(-1, model.d) - model.components[centre].mean,
-                      sigma, centre)
+    return _posterior(model, x.reshape(-1, model.d) - model.components[centre].mean, sigma,
+                      _offsets(model, centre) if offsets is None else offsets)
 
 
 def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
                   scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i (coef_i v_i) diag(scale_i) U_i^T for v (m, K, d), per-row
     coefficients coef (m, K) and per-block factors scale (K, d), written
-    into ``out`` (a new block if None) and returned: one GEMM against U_i^T
-    for each block whose coefficient is nonzero in some row, summed in
-    block order; the terms of the other blocks are exactly 0. Coefficients
-    below the smallest normal float count as 0, so no subnormal weight
-    reaches a GEMM. Each kept block of v is scaled in place by coef_i and
-    scale_i, so no scaled copy of U_i^T is made."""
+    into ``out`` (a new block if None) and returned: one GEMM against U_i^T,
+    a view of the component's eigvecs, for each block whose coefficient is
+    nonzero in some row, summed in block order; the terms of the other
+    blocks are exactly 0. Coefficients below the smallest normal float count
+    as 0, so no subnormal weight reaches a GEMM. Each kept block of v is
+    scaled in place by coef_i and scale_i, so no scaled copy of U_i^T is
+    made."""
     m, _, d = v.shape
     coef = np.where(np.abs(coef) < _TINY, 0.0, coef)
     kept = np.flatnonzero(coef.any(axis=0))
@@ -220,10 +195,10 @@ def _back_project(model: MixtureModel, v: np.ndarray, coef: np.ndarray,
         vi *= coef[:, i, None]
         vi *= scale[i]
         if n:
-            term = np.matmul(vi, model._stack.back[i], out=term)
+            term = np.matmul(vi, model.components[i].eigvecs.T, out=term)
             out += term
         else:
-            np.matmul(vi, model._stack.back[i], out=out)
+            np.matmul(vi, model.components[i].eigvecs.T, out=out)
     return out
 
 
@@ -251,8 +226,9 @@ def mixture_denoise(model: MixtureModel, x: np.ndarray, sigma: float) -> np.ndar
     Satisfies D = x + sigma^2 * mixture_score(x) identically, by another formula.
     """
     _, w, v, r = _pass(model, x, sigma)
-    out = _back_project(model, v, w, model._stack.eigvals * r)  # y_i lam_i / (lam_i + sigma^2)
-    out += w @ model._stack.means
+    lam = np.stack([c.eigvals for c in model.components])
+    out = _back_project(model, v, w, lam * r)  # y_i lam_i / (lam_i + sigma^2)
+    out += w @ np.stack([c.mean for c in model.components])
     return out.reshape(np.shape(x))
 
 
@@ -285,13 +261,14 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
         raise IndexError(f"target index {target} out of range for K={model.k}")
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    _, w, v, r = _pass(model, x, sigma, target)
-    st = model._stack
-    v += st.offsets[target] * r  # z_i r_i
+    offsets = _offsets(model, target)
+    _, w, v, r = _pass(model, x, sigma, target, offsets)
+    v += offsets * r  # z_i r_i
     others = np.flatnonzero(np.arange(model.k) != target)
     cpc = _back_project(model, v, _coefficients(w, target, others, 0.0, gamma), r)
-    shifts = np.einsum("kd,kde->ke", st.offsets[target] / -(st.eigvals + sigma * sigma),
-                       st.back)  # R_i (mu_c - mu_i), exactly 0 for i = c
+    var = np.stack([c.eigvals for c in model.components]) + sigma * sigma
+    shifts = np.stack([np.einsum("d,de->e", a, c.eigvecs.T)  # R_i (mu_c - mu_i), exactly 0 at c
+                       for a, c in zip(offsets / -var, model.components)])
     return GmmGuidanceTerms(g_cpc_like=cpc.reshape(np.shape(x)),
                             g_mean_like=(gamma * (w @ shifts)).reshape(np.shape(x)))
 
@@ -310,7 +287,7 @@ def _resolvents(model: MixtureModel, sigma: float, out: np.ndarray) -> np.ndarra
     """Write R_i = U_i diag(1/(lam_i + sigma^2)) U_i^T into out (K, d, d), one
     syrk each, as (U_i r_i)(U_i r_i)^T with r_i = 1/sqrt(lam_i + sigma^2),
     each U_i r_i scaled into one (d, d) buffer; return the variances lam_i +
-    sigma^2 (K, d). Reads the components, not the stacked form."""
+    sigma^2 (K, d)."""
     var = np.stack([comp.eigvals for comp in model.components]) + sigma * sigma
     scaled = np.empty((model.d, model.d))
     for comp, r, res in zip(model.components, 1.0 / np.sqrt(var), out):
@@ -337,8 +314,9 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     a row one-hot on the target weighs s_t by exactly c. Coefficients below
     the smallest normal float count as 0. ``form`` (see ``integrate``) says how:
 
-    - 'projected': one stacked pass of y (``_posterior``) and one
-      back-projection of the blocks some row still weighs (``_back_project``).
+    - 'projected': one eigenbasis pass of y (``_posterior``), with the
+      offsets formed once per run, and one back-projection of the blocks
+      some row still weighs (``_back_project``).
     - 'folded': one GEMM of y against the resolvents of sigma, minus the
       offsets (mu_i - mu_t) R_i, gives each -s_i = (x - mu_i) R_i; the
       quadratic forms (x - mu_i) . (x - mu_i) R_i give the weights, and the
@@ -355,7 +333,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     for the rows of y, is made at the first evaluation that reads it and
     serves every later one, so y must have no more rows than at that
     evaluation; ``integrate`` hands its longest row block
-    first. The folded drift reads the components and not ``model._stack``.
+    first.
     """
     tgt = model.components[target]
     c = 1.0 if cfg.enable_cond else 0.0
@@ -363,6 +341,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     diff = np.stack([comp.mean for comp in model.components]) - tgt.mean  # 0 at the target
     others = np.flatnonzero(np.arange(k) != target)
     log_prior = np.log(model.weights)
+    basis_offsets = _offsets(model, target) if form == "projected" else None
     levels = {}  # sigma -> (res, offsets, logdet), the oldest first
     work = None
 
@@ -390,7 +369,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
             proj *= (-c * w) / (tgt.eigvals + sigma * sigma)
             return np.matmul(proj, tgt.eigvecs.T, out=out)
         if form == "projected":
-            _, wts, v, r = _posterior(model, y, sigma, target, out=work[:len(y)])
+            _, wts, v, r = _posterior(model, y, sigma, basis_offsets, work[:len(y)])
             out = _back_project(model, v, _coefficients(wts, target, others, c, cfg.gamma), r,
                                 out)
         else:

@@ -351,7 +351,14 @@ def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigm
 def _contrast_eigh(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray,
                    sigma: float) -> tuple:
     """``signed_eigh`` of s^2 R diag(1/(lam_uc + s^2)) R^T - diag(s^2/(lam_c +
-    s^2)) at s = sigma: the one decomposition both CPC signs are cut from."""
+    s^2)) at s = sigma: the one decomposition both CPC signs are cut from.
+
+    At large s both matrices are near I, so their difference, and a
+    one-sign term cut from it, loses about eps s^2 / |lam_c - lam_uc| of the
+    term's size: against dense shrinkage differences, 6.7e-12 at d = 8 and
+    1.0e-11 at d = 16, both at s = 80 (2.5e-15 to 4.6e-15 at s = 1). That
+    is negligible against the whole drift, but it bounds how finely the
+    one-sign split can be read at the top of a schedule."""
     s2 = sigma * sigma
     f = rot * np.sqrt(s2 / (uncond.eigvals + s2))
     c = f @ f.T  # a syrk, so exactly symmetric

@@ -278,7 +278,7 @@ class TestMixtureSampling:
         weights and coefficients, the 1 + heun resolvent sets of K d^2 floats
         (32 KiB each) and the guard's m norms, which it reads once the slopes
         are gone. Without ``overwrite_x`` y is one more (m, d) block. The run
-        builds no stacked form."""
+        makes no copy of the component bases."""
         d = 32
         assert sampler._row_blocks(m, 4 * d)[0] == slice(0, 1024)
         assert sampler.choose_path(m, d) == "compiled"
@@ -298,18 +298,16 @@ class TestMixtureSampling:
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_projected_run_makes_no_d2_copies(self, heun):
-        """A projected run (m = 64 < d = 512, K = 4) holds the stacked form,
-        2 K d^2 floats (16 MiB), built on its first guided evaluation; above
-        it, each evaluation's one (m, Kd) work block (1 MiB) and a few (m, d)
-        blocks. No evaluation scales a copy of U_all or of the back blocks,
-        (d, Kd) each, which would add 8 MiB or more."""
+        """A projected run (m = 64 < d = 512, K = 4) reads each U_i from its
+        component: above x_T it holds one (m, Kd) work block (1 MiB) and a
+        few (m, d) blocks, under 3 work blocks in all. A stacked or
+        transposed copy of the bases (K d^2 floats, 8 MiB) or a scaled copy
+        of one U_i (2 MiB) would break that bound."""
         d, k, m = 512, 4, 64
         assert sampler.choose_path(m, d) == "stepwise"
         model = random_mixture(d, k, np.random.default_rng(3))
         peak, _ = self._run_peak(model, m, heun, n_steps=4)
-        work = m * k * d * 8
-        assert "_stack" in vars(model)
-        assert peak - 2 * k * d * d * 8 < 3 * work, peak / 2**20
+        assert peak < 3 * m * k * d * 8, peak / 2**20
 
     @pytest.mark.parametrize("heun", [False, True])
     @pytest.mark.parametrize("m", [24, 5])  # folded at m >= d = 8, projected below
@@ -325,18 +323,23 @@ class TestMixtureSampling:
         assert np.shares_memory(got, x_T)
         assert got.tobytes() == expect.tobytes() == x_T.tobytes()
 
-    def test_folded_run_builds_no_stack(self):
-        """The folded drift reads the components; the stacked form is built
-        for the diagnostics (and the projected drift)."""
+    def test_the_model_is_left_as_built(self):
+        """Every mixture path reads the components as they are: after folded
+        and projected runs, Euler and Heun, and every diagnostic, the model
+        holds its components and weights and nothing cached beside them."""
         model = random_mixture(8, 3, np.random.default_rng(15))
         sched = sampler.make_schedule(n_steps=6)
-        x_T = sampler.draw_initial_states(model.d, 16, 1, sched)
-        assert sampler.choose_path(*x_T.shape) == "compiled"
-        for heun in (False, True):
-            gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun)
-        assert "_stack" not in vars(model)
+        assert [sampler.choose_path(m, 8) for m in (16, 4)] == ["compiled", "stepwise"]
+        for m in (16, 4):
+            x_T = sampler.draw_initial_states(model.d, m, 1, sched)
+            for heun in (False, True):
+                gmm.integrate(model, 0, x_T, sched, G(gamma=2.0), heun=heun)
+        gmm.posterior_weights(model, x_T, 1.0)
         gmm.mixture_score(model, x_T, 1.0)
-        assert "_stack" in vars(model)
+        gmm.mixture_denoise(model, x_T, 1.0)
+        for target in range(model.k):
+            gmm.gmm_cfg_guidance(model, target, x_T, 1.0, 2.0)
+        assert set(vars(model)) == {"components", "weights"}
 
 
 def _dense_parts(model, X, sigma):
@@ -631,9 +634,9 @@ def _long_double_flow(model, target, x_T, sched, cfg, heun):
                     reason="long double is no wider than float64 on this platform")
 class TestCondOffRounding:
     """Without the cond term the guided mixture flow pushes states away from
-    the other clusters and amplifies rounding by 1e2-1e4, so the stacked pass
-    and the split dense-solve drift end apart by far more than an ulp. Both
-    are measured against the same flow in long double."""
+    the other clusters and amplifies rounding by 1e2-1e4, so the eigenbasis
+    pass and the split dense-solve drift end apart by far more than an ulp.
+    Both are measured against the same flow in long double."""
 
     @pytest.mark.parametrize("heun", [False, True])
     def test_fused_flow_is_as_close_to_exact_as_rounding_allows(self, heun):
