@@ -7,7 +7,7 @@ score, signed contrastive-PC terms, and a mean-shift term, each independently
 toggleable. Closed forms (unguided and common-PC guided) provide the oracles.
 """
 
-__version__ = "0.4.20"  # samples are bit-identical only within one version
+__version__ = "0.4.21"  # samples are bit-identical only within one version
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy backends)
 

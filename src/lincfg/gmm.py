@@ -50,6 +50,13 @@ The diagnostics (``posterior_weights``, ``mixture_score``,
 ``mixture_denoise``, ``gmm_cfg_guidance``) stay on the eigenbasis pass, so
 the checks that hold the flow's drift, or the Tweedie identity, to them
 compare two independent formulas.
+
+Each constant of an evaluation centred on a target is formed in one place.
+``_offsets`` checks the centre and forms its basis offsets (mu_i - mu_c)
+U_i: once per diagnostic call, once per projected run whatever its steps,
+and never in a folded run, which reads the level's (mu_i - mu_c) R_i
+instead. ``_weights`` takes the log-priors from the model's weights, and
+``_coefficients`` sums the weights off the target.
 """
 
 from __future__ import annotations
@@ -112,14 +119,16 @@ class PosteriorWeights:
 def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, offsets: np.ndarray,
                out: np.ndarray | None = None) -> tuple:
     """(log_w, w, v, r) of the rows xc = X - mu_c (m, d) at noise sigma, with
-    the centre's ``_offsets``.
+    the centre's ``_offsets``, which the caller forms once: ``_pass`` per
+    diagnostic call, ``_guided_drift`` per projected run.
 
     log_w and w (m, K) are the normalized log posterior weights and the
     weights; r = 1/sqrt(lam_i + sigma^2) as (K, d); and v (m, K, d), a view
     of ``out`` (m, Kd) (a new block if None), holds v_i = y_i r_i with y_i =
     (X - mu_i) U_i: one GEMM of xc against U_i into each block, then minus
     the offsets and times r, both in place; the weights come from |v_i|^2
-    (``_weights``).
+    and the log-determinants of lam_i + sigma^2, formed here with r, through
+    ``_weights``, which reads the priors.
     """
     var = np.stack([c.eigvals for c in model.components]) + sigma * sigma
     r = 1.0 / np.sqrt(var)
@@ -129,28 +138,31 @@ def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, offsets: np.nd
         np.matmul(xc, comp.eigvecs, out=v[:, i])
     v -= offsets
     v *= r
-    log_w, w = _weights(np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1),
-                        np.log(model.weights))
+    log_w, w = _weights(np.einsum("mkd,mkd->mk", v, v), np.sum(np.log(var), axis=1), model)
     return log_w, w, v, r
 
 
 def _offsets(model: MixtureModel, centre: int) -> np.ndarray:
-    """(mu_i - mu_centre) U_i as (K, d), exactly 0 at the centre."""
+    """(mu_i - mu_centre) U_i as (K, d), exactly 0 at the centre, after
+    checking that the centre is a component."""
+    if not 0 <= centre < model.k:
+        raise IndexError(f"target index {centre} out of range for K={model.k}")
     mu = model.components[centre].mean
     return np.stack([np.einsum("d,ed->e", c.mean - mu, c.eigvecs.T) for c in model.components])
 
 
-def _weights(quad: np.ndarray, logdet: np.ndarray, log_prior: np.ndarray) -> tuple:
+def _weights(quad: np.ndarray, logdet: np.ndarray, model: MixtureModel) -> tuple:
     """(log_w, w) (m, K) from the quadratic forms quad = (x - mu_i)^T (Sigma_i
     + sigma^2)^-1 (x - mu_i) (m, K), overwritten, the log-determinants
-    logdet = sum log(lam_i + sigma^2) (K,) and the log-priors log_prior
-    (K,): normalized by log-sum-exp, and a weight whose log is below -745 is
-    exactly 0. The d/2 log 2pi term is dropped, as it cancels out of
-    normalized weights."""
+    logdet = sum log(lam_i + sigma^2) (K,) and the log-priors, which the
+    eigenbasis pass and the folded drift both take here, from
+    ``model.weights``: normalized by log-sum-exp, and a weight whose log is
+    below -745 is exactly 0. The d/2 log 2pi term is
+    dropped, as it cancels out of normalized weights."""
     logp = quad
     logp += logdet
     logp *= -0.5
-    logp += log_prior
+    logp += np.log(model.weights)
     logp -= logp.max(axis=1, keepdims=True)
     log_w = logp - np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
     w = np.exp(log_w)
@@ -257,15 +269,12 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     sigma^2. Both read the pass centred on the target: one GEMM takes z_i =
     (x - mu_c) U_i back, and the offsets (mu_i - mu_c) U_i give the shifts.
     """
-    if not 0 <= target < model.k:
-        raise IndexError(f"target index {target} out of range for K={model.k}")
+    offsets = _offsets(model, target)
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    offsets = _offsets(model, target)
     _, w, v, r = _pass(model, x, sigma, target, offsets)
     v += offsets * r  # z_i r_i
-    others = np.flatnonzero(np.arange(model.k) != target)
-    cpc = _back_project(model, v, _coefficients(w, target, others, 0.0, gamma), r)
+    cpc = _back_project(model, v, _coefficients(w, target, 0.0, gamma), r)
     var = np.stack([c.eigvals for c in model.components]) + sigma * sigma
     shifts = np.stack([np.einsum("d,de->e", a, c.eigvecs.T)  # R_i (mu_c - mu_i), exactly 0 at c
                        for a, c in zip(offsets / -var, model.components)])
@@ -273,13 +282,13 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
                             g_mean_like=(gamma * (w @ shifts)).reshape(np.shape(x)))
 
 
-def _coefficients(w: np.ndarray, target: int, others: np.ndarray, c: float,
-                  gamma: float) -> np.ndarray:
+def _coefficients(w: np.ndarray, target: int, c: float, gamma: float) -> np.ndarray:
     """gamma w_i off the target, -(c + gamma sum_{i != t} w_i) on it, the sum
-    over the columns ``others`` (every index but the target's, in order):
-    never c + gamma (w_t - 1), which rounds to c in rows close to one-hot."""
+    taken here over w without the target's column (every other index, in
+    order): never c + gamma (w_t - 1), which rounds to c in rows close to
+    one-hot."""
     coef = gamma * w
-    coef[:, target] = -(c + gamma * w[:, others].sum(axis=1))
+    coef[:, target] = -(c + gamma * np.delete(w, target, axis=1).sum(axis=1))
     return coef
 
 
@@ -315,13 +324,15 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     the smallest normal float count as 0. ``form`` (see ``integrate``) says how:
 
     - 'projected': one eigenbasis pass of y (``_posterior``), with the
-      offsets formed once per run, and one back-projection of the blocks
-      some row still weighs (``_back_project``).
+      target's ``_offsets`` formed once per run, when the drift is made, and
+      one back-projection of the blocks some row still weighs
+      (``_back_project``).
     - 'folded': one GEMM of y against the resolvents of sigma, minus the
       offsets (mu_i - mu_t) R_i, gives each -s_i = (x - mu_i) R_i; the
       quadratic forms (x - mu_i) . (x - mu_i) R_i give the weights, and the
-      drift is the coefficient-weighted sum of the blocks. Each row's
-      arithmetic reads its own row only. The resolvents, offsets and
+      drift is the coefficient-weighted sum of the blocks. The centred means
+      mu_i - mu_t are formed once, when the drift is made, and the basis
+      offsets never. Each row's arithmetic reads its own row only. The resolvents, offsets and
       log-determinants of the last 1 + ``heun`` guided sigmas are kept, and
       a new sigma's are built over the oldest's, so each noise level is
       built once per run however many row blocks ``integrate`` steps: N
@@ -339,8 +350,6 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
     c = 1.0 if cfg.enable_cond else 0.0
     k, d = model.k, model.d
     diff = np.stack([comp.mean for comp in model.components]) - tgt.mean  # 0 at the target
-    others = np.flatnonzero(np.arange(k) != target)
-    log_prior = np.log(model.weights)
     basis_offsets = _offsets(model, target) if form == "projected" else None
     levels = {}  # sigma -> (res, offsets, logdet), the oldest first
     work = None
@@ -370,8 +379,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
             return np.matmul(proj, tgt.eigvecs.T, out=out)
         if form == "projected":
             _, wts, v, r = _posterior(model, y, sigma, basis_offsets, work[:len(y)])
-            out = _back_project(model, v, _coefficients(wts, target, others, c, cfg.gamma), r,
-                                out)
+            out = _back_project(model, v, _coefficients(wts, target, c, cfg.gamma), r, out)
         else:
             res, offsets, logdet = level(sigma)
             # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
@@ -379,8 +387,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
             z -= offsets
             quad = np.einsum("md,mkd->mk", y, z)
             quad -= np.einsum("mkd,kd->mk", z, diff)
-            coef = _coefficients(_weights(quad, logdet, log_prior)[1], target, others, c,
-                                 cfg.gamma)
+            coef = _coefficients(_weights(quad, logdet, model)[1], target, c, cfg.gamma)
             coef[np.abs(coef) < _TINY] = 0.0
             out = np.einsum("mk,mkd->md", coef, z, out=out)
         out *= w  # after the sum, not in the coefficients (see above)

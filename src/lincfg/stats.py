@@ -25,11 +25,13 @@ _ORTHO_TOL = 1e-10
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     """a itself when it is a read-only, C-contiguous float64 array (one that
-    np.frombuffer made from file bytes, say), else a read-only float64 copy."""
+    np.frombuffer made from file bytes, say), else a read-only C-ordered
+    float64 copy: a Fortran-ordered or strided basis is stored in the layout
+    of every other, so the GEMMs that read it round the same way."""
     if (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
             and a.flags.c_contiguous):
         return a
-    out = np.array(a, dtype=np.float64, copy=True)
+    out = np.array(a, dtype=np.float64, copy=True, order="C")
     out.setflags(write=False)
     return out
 

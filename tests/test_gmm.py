@@ -211,6 +211,8 @@ class TestGuidance:
             gmm.gmm_cfg_guidance(model, 2, np.array([0.0]), 1.0, 1.0)
         with pytest.raises(IndexError):
             gmm.gmm_cfg_guidance(model, -1, np.array([0.0]), 1.0, 1.0)
+        with pytest.raises(IndexError):  # the target is checked before gamma and sigma
+            gmm.gmm_cfg_guidance(model, 2, np.array([0.0]), -1.0, -1.0)
 
 
 class TestMixtureSampling:
@@ -544,6 +546,37 @@ class TestFusedDrift:
             assert 0 < len(guided) < n_steps
         else:
             assert len(guided) == n_steps + heun
+
+    @pytest.mark.parametrize("heun", [False, True])
+    def test_offsets_are_formed_once_per_call_or_run(self, monkeypatch, heun):
+        """The basis offsets (mu_i - mu_c) U_i are formed once per
+        diagnostic call and once per projected run, however many steps it
+        takes; a folded run, which reads the resolvents, never forms them."""
+        d, k = 8, 3
+        model = random_mixture(d, k, np.random.default_rng(4))
+        sched = sampler.make_schedule(n_steps=12)
+        centres = []
+
+        def spy_offsets(model, centre):
+            centres.append(centre)
+            return offsets(model, centre)
+
+        offsets = gmm._offsets
+        monkeypatch.setattr(gmm, "_offsets", spy_offsets)
+        X = np.random.default_rng(5).standard_normal((4, d))
+        for call in (gmm.posterior_weights, gmm.mixture_score, gmm.mixture_denoise):
+            call(model, X, 0.5)
+            assert centres == [0]
+            centres.clear()
+        gmm.gmm_cfg_guidance(model, 2, X, 0.5, 2.0)
+        assert centres == [2]
+        centres.clear()
+        for m, form, built in ((3, "stepwise", [1]), (2 * d, "compiled", [])):
+            assert sampler.choose_path(m, d) == form
+            x_T = sampler.draw_initial_states(d, m, 6, sched)
+            gmm.integrate(model, 1, x_T, sched, MIXTURE_CFGS["full"], heun=heun)
+            assert centres == built
+            centres.clear()
 
     @pytest.mark.parametrize("form", ["folded", "projected"])
     @pytest.mark.parametrize("sigma", [0.1, 20.0])

@@ -3,12 +3,14 @@ import struct
 import numpy as np
 import pytest
 
+from lincfg import gmm, sampler
 from lincfg import stats as stats_mod
 from lincfg.errors import DataError, FormatError, ShapeError
 from lincfg.stats import (DATA_MAGIC, DataMatrix, GaussianStats, data_matrix_to_bytes,
                           estimate_gaussian_stats, load_data_csv, load_data_matrix, load_stats,
                           pool_stats, save_data_matrix, save_stats,
                           spectral_from_covariance, stats_to_bytes)
+from lincfg.synthetic import random_mixture
 
 
 def toy_cov():
@@ -170,6 +172,52 @@ class TestGaussianStatsInvariants:
         cov = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])
         stats = spectral_from_covariance(np.zeros(2), cov)
         assert np.all(stats.eigvals >= 0)
+
+
+def _relaid(stats: GaussianStats, layout: str) -> GaussianStats:
+    """stats rebuilt from a Fortran-ordered copy of its bases, or from a
+    strided view of the same numbers in a wider Fortran-ordered buffer."""
+    U = stats.eigvecs
+    if layout == "fortran":
+        U = np.asfortranarray(U)
+    else:
+        wide = np.zeros((2 * stats.d, 3 * stats.d), order="F")
+        wide[::2, ::3] = U
+        U = wide[::2, ::3]
+    assert not U.flags.c_contiguous
+    return GaussianStats(mean=stats.mean, eigvecs=U, eigvals=stats.eigvals)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_bases_are_stored_c_ordered(layout):
+    """Bases handed over in any layout are stored C-ordered, so the mixture
+    diagnostics, both forms of the mixture run and both Gaussian appliers
+    give the bits of the C-ordered build."""
+    d, k = 64, 3
+    model = random_mixture(d, k, np.random.default_rng(3))
+    comps = tuple(_relaid(c, layout) for c in model.components)
+    assert all(c.eigvecs.flags.c_contiguous for c in comps)
+    relaid = gmm.MixtureModel(components=comps, weights=model.weights)
+    X = 3.0 * np.random.default_rng(4).standard_normal((5, d))
+    for sigma in (0.01, 1.0):
+        for f in (gmm.mixture_score, gmm.mixture_denoise):
+            assert np.array_equal(f(relaid, X, sigma), f(model, X, sigma))
+        assert np.array_equal(gmm.posterior_weights(relaid, X, sigma).log_w,
+                              gmm.posterior_weights(model, X, sigma).log_w)
+        for target in range(k):
+            got = gmm.gmm_cfg_guidance(relaid, target, X, sigma, 2.0)
+            ref = gmm.gmm_cfg_guidance(model, target, X, sigma, 2.0)
+            assert np.array_equal(got.g_cpc_like, ref.g_cpc_like)
+            assert np.array_equal(got.g_mean_like, ref.g_mean_like)
+    sched = sampler.make_schedule(n_steps=8)
+    cfg = sampler.GuidanceConfig(gamma=2.0)
+    for m, path in ((5, "stepwise"), (d, "compiled")):  # projected, then folded
+        assert sampler.choose_path(m, d) == path
+        x_T = sampler.draw_initial_states(d, m, 5, sched)
+        assert np.array_equal(gmm.integrate(relaid, 1, x_T, sched, cfg),
+                              gmm.integrate(model, 1, x_T, sched, cfg))
+        assert np.array_equal(sampler.integrate(*comps[:2], x_T, sched, cfg),
+                              sampler.integrate(*model.components[:2], x_T, sched, cfg))
 
 
 class TestStatsFileFormat:
