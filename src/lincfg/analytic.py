@@ -11,18 +11,17 @@ throughout; no other schedule is accepted here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .errors import QuadratureError, ShapeError
+from .errors import QuadratureError, ShapeError, check_dimension, check_gamma
 from .stats import GaussianStats, check_pair
 
 _EQUAL_LAMBDA_TOL = 1e-12
 _QUAD_TOL = 1e-10
 _QUAD_MAX_DEPTH = 48
 _GAUSS_ORDER = 10
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,6 @@ def _check_eigvals(*lams) -> None:
         raise ValueError("eigenvalues must be finite and nonnegative")
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-
-
 def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
     """Per-component CFG scaling base:
 
@@ -128,6 +122,13 @@ def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
     return float(out) if out.ndim == 0 else out
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the Gauss-Legendre rule of order _GAUSS_ORDER,
+    formed on first use, so importing lincfg does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+
+
 def adaptive_quadrature(f, a: float, b: float, tol: float,
                         max_depth: int = _QUAD_MAX_DEPTH) -> float:
     """Integrate f over [a, b] by recursive bisection with a fixed-order
@@ -138,10 +139,12 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
     A non-finite estimate raises QuadratureError at once: no split mends it.
     """
 
+    nodes, weights = _gauss_legendre()
+
     def panel(lo: float, hi: float) -> float:
         mid = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
-        return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+        return half * float(np.dot(weights, f(mid + half * nodes)))
 
     if a == b:
         return 0.0
@@ -187,7 +190,7 @@ def b_coefficient(lam_c: float, lam_uc: float, sigma_t: float, sigma_T: float,
     avoid cancellation.
     """
     _check_sigmas(sigma_t, sigma_T)
-    _check_gamma(gamma)
+    check_gamma(gamma)
     _check_eigvals(lam_c, lam_uc)
     if sigma_t == sigma_T:
         return 0.0
@@ -226,10 +229,9 @@ def closed_form_cfg(pair: CommonPCPair, x_T: np.ndarray, sigma_t: float,
     gamma = 0 reduces to the unguided closed form. Accepts batched x_T.
     """
     _check_sigmas(sigma_t, sigma_T)
-    _check_gamma(gamma)
+    check_gamma(gamma)
     x_T = np.asarray(x_T, dtype=np.float64)
-    if x_T.shape[-1] != pair.d:
-        raise ShapeError(f"state dimension {x_T.shape[-1]} != pair dimension {pair.d}")
+    check_dimension(x_T.shape[-1], pair.d, "state", "pair")
     if sigma_T == sigma_t:
         return x_T.copy()
     U = pair.eigvecs

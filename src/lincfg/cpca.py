@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_dimension, check_sigma
 from .stats import GaussianStats, check_pair, fix_eigvec_signs
 
 _ZERO_TOL_FLOOR = 1e-10
@@ -82,8 +82,7 @@ def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,
     contrast S~_c - S~_uc is sigma^2 (R_uc - R_c), R = (Sigma + sigma^2)^-1.
     """
     check_pair(cond, uncond)
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     s2 = sigma * sigma
     return contrastive_components(*((s.eigvecs * (s2 / (s.eigvals + s2))) @ s.eigvecs.T
                                     for s in (uncond, cond)))
@@ -92,8 +91,7 @@ def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,
 def variance_along(stats: GaussianStats, v: np.ndarray) -> float:
     """v^T Sigma v for a unit vector v, evaluated in the eigenbasis."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != stats.d:
-        raise ShapeError(f"direction dimension {v.shape[0]} != stats dimension {stats.d}")
+    check_dimension(v.shape[0], stats.d, "direction")
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be a unit vector, |v| = {nrm}")

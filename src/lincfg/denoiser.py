@@ -18,22 +18,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import check_dimension, check_sigma
 from .stats import GaussianStats, check_pair
 
 
 def shrinkage(stats: GaussianStats, sigma: float) -> np.ndarray:
     """Per-eigendirection attenuation factors lam_i/(lam_i + sigma^2)."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     lam = stats.eigvals
     return lam / (lam + sigma * sigma)
 
 
 def _check_dim(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != stats.d:
-        raise ShapeError(f"vector dimension {x.shape[-1]} != stats dimension {stats.d}")
+    check_dimension(x.shape[-1], stats.d, "vector")
     return x
 
 
@@ -57,8 +55,7 @@ def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the noise-mollified Gaussian, (denoise(x) - x) / sigma^2,
     evaluated as -U diag(1/(lam + sigma^2)) U^T (x - mu). The equal form
     sigma^-2 U diag(f - 1) U^T (x - mu) cancels in f - 1 at small sigma."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     x = _check_dim(stats, x)
     return _project(stats, stats.mean - x, 1.0 / (stats.eigvals + sigma * sigma))
 

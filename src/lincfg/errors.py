@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code table, so library code should raise
-the most specific type that applies.
+the most specific type that applies. The input rules that several modules
+share live here too, each written once: ``check_sigma``, ``check_gamma`` and
+``check_dimension``.
 """
+
+from math import inf
 
 
 class DataError(ValueError):
@@ -15,6 +19,24 @@ class FormatError(ValueError):
 
 class ShapeError(ValueError):
     """Raised for dimension mismatches between vectors, matrices and stats."""
+
+
+def check_sigma(sigma: float) -> None:
+    """A noise level must be finite and positive (NaN fails)."""
+    if not 0.0 < sigma < inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
+def check_gamma(gamma: float) -> None:
+    """A guidance strength must be finite and >= 0 (NaN fails)."""
+    if not 0.0 <= gamma < inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+
+
+def check_dimension(n: int, d: int, what: str = "state", against: str = "stats") -> None:
+    """A ``what`` of dimension n must match the ``against`` dimension d."""
+    if n != d:
+        raise ShapeError(f"{what} dimension {n} != {against} dimension {d}")
 
 
 class DivergenceError(RuntimeError):

@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, check_dimension, check_gamma, check_sigma
 from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
@@ -175,11 +175,9 @@ def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0,
     """``_posterior`` of the state(s) x, of shape (d,) or (m, d), as rows
     centred on component ``centre``, whose ``_offsets`` are formed unless
     given, after checking sigma and the dimension."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.d:
-        raise ShapeError(f"state dimension {x.shape[-1]} != mixture dimension {model.d}")
+    check_dimension(x.shape[-1], model.d, "state", "mixture")
     return _posterior(model, x.reshape(-1, model.d) - model.components[centre].mean, sigma,
                       _offsets(model, centre) if offsets is None else offsets)
 
@@ -270,8 +268,7 @@ def gmm_cfg_guidance(model: MixtureModel, target: int, x: np.ndarray,
     (x - mu_c) U_i back, and the offsets (mu_i - mu_c) U_i give the shifts.
     """
     offsets = _offsets(model, target)
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    check_gamma(gamma)
     _, w, v, r = _pass(model, x, sigma, target, offsets)
     v += offsets * r  # z_i r_i
     cpc = _back_project(model, v, _coefficients(w, target, 0.0, gamma), r)
@@ -364,22 +361,22 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
 
     def drift(y, sigma, w=1.0, out=None):
         nonlocal work
-        guided = cfg.guidance_active(sigma)
-        if not (guided or c):
+        g = cfg.weight(sigma)
+        if not (g or c):
             if out is None:
                 return np.zeros_like(y)
             out.fill(0.0)
             return out
         if work is None:
             work = np.empty((len(y), k * d))
-        if not guided:
+        if not g:
             # c w denoiser.score of the target centred at 0: its score at y is the target's at x
             proj = np.matmul(y, tgt.eigvecs, out=work.reshape(-1)[:y.size].reshape(y.shape))
             proj *= (-c * w) / (tgt.eigvals + sigma * sigma)
             return np.matmul(proj, tgt.eigvecs.T, out=out)
         if form == "projected":
             _, wts, v, r = _posterior(model, y, sigma, basis_offsets, work[:len(y)])
-            out = _back_project(model, v, _coefficients(wts, target, c, cfg.gamma), r, out)
+            out = _back_project(model, v, _coefficients(wts, target, c, g), r, out)
         else:
             res, offsets, logdet = level(sigma)
             # each R_i is symmetric, so res as (Kd, d), transposed, is [R_1 ... R_K]
@@ -387,7 +384,7 @@ def _guided_drift(model: MixtureModel, target: int, cfg: sampler.GuidanceConfig,
             z -= offsets
             quad = np.einsum("md,mkd->mk", y, z)
             quad -= np.einsum("mkd,kd->mk", z, diff)
-            coef = _coefficients(_weights(quad, logdet, model)[1], target, c, cfg.gamma)
+            coef = _coefficients(_weights(quad, logdet, model)[1], target, c, g)
             coef[np.abs(coef) < _TINY] = 0.0
             out = np.einsum("mk,mkd->md", coef, z, out=out)
         out *= w  # after the sum, not in the coefficients (see above)
@@ -402,8 +399,8 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     """Final states of the guided mixture flow toward one component from x_T.
 
     The conditional score is the target component's linear score and the
-    unconditional one the mixture score; the guidance is gamma times their
-    difference, gated by cfg.guidance_active, and the per-term CPC toggles
+    unconditional one the mixture score; the guidance is their difference
+    times the gain g(sigma) of ``cfg.weight``, and the per-term CPC toggles
     do not apply. The drift (``_guided_drift``) is folded where
     ``sampler.choose_path`` compiles the block's (m, d), at m >= d, and
     projected below, once per run. The run steps y = x - mu_target under
@@ -427,8 +424,7 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     if not 0 <= target < model.k:
         raise IndexError(f"target index {target} out of range for K={model.k}")
     x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x)
-    if x.shape[1] != model.d:
-        raise ShapeError(f"state dimension {x.shape[1]} != mixture dimension {model.d}")
+    check_dimension(x.shape[1], model.d, "state", "mixture")
     m, d = x.shape
     folded = sampler.choose_path(m, d) == "compiled"
     blocks = sampler._row_blocks(m, model.k * d) if folded else [slice(None)]

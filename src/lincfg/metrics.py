@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, check_gamma
 from .sampler import InitSpec
 from .stats import GaussianStats, check_pair
 
@@ -109,8 +109,7 @@ def mean_shifted_init(cond: GaussianStats, uncond: GaussianStats,
     InitSpec.std rule of sampler.draw_initial_states (None: sigma_max).
     """
     check_pair(cond, uncond)
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    check_gamma(gamma)
     with np.errstate(over="ignore"):
         shift = gamma * (cond.mean - uncond.mean)
     if not np.isfinite(shift).all():

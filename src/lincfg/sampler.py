@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .cpca import signed_eigh
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError, ShapeError, check_dimension, check_gamma, check_sigma
 from .stats import GaussianStats, check_pair
 
 DIVERGENCE_GUARD = 1e6
@@ -110,10 +110,13 @@ class GuidanceConfig:
     """Guidance strength gamma and per-component enable mask.
 
     ``active_interval`` gates the guidance terms (never the conditional
-    score) to sigma in [lo, hi]; None means always active. ``freeze_cpc_at``
-    is an ablation: it reuses the CPC decomposition computed at that sigma
-    for all steps instead of the exact per-step split, which shows how much
-    the CPCs' drift over the sigma range matters to the samples.
+    score) to sigma in [lo, hi]; None means always active. The gated gain,
+    g(sigma) = gamma inside the interval and 0 outside it (the limited
+    interval of Kynkaanniemi et al. 2024), is ``weight``, which every guided
+    drift, Gaussian or mixture, reads. ``freeze_cpc_at`` is an ablation: it
+    reuses the CPC decomposition computed at that sigma for all steps
+    instead of the exact per-step split, which shows how much the CPCs'
+    drift over the sigma range matters to the samples.
     """
 
     gamma: float = DEFAULT_GAMMA
@@ -125,8 +128,7 @@ class GuidanceConfig:
     freeze_cpc_at: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
         if self.active_interval is not None:
             lo, hi = self.active_interval
             if not (0.0 < lo <= hi):
@@ -134,14 +136,17 @@ class GuidanceConfig:
         if self.freeze_cpc_at is not None and not 0.0 < self.freeze_cpc_at < np.inf:
             raise ValueError(f"freeze_cpc_at must be finite and positive, got {self.freeze_cpc_at}")
 
+    def weight(self, sigma: float) -> float:
+        """The guidance gain g(sigma): gamma inside the active interval (at
+        every sigma without one), else 0.0. The one definition of g, which
+        every guided drift reads."""
+        on = self.gamma > 0.0 and (self.active_interval is None
+                                   or self.active_interval[0] <= sigma <= self.active_interval[1])
+        return self.gamma if on else 0.0
+
     def guidance_active(self, sigma: float) -> bool:
-        """Whether the guidance terms are on at sigma: gamma > 0, inside the interval."""
-        if not self.gamma > 0.0:
-            return False
-        if self.active_interval is None:
-            return True
-        lo, hi = self.active_interval
-        return lo <= sigma <= hi
+        """Whether the guidance terms are on at sigma: g(sigma) > 0."""
+        return self.weight(sigma) > 0.0
 
 
 @dataclass(frozen=True)
@@ -190,15 +195,13 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     is never interval-gated.
     """
     check_pair(cond, uncond)
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != cond.d:
-        raise ShapeError(f"state dimension {x.shape[-1]} != stats dimension {cond.d}")
-    flow, y = _cfg_flow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
+    check_dimension(x.shape[-1], cond.d)
+    flow, y = _CondBasisFlow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
     names = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
     at = cfg.freeze_cpc_at or sigma  # the sigma of the CPC splits
-    eig = (_contrast_eigh(cond, uncond, flow.rot, at) if cfg.guidance_active(sigma)
+    eig = (_contrast_eigh(cond, uncond, flow.rot, at) if cfg.weight(sigma) > 0.0
            and (cfg.enable_pos_cpc or cfg.enable_neg_cpc) else None)
 
     def term(name):
@@ -420,15 +423,16 @@ class _CondBasisFlow:
         50, one BLAS thread). ``node`` reads them, and prepares a sigma it
         has not seen."""
         cfg = self.cfg
-        on = [float(s) for s in sigmas if cfg.enable_mean_shift and cfg.guidance_active(s)]
+        on = [float(s) for s in sigmas if cfg.enable_mean_shift and cfg.weight(s) > 0.0]
         if on:
-            h = self.delta * (cfg.gamma / (self.uncond.eigvals + np.square(on)[:, None]))
+            g = np.array([cfg.weight(s) for s in on])[:, None]
+            h = self.delta * (g / (self.uncond.eigvals + np.square(on)[:, None]))
             self.shifts.update(zip(on, (h @ self.uncond.eigvecs.T) @ self.cond.eigvecs))
 
     def node(self, s: float) -> tuple:
         """(alpha, split, gain, b) at sigma s."""
         cfg = self.cfg
-        g = cfg.gamma if cfg.guidance_active(s) else 0.0
+        g = cfg.weight(s)
         alpha = -(1.0 if cfg.enable_cond else 0.0) / (self.cond.eigvals + s * s)
         split, gain, b = None, 0.0, None
         if g > 0.0 and (cfg.enable_pos_cpc or cfg.enable_neg_cpc):
@@ -515,11 +519,6 @@ def _step(y: np.ndarray, drift, ends: tuple, u: tuple, out: np.ndarray) -> np.nd
         k0 += drift(z, ends[1], 0.5 * u1, out[2])
         y += k0
     return y
-
-
-def _cfg_flow(cond: GaussianStats, uncond: GaussianStats, cfg: GuidanceConfig) -> _CondBasisFlow:
-    """The flow of cfg for the pair."""
-    return _CondBasisFlow(cond=cond, uncond=uncond, cfg=cfg)
 
 
 def _nodes(schedule: NoiseSchedule, heun: bool):
@@ -710,10 +709,9 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     """
     check_pair(cond, uncond)
     x, limit = _start(x_T, schedule, data_scale(cond, uncond), overwrite_x)
-    if x.shape[1] != cond.d:
-        raise ShapeError(f"state dimension {x.shape[1]} != stats dimension {cond.d}")
+    check_dimension(x.shape[1], cond.d)
     run = _compiled if choose_path(len(x), cond.d) == "compiled" else _stepwise
-    return run(_cfg_flow(cond, uncond, cfg), schedule, heun, x, limit,
+    return run(_CondBasisFlow(cond, uncond, cfg), schedule, heun, x, limit,
                out=x if overwrite_x else None).reshape(np.shape(x_T))
 
 
@@ -753,8 +751,7 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
     if not (sigma_T >= sigma_t > 0.0):
         raise ValueError(f"need sigma_T >= sigma_t > 0, got {sigma_T}, {sigma_t}")
     x_T = np.asarray(x_T, dtype=np.float64)
-    if x_T.shape[-1] != stats.d:
-        raise ShapeError(f"state dimension {x_T.shape[-1]} != stats dimension {stats.d}")
+    check_dimension(x_T.shape[-1], stats.d)
     if sigma_T == sigma_t:
         return x_T.copy()
     lam = stats.eigvals

@@ -119,7 +119,6 @@ def check_pair(a: GaussianStats, b: GaussianStats) -> None:
 
 def fix_eigvec_signs(U: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive (in place safe)."""
-    U = np.array(U, copy=True)
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
     signs[signs == 0] = 1.0

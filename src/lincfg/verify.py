@@ -256,7 +256,7 @@ def check_decomposition_identity(n_pairs: int = 100, d: int = 8) -> CheckResult:
         x = rng.standard_normal(d) * max(1.0, sigma)
         cfg = sampler.GuidanceConfig(gamma=gamma)
         terms = sampler.guidance_terms(cond, uncond, x, sigma, cfg)
-        run = sampler._cfg_flow(cond, uncond, cfg).drift((x - cond.mean) @ cond.eigvecs, sigma)
+        run = sampler._CondBasisFlow(cond, uncond, cfg).drift((x - cond.mean) @ cond.eigvecs, sigma)
         ref = _assembled_guidance(cond, uncond, x, sigma, gamma)
         worst = max(worst, float(np.max(np.abs(terms.total() - ref))),
                     float(np.max(np.abs(run @ cond.eigvecs.T - ref))))
@@ -337,7 +337,7 @@ def check_mean_shift_keeps_gamma0_map(d: int = 16) -> CheckResult:
     schedule = sampler.make_schedule(n_steps=20)
 
     def last_map(cfg, heun):
-        for P, q in sampler._fold(sampler._cfg_flow(cond, uncond, cfg), schedule, heun):
+        for P, q in sampler._fold(sampler._CondBasisFlow(cond, uncond, cfg), schedule, heun):
             pass
         return P, q
 

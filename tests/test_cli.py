@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import struct
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import lincfg
-from lincfg import denoiser, gmm, sampler, verify
+from lincfg import cpca, denoiser, gmm, sampler, verify
 from lincfg.cli import main
 from lincfg.stats import (GaussianStats, load_data_matrix, load_stats, save_data_matrix,
                           save_stats)
@@ -469,6 +470,26 @@ class TestVerifyCommand:
         assert "FAIL" not in capsys.readouterr().out
 
 
+    def test_failing_check_prints_its_name_and_exits_1(self, capsys, monkeypatch):
+        fake = [verify.CheckResult("fake/ok", True, 0.0, 1.0),
+                verify.CheckResult("fake/bad", False, 2.0, 1.0)]
+        monkeypatch.setitem(verify.SUITES, "cpca", lambda: fake)
+        assert main(["verify", "cpca"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] fake/bad" in out and "verify cpca: 1/2 checks passed" in out
+        assert out.splitlines()[-1] == "failed: fake/bad"
+
+    def test_run_suite_all_is_every_suite_in_order(self, monkeypatch):
+        monkeypatch.setattr(verify, "SUITES", {
+            name: (lambda name=name: [verify.CheckResult(f"{name}/{i}", True, 0.0, 1.0)
+                                      for i in range(2)])
+            for name in ("b", "a", "c")})
+        assert [r.name for r in verify.run_suite("all")] == ["b/0", "b/1", "a/0", "a/1",
+                                                             "c/0", "c/1"]
+        with pytest.raises(ValueError, match=r"unknown suite 'z'; choose from \['a', 'b', 'c'\]"):
+            verify.run_suite("z")
+
+
 class TestExport:
     def test_export_cpcs(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
@@ -574,6 +595,30 @@ class TestExport:
             assert csv[sigma] == histogram_csv(expect)
         assert csv[None] != csv[0.8]
 
+    @pytest.mark.parametrize("direction,magnitude", [("pos_cpc:0", True), ("eigvec:0", False)])
+    def test_export_histograms_along_a_basis_vector(self, tmp_path, direction, magnitude):
+        """A CPC histogram defaults to |projection| and an eigenvector one to
+        the signed projection; --magnitude and --signed override either."""
+        from lincfg.export import histogram_csv
+        from lincfg.metrics import project_histogram
+        cond, uncond = random_stats_pair(6, np.random.default_rng(84))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        data = np.random.default_rng(85).standard_normal((50, 6))
+        save_data_matrix(data, tmp_path / "s.bin")
+        v = (cpca.posterior_cpcs(cond, uncond, 1.0).positive[1][:, 0]
+             if direction == "pos_cpc:0" else cond.eigvecs[:, 0])
+        name = direction.replace(":", "_")
+        for extra, mag in (([], magnitude), (["--magnitude"], True), (["--signed"], False)):
+            out = tmp_path / f"h{len(extra)}{mag}"
+            assert main(["export", "histograms", "--samples", str(tmp_path / "s.bin"),
+                         "--cond", str(tmp_path / "c.stats"),
+                         "--uncond", str(tmp_path / "u.stats"), "--direction", direction,
+                         "--sigma", "1", "--outdir", str(out), *extra]) == 0
+            expect = project_histogram(data, v, cond.mean, magnitude=mag)
+            assert (out / f"hist_{name}.csv").read_text() == histogram_csv(expect)
+            assert (out / f"hist_{name}.svg").read_text().startswith("<svg")
+
     def test_export_similarity_and_top_level_alias(self, tmp_path, toy_files, capsys):
         cond_path, uncond_path = toy_files
         out = tmp_path / "sim"
@@ -646,6 +691,10 @@ _MIX = ["sample", "--steps", "4", "--m", "2", "--outdir", "{out}", "--mixture"]
     (_SAMPLE + ["--ppm-count", "3", "--fixed-range", "0:1"], 3, "'ppm_count'"),
     (_SAMPLE + ["--fixed-range", "0:1"], 3, "'fixed_range'"),
     (_SAMPLE + ["--cond-stats", "{tmp}"], 2, "no such input: {tmp}"),
+    (["sample", "--cond-stats", "{cond}", "--steps", "4", "--m", "2", "--outdir", "{out}"], 2,
+     "no such input: uncond_stats required when gamma > 0"),
+    (["sample", "--uncond-stats", "{uncond}", "--steps", "4", "--m", "2", "--outdir", "{out}"],
+     2, "no such input: cond_stats not configured"),
     (_SAMPLE + ["--config", "{tmp}"], 2, "no such input: {tmp}"),
     (["fit", "{tmp}", "{out}/o.stats"], 2, "no such input: {tmp}"),
     (["export", "cpcs", *_PAIR, "--shape", "8x8x3"], 5, "8x8x3"),
@@ -689,6 +738,67 @@ def test_failing_command_exit_code_and_no_outdir(tmp_path, toy_files, capsys, ar
     assert main([a.format(**paths) for a in argv]) == code
     assert message.format(**paths) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("run.json", '{"config": {"gamma": ', "invalid JSON manifest"),
+    ("run.json", '{"meta": {}}', "manifest has no 'config' object"),
+    ("run.json", '{"config": ["gamma"]}', "manifest has no 'config' object"),
+    ("run.cfg", "gamma=1\nsteps 4\n", "run.cfg:2: expected key=value, got 'steps 4'"),
+])
+def test_malformed_config_file_exit_3(tmp_path, toy_files, capsys, name, text, message):
+    config = tmp_path / name
+    config.write_text(text)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(config), "--cond-stats", str(toy_files[0]),
+                 "--uncond-stats", str(toy_files[1]), "--outdir", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_components_none_runs_the_conditional_score_alone(tmp_path, toy_files):
+    """components=none keeps gamma but no guidance term: the samples are the
+    gamma = 0 run's, bit for bit."""
+    cond_path, uncond_path = toy_files
+    out = tmp_path / "o"
+    assert main(["sample", "--cond-stats", str(cond_path), "--uncond-stats", str(uncond_path),
+                 "--components", "none", "--gamma", "3", "--steps", "6", "--m", "5",
+                 "--seed", "4", "--outdir", str(out)]) == 0
+    got = load_data_matrix(out / "samples.bin").values
+    sched = sampler.make_schedule(n_steps=6)
+    none = sampler.GuidanceConfig(gamma=3.0, enable_pos_cpc=False, enable_neg_cpc=False,
+                                  enable_mean_shift=False)
+    for cfg in (none, sampler.GuidanceConfig(gamma=0.0)):
+        np.testing.assert_array_equal(got, sampler.sample_batch(
+            toy_conditional_stats(), toy_unconditional_stats(), 5, 4, sched, cfg))
+
+
+_BAD_HEADERS = {
+    "stats_version": b"LCFG1" + struct.pack("<BI", 2, 2) + bytes(64),
+    "stats_d0": b"LCFG1" + struct.pack("<BI", 1, 0),
+    "data_n0": b"LCFD1" + struct.pack("<II", 0, 2),
+    "data_d0": b"LCFD1" + struct.pack("<II", 3, 0),
+}
+
+
+@pytest.mark.parametrize("name,message", [
+    ("stats_version", "unsupported stats version 2 at offset 5"),
+    ("stats_d0", "invalid dimension 0 at offset 6"),
+    ("data_n0", "invalid shape (0,2) at offset 5"),
+    ("data_d0", "invalid shape (3,0) at offset 5"),
+])
+def test_bad_file_header_exit_3(tmp_path, toy_files, capsys, name, message):
+    """A stats header that load_stats rejects fails ``sample``, and a data
+    header that load_data_matrix rejects fails ``fit``, with exit 3."""
+    path = tmp_path / name
+    path.write_bytes(_BAD_HEADERS[name])
+    out = tmp_path / "o"
+    argv = (["sample", "--cond-stats", str(path), "--uncond-stats", str(toy_files[1]),
+             "--outdir", str(out)] if name.startswith("stats")
+            else ["fit", str(path), str(out / "fit.stats")])
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mixture_component_that_is_a_directory_exits_2(tmp_path, toy_files, capsys):

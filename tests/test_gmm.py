@@ -213,6 +213,10 @@ class TestGuidance:
             gmm.gmm_cfg_guidance(model, -1, np.array([0.0]), 1.0, 1.0)
         with pytest.raises(IndexError):  # the target is checked before gamma and sigma
             gmm.gmm_cfg_guidance(model, 2, np.array([0.0]), -1.0, -1.0)
+        for target in (2, -1):  # and before the start is read, even one of the wrong shape
+            for x_T in (np.zeros((3, 1)), np.zeros((3, 5))):
+                with pytest.raises(IndexError, match=f"target index {target} out of range"):
+                    gmm.integrate(model, target, x_T, sampler.make_schedule(n_steps=2), G())
 
 
 class TestMixtureSampling:
@@ -590,6 +594,19 @@ class TestFusedDrift:
         got = gmm._guided_drift(model, 1, cfg, form)(y, sigma)
         centred = replace(model.components[1], mean=np.zeros(6))
         assert np.array_equal(got, denoiser.score(centred, y, sigma))
+
+    @pytest.mark.parametrize("form", ["folded", "projected"])
+    def test_cond_off_drift_outside_the_interval_is_zero(self, form):
+        """With the conditional score off and the guidance gated off, a
+        drift evaluation is exactly 0, into a new block or into ``out``."""
+        model = random_mixture(6, 3, np.random.default_rng(9))
+        cfg = G(gamma=2.0, enable_cond=False, active_interval=(0.5, 10.0))
+        y = 3.0 * np.random.default_rng(10).standard_normal((7, 6))
+        drift = gmm._guided_drift(model, 1, cfg, form)
+        for sigma in (0.1, 20.0):
+            assert np.array_equal(drift(y, sigma), np.zeros_like(y))
+            out = np.full_like(y, np.nan)
+            assert drift(y, sigma, 0.5, out) is out and np.array_equal(out, np.zeros_like(y))
 
     @pytest.mark.parametrize("form", ["folded", "projected"])
     def test_subnormal_weight_never_reaches_the_back_projection(self, form):

@@ -256,7 +256,7 @@ class TestGuidanceTerms:
         cfg = G(gamma=3.0, freeze_cpc_at=freeze)
         terms = sampler.guidance_terms(cond, uncond, x, 0.7, cfg)
         assert len(calls) == 1
-        flow, y = sampler._cfg_flow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
+        flow, y = sampler._CondBasisFlow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
         for name, got in zip(TERMS, (terms.f_c, terms.g_pos, terms.g_neg, terms.g_mean)):
             one = replace(flow, cfg=replace(cfg, **{n: n == name for n in TERMS}))
             np.testing.assert_array_equal(got, one.drift(y, 0.7) @ cond.eigvecs.T, name)
@@ -596,8 +596,8 @@ def _apply(applier, cond, uncond, x_T, sched, cfg, heun, overwrite=False):
     """Run cfg through the named applier, whatever choose_path would pick,
     writing the samples over x_T if ``overwrite``."""
     x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
-    return getattr(sampler, applier)(sampler._cfg_flow(cond, uncond, cfg), sched, heun, x, limit,
-                                     out=x if overwrite else None)
+    flow = sampler._CondBasisFlow(cond, uncond, cfg)
+    return getattr(sampler, applier)(flow, sched, heun, x, limit, out=x if overwrite else None)
 
 
 class TestDiagonalFold:
@@ -648,7 +648,7 @@ class TestDiagonalFold:
         d = 8
         cond, uncond = random_stats_pair(d, np.random.default_rng(5))
         sched = sampler.make_schedule(n_steps=12)
-        flow = sampler._cfg_flow(cond, uncond, cfg)
+        flow = sampler._CondBasisFlow(cond, uncond, cfg)
         real = flow.node_matrix
 
         def counted(s):
@@ -759,11 +759,11 @@ class TestFold:
         x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         y0 = (x_T - cond.mean) @ cond.eigvecs
         ndims = []
-        for i, (P, q) in enumerate(sampler._fold(sampler._cfg_flow(cond, uncond, cfg), sched,
+        for i, (P, q) in enumerate(sampler._fold(sampler._CondBasisFlow(cond, uncond, cfg), sched,
                                                  heun)):
             ndims.append(P.ndim)
             got = cond.mean + ((y0 @ P if P.ndim == 2 else y0 * P) + q) @ cond.eigvecs.T
-            ref = sampler._stepwise(sampler._cfg_flow(cond, uncond, cfg),
+            ref = sampler._stepwise(sampler._CondBasisFlow(cond, uncond, cfg),
                                     sampler.NoiseSchedule(sched.sigmas[:i + 2]), heun, x, limit)
             assert trajectory_rel_error(got, ref, x_T).max() <= 1e-12, i
         assert len(ndims) == sched.n_steps
@@ -866,7 +866,7 @@ class TestGaussianDivergence:
         _, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
         shift = G(gamma=1.0, enable_pos_cpc=False, enable_neg_cpc=False)
         sizes = [np.linalg.norm(q) for _, q in
-                 sampler._fold(sampler._cfg_flow(cond, uncond, shift), sched, heun)]
+                 sampler._fold(sampler._CondBasisFlow(cond, uncond, shift), sched, heun)]
         gamma = (1.0 - 1e-9) * limit / max(sizes)
         seen = self._named(cond, uncond, sched, x_T, replace(shift, gamma=gamma), heun)
         assert len(set(seen)) == 1
@@ -937,7 +937,7 @@ class TestGaussianDivergence:
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(8, 16, 8, sched)
         cfg = G(gamma=2.0)
-        flow = sampler._cfg_flow(cond, uncond, cfg)
+        flow = sampler._CondBasisFlow(cond, uncond, cfg)
         seen = []  # x_T, the states after steps 0..N-2, then the last one
 
         def drift(x, sigma):
@@ -972,7 +972,7 @@ class TestGaussianDivergence:
         cond, uncond = random_stats_pair(d, np.random.default_rng(2))
         sched = sampler.make_schedule(n_steps=20)
         x_T = sampler.draw_initial_states(d, m, 2, sched)
-        flow = sampler._cfg_flow(cond, uncond, G(gamma=2.0))
+        flow = sampler._CondBasisFlow(cond, uncond, G(gamma=2.0))
         y0 = (x_T - cond.mean) @ cond.eigvecs
         dist = max(float(sampler._norms(y0 @ P + q).max())
                    for P, q in sampler._fold(flow, sched, False))
@@ -1183,7 +1183,7 @@ class TestCpcSplit:
         for (pos, neg), part in parts.items():
             cfg = G(gamma=3.0, enable_cond=False, enable_pos_cpc=pos, enable_neg_cpc=neg,
                     enable_mean_shift=False, freeze_cpc_at=frozen)
-            flow = sampler._cfg_flow(cond, uncond, cfg)
+            flow = sampler._CondBasisFlow(cond, uncond, cfg)
             for j, s in enumerate(sched.sigmas):
                 a, b = flow.node_matrix(float(s))
                 ref = 3.0 / s**2 * part
@@ -1257,7 +1257,7 @@ class TestCpcSplit:
         sched = sampler.make_schedule(n_steps=12)
         x_T = sampler.draw_initial_states(8, 16, 13, sched)
         x, limit = sampler._start(x_T, sched, sampler.data_scale(cond, uncond))
-        flow = sampler._cfg_flow(cond, uncond, cfg)
+        flow = sampler._CondBasisFlow(cond, uncond, cfg)
         sampler._compiled(flow, sched, False, x, limit)
         for at, split in flow.last.items():
             fresh = sampler._cpc_split(cond, uncond, flow.rot, at, cfg.enable_pos_cpc,
@@ -1265,7 +1265,8 @@ class TestCpcSplit:
             np.testing.assert_array_equal(split.vecs, fresh.vecs)
             np.testing.assert_array_equal(split.unit_gram, fresh.gram())
         compiled = sampler._compiled(flow, sched, True, x, limit)
-        stepped = sampler._stepwise(sampler._cfg_flow(cond, uncond, cfg), sched, True, x, limit)
+        stepped = sampler._stepwise(sampler._CondBasisFlow(cond, uncond, cfg), sched, True, x,
+                                    limit)
         assert trajectory_rel_error(compiled, stepped, x_T).max() <= 1e-12
 
 
@@ -1349,6 +1350,13 @@ class TestSampleBatch:
         for std in (-1.0, np.nan):
             with pytest.raises(ValueError, match="std"):
                 sampler.draw_initial_states(2, 4, 2, sched, sampler.InitSpec(std=std))
+
+    def test_init_shift_of_the_wrong_length_fails_before_the_draw(self, monkeypatch):
+        sched = sampler.make_schedule(n_steps=4)
+        monkeypatch.setattr(sampler, "_hashed_seeds", None)
+        for shift in (np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ShapeError, match=r"init shift must have length 2, got \("):
+                sampler.draw_initial_states(2, 4, 0, sched, sampler.InitSpec(shift=shift))
 
     @pytest.mark.parametrize("spec", [
         sampler.InitSpec(std=np.inf), sampler.InitSpec(shift=np.array([0.0, np.inf])),

@@ -313,6 +313,17 @@ class TestDataFiles:
                 save_data_matrix(bad, tmp_path / "bad.bin")
         assert not (tmp_path / "bad.bin").exists()
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        """A part that cannot be written re-raises, leaves the old file as it
+        was and removes the temporary file it was written through."""
+        from lincfg.fileio import atomic_write_bytes
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, b"new", object())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.bin"]
+
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"NOPE!" + bytes(16))
