@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import QuadratureError, ShapeError, check_dimension, check_gamma
+from .errors import QuadratureError, ShapeError, check_dimension, check_gamma, check_sigma_pair
 from .stats import GaussianStats, check_pair
 
 _EQUAL_LAMBDA_TOL = 1e-12
@@ -95,12 +95,6 @@ def check_common_pc(cond: GaussianStats, uncond: GaussianStats,
                         commutator_norm=rel, offdiag_mass=off)
 
 
-def _check_sigmas(sigma_t: float, sigma_T: float) -> None:
-    if not (np.inf > sigma_T >= sigma_t > 0.0):
-        raise ValueError(f"need finite sigma_T >= sigma_t > 0, "
-                         f"got sigma_t={sigma_t}, sigma_T={sigma_T}")
-
-
 def _check_eigvals(*lams) -> None:
     if not all(np.all((0.0 <= lam) & (lam < np.inf)) for lam in lams):  # False on NaN
         raise ValueError("eigenvalues must be finite and nonnegative")
@@ -113,7 +107,7 @@ def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
 
     h >= 1 exactly when lam_c >= lam_uc. Accepts scalars or arrays.
     """
-    _check_sigmas(sigma_t, sigma_T)
+    check_sigma_pair(sigma_t, sigma_T)
     lam_c = np.asarray(lam_c, dtype=np.float64)
     lam_uc = np.asarray(lam_uc, dtype=np.float64)
     _check_eigvals(lam_c, lam_uc)
@@ -189,7 +183,7 @@ def b_coefficient(lam_c: float, lam_uc: float, sigma_t: float, sigma_T: float,
     its exact antiderivative 1 - sqrt((lam + sigma_t^2)/(lam + sigma_T^2)) to
     avoid cancellation.
     """
-    _check_sigmas(sigma_t, sigma_T)
+    check_sigma_pair(sigma_t, sigma_T)
     check_gamma(gamma)
     _check_eigvals(lam_c, lam_uc)
     if sigma_t == sigma_T:
@@ -228,7 +222,7 @@ def closed_form_cfg(pair: CommonPCPair, x_T: np.ndarray, sigma_t: float,
 
     gamma = 0 reduces to the unguided closed form. Accepts batched x_T.
     """
-    _check_sigmas(sigma_t, sigma_T)
+    check_sigma_pair(sigma_t, sigma_T)
     check_gamma(gamma)
     x_T = np.asarray(x_T, dtype=np.float64)
     check_dimension(x_T.shape[-1], pair.d, "state", "pair")

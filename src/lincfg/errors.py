@@ -2,11 +2,11 @@
 
 The CLI maps these onto its exit-code table, so library code should raise
 the most specific type that applies. The input rules that several modules
-share live here too, each written once: ``check_sigma``, ``check_gamma`` and
-``check_dimension``.
+share live here too, each written once: ``check_sigma``, ``check_sigma_pair``,
+``check_gamma``, ``check_dimension`` and ``check_unit``.
 """
 
-from math import inf
+from math import inf, sqrt
 
 
 class DataError(ValueError):
@@ -27,6 +27,13 @@ def check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
 
 
+def check_sigma_pair(sigma_t: float, sigma_T: float) -> None:
+    """A reverse run goes from a finite sigma_T down to sigma_t > 0 (NaN fails)."""
+    if not inf > sigma_T >= sigma_t > 0.0:
+        raise ValueError(f"need finite sigma_T >= sigma_t > 0, "
+                         f"got sigma_t={sigma_t}, sigma_T={sigma_T}")
+
+
 def check_gamma(gamma: float) -> None:
     """A guidance strength must be finite and >= 0 (NaN fails)."""
     if not 0.0 <= gamma < inf:
@@ -37,6 +44,15 @@ def check_dimension(n: int, d: int, what: str = "state", against: str = "stats")
     """A ``what`` of dimension n must match the ``against`` dimension d."""
     if n != d:
         raise ShapeError(f"{what} dimension {n} != {against} dimension {d}")
+
+
+def check_unit(v) -> None:
+    """A direction, a 1-D float array v, must be a unit vector: |v| within
+    1e-8 of 1 (NaN fails). |v| = sqrt(v @ v) is what ``np.linalg.norm``
+    returns for such a v."""
+    nrm = sqrt(v @ v)
+    if not abs(nrm - 1.0) <= 1e-8:
+        raise ValueError(f"direction must be a unit vector, |v| = {nrm}")
 
 
 class DivergenceError(RuntimeError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_gamma
+from .errors import DataError, ShapeError, check_gamma, check_unit
 from .sampler import InitSpec
 from .stats import GaussianStats, check_pair
 
@@ -49,9 +49,7 @@ def project_histogram(samples: np.ndarray, direction: np.ndarray, center: np.nda
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     if direction.shape[0] != x.shape[1] or center.shape[0] != x.shape[1]:
         raise ShapeError("direction/center dimension does not match samples")
-    nrm = float(np.linalg.norm(direction))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"direction must be a unit vector, |v| = {nrm}")
+    check_unit(direction)
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
 

@@ -27,8 +27,10 @@ block) and for the mixture (``gmm.integrate``) alike.
 form, behind ``integrate_with_scores`` and the tests; no sampling path
 calls it.
 ``_CondBasisFlow`` is the one definition of that drift, readable at any
-sigma. ``guidance_terms`` reads the same flow one term at a time, giving the
-paper's decomposition for diagnostics; sampling does not call it.
+sigma; its one-sign CPC splits are cut from ``cpca.posterior_contrast``,
+the formula that ``cpca.posterior_cpcs`` exports. ``guidance_terms`` reads
+the same flow one term at a time, giving the paper's decomposition for
+diagnostics; sampling does not call it.
 States accept shape (d,) or a batch (m, d).
 """
 
@@ -41,8 +43,9 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .cpca import signed_eigh
-from .errors import DivergenceError, ShapeError, check_dimension, check_gamma, check_sigma
+from .cpca import posterior_contrast
+from .errors import (DivergenceError, ShapeError, check_dimension, check_gamma, check_sigma,
+                     check_sigma_pair)
 from .stats import GaussianStats, check_pair
 
 DIVERGENCE_GUARD = 1e6
@@ -186,10 +189,10 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     g_neg  : (gamma/sigma^2) V- L- V-^T (x - mu_c), generic-feature suppression
     g_mean : gamma (Sigma_uc + sigma^2)^-1 (mu_c - mu_uc), x-independent shift
 
-    (V, L) are the CPCs of S~_c - S~_uc at sigma, or at the frozen sigma*:
-    both one-sign splits come from one ``signed_eigh`` of the contrast
-    (``_contrast_eigh``), as a one-sign run's ``_cpc_split`` takes them;
-    with both signs on, sampling runs their sum as one direct split.
+    (V, L) are the CPCs of S~_c - S~_uc at sigma, or at the frozen sigma*,
+    those of ``cpca.posterior_cpcs``: both one-sign splits come from one
+    ``cpca.posterior_contrast``, as a one-sign run's ``_cpc_split`` takes
+    them; with both signs on, sampling runs their sum as one direct split.
     Disabled terms come back as read-only zero views of shape x.shape;
     outside the active interval the flow gives zero guidance terms, but f_c
     is never interval-gated.
@@ -201,7 +204,7 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     flow, y = _CondBasisFlow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
     names = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
     at = cfg.freeze_cpc_at or sigma  # the sigma of the CPC splits
-    eig = (_contrast_eigh(cond, uncond, flow.rot, at) if cfg.weight(sigma) > 0.0
+    eig = (posterior_contrast(cond, uncond, flow.rot, at) if cfg.weight(sigma) > 0.0
            and (cfg.enable_pos_cpc or cfg.enable_neg_cpc) else None)
 
     def term(name):
@@ -342,36 +345,17 @@ def _cpc_split(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray, sigm
     s^2)) at s = sigma in the cond basis, R = U_c^T U_uc, cut to the CPC
     signs that are on. Both signs keep this direct form: F = R, lam =
     1/(lam_uc + s^2), diag = -1/(lam_c + s^2). One sign decomposes s^2 times
-    it with one ``signed_eigh`` (``_contrast_eigh``), so cpca's zero cut
-    holds: F = W, lam = lambda / s^2 (``_one_sign``). Neither differences
-    shrinkage factors."""
+    it with one ``signed_eigh`` (``cpca.posterior_contrast``), so cpca's
+    zero cut holds: F = W, lam = lambda / s^2 (``_one_sign``). Neither
+    differences shrinkage factors."""
     if pos and neg:
         s2 = sigma * sigma
         return _Split(rot, 1.0 / (uncond.eigvals + s2), -1.0 / (cond.eigvals + s2))
-    return _one_sign(_contrast_eigh(cond, uncond, rot, sigma), sigma, pos)
-
-
-def _contrast_eigh(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray,
-                   sigma: float) -> tuple:
-    """``signed_eigh`` of s^2 R diag(1/(lam_uc + s^2)) R^T - diag(s^2/(lam_c +
-    s^2)) at s = sigma: the one decomposition both CPC signs are cut from.
-
-    At large s both matrices are near I, so their difference, and a
-    one-sign term cut from it, loses about eps s^2 / |lam_c - lam_uc| of the
-    term's size: against dense shrinkage differences, 6.7e-12 at d = 8 and
-    1.0e-11 at d = 16, both at s = 80 (2.5e-15 to 4.6e-15 at s = 1). That
-    is negligible against the whole drift, but it bounds how finely the
-    one-sign split can be read at the top of a schedule."""
-    s2 = sigma * sigma
-    f = rot * np.sqrt(s2 / (uncond.eigvals + s2))
-    c = f @ f.T  # a syrk, so exactly symmetric
-    del f  # d^2 floats that eigh's own workspace need not sit beside
-    c.flat[::len(c) + 1] -= s2 / (cond.eigvals + s2)
-    return signed_eigh(c)
+    return _one_sign(posterior_contrast(cond, uncond, rot, sigma), sigma, pos)
 
 
 def _one_sign(eig: tuple, sigma: float, pos: bool) -> _Split:
-    """The positive (or negative) split of a ``_contrast_eigh`` at sigma."""
+    """The positive (or negative) split of a ``posterior_contrast`` at sigma."""
     lam, vec, cut = eig
     keep = lam > cut if pos else lam < -cut
     return _Split(vec[:, keep], lam[keep] / (sigma * sigma), 0.0)
@@ -748,8 +732,7 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
     x_t = mu + sum_i sqrt((lam_i + sigma_t^2)/(lam_i + sigma_T^2))
                 * u_i^T (x_T - mu) u_i
     """
-    if not (sigma_T >= sigma_t > 0.0):
-        raise ValueError(f"need sigma_T >= sigma_t > 0, got {sigma_T}, {sigma_t}")
+    check_sigma_pair(sigma_t, sigma_T)
     x_T = np.asarray(x_T, dtype=np.float64)
     check_dimension(x_T.shape[-1], stats.d)
     if sigma_T == sigma_t:

@@ -504,6 +504,27 @@ class TestExport:
         assert table[0] == "index,eigenvalue"
         assert float(table[1].split(",")[1]) == pytest.approx(10 / 11 - 3 / 4)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0])
+    def test_export_cpcs_at_sigma_matches_dense_solves(self, tmp_path, sigma):
+        """On a pair that shares no basis, the exported eigenvalues are those
+        of sigma^2 [(Sigma_uc + sigma^2)^-1 - (Sigma_c + sigma^2)^-1], to
+        1e-13 of max|lambda|."""
+        d = 16
+        cond, uncond = random_stats_pair(d, np.random.default_rng(16))
+        save_stats(cond, tmp_path / "c.stats")
+        save_stats(uncond, tmp_path / "u.stats")
+        out = tmp_path / "exp"
+        assert main(["export", "cpcs", "--cond", str(tmp_path / "c.stats"),
+                     "--uncond", str(tmp_path / "u.stats"), "--sigma", repr(sigma),
+                     "--count", "1", "--shape", "4x4", "--outdir", str(out)]) == 0
+        rows = (out / "cpc_eigenvalues.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[1]) for row in rows])
+        inv_uc, inv_c = (np.linalg.solve(s.covariance() + sigma**2 * np.eye(d), np.eye(d))
+                         for s in (uncond, cond))
+        contrast = sigma**2 * (inv_uc - inv_c)
+        ref = np.linalg.eigvalsh(0.5 * (contrast + contrast.T))[::-1]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_export_shape_mismatch_exit_5(self, tmp_path, toy_files):
         cond_path, uncond_path = toy_files
         code = main(["export", "cpcs", "--cond", str(cond_path),

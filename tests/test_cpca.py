@@ -40,6 +40,18 @@ def test_posterior_cpcs_eigenvalues_match_dense_solves(d, sigma):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_posterior_cpcs_make_one_decomposition(monkeypatch):
+    """posterior_cpcs is ``posterior_contrast`` taken back to x: one
+    ``signed_eigh``, and no dense pair through ``contrastive_components``."""
+    calls = []
+    real = cpca.signed_eigh
+    monkeypatch.setattr(cpca, "signed_eigh", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(cpca, "contrastive_components", None)
+    cond, uncond = random_stats_pair(8, np.random.default_rng(8))
+    spec = cpca.posterior_cpcs(cond, uncond, 0.7)
+    assert len(calls) == 1 and spec.eigvals.shape == (8,)
+
+
 def test_grid_search_oracle():
     rng = np.random.default_rng(20)
     angles = np.linspace(0.0, np.pi, 3600, endpoint=False)

@@ -1,6 +1,7 @@
 """The input rules that several modules share, at every public entry point
-that reads them: a noise level sigma, a guidance strength gamma and the
-dimension of a state. Each rule is written once, in ``lincfg.errors``; these
+that reads them: a noise level sigma, a pair (sigma_t, sigma_T) of a reverse
+run, a guidance strength gamma, the dimension of a state and a unit
+direction. Each rule is written once, in ``lincfg.errors``; these
 tables hold every reader of it to the same exception type and message. The
 guidance gain g(sigma), written once as ``GuidanceConfig.weight``, and the
 import cost of the quadrature rule are tested here too."""
@@ -69,6 +70,21 @@ STATE_READERS = {
 }
 
 
+# name -> call(sigma_t, sigma_T); closed_form_unguided takes (sigma_T, sigma_t)
+SIGMA_PAIR_READERS = {
+    "analytic.h_factor": lambda t, T: analytic.h_factor(1.0, 2.0, t, T),
+    "analytic.b_coefficient": lambda t, T: analytic.b_coefficient(1.0, 2.0, t, T, 1.0),
+    "analytic.closed_form_cfg": lambda t, T: analytic.closed_form_cfg(PAIR, X[:, :2], t, T, 1.0),
+    "sampler.closed_form_unguided": lambda t, T: sampler.closed_form_unguided(COND, X, T, t),
+}
+
+# name -> call(direction)
+UNIT_READERS = {
+    "cpca.variance_along": lambda v: cpca.variance_along(COND, v),
+    "metrics.project_histogram": lambda v: metrics.project_histogram(X, v, np.zeros(D)),
+}
+
+
 def _raises_exactly(kind, message, call, *args):
     with pytest.raises(kind) as info:
         call(*args)
@@ -94,6 +110,25 @@ def test_every_gamma_reader_rejects_a_bad_gamma(name, gamma):
 def test_every_state_reader_rejects_the_wrong_dimension(name):
     call, state, message = STATE_READERS[name]
     _raises_exactly(ShapeError, message, call, state)
+
+
+@pytest.mark.parametrize("sigmas", [(1.0, math.inf), (0.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                    (1.0, math.nan)], ids=str)
+@pytest.mark.parametrize("name", sorted(SIGMA_PAIR_READERS))
+def test_every_sigma_pair_reader_rejects_a_bad_pair(name, sigmas):
+    sigma_t, sigma_T = sigmas
+    _raises_exactly(ValueError, f"need finite sigma_T >= sigma_t > 0, "
+                    f"got sigma_t={sigma_t}, sigma_T={sigma_T}",
+                    SIGMA_PAIR_READERS[name], sigma_t, sigma_T)
+
+
+@pytest.mark.parametrize("v", [[2.0, 0.0, 0.0, 0.0], [0.0] * D, [math.nan, 0.0, 0.0, 0.0]],
+                         ids=["norm2", "zeros", "nan"])
+@pytest.mark.parametrize("name", sorted(UNIT_READERS))
+def test_every_unit_reader_rejects_a_non_unit_direction(name, v):
+    nrm = float(np.linalg.norm(v))
+    _raises_exactly(ValueError, f"direction must be a unit vector, |v| = {nrm}",
+                    UNIT_READERS[name], np.array(v))
 
 
 @pytest.mark.parametrize("interval", [None, (0.5, 10.0), (2.0, 2.0)])

@@ -249,8 +249,8 @@ class TestGuidanceTerms:
         flows that each decompose their own sign, as the flows of earlier
         versions did: two decompositions more."""
         calls = []
-        real = sampler.signed_eigh
-        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
+        real = cpca.signed_eigh
+        monkeypatch.setattr(cpca, "signed_eigh", lambda *a: calls.append(a) or real(*a))
         cond, uncond = random_stats_pair(8, np.random.default_rng(42))
         x = cond.mean + np.random.default_rng(43).standard_normal((5, 8))
         cfg = G(gamma=3.0, freeze_cpc_at=freeze)
@@ -290,6 +290,24 @@ class TestGuidanceTerms:
             ref = _dense_ablation_drift(cond, uncond, one)(x, sigma)
             assert got.shape == x.shape and np.abs(ref).max() > 0.0, name
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("freeze", [None, 5.0], ids=["live", "frozen"])
+    @pytest.mark.parametrize("sigma", [0.01, 0.7, 10.0, 80.0])
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_cpc_terms_are_the_paper_formula_of_the_exported_cpcs(self, d, sigma, freeze):
+        """g_pos and g_neg are (gamma/sigma^2) V L V^T (x - mu_c), with (V, L)
+        one sign of ``cpca.posterior_cpcs`` at sigma (at sigma* when frozen):
+        the CPCs a user exports are the ones sampling runs, to 1e-14 of the
+        term's largest entry."""
+        cond, uncond = random_stats_pair(d, np.random.default_rng(d))
+        x = cond.mean + (1.0 + sigma) * np.random.default_rng(d + 1).standard_normal((5, d))
+        gamma = 3.0
+        terms = sampler.guidance_terms(cond, uncond, x, sigma, G(gamma=gamma, freeze_cpc_at=freeze))
+        spec = cpca.posterior_cpcs(cond, uncond, freeze or sigma)
+        for got, (lam, V) in ((terms.g_pos, spec.positive), (terms.g_neg, spec.negative)):
+            ref = (gamma / sigma**2) * (((x - cond.mean) @ V) * lam) @ V.T
+            assert np.abs(ref).max() > 0.0
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -1035,8 +1053,8 @@ class TestFullCfgPath:
 
     def test_full_cfg_makes_no_cpc_decomposition(self, monkeypatch):
         calls = []
-        real = sampler.signed_eigh
-        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
+        real = cpca.signed_eigh
+        monkeypatch.setattr(cpca, "signed_eigh", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(cpca, "posterior_cpcs", None)  # sampling never reads it
         for cfg in [G(gamma=0.0), *FULL_CFGS.values()]:
             for heun in (False, True):
@@ -1137,8 +1155,8 @@ class TestEveryGaussianConfig:
         one live sign, once for one frozen sign, and never with both signs or
         no CPC term; sampling never calls posterior_cpcs."""
         calls = []
-        real = sampler.signed_eigh
-        monkeypatch.setattr(sampler, "signed_eigh", lambda *a: calls.append(a) or real(*a))
+        real = cpca.signed_eigh
+        monkeypatch.setattr(cpca, "signed_eigh", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(sampler, "guidance_terms", None)
         monkeypatch.setattr(cpca, "posterior_cpcs", None)
         cond, uncond = random_stats_pair(8, np.random.default_rng(9))
