@@ -15,7 +15,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import QuadratureError, ShapeError, check_dimension, check_gamma, check_sigma_pair
+from .errors import (QuadratureError, ShapeError, check_basis, check_dimension, check_eigvals,
+                     check_finite, check_gamma, check_sigma_pair)
 from .stats import GaussianStats, check_pair
 
 _EQUAL_LAMBDA_TOL = 1e-12
@@ -44,17 +45,12 @@ class CommonPCPair:
 
     def __post_init__(self):
         U = np.asarray(self.eigvecs, dtype=np.float64)
-        d = U.shape[0]
-        if U.shape != (d, d):
-            raise ShapeError(f"eigvecs must be square, got {U.shape}")
-        if np.max(np.abs(U.T @ U - np.eye(d))) > 1e-10:
-            raise ValueError("shared eigenbasis is not orthonormal within 1e-10")
+        check_basis(U, "eigenbasis")
         for name in ("lam_c", "lam_uc", "mu_c", "mu_uc"):
             v = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
-            if v.shape != (d,):
-                raise ShapeError(f"{name} must have length {d}, got {v.shape}")
+            check_dimension(len(v), len(U), name, "eigenbasis")
+            check_eigvals(v) if name.startswith("lam") else check_finite(v, name)
             object.__setattr__(self, name, v)
-        _check_eigvals(self.lam_c, self.lam_uc)
         object.__setattr__(self, "eigvecs", U)
 
     @property
@@ -95,11 +91,6 @@ def check_common_pc(cond: GaussianStats, uncond: GaussianStats,
                         commutator_norm=rel, offdiag_mass=off)
 
 
-def _check_eigvals(*lams) -> None:
-    if not all(np.all((0.0 <= lam) & (lam < np.inf)) for lam in lams):  # False on NaN
-        raise ValueError("eigenvalues must be finite and nonnegative")
-
-
 def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
     """Per-component CFG scaling base:
 
@@ -110,7 +101,7 @@ def h_factor(lam_c, lam_uc, sigma_t: float, sigma_T: float):
     check_sigma_pair(sigma_t, sigma_T)
     lam_c = np.asarray(lam_c, dtype=np.float64)
     lam_uc = np.asarray(lam_uc, dtype=np.float64)
-    _check_eigvals(lam_c, lam_uc)
+    check_eigvals(lam_c, lam_uc)
     st2, sT2 = sigma_t * sigma_t, sigma_T * sigma_T
     out = (lam_c + st2) / (lam_c + sT2) * (lam_uc + sT2) / (lam_uc + st2)
     return float(out) if out.ndim == 0 else out
@@ -185,7 +176,7 @@ def b_coefficient(lam_c: float, lam_uc: float, sigma_t: float, sigma_T: float,
     """
     check_sigma_pair(sigma_t, sigma_T)
     check_gamma(gamma)
-    _check_eigvals(lam_c, lam_uc)
+    check_eigvals(np.array((lam_c, lam_uc)))
     if sigma_t == sigma_T:
         return 0.0
     if abs(lam_c - lam_uc) < _EQUAL_LAMBDA_TOL:
@@ -225,6 +216,7 @@ def closed_form_cfg(pair: CommonPCPair, x_T: np.ndarray, sigma_t: float,
     check_sigma_pair(sigma_t, sigma_T)
     check_gamma(gamma)
     x_T = np.asarray(x_T, dtype=np.float64)
+    check_finite(x_T, "initial state", ShapeError)
     check_dimension(x_T.shape[-1], pair.d, "state", "pair")
     if sigma_T == sigma_t:
         return x_T.copy()

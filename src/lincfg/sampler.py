@@ -44,8 +44,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .cpca import posterior_contrast
-from .errors import (DivergenceError, ShapeError, check_dimension, check_gamma, check_sigma,
-                     check_sigma_pair)
+from .errors import (DivergenceError, ShapeError, check_dimension, check_finite, check_gamma,
+                     check_sigma, check_sigma_pair)
 from .stats import GaussianStats, check_pair
 
 DIVERGENCE_GUARD = 1e6
@@ -65,14 +65,13 @@ class NoiseSchedule:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.sigmas, dtype=np.float64).reshape(-1)
+        s = np.array(self.sigmas, dtype=np.float64).reshape(-1)  # a copy, made read-only below
         if s.size < 2:
             raise ValueError("schedule needs at least 2 noise levels (N >= 1)")
-        if not np.all((s > 0.0) & (s < np.inf)):
-            raise ValueError("all noise levels must be finite and positive")
+        check_sigma(s.min(), "noise level")
+        check_sigma(s.max(), "noise level")
         if not np.all(np.diff(s) < 0.0):
             raise ValueError("noise levels must be strictly decreasing")
-        s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "sigmas", s)
 
@@ -94,8 +93,8 @@ def make_schedule(sigma_max: float = DEFAULT_SIGMA_MAX,
                   n_steps: int = DEFAULT_STEPS,
                   rho: float = DEFAULT_RHO) -> NoiseSchedule:
     """rho-warped grid sigma_i = (s_max^(1/rho) + i/N (s_min^(1/rho) - s_max^(1/rho)))^rho."""
-    if not (np.inf > sigma_max > sigma_min > 0.0):
-        raise ValueError(f"need finite sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
+    check_sigma(sigma_max, "sigma_max")
+    check_sigma(sigma_min, "sigma_min")
     if not isinstance(n_steps, numbers.Integral) or n_steps < 1:  # numpy integers too
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not 1.0 <= rho < np.inf:
@@ -136,8 +135,8 @@ class GuidanceConfig:
             lo, hi = self.active_interval
             if not (0.0 < lo <= hi):
                 raise ValueError(f"need 0 < sigma_lo <= sigma_hi, got [{lo}, {hi}]")
-        if self.freeze_cpc_at is not None and not 0.0 < self.freeze_cpc_at < np.inf:
-            raise ValueError(f"freeze_cpc_at must be finite and positive, got {self.freeze_cpc_at}")
+        if self.freeze_cpc_at is not None:
+            check_sigma(self.freeze_cpc_at, "freeze_cpc_at")
 
     def weight(self, sigma: float) -> float:
         """The guidance gain g(sigma): gamma inside the active interval (at
@@ -225,9 +224,12 @@ def data_scale(*stats: GaussianStats) -> float:
 
 def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
            overwrite_x: bool = False) -> tuple[np.ndarray, float]:
-    """The start as an (m, d) block with m, d >= 1, and the divergence limit:
-    DIVERGENCE_GUARD times the trajectory scale max(1, sigma_max, max|x_T|,
-    scale), where ``scale`` is the run's data scale. With ``overwrite_x``
+    """The start as an (m, d) block with m, d >= 1 and finite entries, and
+    the divergence limit: DIVERGENCE_GUARD times the trajectory scale max(1,
+    sigma_max, max|x_T|, scale), where ``scale`` is the run's data scale.
+    ``_norms`` squares each row, so a limit whose square times d overflows
+    float64 could not be held to: that start raises ValueError naming the
+    largest limit that can, before any step. With ``overwrite_x``
     the block is x_T's own buffer (a view of it for a lone state), which the
     run may write, so x_T must be a writeable C-contiguous float64 array:
     the one rule of both integrators' ``overwrite_x``."""
@@ -240,10 +242,12 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
     if x.ndim != 2 or not x.size:
         raise ShapeError(f"state must have shape (d,) or (m, d) with m, d >= 1, "
                          f"got {np.shape(x_T)}")
-    hi, lo = float(x.max()), float(x.min())  # NaN propagates to both
-    if not -np.inf < lo <= hi < np.inf:
-        raise ShapeError("initial state contains non-finite entries")
-    return x, DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, hi, -lo, scale)
+    extent = check_finite(x, "initial state", ShapeError)
+    limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, extent, scale)
+    bound = float(np.sqrt(np.finfo(np.float64).max / x.shape[1]))  # limit^2 * d stays finite
+    if not limit <= bound:
+        raise ValueError(f"divergence limit {limit:g} exceeds {bound:.4g} = sqrt(float64 max / d)")
+    return x, limit
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -734,6 +738,7 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
     """
     check_sigma_pair(sigma_t, sigma_T)
     x_T = np.asarray(x_T, dtype=np.float64)
+    check_finite(x_T, "initial state", ShapeError)
     check_dimension(x_T.shape[-1], stats.d)
     if sigma_T == sigma_t:
         return x_T.copy()
@@ -824,13 +829,11 @@ def draw_initial_states(d: int, m: int, seed: int, schedule: NoiseSchedule,
         raise ValueError(f"m must be >= 1, got {m}")
     spec = init or InitSpec()
     std = spec.std if spec.std is not None else schedule.sigma_max
-    if not 0 <= std < np.inf:
-        raise ValueError(f"init std must be finite and >= 0, got {std}")
+    check_gamma(std, "init std")
     shift = np.zeros(d) if spec.shift is None else np.asarray(spec.shift, dtype=np.float64)
     if shift.shape != (d,):
         raise ShapeError(f"init shift must have length {d}, got {shift.shape}")
-    if not np.isfinite(shift).all():
-        raise ValueError("init shift contains non-finite entries")
+    check_finite(shift, "init shift")
     np.random.bit_generator.ISeedSequence.register(_Words)  # so importing lincfg skips numpy.random
     x = np.empty((m, d))
     for k, words in enumerate(_hashed_seeds(seed, m)):

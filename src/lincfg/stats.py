@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, ShapeError
+from .errors import (DataError, FormatError, ShapeError, check_basis, check_dimension,
+                     check_eigvals, check_finite)
 from .fileio import atomic_write_bytes
 
 STATS_MAGIC = b"LCFG1"
 DATA_MAGIC = b"LCFD1"
 STATS_VERSION = 1
-
-_ORTHO_TOL = 1e-10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -38,14 +37,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 def _checked(values) -> np.ndarray:
     """values as a float64 array, not copied, once it is 2-D with n, d >= 1
-    and finite (a min and a max find any NaN or inf without a temporary)."""
+    and finite (``check_finite``)."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeError(f"data matrix must be 2-D, got shape {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise DataError(f"data matrix needs n >= 1 and d >= 1, got {v.shape}")
-    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
-        raise DataError("data matrix contains non-finite entries")
+    check_finite(v, "data matrix")
     return v
 
 
@@ -84,19 +82,11 @@ class GaussianStats:
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         U = np.asarray(self.eigvecs, dtype=np.float64)
         lam = np.asarray(self.eigvals, dtype=np.float64).reshape(-1)
-        d = mean.shape[0]
-        if U.shape != (d, d):
-            raise ShapeError(f"eigvecs must be ({d},{d}), got {U.shape}")
-        if lam.shape != (d,):
-            raise ShapeError(f"eigvals must have length {d}, got {lam.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(U)) and np.all(np.isfinite(lam))):
-            raise DataError("stats contain non-finite entries")
-        gram = U.T @ U  # a syrk; then |U^T U - I| in place
-        gram.flat[::d + 1] -= 1.0
-        if np.abs(gram, out=gram).max() > _ORTHO_TOL:
-            raise DataError("eigvecs are not orthonormal within 1e-10")
-        if np.any(lam < 0):
-            raise DataError("eigenvalues must be nonnegative")
+        check_basis(U, "eigenbasis")
+        check_dimension(len(mean), len(U), "mean", "eigenbasis")
+        check_dimension(len(lam), len(U), "eigvals", "eigenbasis")
+        check_finite(mean, "mean")
+        check_eigvals(lam)
         if np.any(np.diff(lam) > 0):
             raise DataError("eigenvalues must be sorted descending")
         object.__setattr__(self, "mean", _as_readonly(mean))
@@ -113,8 +103,7 @@ class GaussianStats:
 
 
 def check_pair(a: GaussianStats, b: GaussianStats) -> None:
-    if a.d != b.d:
-        raise ShapeError(f"stats dims differ: {a.d} != {b.d}")
+    check_dimension(b.d, a.d, "stats", "stats")
 
 
 def fix_eigvec_signs(U: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lincfg import analytic, sampler
 from lincfg.analytic import CommonPCPair, CommonPCRejection
-from lincfg.errors import QuadratureError
+from lincfg.errors import DataError, QuadratureError, ShapeError
 from lincfg.stats import spectral_from_covariance
 from lincfg.synthetic import (toy_common_pair, toy_conditional_stats,
                               toy_unconditional_stats)
@@ -166,6 +168,40 @@ def test_non_finite_input_fails_fast(entry):
             _NON_FINITE[entry]()
 
 
+class TestCommonPCPairInputs:
+    """A pair whose basis or means are not finite fails at construction,
+    so ``closed_form_cfg`` never sees it and cannot return NaN."""
+
+    @staticmethod
+    def _pair(**bad):
+        pair = toy_common_pair()
+        fields = dict(eigvecs=pair.eigvecs, lam_c=pair.lam_c, lam_uc=pair.lam_uc,
+                      mu_c=pair.mu_c, mu_uc=pair.mu_uc)
+        return CommonPCPair(**{**fields, **bad})
+
+    def test_nan_basis_is_rejected(self):
+        with pytest.raises(DataError, match="^eigenbasis contains non-finite entries$"):
+            self._pair(eigvecs=np.full((2, 2), np.nan))
+
+    def test_inf_basis_entry_is_rejected_without_a_warning(self):
+        U = toy_common_pair().eigvecs.copy()
+        U[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^eigenbasis contains non-finite entries$"):
+                self._pair(eigvecs=U)
+
+    @pytest.mark.parametrize("name", ["mu_c", "mu_uc"])
+    def test_nan_mean_is_rejected(self, name):
+        with pytest.raises(DataError, match=f"^{name} contains non-finite entries$"):
+            self._pair(**{name: np.array([np.nan, 0.0])})
+
+    def test_closed_form_of_a_nan_pair_raises(self):
+        with pytest.raises(DataError):
+            analytic.closed_form_cfg(self._pair(mu_uc=np.array([0.0, np.nan])),
+                                     np.ones((1, 2)), 0.1, 1.0, 2.0)
+
+
 class TestClosedFormCfg:
     def test_gamma_zero_reduces_to_unguided(self):
         pair = toy_common_pair()
@@ -189,6 +225,13 @@ class TestClosedFormCfg:
                 * np.sqrt((lam_c + st_**2) / (lam_c + sT**2)))
         expect = pair.mu_c + U @ (coef * (U.T @ (xT - pair.mu_c)))
         np.testing.assert_allclose(got, expect, atol=1e-12)
+
+    def test_rejects_a_non_finite_state(self):
+        """The start rule of ``sampler.integrate``: same type, same message."""
+        with pytest.raises(ShapeError) as exc:
+            analytic.closed_form_cfg(toy_common_pair(), np.array([[np.nan, 0.0]]),
+                                     0.1, 1.0, 2.0)
+        assert str(exc.value) == "initial state contains non-finite entries"
 
     def test_sigma_identity_shortcut(self):
         pair = toy_common_pair()

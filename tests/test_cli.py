@@ -322,6 +322,19 @@ class TestSample:
             assert err.count("sample") == (m > 1)
             assert not (tmp_path / "d").exists()
 
+    def test_start_too_large_for_the_guard_exit_1(self, tmp_path, toy_files, capsys):
+        """A sigma_max of 1e200 draws a start whose divergence limit cannot
+        be squared: exit 1 naming the bound, before any step or file."""
+        cond_path, uncond_path = toy_files
+        code = main(["sample", "--cond-stats", str(cond_path), "--uncond-stats",
+                     str(uncond_path), "--sigma-max", "1e200", "--steps", "3", "--m", "2",
+                     "--outdir", str(tmp_path / "d")])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: divergence limit ")
+        assert line.endswith(" exceeds 9.481e+153 = sqrt(float64 max / d)")
+        assert not (tmp_path / "d").exists()
+
     def test_compiled_run_divergence_exit_4(self, tmp_path):
         cond, uncond = random_stats_pair(4, np.random.default_rng(7))
         save_stats(cond, tmp_path / "c.stats")

@@ -382,6 +382,13 @@ class TestClosedFormUnguided:
             sampler.closed_form_unguided(toy_conditional_stats(),
                                          np.zeros(2), 1.0, 2.0)
 
+    def test_rejects_a_non_finite_state(self):
+        """The start rule of ``integrate``: same type, same message."""
+        with pytest.raises(ShapeError) as exc:
+            sampler.closed_form_unguided(toy_conditional_stats(), np.array([[np.nan, 0.0]]),
+                                         80.0, 1.0)
+        assert str(exc.value) == "initial state contains non-finite entries"
+
 
 class TestIntegrate:
     def test_mean_is_exact_fixed_point_unguided(self):
@@ -590,6 +597,37 @@ class TestIntegrate:
         x.flat[-1 if where == "last" else 0] = value
         with pytest.raises(ShapeError, match="non-finite"):
             sampler._start(x, sampler.make_schedule(n_steps=4), 1.0)
+
+    @pytest.mark.parametrize("m", [1, 4], ids=["stepwise", "compiled"])
+    @pytest.mark.parametrize("value", [1e290, 1e303])
+    def test_start_too_large_for_the_guard_fails_before_any_step(self, value, m):
+        """``_norms`` squares each row, so at |x_T| = 1e290 the guard read inf
+        at step 0 of a run that contracts, and from 1.8e302 on the limit is
+        itself inf, so the guard never tripped. Either start is a ValueError
+        naming the bound, raised before any step, with x_T left as it was."""
+        cond, uncond = toy_conditional_stats(), toy_unconditional_stats()
+        x_T = np.full((m, 2), value)
+        assert sampler.choose_path(m, 2) == ("compiled" if m > 1 else "stepwise")
+        for heun in (False, True):
+            with pytest.raises(ValueError) as exc:
+                sampler.integrate(cond, uncond, x_T, sampler.make_schedule(n_steps=4), G(),
+                                  heun=heun, overwrite_x=True)
+            assert type(exc.value) is ValueError
+            assert str(exc.value).startswith("divergence limit ")
+            assert str(exc.value).endswith(" exceeds 9.481e+153 = sqrt(float64 max / d)")
+            np.testing.assert_array_equal(x_T, value)
+
+    def test_start_limit_up_to_the_bound_is_kept(self):
+        """The largest start the bound admits runs: its rows' squared norms
+        stay finite, so the guard reads them."""
+        bound = np.sqrt(np.finfo(np.float64).max / 2)
+        x_T = np.full((1, 2), bound / sampler.DIVERGENCE_GUARD / 2)
+        sched = sampler.make_schedule(n_steps=4)
+        _, limit = sampler._start(x_T, sched, 0.0)
+        assert limit <= bound
+        out = sampler.integrate(toy_conditional_stats(), toy_unconditional_stats(), x_T, sched,
+                                G(gamma=0.0))
+        assert np.isfinite(out).all() and np.abs(out).max() < np.abs(x_T).max()
 
     def test_start_limit_reads_the_largest_magnitude_of_either_sign(self):
         sched = sampler.make_schedule(sigma_max=10.0, n_steps=4)
