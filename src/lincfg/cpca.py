@@ -82,25 +82,26 @@ def signed_eigh(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def posterior_contrast(cond: GaussianStats, uncond: GaussianStats, rot: np.ndarray,
                        sigma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """``signed_eigh`` of s^2 R diag(1/(lam_uc + s^2)) R^T - diag(s^2/(lam_c +
-    s^2)) at s = sigma, R = U_c^T U_uc: the posterior contrast S~_c - S~_uc =
-    s^2 (R_uc - R_c), R_. = (Sigma_. + s^2)^-1, in the cond eigenbasis. This
-    is the one formula of the per-sigma contrast: a one-sign sampling run
-    cuts its split from it (``sampler._cpc_split``), and ``guidance_terms``
-    and ``posterior_cpcs`` read both signs from it.
+    """``signed_eigh`` of the posterior contrast S~_c - S~_uc = s^2 (R_uc -
+    R_c), R_. = (Sigma_. + s^2)^-1, at s = sigma in the cond eigenbasis, R =
+    U_c^T U_uc. This is the one formula of the per-sigma contrast: a
+    one-sign sampling run cuts its split from it (``sampler._cpc_split``),
+    and ``guidance_terms`` and ``posterior_cpcs`` read both signs from it.
 
-    At large s both matrices are near I, so their difference, and a
-    one-sign term cut from it, loses about eps s^2 / |lam_c - lam_uc| of the
-    term's size: against dense shrinkage differences, 6.7e-12 at d = 8 and
-    1.0e-11 at d = 16, both at s = 80 (2.5e-15 to 4.6e-15 at s = 1). That
-    is negligible against the whole drift, but it bounds how finely the
-    one-sign split can be read at the top of a schedule."""
+    It is formed as the product s^2 R_uc (Sigma_c - Sigma_uc) R_c, which
+    has no cancellation at any s, where the difference of R_uc and R_c, two
+    matrices near I / s^2 at large s, would lose eps s^2 / |lam_c - lam_uc|
+    of its size. With R^T R = I, R^T (diag(lam_c) - R diag(lam_uc) R^T) is
+    R^T times lam_c,j - lam_uc,k entrywise, so the product is R T with T =
+    (lam_c,j - lam_uc,k) s^2 / (lam_uc,k + s^2) / (lam_c,j + s^2) R^T: one
+    (d, d) GEMM, of which ``signed_eigh`` reads the lower triangle."""
     s2 = sigma * sigma
-    f = rot * np.sqrt(s2 / (uncond.eigvals + s2))
-    c = f @ f.T  # a syrk, so exactly symmetric
-    del f  # d^2 floats that eigh's own workspace need not sit beside
-    c.flat[::len(c) + 1] -= s2 / (cond.eigvals + s2)
-    return signed_eigh(c)
+    t = cond.eigvals - uncond.eigvals[:, None]
+    t *= (s2 / (uncond.eigvals + s2))[:, None]
+    t /= cond.eigvals + s2
+    t *= rot.T
+    t = rot @ t  # frees T, d^2 floats that eigh's own workspace need not sit beside
+    return signed_eigh(t)
 
 
 def posterior_cpcs(cond: GaussianStats, uncond: GaussianStats,

@@ -5,7 +5,9 @@ each direction, apply U; the dense inverse is never formed here. Every
 guidance term is written with the resolvent R = (Sigma + sigma^2)^-1, never
 as a difference of shrinkage factors S~ = Sigma R, which cancels at small
 sigma: the score -R (x - mu), the mean shift sigma^2 R_uc (mu_c - mu_uc), the
-CPC contrast sigma^2 (R_uc - R_c) (``cpca.posterior_contrast``), the mixture's
+CPC contrast sigma^2 (R_uc - R_c), formed as the product sigma^2 R_uc
+(Sigma_c - Sigma_uc) R_c, which does not cancel at large sigma either
+(``cpca.posterior_contrast``), the mixture's
 gamma sum_{i != t} w_i (R_i - R_t)(x - mu_t) (``gmm.gmm_cfg_guidance``).
 Gaussian sampling writes them in the cond eigenbasis
 (``sampler._CondBasisFlow``), and its tests hold it to dense solves.

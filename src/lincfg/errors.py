@@ -4,7 +4,9 @@ The CLI maps these onto its exit-code table, so library code should raise
 the most specific type that applies. The input rules that several modules
 share live here too, each written once: ``check_sigma``, ``check_sigma_pair``,
 ``check_gamma``, ``check_dimension``, ``check_unit``, ``check_finite``,
-``check_basis`` and ``check_eigvals``.
+``check_basis``, ``check_eigvals``, and for a weighted list of Gaussian
+components (a mixture, a pool, a set of classes) ``check_components`` and
+``check_weights``.
 """
 
 from math import inf, sqrt
@@ -87,6 +89,27 @@ def check_eigvals(*lams) -> None:
     (NaN fails)."""
     if not all(0.0 <= lam.min() <= lam.max() < inf for lam in lams):
         raise DataError("eigenvalues must be finite and nonnegative")
+
+
+def check_components(stats, least: int, what: str) -> int:
+    """A list of Gaussian stats ``what`` must hold at least ``least`` >= 1 of
+    them (``DataError``), all of one dimension (``ShapeError``), which is
+    returned."""
+    if len(stats) < least:
+        raise DataError(f"{what} must number at least {least}, got {len(stats)}")
+    dims = [s.d for s in stats]
+    if len(set(dims)) != 1:
+        raise ShapeError(f"{what} must share one dimension, got {dims}")
+    return dims[0]
+
+
+def check_weights(w, k: int, what: str) -> None:
+    """Weights ``what``, a float array w, must have shape (k,) (``ShapeError``)
+    and every weight must be finite and > 0 (``DataError``; NaN fails)."""
+    if w.shape != (k,):
+        raise ShapeError(f"{what} must have shape ({k},), got {w.shape}")
+    if not 0.0 < w.min() <= w.max() < inf:
+        raise DataError(f"{what} must be finite and positive, got {w.tolist()}")
 
 
 class DivergenceError(RuntimeError):

@@ -51,8 +51,9 @@ The diagnostics (``posterior_weights``, ``mixture_score``,
 the checks that hold the flow's drift, or the Tweedie identity, to them
 compare two independent formulas.
 
-Each constant of an evaluation centred on a target is formed in one place.
-``_offsets`` checks the centre and forms its basis offsets (mu_i - mu_c)
+Each constant of an evaluation centred on a target is formed in one place,
+and the target index is checked in one, ``_target``, which ``_offsets`` and
+``integrate`` both read. ``_offsets`` forms the basis offsets (mu_i - mu_c)
 U_i: once per diagnostic call, once per projected run whatever its steps,
 and never in a folded run, which reads the level's (mu_i - mu_c) R_i
 instead. ``_weights`` takes the log-priors from the model's weights, and
@@ -67,7 +68,8 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
-from .errors import FormatError, ShapeError, check_dimension, check_gamma, check_sigma
+from .errors import (FormatError, ShapeError, check_components, check_dimension, check_gamma,
+                     check_sigma, check_weights)
 from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
@@ -83,18 +85,11 @@ class MixtureModel:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        if len(comps) < 1:
-            raise ValueError("mixture needs at least one component")
-        d = comps[0].d
-        if any(c.d != d for c in comps):
-            raise ShapeError("all mixture components must share the same dimension")
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if w.shape != (len(comps),):
-            raise ShapeError(f"need {len(comps)} weights, got {w.shape}")
-        if not (np.all((w > 0.0) & (w < np.inf)) and abs(float(w.sum()) - 1.0) <= 1e-12):
-            raise ValueError("mixture weights must be finite and positive and sum to 1, "
-                             f"got {w.tolist()}")
-        w = w.copy()
+        check_components(comps, 1, "mixture components")
+        w = np.array(self.weights, dtype=np.float64)
+        check_weights(w, len(comps), "mixture weights")
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
+            raise ValueError(f"mixture weights must sum to 1, got {w.tolist()}")
         w.setflags(write=False)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
@@ -142,12 +137,17 @@ def _posterior(model: MixtureModel, xc: np.ndarray, sigma: float, offsets: np.nd
     return log_w, w, v, r
 
 
+def _target(model: MixtureModel, target: int) -> GaussianStats:
+    """The component ``target``, after checking that it is one: 0 <= target < K."""
+    if not 0 <= target < model.k:
+        raise IndexError(f"target index {target} out of range for K={model.k}")
+    return model.components[target]
+
+
 def _offsets(model: MixtureModel, centre: int) -> np.ndarray:
     """(mu_i - mu_centre) U_i as (K, d), exactly 0 at the centre, after
-    checking that the centre is a component."""
-    if not 0 <= centre < model.k:
-        raise IndexError(f"target index {centre} out of range for K={model.k}")
-    mu = model.components[centre].mean
+    checking that the centre is a component (``_target``)."""
+    mu = _target(model, centre).mean
     return np.stack([np.einsum("d,ed->e", c.mean - mu, c.eigvecs.T) for c in model.components])
 
 
@@ -421,14 +421,12 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     run, whose fold guards every step before it writes, a run that raises
     DivergenceError then leaves x_T's contents unspecified.
     """
-    if not 0 <= target < model.k:
-        raise IndexError(f"target index {target} out of range for K={model.k}")
+    mu = _target(model, target).mean
     x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x)
     check_dimension(x.shape[1], model.d, "state", "mixture")
     m, d = x.shape
     folded = sampler.choose_path(m, d) == "compiled"
     blocks = sampler._row_blocks(m, model.k * d) if folded else [slice(None)]
-    mu = model.components[target].mean
     y = np.subtract(x, mu, out=x if overwrite_x else None)
     drift = _guided_drift(model, target, cfg, "folded" if folded else "projected", heun)
     sampler._advance(y, drift, schedule, heun, limit, blocks)
@@ -474,8 +472,6 @@ def load_mixture(path) -> MixtureModel:
             raise FileNotFoundError(stats_path)
         comps.append(load_stats(stats_path))
         weights.append(weight)
-    if not comps:
-        raise FormatError(f"{path}: manifest lists no components")
     try:
         return MixtureModel(components=tuple(comps), weights=np.array(weights))
     except ShapeError:

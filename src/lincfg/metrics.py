@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_gamma, check_unit
+from .errors import DataError, ShapeError, check_components, check_gamma, check_unit
 from .sampler import InitSpec
 from .stats import GaussianStats, check_pair
 
@@ -86,11 +86,7 @@ def gaussian_frechet(a: GaussianStats, b: GaussianStats) -> float:
 
 def class_similarity_matrix(stats_list: list[GaussianStats]) -> np.ndarray:
     """Pairwise Gaussian Frechet distances with a zero diagonal."""
-    if len(stats_list) < 2:
-        raise ValueError("need at least two classes")
-    d = stats_list[0].d
-    if any(s.d != d for s in stats_list):
-        raise ShapeError("all stats must share the same dimension")
+    check_components(stats_list, 2, "classes")
     n = len(stats_list)
     out = np.zeros((n, n))
     for i in range(n):

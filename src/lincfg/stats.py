@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DataError, FormatError, ShapeError, check_basis, check_dimension,
-                     check_eigvals, check_finite)
+from .errors import (DataError, FormatError, ShapeError, check_basis, check_components,
+                     check_dimension, check_eigvals, check_finite, check_weights)
 from .fileio import atomic_write_bytes
 
 STATS_MAGIC = b"LCFG1"
@@ -151,15 +151,9 @@ def pool_stats(stats_list: list[GaussianStats],
     mu = sum_i w_i mu_i and Sigma = sum_i w_i (Sigma_i + mu_i mu_i^T) - mu mu^T,
     i.e. the mean/covariance of the mixture distribution.
     """
-    if not stats_list:
-        raise DataError("cannot pool an empty stats list")
-    d = stats_list[0].d
-    if any(s.d != d for s in stats_list):
-        raise ShapeError("all pooled stats must share the same dimension")
-    k = len(stats_list)
+    d, k = check_components(stats_list, 1, "pooled stats"), len(stats_list)
     w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (k,) or np.any(w <= 0):
-        raise DataError("pool weights must be positive, one per class")
+    check_weights(w, k, "pool weights")
     w = w / w.sum()
     mu = sum(wi * s.mean for wi, s in zip(w, stats_list))
     second = np.zeros((d, d))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lincfg import cpca
 from lincfg.errors import ShapeError
+from lincfg.stats import GaussianStats
 from lincfg.synthetic import (random_orthonormal, random_stats_pair, toy_conditional_stats,
                               toy_unconditional_stats)
 
@@ -38,6 +39,22 @@ def test_posterior_cpcs_eigenvalues_match_dense_solves(d, sigma):
     ref = np.linalg.eigvalsh(0.5 * (contrast + contrast.T))[::-1]
     got = cpca.posterior_cpcs(cond, uncond, sigma).eigvals
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sigma", [80.0, 1e3, 1e4])
+def test_posterior_contrast_is_exact_at_large_sigma(sigma):
+    """On a pair with identity bases the contrast is diagonal, s^2 (lam_c -
+    lam_uc) / ((lam_uc + s^2)(lam_c + s^2)), and ``posterior_contrast``, a
+    product with no cancellation, meets it within 10 eps of max|lambda| at
+    any s; a difference of the two resolvents loses eps s^2 / |lam_c -
+    lam_uc|."""
+    d, rng = 16, np.random.default_rng(3)
+    lam_c, lam_uc = (np.sort(rng.uniform(0.2, 20.0, d))[::-1] for _ in range(2))
+    cond, uncond = (GaussianStats(np.zeros(d), np.eye(d), lam) for lam in (lam_c, lam_uc))
+    s2 = sigma * sigma
+    exact = np.sort(s2 * (lam_c - lam_uc) / ((lam_uc + s2) * (lam_c + s2)))
+    lam, _, _ = cpca.posterior_contrast(cond, uncond, np.eye(d), sigma)
+    assert np.abs(lam - exact).max() <= 10 * np.finfo(np.float64).eps * np.abs(exact).max()
 
 
 def test_posterior_cpcs_make_one_decomposition(monkeypatch):

@@ -796,5 +796,6 @@ class TestManifest:
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.txt"
         manifest.write_text("# nothing here\n")
-        with pytest.raises(FormatError, match="no components"):
+        with pytest.raises(FormatError,
+                           match=r"empty\.txt: mixture components must number at least 1, got 0"):
             gmm.load_mixture(manifest)

@@ -1,11 +1,12 @@
 """The input rules that several modules share, at every public entry point
 that reads them: a noise level sigma, a pair (sigma_t, sigma_T) of a reverse
 run, a guidance strength gamma, the dimension of a state, a unit direction,
-finite values, an orthonormal basis and eigenvalues. Each rule is written
-once, in ``lincfg.errors``; these tables hold every reader of it to the same
-exception type and message. The guidance gain g(sigma), written once as
-``GuidanceConfig.weight``, and the import cost of the quadrature rule are
-tested here too."""
+finite values, an orthonormal basis, eigenvalues, and a list of Gaussian
+components (a mixture, a pool, a set of classes) and its weights. Each rule
+is written once, in ``lincfg.errors``; these tables hold every reader of it
+to the same exception type and message. The guidance gain g(sigma), written
+once as ``GuidanceConfig.weight``, and the import cost of the quadrature
+rule are tested here too."""
 
 import math
 import os
@@ -19,9 +20,10 @@ import numpy as np
 import pytest
 
 from lincfg import analytic, cpca, denoiser, gmm, metrics, sampler
-from lincfg.errors import DataError, ShapeError
+from lincfg.errors import DataError, FormatError, ShapeError
 from lincfg.stats import (STATS_MAGIC, STATS_VERSION, DataMatrix, GaussianStats,
-                          data_matrix_to_bytes, load_stats, save_data_matrix)
+                          data_matrix_to_bytes, load_stats, pool_stats, save_data_matrix,
+                          save_stats)
 from lincfg.synthetic import random_mixture, random_stats_pair, toy_common_pair
 
 D = 4
@@ -182,6 +184,46 @@ EIGVAL_READERS = {
 }
 
 
+def _manifest(stats, weights) -> gmm.MixtureModel:
+    """``load_mixture`` of a manifest that lists these stats and weights, its
+    FormatError's "path: " prefix dropped, so the message reads as the rule's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, comp in enumerate(stats):
+            save_stats(comp, Path(tmp) / f"{i}.stats")
+        path = Path(tmp) / "mixture.txt"
+        path.write_text("".join(f"{i}.stats {float(w)!r}\n" for i, w in enumerate(weights)))
+        try:
+            return gmm.load_mixture(path)
+        except FormatError as exc:
+            raise FormatError(str(exc).removeprefix(f"{path}: ")) from None
+
+
+def _uniform(k: int) -> np.ndarray:
+    return np.ones(k) / k
+
+
+# name -> (call(stats), the least count, the name the message gives the list,
+# the type that a DataError reaches the caller as)
+COMPONENT_READERS = {
+    "gmm.MixtureModel": (lambda s: gmm.MixtureModel(tuple(s), _uniform(len(s))), 1,
+                         "mixture components", DataError),
+    "gmm.load_mixture": (lambda s: _manifest(s, _uniform(len(s))), 1, "mixture components",
+                         FormatError),
+    "stats.pool_stats": (pool_stats, 1, "pooled stats", DataError),
+    "metrics.class_similarity_matrix": (metrics.class_similarity_matrix, 2, "classes",
+                                        DataError),
+}
+
+# name -> (call(stats, weights), the name the message gives the weights, the
+# type that a DataError reaches the caller as)
+WEIGHT_READERS = {
+    "gmm.MixtureModel": (lambda s, w: gmm.MixtureModel(tuple(s), np.array(w)),
+                         "mixture weights", DataError),
+    "gmm.load_mixture": (_manifest, "mixture weights", FormatError),
+    "stats.pool_stats": (lambda s, w: pool_stats(s, np.array(w)), "pool weights", DataError),
+}
+
+
 def _raises_exactly(kind, message, call, *args):
     with pytest.raises(kind) as info:
         call(*args)
@@ -263,6 +305,41 @@ def test_every_basis_reader_rejects_a_non_square_basis(name):
 def test_every_eigenvalue_reader_rejects_a_bad_eigenvalue(name, lam):
     _raises_exactly(DataError, "eigenvalues must be finite and nonnegative",
                     EIGVAL_READERS[name], lam)
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_READERS))
+def test_every_component_reader_rejects_too_few_components(name):
+    call, least, what, kind = COMPONENT_READERS[name]
+    _raises_exactly(kind, f"{what} must number at least {least}, got {least - 1}",
+                    call, [COND] * (least - 1))
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_READERS))
+def test_every_component_reader_rejects_mixed_dimensions(name):
+    call, _, what, _ = COMPONENT_READERS[name]
+    _raises_exactly(ShapeError, f"{what} must share one dimension, got [{D}, 2, {D}]", call,
+                    [COND, GaussianStats(np.zeros(2), np.eye(2), [2.0, 1.0]), UNCOND])
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.inf, 0.5], [0.5, -math.inf],
+                                     [0.0, 1.0], [-1.0, 2.0]], ids=str)
+@pytest.mark.parametrize("name", sorted(WEIGHT_READERS))
+def test_every_weight_reader_rejects_a_bad_weight(name, weights, monkeypatch):
+    """A weight that is not finite and positive fails before any covariance
+    is formed."""
+    monkeypatch.setattr(GaussianStats, "covariance", None)
+    call, what, kind = WEIGHT_READERS[name]
+    _raises_exactly(kind, f"{what} must be finite and positive, got {weights}",
+                    call, [COND, UNCOND], weights)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25], [[0.5], [0.5]]],
+                         ids=["one", "three", "column"])
+@pytest.mark.parametrize("name", ["gmm.MixtureModel", "stats.pool_stats"])
+def test_every_weight_reader_rejects_the_wrong_weight_shape(name, weights):
+    call, what, _ = WEIGHT_READERS[name]
+    _raises_exactly(ShapeError, f"{what} must have shape (2,), got {np.shape(weights)}",
+                    call, [COND, UNCOND], weights)
 
 
 @pytest.mark.parametrize("interval", [None, (0.5, 10.0), (2.0, 2.0)])

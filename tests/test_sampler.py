@@ -273,17 +273,18 @@ class TestGuidanceTerms:
         """Each term equals the dense drift of the config with only that term
         on (``_dense_ablation_drift``): solves for f_c and g_mean, an eigh of
         the dense shrinkage difference for g_pos and g_neg. With eigenvalues
-        of order 1, that difference loses eps / s^2 of its size at small s and
-        the flow's one-sign split, a difference of two matrices near I, loses
-        eps s^2 at large s, s the split's sigma; the CPC terms are held to
-        64 eps (s^2 + s^-2) of their largest entry, the others to 1e-14."""
+        of order 1, that difference loses eps / s^2 of its size at small s, s
+        the split's sigma; the flow's one-sign split, a product with no
+        cancellation (``cpca.posterior_contrast``), loses nothing at large s.
+        The CPC terms are held to 64 eps (1 + s^-2) of their largest entry,
+        the others to 1e-14."""
         d = 8
         cond, uncond = random_stats_pair(d, np.random.default_rng(40))
         x = cond.mean + (1.0 + sigma) * np.random.default_rng(41).standard_normal(
             d if lone else (5, d))
         terms = sampler.guidance_terms(cond, uncond, x, sigma, G(gamma=3.0, freeze_cpc_at=freeze))
         s = freeze or sigma
-        cpc_tol = 64 * np.finfo(np.float64).eps * (s * s + 1.0 / (s * s))
+        cpc_tol = 64 * np.finfo(np.float64).eps * (1.0 + 1.0 / (s * s))
         for name, got, tol in zip(TERMS, (terms.f_c, terms.g_pos, terms.g_neg, terms.g_mean),
                                   (1e-14, cpc_tol, cpc_tol, 1e-14)):
             one = G(gamma=3.0, freeze_cpc_at=freeze, **{n: n == name for n in TERMS})
