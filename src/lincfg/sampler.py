@@ -14,11 +14,11 @@ through. ``choose_path`` picks one of two
 appliers, never another path: stepping the states (two GEMMs per drift
 evaluation with a CPC term, thin for one live sign, one for a frozen basis;
 elementwise drifts without one) or compiling the run into one affine map
-x_0 = mu_c + (x_T - mu_c) P + q, whose P and q ``_fold`` steps without
-reading x (one (d, d) GEMM per drift evaluation of P with a CPC term, d^2
-products without one; its docstring gives each step's cost), applied with
-one GEMM per row block, in place over x_T where the caller hands it over
-(``overwrite_x``). It compiles when the batch has m >= d, whatever the
+x_0 = mu_c + (x_T - mu_c) P + q, which ``_fold`` steps as one block [P; q]
+without reading x (one (d + 1, d) x (d, d) GEMM per drift evaluation with a
+CPC term, d^2 products without one; its docstring gives each step's cost),
+applied with one GEMM per row block, in place over x_T where the caller
+hands it over (``overwrite_x``). It compiles when the batch has m >= d, whatever the
 config, schedule or integrator (``choose_path`` gives the timings behind the
 rule). ``_advance`` is the one stepped loop: ``_step`` at each of
 ``_nodes`` for each row block, then ``_guard``, for Gaussian states (one
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -495,8 +495,8 @@ def _step(y: np.ndarray, drift, ends: tuple, u: tuple, out: np.ndarray) -> np.nd
     sigma_i), its weight taken in the drift. Heun is y + (k0 + k1) with k0
     = u0/2 f(y, sigma_i) and k1 = u1/2 f(z, sigma_{i+1}) at z = y + 2 k0.
     y is a row block of Gaussian or mixture states (``_advance``) or a
-    folded map's P or q (``_fold``), and every step of every run is this
-    one, whether or not it has a CPC term."""
+    folded map's block [P; q] (``_fold``), and every step of every run is
+    this one, whether or not it has a CPC term."""
     u0, u1 = u
     if len(ends) == 1:
         y += drift(y, ends[0], u0, out[0])
@@ -575,43 +575,42 @@ def _row_blocks(m: int, d: int) -> list[slice]:
 def _fold(flow: _CondBasisFlow, schedule: NoiseSchedule, heun: bool):
     """Fold the schedule's steps into affine maps of y = (x - mu_c) U_c,
     reading no state: after each step i, N in all, yield the partial map
-    (P_i, q_i) with y_{i+1} = y_0 P_i + q_i. Each pair lives in the fold's
-    buffers and holds until the next is asked for; the last is the run's map.
+    (P_i, q_i) with y_{i+1} = y_0 P_i + q_i. Both are views of the rows of
+    the fold's one block Y = [P; q] and hold until the next map is asked
+    for; the last is the run's map.
 
-    Every step is ``_step`` of P under the drift z A_j and of q under z A_j
-    + b_j, with (A_j, b_j) = ``node_matrix`` at the step's node j, the
-    vector alpha for A_j where no CPC term is on. P is a vector, the map's
-    diagonal, until the first step that reads a matrix A_j, where it becomes
-    diag(P): a step whose every A_j is a vector costs a few passes of d
-    before then and of d^2 after. Each node's A is formed once (one syrk
-    for a live split); every drift evaluation of P that reads a matrix A is
-    one (d, d) GEMM, Euler one and Heun two per step, plus ``_step``'s d^2
-    passes; the product is d^2 where A is a vector. Each product is scaled
-    by its step weight in place, and the slopes go into blocks the fold
-    reuses.
+    Every step is one ``_step`` of Y under the drift z A_j, plus b_j on q's
+    row, the last, with (A_j, b_j) = ``node_matrix`` at the step's node j,
+    the vector alpha for A_j where no CPC term is on. Y is (2, d), P's
+    diagonal above q, until the first step that reads a matrix A_j, where
+    it becomes (d + 1, d), diag(P) above q: a step whose every A_j is a
+    vector costs a few passes of 2d before then and of d^2 after. Each
+    node's A is formed once (one syrk for a live split); every drift
+    evaluation that reads a matrix A is one (d + 1, d) x (d, d) GEMM, Euler
+    one and Heun two per step, plus ``_step``'s d^2 passes. Each product is
+    scaled by its step weight in place, and the slopes go into one block
+    the fold reuses.
     """
     d = len(flow.cond.mean)
-    P, q = np.ones(d), np.zeros(d)
+    Y = np.vstack((np.ones(d), np.zeros(d)))
+    P, out = Y[0], np.empty((1 + 2 * heun, 2, d))
     flow.prepare(schedule.sigmas)
-    node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # P's step, then q's, reads each node
+    node = lru_cache(maxsize=1 + heun)(flow.node_matrix)  # the promotion test and the step read it
 
-    def drift(z, s, w, out, shift):
-        """w (z A + b) at node s into out, b only for q (``shift``)."""
+    def drift(z, s, w, out):
+        """w (z A + b) at node s into out, b on q's row only."""
         a, b = node(s)
         out = np.multiply(z, a, out=out) if a.ndim == 1 else np.matmul(z, a, out=out)
-        if shift:
-            out += b
+        out[-1] += b
         out *= w
         return out
 
-    p_drift, q_drift = partial(drift, shift=False), partial(drift, shift=True)
-    p_out, q_out = np.empty((1 + 2 * heun, d)), np.empty((1 + 2 * heun, d))
     for ends, u in _nodes(schedule, heun):
         if P.ndim == 1 and any(node(s)[0].ndim == 2 for s in ends):
-            P, p_out = np.diag(P), np.empty((1 + 2 * heun, d, d))
-        _step(P, p_drift, ends, u, p_out)
-        _step(q, q_drift, ends, u, q_out)
-        yield P, q
+            Y = np.vstack((np.diag(P), Y[1:]))
+            P, out = Y[:-1], np.empty((1 + 2 * heun, d + 1, d))
+        _step(Y, drift, ends, u, out)
+        yield P, Y[-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")

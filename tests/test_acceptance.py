@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from lincfg import analytic, denoiser, gmm, metrics, sampler, verify
+from lincfg import analytic, denoiser, metrics, sampler, verify
 from lincfg.cli import main
-from lincfg.stats import (DataMatrix, estimate_gaussian_stats,
-                          load_data_matrix, load_stats, save_stats)
+from lincfg.stats import DataMatrix, estimate_gaussian_stats, load_stats, save_stats
 from lincfg.synthetic import (random_stats, three_class_setup,
                               toy_common_pair, toy_conditional_stats,
                               toy_unconditional_stats)

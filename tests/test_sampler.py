@@ -828,6 +828,38 @@ class TestFold:
         lead = {"mean_shift": sched.n_steps, "interval": 6 - heun}.get(name, 0)
         assert ndims == [1] * lead + [2] * (sched.n_steps - lead)
 
+    @pytest.mark.parametrize("heun", [False, True])
+    @pytest.mark.parametrize("cfg", [G(gamma=0.0), G(gamma=2.0),
+                                     G(gamma=2.0, active_interval=(0.3, 5.0))],
+                             ids=["gamma0", "full", "interval"])
+    def test_each_step_is_one_step_of_one_block(self, cfg, heun, monkeypatch):
+        """``_fold`` steps P and q as one block [P; q]: one ``_step`` call per
+        schedule step, before and after an interval run couples at sigma_6,
+        the first node in its interval. Its last P is that of P stepped alone
+        under the same nodes, from the identity, to within 2 ulp."""
+        d = 12
+        cond, uncond = random_stats_pair(d, np.random.default_rng(22))
+        sched = sampler.make_schedule(n_steps=12)
+        calls, real = [], sampler._step
+        monkeypatch.setattr(sampler, "_step", lambda *args: calls.append(1) or real(*args))
+        for P, q in sampler._fold(sampler._CondBasisFlow(cond, uncond, cfg), sched, heun):
+            pass
+        assert len(calls) == sched.n_steps
+        node = sampler._CondBasisFlow(cond, uncond, cfg).node_matrix
+
+        def f(z, s):
+            a = node(s)[0]
+            return z @ a if a.ndim == 2 else z * a
+
+        ref = np.eye(d)
+        for (s0, *s1), (u0, u1) in sampler._nodes(sched, heun):
+            if heun:
+                k0 = f(ref, s0) * (0.5 * u0)
+                ref = ref + (k0 + f(k0 + k0 + ref, s1[0]) * (0.5 * u1))
+            else:
+                ref = ref + f(ref, s0) * u0
+        np.testing.assert_array_max_ulp(np.diag(P) if P.ndim == 1 else P, ref, maxulp=2)
+
 
 class TestChoosePath:
     def test_bench_shapes(self):

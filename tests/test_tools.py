@@ -71,3 +71,36 @@ def test_sample_hashes_forwards_set_to_every_sample_call():
     own = tool.sample_hashes(1, smoke=True)
     assert [line.split()[0] for line in own] == [line.split()[0] for line in lines]
     assert not set(own) & set(lines)
+
+
+DEAD = '''"""A module with two imports it never reads."""
+from __future__ import annotations
+
+import os, sys
+import json  # noqa
+from pathlib import Path as P
+from typing import Any
+
+__all__ = ["Any"]
+
+def f():
+    return sys.argv
+'''
+
+
+def test_unused_imports_names_each_dead_import(tmp_path, capsys):
+    """tools/unused_imports.py names os and P, the two names its module
+    never reads, and exits 1; the future import, the `# noqa` line and the
+    name in __all__ are exempt, and so is every import of an __init__.py."""
+    tool = _tool("unused_imports")
+    assert tool.unused_imports(DEAD) == [(4, "os"), (6, "P")]
+    (tmp_path / "mod.py").write_text(DEAD)
+    (tmp_path / "__init__.py").write_text("from .mod import f\n")
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(":", 1)[1] for line in out] == ["4 os", "6 P"]
+
+
+def test_tree_has_no_unused_imports(capsys):
+    """Every module of src/lincfg, tests and tools reads each name it imports."""
+    assert _tool("unused_imports").main([]) == 0, capsys.readouterr().out
