@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import (QuadratureError, ShapeError, check_basis, check_dimension, check_eigvals,
-                     check_finite, check_gamma, check_sigma_pair)
+                     check_finite, check_gamma, check_sigma_pair, check_state)
 from .stats import GaussianStats, check_pair
 
 _EQUAL_LAMBDA_TOL = 1e-12
@@ -215,9 +215,8 @@ def closed_form_cfg(pair: CommonPCPair, x_T: np.ndarray, sigma_t: float,
     """
     check_sigma_pair(sigma_t, sigma_T)
     check_gamma(gamma)
-    x_T = np.asarray(x_T, dtype=np.float64)
+    x_T = check_state(x_T, pair.d, against="pair")
     check_finite(x_T, "initial state", ShapeError)
-    check_dimension(x_T.shape[-1], pair.d, "state", "pair")
     if sigma_T == sigma_t:
         return x_T.copy()
     U = pair.eigvecs

@@ -223,7 +223,7 @@ def _require_file(path_text: str, what: str) -> Path:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     data = load_data_any(_require_file(args.data, "data file"))
-    stats = estimate_gaussian_stats(data, label=args.label)
+    stats = estimate_gaussian_stats(data)
     save_stats(stats, args.out)
     top = stats.eigvals[:10]
     print(f"fit: n={data.n} d={data.d} -> {args.out}")
@@ -453,7 +453,7 @@ def cmd_export_histograms(args: argparse.Namespace) -> int:
 
 def cmd_export_similarity(args: argparse.Namespace) -> int:
     stats_list = [load_stats(_require_file(p, "stats file")) for p in args.stats]
-    labels = [s.label or Path(p).stem for s, p in zip(stats_list, args.stats)]
+    labels = [Path(p).stem for p in args.stats]
     matrix = metrics.class_similarity_matrix(stats_list)
     print("class similarity (Gaussian Frechet distance):")
     width = max(len(s) for s in labels)
@@ -555,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="estimate Gaussian stats from a data matrix")
     p_fit.add_argument("data", help="input data file (LCFD1 binary or CSV)")
     p_fit.add_argument("out", help="output stats file (LCFG1)")
-    p_fit.add_argument("--label", default=None)
     p_fit.set_defaults(func="cmd_fit")
 
     p_sample = sub.add_parser("sample", help="run a guided sampling experiment")

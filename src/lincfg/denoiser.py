@@ -12,15 +12,15 @@ gamma sum_{i != t} w_i (R_i - R_t)(x - mu_t) (``gmm.gmm_cfg_guidance``).
 Gaussian sampling writes them in the cond eigenbasis
 (``sampler._CondBasisFlow``), and its tests hold it to dense solves.
 
-Vector arguments accept shape (d,) or a batch (m, d); the result matches the
-input shape.
+Vector arguments are states of ``errors.check_state``, of the stats'
+dimension; the result matches the input shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_dimension, check_sigma
+from .errors import check_sigma, check_state
 from .stats import GaussianStats, check_pair
 
 
@@ -31,12 +31,6 @@ def shrinkage(stats: GaussianStats, sigma: float) -> np.ndarray:
     return lam / (lam + sigma * sigma)
 
 
-def _check_dim(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    check_dimension(x.shape[-1], stats.d, "vector")
-    return x
-
-
 def _project(stats: GaussianStats, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """U diag(factors) U^T v in the eigenbasis of stats."""
     return ((v @ stats.eigvecs) * factors) @ stats.eigvecs.T
@@ -44,12 +38,12 @@ def _project(stats: GaussianStats, v: np.ndarray, factors: np.ndarray) -> np.nda
 
 def shrink(stats: GaussianStats, v: np.ndarray, sigma: float) -> np.ndarray:
     """U diag(f) U^T v: v attenuated by the shrinkage factors at sigma."""
-    return _project(stats, _check_dim(stats, v), shrinkage(stats, sigma))
+    return _project(stats, check_state(v, stats.d, "vector"), shrinkage(stats, sigma))
 
 
 def denoise(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     """Posterior mean mu + U diag(f) U^T (x - mu) of the clean signal."""
-    x = _check_dim(stats, x)
+    x = check_state(x, stats.d, "vector")
     return stats.mean + shrink(stats, x - stats.mean, sigma)
 
 
@@ -58,7 +52,7 @@ def score(stats: GaussianStats, x: np.ndarray, sigma: float) -> np.ndarray:
     evaluated as -U diag(1/(lam + sigma^2)) U^T (x - mu). The equal form
     sigma^-2 U diag(f - 1) U^T (x - mu) cancels in f - 1 at small sigma."""
     check_sigma(sigma)
-    x = _check_dim(stats, x)
+    x = check_state(x, stats.d, "vector")
     return _project(stats, stats.mean - x, 1.0 / (stats.eigvals + sigma * sigma))
 
 

@@ -3,13 +3,15 @@
 The CLI maps these onto its exit-code table, so library code should raise
 the most specific type that applies. The input rules that several modules
 share live here too, each written once: ``check_sigma``, ``check_sigma_pair``,
-``check_gamma``, ``check_dimension``, ``check_unit``, ``check_finite``,
-``check_basis``, ``check_eigvals``, and for a weighted list of Gaussian
-components (a mixture, a pool, a set of classes) ``check_components`` and
-``check_weights``.
+``check_gamma``, ``check_dimension``, ``check_state``, ``check_unit``,
+``check_finite``, ``check_basis``, ``check_eigvals``, and for a weighted
+list of Gaussian components (a mixture, a pool, a set of classes)
+``check_components`` and ``check_weights``.
 """
 
 from math import inf, sqrt
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -48,6 +50,19 @@ def check_dimension(n: int, d: int, what: str = "state", against: str = "stats")
     """A ``what`` of dimension n must match the ``against`` dimension d."""
     if n != d:
         raise ShapeError(f"{what} dimension {n} != {against} dimension {d}")
+
+
+def check_state(x, d: int | None, what: str = "state", against: str = "stats") -> np.ndarray:
+    """A state x, one sample's position (d,) or a block of them (m, d) with
+    m, d >= 1, returned as a float64 array; any other shape raises
+    ShapeError. Then ``check_dimension`` holds its dimension, as ``what``, to
+    the ``against`` dimension d, unless d is None."""
+    x = np.asarray(x, dtype=np.float64)
+    if not 1 <= x.ndim <= 2 or not x.size:
+        raise ShapeError(f"state must have shape (d,) or (m, d) with m, d >= 1, got {x.shape}")
+    if d is not None:
+        check_dimension(x.shape[-1], d, what, against)
+    return x
 
 
 def check_unit(v) -> None:

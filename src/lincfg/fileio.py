@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import os
-import tempfile
+
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write_bytes(path, *parts) -> None:
-    """Write the bytes-like ``parts``, in order, as the whole file at path."""
+    """Write the bytes-like ``parts``, in order, as the whole file at path,
+    whose mode is then 0o666 less the process umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        fd = os.open(tmp, _CREATE, 0o666)  # less the umask, as open(path, "wb") makes it
     except OSError as exc:  # e.g. a parent of path is a regular file
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}", exc.filename) from None
     try:

@@ -58,6 +58,9 @@ U_i: once per diagnostic call, once per projected run whatever its steps,
 and never in a folded run, which reads the level's (mu_i - mu_c) R_i
 instead. ``_weights`` takes the log-priors from the model's weights, and
 ``_coefficients`` sums the weights off the target.
+
+Every function that reads a state checks it with ``errors.check_state``
+(the diagnostics in ``_pass``, ``integrate`` in ``sampler._start``).
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
-from .errors import (FormatError, ShapeError, check_components, check_dimension, check_gamma,
-                     check_sigma, check_weights)
+from .errors import (FormatError, ShapeError, check_components, check_gamma, check_sigma,
+                     check_state, check_weights)
 from .stats import GaussianStats, load_stats
 
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in float64
@@ -172,12 +175,11 @@ def _weights(quad: np.ndarray, logdet: np.ndarray, model: MixtureModel) -> tuple
 
 def _pass(model: MixtureModel, x: np.ndarray, sigma: float, centre: int = 0,
           offsets: np.ndarray | None = None) -> tuple:
-    """``_posterior`` of the state(s) x, of shape (d,) or (m, d), as rows
-    centred on component ``centre``, whose ``_offsets`` are formed unless
-    given, after checking sigma and the dimension."""
+    """``_posterior`` of the state(s) x, after ``check_sigma`` and
+    ``check_state``, as rows centred on component ``centre``, whose
+    ``_offsets`` are formed unless given."""
     check_sigma(sigma)
-    x = np.asarray(x, dtype=np.float64)
-    check_dimension(x.shape[-1], model.d, "state", "mixture")
+    x = check_state(x, model.d, against="mixture")
     return _posterior(model, x.reshape(-1, model.d) - model.components[centre].mean, sigma,
                       _offsets(model, centre) if offsets is None else offsets)
 
@@ -422,8 +424,8 @@ def integrate(model: MixtureModel, target: int, x_T: np.ndarray,
     DivergenceError then leaves x_T's contents unspecified.
     """
     mu = _target(model, target).mean
-    x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x)
-    check_dimension(x.shape[1], model.d, "state", "mixture")
+    x, limit = sampler._start(x_T, schedule, sampler.data_scale(*model.components), overwrite_x,
+                              model.d, "mixture")
     m, d = x.shape
     folded = sampler.choose_path(m, d) == "compiled"
     blocks = sampler._row_blocks(m, model.k * d) if folded else [slice(None)]

@@ -31,7 +31,7 @@ sigma; its one-sign CPC splits are cut from ``cpca.posterior_contrast``,
 the formula that ``cpca.posterior_cpcs`` exports. ``guidance_terms`` reads
 the same flow one term at a time, giving the paper's decomposition for
 diagnostics; sampling does not call it.
-States accept shape (d,) or a batch (m, d).
+Every function that reads a state checks it with ``errors.check_state``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cpca import posterior_contrast
-from .errors import (DivergenceError, ShapeError, check_dimension, check_finite, check_gamma,
-                     check_sigma, check_sigma_pair)
+from .errors import (DivergenceError, ShapeError, check_finite, check_gamma, check_sigma,
+                     check_sigma_pair, check_state)
 from .stats import GaussianStats, check_pair
 
 DIVERGENCE_GUARD = 1e6
@@ -198,8 +198,7 @@ def guidance_terms(cond: GaussianStats, uncond: GaussianStats, x: np.ndarray,
     """
     check_pair(cond, uncond)
     check_sigma(sigma)
-    x = np.asarray(x, dtype=np.float64)
-    check_dimension(x.shape[-1], cond.d)
+    x = check_state(x, cond.d)
     flow, y = _CondBasisFlow(cond, uncond, cfg), (x - cond.mean) @ cond.eigvecs
     names = ("enable_cond", "enable_pos_cpc", "enable_neg_cpc", "enable_mean_shift")
     at = cfg.freeze_cpc_at or sigma  # the sigma of the CPC splits
@@ -223,9 +222,11 @@ def data_scale(*stats: GaussianStats) -> float:
 
 
 def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
-           overwrite_x: bool = False) -> tuple[np.ndarray, float]:
-    """The start as an (m, d) block with m, d >= 1 and finite entries, and
-    the divergence limit: DIVERGENCE_GUARD times the trajectory scale max(1,
+           overwrite_x: bool = False, d: int | None = None,
+           against: str = "stats") -> tuple[np.ndarray, float]:
+    """The start, a state of ``check_state`` (of the ``against`` dimension d
+    unless d is None) with finite entries, as an (m, d) block, and the
+    divergence limit: DIVERGENCE_GUARD times the trajectory scale max(1,
     sigma_max, max|x_T|, scale), where ``scale`` is the run's data scale.
     ``_norms`` squares each row, so a limit whose square times d overflows
     float64 could not be held to: that start raises ValueError naming the
@@ -236,12 +237,7 @@ def _start(x_T: np.ndarray, schedule: NoiseSchedule, scale: float,
     if overwrite_x and not (isinstance(x_T, np.ndarray) and x_T.dtype == np.float64
                             and x_T.flags.c_contiguous and x_T.flags.writeable):
         raise ValueError("overwrite_x=True needs x_T as a writeable C-contiguous float64 array")
-    x = np.asarray(x_T, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or not x.size:
-        raise ShapeError(f"state must have shape (d,) or (m, d) with m, d >= 1, "
-                         f"got {np.shape(x_T)}")
+    x = np.atleast_2d(check_state(x_T, d, against=against))
     extent = check_finite(x, "initial state", ShapeError)
     limit = DIVERGENCE_GUARD * max(1.0, schedule.sigma_max, extent, scale)
     bound = float(np.sqrt(np.finfo(np.float64).max / x.shape[1]))  # limit^2 * d stays finite
@@ -695,8 +691,7 @@ def integrate(cond: GaussianStats, uncond: GaussianStats, x_T: np.ndarray,
     that raises DivergenceError leaves x_T unchanged either way.
     """
     check_pair(cond, uncond)
-    x, limit = _start(x_T, schedule, data_scale(cond, uncond), overwrite_x)
-    check_dimension(x.shape[1], cond.d)
+    x, limit = _start(x_T, schedule, data_scale(cond, uncond), overwrite_x, cond.d)
     run = _compiled if choose_path(len(x), cond.d) == "compiled" else _stepwise
     return run(_CondBasisFlow(cond, uncond, cfg), schedule, heun, x, limit,
                out=x if overwrite_x else None).reshape(np.shape(x_T))
@@ -736,9 +731,8 @@ def closed_form_unguided(stats: GaussianStats, x_T: np.ndarray,
                 * u_i^T (x_T - mu) u_i
     """
     check_sigma_pair(sigma_t, sigma_T)
-    x_T = np.asarray(x_T, dtype=np.float64)
+    x_T = check_state(x_T, stats.d)
     check_finite(x_T, "initial state", ShapeError)
-    check_dimension(x_T.shape[-1], stats.d)
     if sigma_T == sigma_t:
         return x_T.copy()
     lam = stats.eigvals

@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class GaussianStats:
     mean: np.ndarray
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
@@ -114,8 +113,7 @@ def fix_eigvec_signs(U: np.ndarray) -> np.ndarray:
     return U * signs
 
 
-def spectral_from_covariance(mean: np.ndarray, cov: np.ndarray,
-                             label: str | None = None) -> GaussianStats:
+def spectral_from_covariance(mean: np.ndarray, cov: np.ndarray) -> GaussianStats:
     """Eigendecompose a symmetric PSD covariance into GaussianStats.
 
     Negative round-off eigenvalues are clamped to zero and columns get the
@@ -127,10 +125,10 @@ def spectral_from_covariance(mean: np.ndarray, cov: np.ndarray,
     lam = lam[::-1].copy()
     U = U[:, ::-1]
     np.clip(lam, 0.0, None, out=lam)
-    return GaussianStats(mean=mean, eigvecs=fix_eigvec_signs(U), eigvals=lam, label=label)
+    return GaussianStats(mean=mean, eigvecs=fix_eigvec_signs(U), eigvals=lam)
 
 
-def estimate_gaussian_stats(data: DataMatrix, label: str | None = None) -> GaussianStats:
+def estimate_gaussian_stats(data: DataMatrix) -> GaussianStats:
     """Fit mean and population covariance (1/n) of a data matrix.
 
     The covariance is returned in spectral form; eigenvalues that come out
@@ -140,12 +138,11 @@ def estimate_gaussian_stats(data: DataMatrix, label: str | None = None) -> Gauss
     mu = x.mean(axis=0)
     centered = x - mu
     cov = (centered.T @ centered) / len(x)
-    return spectral_from_covariance(mu, cov, label=label)
+    return spectral_from_covariance(mu, cov)
 
 
 def pool_stats(stats_list: list[GaussianStats],
-               weights: np.ndarray | None = None,
-               label: str | None = None) -> GaussianStats:
+               weights: np.ndarray | None = None) -> GaussianStats:
     """Moment-match a weighted pool of Gaussians into a single GaussianStats.
 
     mu = sum_i w_i mu_i and Sigma = sum_i w_i (Sigma_i + mu_i mu_i^T) - mu mu^T,
@@ -159,7 +156,7 @@ def pool_stats(stats_list: list[GaussianStats],
     second = np.zeros((d, d))
     for wi, s in zip(w, stats_list):
         second += wi * (s.covariance() + np.outer(s.mean, s.mean))
-    return spectral_from_covariance(mu, second - np.outer(mu, mu), label=label)
+    return spectral_from_covariance(mu, second - np.outer(mu, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ def _toy_basis() -> np.ndarray:
 def toy_conditional_stats(mu=TOY_MU_C) -> GaussianStats:
     """2D conditional toy: eigvecs (1,1)/sqrt2 and (1,-1)/sqrt2, lam (10, 3)."""
     return GaussianStats(mean=np.asarray(mu, dtype=np.float64),
-                         eigvecs=_toy_basis(), eigvals=np.array(TOY_LAM_C),
-                         label="toy-cond")
+                         eigvecs=_toy_basis(), eigvals=np.array(TOY_LAM_C))
 
 
 def toy_unconditional_stats() -> GaussianStats:
@@ -35,7 +34,7 @@ def toy_unconditional_stats() -> GaussianStats:
     """
     U = _toy_basis()
     cov = (U * np.array(TOY_LAM_UC)) @ U.T
-    return spectral_from_covariance(np.zeros(2), cov, label="toy-uncond")
+    return spectral_from_covariance(np.zeros(2), cov)
 
 
 def toy_common_pair(mu=TOY_MU_C) -> CommonPCPair:
@@ -55,14 +54,12 @@ def random_orthonormal(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_stats(d: int, rng: np.random.Generator, *,
                  lam_range: tuple[float, float] = (0.1, 2.0),
-                 mean_scale: float = 1.0,
-                 label: str | None = None) -> GaussianStats:
+                 mean_scale: float = 1.0) -> GaussianStats:
     """Random full-rank stats with eigenvalues uniform in ``lam_range``."""
     lam = np.sort(rng.uniform(*lam_range, size=d))[::-1]
     U = random_orthonormal(d, rng)
     cov = (U * lam) @ U.T
-    return spectral_from_covariance(rng.standard_normal(d) * mean_scale, cov,
-                                    label=label)
+    return spectral_from_covariance(rng.standard_normal(d) * mean_scale, cov)
 
 
 def random_stats_pair(d: int, rng: np.random.Generator, **kw) -> tuple[GaussianStats, GaussianStats]:
@@ -72,8 +69,8 @@ def random_stats_pair(d: int, rng: np.random.Generator, **kw) -> tuple[GaussianS
 def random_mixture(d: int, k: int, rng: np.random.Generator, *,
                    lam_range: tuple[float, float] = (0.2, 2.0),
                    mean_scale: float = 3.0) -> MixtureModel:
-    comps = tuple(random_stats(d, rng, lam_range=lam_range, mean_scale=mean_scale,
-                               label=f"comp{i}") for i in range(k))
+    comps = tuple(random_stats(d, rng, lam_range=lam_range, mean_scale=mean_scale)
+                  for _ in range(k))
     w = rng.uniform(0.5, 1.5, size=k)
     return MixtureModel(components=comps, weights=w / w.sum())
 
@@ -88,7 +85,7 @@ def demo_mixture() -> MixtureModel:
         lam = np.array([2.0 + i, 0.5])
         cov = (U * lam) @ U.T
         mu = 6.0 * np.array([c, s])
-        comps.append(spectral_from_covariance(mu, cov, label=f"cluster{i}"))
+        comps.append(spectral_from_covariance(mu, cov))
     return MixtureModel(components=tuple(comps), weights=np.full(3, 1.0 / 3.0))
 
 
@@ -113,6 +110,6 @@ def three_class_setup(d: int = 8, seed: int = 2024,
         mu = np.zeros(d)
         mu[2 * i] = 12.0
         mu[2 * i + 1] = -6.0
-        classes.append(spectral_from_covariance(mu, cov, label=f"class{i}"))
-    pooled = pool_stats(classes, label="pooled")
+        classes.append(spectral_from_covariance(mu, cov))
+    pooled = pool_stats(classes)
     return classes, pooled

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, cpca, denoiser, gmm, sampler, synthetic
+from .errors import check_state
 from .stats import GaussianStats, spectral_from_covariance
 
 
@@ -46,11 +47,13 @@ def trajectory_rel_error(x_num: np.ndarray, x_ref: np.ndarray,
     reference state can pass arbitrarily close to zero, so errors are
     normalized by max(|x_ref|, |x_T|) per sample (the ODE-solver convention
     of measuring against the largest state magnitude on the trajectory).
+    Each of the three is a state of ``check_state``, of x_ref's dimension.
     """
-    diff = np.linalg.norm(np.atleast_2d(x_num) - np.atleast_2d(x_ref), axis=-1)
-    scale = np.maximum(np.linalg.norm(np.atleast_2d(x_ref), axis=-1),
-                       np.linalg.norm(np.atleast_2d(x_T), axis=-1))
-    return diff / scale
+    x_ref = np.atleast_2d(check_state(x_ref, None))
+    x_num, x_T = (np.atleast_2d(check_state(x, x_ref.shape[1], what, "reference"))
+                  for x, what in ((x_num, "sample"), (x_T, "start")))
+    diff = np.linalg.norm(x_num - x_ref, axis=-1)
+    return diff / np.maximum(np.linalg.norm(x_ref, axis=-1), np.linalg.norm(x_T, axis=-1))
 
 
 def riemann_b_coefficient(lam_c: float, lam_uc: float, sigma_t: float,

@@ -760,7 +760,7 @@ class TestManifest:
         rng = np.random.default_rng(14)
         paths = []
         for i in range(3):
-            stats = random_stats(2, rng, label=f"c{i}")
+            stats = random_stats(2, rng)
             p = tmp_path / f"c{i}.stats"
             save_stats(stats, p)
             paths.append(p)

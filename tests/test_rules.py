@@ -1,15 +1,18 @@
 """The input rules that several modules share, at every public entry point
 that reads them: a noise level sigma, a pair (sigma_t, sigma_T) of a reverse
-run, a guidance strength gamma, the dimension of a state, a unit direction,
-finite values, an orthonormal basis, eigenvalues, and a list of Gaussian
-components (a mixture, a pool, a set of classes) and its weights. Each rule
-is written once, in ``lincfg.errors``; these tables hold every reader of it
+run, a guidance strength gamma, the shape and dimension of a state, a unit
+direction, finite values, an orthonormal basis, eigenvalues, and a list of
+Gaussian components (a mixture, a pool, a set of classes) and its weights.
+Each rule is written once, in ``lincfg.errors``; these tables hold every reader of it
 to the same exception type and message. The guidance gain g(sigma), written
 once as ``GuidanceConfig.weight``, and the import cost of the quadrature
 rule are tested here too."""
 
+import importlib
+import inspect
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -19,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lincfg import analytic, cpca, denoiser, gmm, metrics, sampler
-from lincfg.errors import DataError, FormatError, ShapeError
+import lincfg
+from lincfg import analytic, cpca, denoiser, gmm, metrics, sampler, verify
+from lincfg.errors import DataError, FormatError, ShapeError, check_state
 from lincfg.stats import (STATS_MAGIC, STATS_VERSION, DataMatrix, GaussianStats,
                           data_matrix_to_bytes, load_stats, pool_stats, save_data_matrix,
                           save_stats)
@@ -85,6 +89,41 @@ STATE_READERS = {
                                      SHORT, f"state dimension {D - 1} != stats dimension {D}"),
     "analytic.closed_form_cfg": (lambda x: analytic.closed_form_cfg(PAIR, x, 0.1, 1.0, 1.0),
                                  X[:, :1], "state dimension 1 != pair dimension 2"),
+    "denoiser.shrink": (lambda x: denoiser.shrink(COND, x, 1.0), SHORT,
+                        f"vector dimension {D - 1} != stats dimension {D}"),
+    "denoiser.denoise": (lambda x: denoiser.denoise(COND, x, 1.0), SHORT,
+                         f"vector dimension {D - 1} != stats dimension {D}"),
+    "gmm.posterior_weights": (lambda x: gmm.posterior_weights(MODEL, x, 1.0), SHORT,
+                              f"state dimension {D - 1} != mixture dimension {D}"),
+    "gmm.mixture_denoise": (lambda x: gmm.mixture_denoise(MODEL, x, 1.0), SHORT,
+                            f"state dimension {D - 1} != mixture dimension {D}"),
+    "gmm.gmm_cfg_guidance": (lambda x: gmm.gmm_cfg_guidance(MODEL, 0, x, 1.0, 1.0), SHORT,
+                             f"state dimension {D - 1} != mixture dimension {D}"),
+    "verify.trajectory_rel_error": (lambda x: verify.trajectory_rel_error(X, X, x), SHORT,
+                                    f"start dimension {D - 1} != reference dimension {D}"),
+}
+
+# name -> (call(state), the dimension it reads): every public function of the
+# package with a state parameter, x or x_T (``test_every_state_reader_is_listed``)
+SHAPE_READERS = {
+    "analytic.closed_form_cfg": (lambda x: analytic.closed_form_cfg(PAIR, x, 0.1, 1.0, 1.0), 2),
+    "denoiser.denoise": (lambda x: denoiser.denoise(COND, x, 1.0), D),
+    "denoiser.score": (lambda x: denoiser.score(COND, x, 1.0), D),
+    "denoiser.shrink": (lambda x: denoiser.shrink(COND, x, 1.0), D),
+    "errors.check_state": (lambda x: check_state(x, None), D),
+    "gmm.gmm_cfg_guidance": (lambda x: gmm.gmm_cfg_guidance(MODEL, 0, x, 1.0, 1.0), D),
+    "gmm.integrate": (lambda x: gmm.integrate(MODEL, 0, x, SCHED, CFG), D),
+    "gmm.mixture_denoise": (lambda x: gmm.mixture_denoise(MODEL, x, 1.0), D),
+    "gmm.mixture_score": (lambda x: gmm.mixture_score(MODEL, x, 1.0), D),
+    "gmm.posterior_weights": (lambda x: gmm.posterior_weights(MODEL, x, 1.0), D),
+    "sampler.closed_form_unguided": (lambda x: sampler.closed_form_unguided(COND, x, 80.0, 1.0),
+                                     D),
+    "sampler.guidance_terms": (lambda x: sampler.guidance_terms(COND, UNCOND, x, 1.0, CFG), D),
+    "sampler.integrate": (lambda x: sampler.integrate(COND, UNCOND, x, SCHED, CFG), D),
+    "sampler.integrate_with_scores": (lambda x: sampler.integrate_with_scores(
+        lambda y, s: denoiser.score(COND, y, s), lambda y, s: denoiser.score(UNCOND, y, s),
+        x, SCHED, CFG), D),
+    "verify.trajectory_rel_error": (lambda x: verify.trajectory_rel_error(X, X, x), D),
 }
 
 
@@ -249,6 +288,41 @@ def test_every_gamma_reader_rejects_a_bad_gamma(name, gamma):
 def test_every_state_reader_rejects_the_wrong_dimension(name):
     call, state, message = STATE_READERS[name]
     _raises_exactly(ShapeError, message, call, state)
+
+
+@pytest.mark.parametrize("shape", [lambda d: (), lambda d: (0, d), lambda d: (1, 2, d)],
+                         ids=["0-d", "empty", "stacked"])
+@pytest.mark.parametrize("name", sorted(SHAPE_READERS))
+def test_every_state_reader_rejects_a_bad_shape(name, shape):
+    call, d = SHAPE_READERS[name]
+    state = np.ones(shape(d))
+    _raises_exactly(ShapeError, f"state must have shape (d,) or (m, d) with m, d >= 1, "
+                    f"got {state.shape}", call, state)
+
+
+def _public_functions():
+    """(name, function) for every public function of a public lincfg module
+    and every public method of its classes, as ``module.name``."""
+    for info in pkgutil.iter_modules(lincfg.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"lincfg.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                yield from ((f"{info.name}.{name}.{n}", f) for n, f in vars(obj).items()
+                            if inspect.isfunction(f) and not n.startswith("_"))
+
+
+def test_every_state_reader_is_listed():
+    """Each public function that takes a state, a parameter named x or x_T,
+    is held to the state rule in SHAPE_READERS."""
+    readers = {name for name, f in _public_functions()
+               if {"x", "x_T"} & set(inspect.signature(f).parameters)}
+    assert readers and readers <= set(SHAPE_READERS), readers - set(SHAPE_READERS)
 
 
 @pytest.mark.parametrize("sigmas", [(1.0, math.inf), (0.0, 1.0), (2.0, 1.0), (math.nan, 1.0),

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from lincfg import gmm, sampler
 from lincfg import stats as stats_mod
 from lincfg.errors import DataError, FormatError, ShapeError
+from lincfg.fileio import atomic_write_text
 from lincfg.stats import (DATA_MAGIC, DataMatrix, GaussianStats, data_matrix_to_bytes,
                           estimate_gaussian_stats, load_data_csv, load_data_matrix, load_stats,
                           pool_stats, save_data_matrix, save_stats,
@@ -323,6 +326,21 @@ class TestDataFiles:
             atomic_write_bytes(path, b"new", object())
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["d.bin"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_written_files_keep_the_umask(self, tmp_path, umask, mode):
+        """A stats file, a data matrix and a text file are each made with the
+        mode open(path, "wb") gives a new file: 0o666 less the umask."""
+        old = os.umask(umask)
+        try:
+            save_stats(spectral_from_covariance(np.zeros(2), toy_cov()[0]), tmp_path / "s.stats")
+            save_data_matrix(np.ones((2, 3)), tmp_path / "d.bin")
+            atomic_write_text(tmp_path / "m.json", "{}")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"s.stats": mode, "d.bin": mode, "m.json": mode}
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"

@@ -42,6 +42,21 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     assert capsys.readouterr().out == "__init__.py 0\nmod.py 6\ntotal 6\n"
 
 
+def test_code_lines_compares_two_trees(tmp_path, capsys):
+    """Given --src twice, tools/code_lines.py prints ``module before after
+    delta`` for the modules of both trees, 0 where one lacks a module, and
+    the same for the total."""
+    for tree, modules in {"a": {"mod.py": SOURCE, "old.py": "Y = 2\n"},
+                          "b": {"mod.py": SOURCE + "Z = 3\n", "new.py": "A = 1\nB = 2\n"}}.items():
+        (tmp_path / tree / "lincfg").mkdir(parents=True)
+        for name, text in modules.items():
+            (tmp_path / tree / "lincfg" / name).write_text(text)
+    tool = _tool("code_lines")
+    assert tool.main(["--src", str(tmp_path / "a"), "--src", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == ("mod.py 6 7 +1\nnew.py 0 2 +2\nold.py 1 0 -1\n"
+                                       "total 7 9 +2\n")
+
+
 def test_sample_hashes_gives_one_line_per_bench_config(tmp_path):
     """tools/sample_hashes.py, the check behind every bit-identity claim, at
     the smoke shape gives one `workload/config sha256` line for each of the
